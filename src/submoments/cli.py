@@ -46,6 +46,7 @@ from .grids import (
     read_csv,
     resolve_stride,
     subsample_sequence,
+    validate_grid,
     write_binary,
     write_csv,
 )
@@ -93,9 +94,12 @@ def _write_grid(grid: TrajectoryGrid, path: Path) -> None:
 def _read_grid(path: Path) -> TrajectoryGrid:
     if not path.exists():
         raise ValidationError(f"trajectory file not found: {path}")
-    if path.suffix.lower() == ".csv":
-        return read_csv(path)
-    return read_binary(path)
+    grid = read_csv(path) if path.suffix.lower() == ".csv" else read_binary(path)
+    check = validate_grid(grid)
+    if not check.ok:
+        at = "" if check.index is None else f" at row {check.index}"
+        raise ValidationError(f"{path}: {check.reason}{at}")
+    return grid
 
 
 def _write_json(payload: dict, path: Path | None) -> None:

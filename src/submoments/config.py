@@ -47,10 +47,7 @@ _SECTION_KEYS = {
         "profile_kind", "profile_c", "profile_rate", "profile_exponent",
     },
     "endtoend": {"rho", "c_n", "c_delta", "u1", "tolerance"},
-    "heston": {
-        "epsilons", "u1", "u2", "c_n", "c_delta", "fine_step",
-        "pilot_span", "batch",
-    },
+    "heston": {"epsilons", "u1", "u2", "c_n", "c_delta", "fine_step", "pilot_span"},
     "assert": {
         "err_x_slope_min", "err_x_slope_max",
         "err_y_rho_slope_min", "err_y_rho_slope_max",
@@ -393,7 +390,6 @@ def build_heston_rv(bundle: ConfigBundle) -> HestonRVConfig:
         c_delta=_as_float("heston", "c_delta", body.get("c_delta", "1")),
         fine_step=None if fine_raw is None else _as_float("heston", "fine_step", fine_raw),
         pilot_span=_as_float("heston", "pilot_span", body.get("pilot_span", "200")),
-        batch=_as_int("heston", "batch", body.get("batch", "24")),
     )
     config.validate()
     return config

@@ -67,6 +67,7 @@ from .schemes import (
 _OBSERVABLES = ("identity", "multiplicative", "smoothing")
 _RHO_KINDS = ("identity", "sqrt", "table")
 _FAMILIES = ("from_rho", "from_n", "custom")
+_HESTON_CHUNK = 4096  # time rows of normals drawn per replication at once
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +907,6 @@ class HestonRVConfig:
     c_delta: float = 1.0
     fine_step: float | None = None
     pilot_span: float = 200.0
-    batch: int = 24
     memory_cap_bytes: int = 2 * 1024**3
 
     def validate(self) -> None:
@@ -919,8 +919,6 @@ class HestonRVConfig:
         u1, u2 = self.u_pair
         if not (0 < u1 < u2):
             raise ParameterDomain("need 0 < u1 < u2")
-        if self.batch < 1:
-            raise ParameterDomain("batch must be >= 1")
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -939,6 +937,18 @@ class _RVPlan:
     lag2: float
     rho_hat: float
     fine_rows: int
+
+    def summary(self) -> dict:
+        return {
+            "eps": self.eps,
+            "window": self.window,
+            "rho_hat": self.rho_hat,
+            "n_obs": self.scheme.n_obs,
+            "big_delta": self.scheme.big_delta,
+            "span": self.scheme.span,
+            "lag1": self.lag1,
+            "lag2": self.lag2,
+        }
 
 
 @dataclass
@@ -996,7 +1006,7 @@ def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:
     v0 = heston_initial_variance(config.params, rng_var, size=1)
     z_var = rng_var.standard_normal((length, 1))
     z_price = rng_price.standard_normal((length, 1))
-    r_path, v_path = _heston_core(config.params, length, delta_f, z_var, z_price, v0)
+    r_path, v_path, _ = _heston_core(config.params, length, delta_f, z_var, z_price, v0)
     rho = {}
     for eps, s_eps, window in plans_eps:
         r_eps = r_path[s_eps - 1 :: s_eps, 0]
@@ -1009,16 +1019,8 @@ def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:
     return rho
 
 
-def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
-    """Full realized-variance recovery study across observation scales.
-
-    One fine path per replication serves every eps level (common random
-    numbers), so error comparisons across levels are paired.  Replications
-    whose lagged covariances are unusable are counted as failures and
-    excluded from the error summary.
-    """
-    config.validate()
-    p = config.params
+def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
+    """Fine step and one plan per eps level, sized from the pilot's rho."""
     delta_f = config.fine_step if config.fine_step is not None else min(config.epsilon_grid)
     plans_eps = []
     for eps in config.epsilon_grid:
@@ -1058,12 +1060,59 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
                 fine_rows=fine_rows,
             )
         )
+    return delta_f, plans
+
+
+def _heston_price_batch(
+    config: HestonRVConfig, reps: range, length: int, delta_f: float
+) -> np.ndarray:
+    """Price paths of ``reps``, one column each, stepped together.
+
+    Each replication's streams are drawn in ``_HESTON_CHUNK``-row pieces,
+    which give the same numbers as one full-length draw, so only the
+    ``(length, len(reps))`` price array is held at full length.
+    """
+    p = config.params
+    width = len(reps)
+    streams = []
+    v = np.empty(width)
+    for col, rep in enumerate(reps):
+        stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
+        rng_var = stream.generator()
+        v[col] = heston_initial_variance(p, rng_var)
+        streams.append((rng_var, stream.role(StreamRole.AUXILIARY_NOISE).generator()))
+    r_paths = np.empty((length, width), order="F")  # columns are read one at a time
+    r = np.zeros(width)
+    z_var = np.empty((_HESTON_CHUNK, width))
+    z_price = np.empty((_HESTON_CHUNK, width))
+    for lo in range(0, length, _HESTON_CHUNK):
+        rows = min(_HESTON_CHUNK, length - lo)
+        for col, (rng_var, rng_price) in enumerate(streams):
+            z_var[:rows, col] = rng_var.standard_normal(rows)
+            z_price[:rows, col] = rng_price.standard_normal(rows)
+        r_chunk, _, v = _heston_core(p, rows, delta_f, z_var[:rows], z_price[:rows], v, r)
+        r_paths[lo : lo + rows] = r_chunk
+        r = r_chunk[-1]
+    return r_paths
+
+
+def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
+    """Full realized-variance recovery study across observation scales.
+
+    One fine path per replication serves every eps level (common random
+    numbers), so error comparisons across levels are paired.  Replications
+    whose lagged covariances are unusable are counted as failures and
+    excluded from the error summary.
+    """
+    config.validate()
+    p = config.params
+    delta_f, plans = _plan_heston_rv(config)
     length = max(plan.fine_rows for plan in plans)
-    need = length * config.batch * 8 * 5
-    if need > config.memory_cap_bytes:
+    width = min(config.replications, config.memory_cap_bytes // (8 * length))
+    if width < 1:
         raise ResourceLimit(
-            f"run needs about {need / 1e9:.2f} GB of workspace, cap is "
-            f"{config.memory_cap_bytes / 1e9:.2f} GB"
+            f"one price path of {length} rows needs {8 * length} bytes, cap is "
+            f"{config.memory_cap_bytes} bytes"
         )
 
     truth = {"reversion": p.reversion, "level": p.level, "vol_of_vol": p.vol_of_vol}
@@ -1072,21 +1121,10 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     sq_rel = {plan.eps: [] for plan in plans}
     failures = {plan.eps: 0 for plan in plans}
 
-    for start in range(0, config.replications, config.batch):
-        reps = range(start, min(start + config.batch, config.replications))
-        width = len(reps)
-        z_var = np.empty((length, width))
-        z_price = np.empty((length, width))
-        v0 = np.empty(width)
-        for col, rep in enumerate(reps):
-            stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-            rng_var = stream.generator()
-            rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
-            v0[col] = heston_initial_variance(config.params, rng_var)
-            z_var[:, col] = rng_var.standard_normal(length)
-            z_price[:, col] = rng_price.standard_normal(length)
-        r_paths, _ = _heston_core(p, length, delta_f, z_var, z_price, v0)
-        for col in range(width):
+    for start in range(0, config.replications, width):
+        reps = range(start, min(start + width, config.replications))
+        r_paths = _heston_price_batch(config, reps, length, delta_f)
+        for col in range(len(reps)):
             for plan in plans:
                 r_eps = r_paths[plan.eps_stride - 1 : plan.fine_rows : plan.eps_stride, col]
                 rv = realized_volatility_observable(
@@ -1101,6 +1139,7 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
                     continue
                 rel = (est.theta - true_vec) / true_vec
                 sq_rel[plan.eps].append(rel**2)
+        del r_paths  # free this batch before the next one is allocated
 
     rms_rel = {}
     for plan in plans:
@@ -1112,22 +1151,9 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
         rms = np.sqrt(block.mean(axis=0))
         rms_rel[plan.eps] = {n: float(v) for n, v in zip(names, rms)}
 
-    plan_dicts = [
-        {
-            "eps": plan.eps,
-            "window": plan.window,
-            "rho_hat": plan.rho_hat,
-            "n_obs": plan.scheme.n_obs,
-            "big_delta": plan.scheme.big_delta,
-            "span": plan.scheme.span,
-            "lag1": plan.lag1,
-            "lag2": plan.lag2,
-        }
-        for plan in plans
-    ]
     return HestonRVReport(
         truth=truth,
-        plans=plan_dicts,
+        plans=[plan.summary() for plan in plans],
         rms_rel=rms_rel,
         failures=failures,
         config_hash=config.config_hash(),

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import lfilter
 
 from .errors import (
     InsufficientData,
@@ -123,6 +122,10 @@ def simulate_ou(
     coefficient ``exp(-reversion * delta)`` started from the stationary
     marginal; no discretization error at any step size.
     """
+    # scipy.signal takes longer to import than the rest of the package, so
+    # only callers that simulate this model pay for it.
+    from scipy.signal import lfilter
+
     params.validate()
     if length < 1:
         raise ParameterDomain(f"length must be >= 1, got {length}")
@@ -296,24 +299,35 @@ def _heston_core(
     z_var: np.ndarray,
     z_price: np.ndarray,
     v0: np.ndarray,
+    r0: np.ndarray | None = None,
 ):
-    """Full-truncation Euler over pre-drawn normals; batched over columns."""
+    """Full-truncation Euler over pre-drawn normals; batched over columns.
+
+    Row ``n`` of ``z_var``/``z_price`` drives step ``n + 1``.  ``v0`` is the
+    raw (untruncated) variance and ``r0`` the price before the first step
+    (zero when omitted).  Returns the price paths, the truncated variance
+    paths and the raw variance after the last step, so a long path can be
+    stepped in chunks: feed the returned raw variance and the last price
+    row into the next call as ``v0`` and ``r0`` and the result equals one
+    call over the whole path, bit for bit.  Carrying the truncated
+    variance instead would break that whenever the raw variance is
+    negative.
+    """
     sqdt = math.sqrt(dt)
     v_raw = np.array(v0, dtype=float)
     v_paths = np.empty_like(z_var)
     r_paths = np.empty_like(z_price)
-    r = np.zeros_like(v_raw)
+    r = np.zeros_like(v_raw) if r0 is None else np.array(r0, dtype=float)
+    v_plus = np.maximum(v_raw, 0.0)
     for n in range(n_steps):
-        v_plus = np.maximum(v_raw, 0.0)
         vol = np.sqrt(v_plus)
-        r = r + params.drift * dt + vol * sqdt * z_price[n]
+        r = np.add(r + params.drift * dt, vol * sqdt * z_price[n], out=r_paths[n])
         v_raw = v_raw + params.reversion * (params.level - v_plus) * dt \
             + params.vol_of_vol * vol * sqdt * z_var[n]
-        v_paths[n] = np.maximum(v_raw, 0.0)
-        r_paths[n] = r
+        v_plus = np.maximum(v_raw, 0.0, out=v_paths[n])
     if not (np.isfinite(v_raw).all() and np.isfinite(r).all()):
         raise SimulationDiverged("price or variance became non-finite")
-    return r_paths, v_paths
+    return r_paths, v_paths, v_raw
 
 
 def heston_initial_variance(
@@ -357,7 +371,9 @@ def simulate_heston(
             raise ParameterDomain(f"fixed v0 must be >= 0, got {v0}")
     z_var = rng_var.standard_normal((length, 1))
     z_price = rng_price.standard_normal((length, 1))
-    r_paths, v_paths = _heston_core(params, length, delta_fine, z_var, z_price, np.array([v0]))
+    r_paths, v_paths, _ = _heston_core(
+        params, length, delta_fine, z_var, z_price, np.array([v0])
+    )
     return (
         TrajectoryGrid(r_paths[:, 0], delta_fine),
         TrajectoryGrid(v_paths[:, 0], delta_fine),

@@ -6,17 +6,22 @@ test covers the installed console script.
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import submoments
 from submoments import (
     BoundInputs,
     HestonParams,
     OUParams,
     SubsamplingScheme,
+    TrajectoryGrid,
     ValidationError,
     covariance_curve,
     empirical_mean,
@@ -25,6 +30,8 @@ from submoments import (
     read_csv,
     resolve_stride,
     subsample_sequence,
+    write_binary,
+    write_csv,
 )
 from submoments.cli import _preset_path, available_presets, main
 from submoments.config import (
@@ -93,6 +100,9 @@ class TestLoadConfig:
     def test_unknown_key_names_section_and_allowed(self, tmp_path):
         path = write_cfg(tmp_path, "[grid]\nstep = 0.1\n")
         with pytest.raises(ValidationError, match=r"\[grid\] has unknown key 'step'"):
+            load_config(path)
+        path = write_cfg(tmp_path, "[heston]\nbatch = 24\n")
+        with pytest.raises(ValidationError, match=r"\[heston\] has unknown key 'batch'"):
             load_config(path)
 
     def test_malformed_ini(self, tmp_path):
@@ -391,6 +401,19 @@ class TestEstimateCommand:
         capsys.readouterr()
         assert main(["estimate", "--input", str(tiny), "--lags", "0,1.0"]) == 4
 
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_non_finite_sample_rejected(self, ou_trajectory, tmp_path, capsys, suffix):
+        values = read_binary(ou_trajectory).samples[:400, 0].copy()
+        values[17] = np.nan
+        bad = tmp_path / f"nan{suffix}"
+        grid = TrajectoryGrid(values, 0.25)
+        (write_csv if suffix == ".csv" else write_binary)(grid, bad)
+        for extra in ([], ["--model", "ou"]):
+            assert main(["estimate", "--input", str(bad), "--lags", "0,1.0", *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "non-finite sample at row 17" in captured.err
+
 
 class TestLabCommand:
     def test_presets_available(self):
@@ -442,6 +465,22 @@ class TestLabCommand:
         out = tmp_path / "run"
         assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == 0
         assert "[CHECK]" not in capsys.readouterr().out
+
+
+class TestLazyImports:
+    def test_cli_without_ou_simulation_skips_scipy(self):
+        code = (
+            "import sys\n"
+            "import submoments.cli\n"
+            "assert submoments.cli.main(['scheme', '--rho', '0.1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestConsoleScript:

@@ -4,6 +4,7 @@ Monte Carlo assertions here run on small deterministic ensembles (pinned
 master seeds), so observed values are reproducible run to run.
 """
 
+import dataclasses
 import json
 import math
 
@@ -34,6 +35,15 @@ from submoments import (
     save_ensemble,
     simulate_ou,
     RandomStreamSpec,
+)
+from submoments.errors import MomentsOutsideModelRange
+from submoments.grids import StreamRole, subsample_sequence
+from submoments.invert import invert_cir
+from submoments.lab import _HESTON_CHUNK, _plan_heston_rv, _rv_moments, run_heston_rv
+from submoments.models import (
+    _heston_core,
+    heston_initial_variance,
+    realized_volatility_observable,
 )
 
 MODEL = OUParams(mean=0.5, reversion=1.0, noise=1.0)
@@ -334,3 +344,92 @@ class TestHestonRVConfig:
             HestonRVConfig(params=good.params, u_pair=(0.75, 0.25)).validate()
         with pytest.raises(ParameterDomain):
             HestonRVConfig(params=good.params, replications=10).validate()
+
+
+def reference_heston_rv(config: HestonRVConfig):
+    """The blocked replication loop ``run_heston_rv`` used to run.
+
+    Full-length normals are drawn up front for blocks of 24 replications,
+    and each block is stepped by one core call over the whole path.
+    """
+    p = config.params
+    delta_f, plans = _plan_heston_rv(config)
+    length = max(plan.fine_rows for plan in plans)
+    true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
+    sq_rel = {plan.eps: [] for plan in plans}
+    failures = {plan.eps: 0 for plan in plans}
+    for start in range(0, config.replications, 24):
+        reps = range(start, min(start + 24, config.replications))
+        width = len(reps)
+        z_var = np.empty((length, width))
+        z_price = np.empty((length, width))
+        v0 = np.empty(width)
+        for col, rep in enumerate(reps):
+            stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
+            rng_var = stream.generator()
+            rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
+            v0[col] = heston_initial_variance(p, rng_var)
+            z_var[:, col] = rng_var.standard_normal(length)
+            z_price[:, col] = rng_price.standard_normal(length)
+        r_paths, _, _ = _heston_core(p, length, delta_f, z_var, z_price, v0)
+        for col in range(width):
+            for plan in plans:
+                r_eps = r_paths[plan.eps_stride - 1 : plan.fine_rows : plan.eps_stride, col]
+                rv = realized_volatility_observable(
+                    TrajectoryGrid(r_eps, plan.eps), plan.eps, plan.window
+                )
+                coarse = subsample_sequence(rv, plan.scheme, n_extra=plan.kappa2)
+                try:
+                    est = invert_cir(_rv_moments(coarse, plan), plan.lag1)
+                except MomentsOutsideModelRange:
+                    failures[plan.eps] += 1
+                    continue
+                sq_rel[plan.eps].append(((est.theta - true_vec) / true_vec) ** 2)
+    rms_rel = {
+        eps: dict(
+            zip(("reversion", "level", "vol_of_vol"), map(float, np.sqrt(np.mean(block, axis=0))))
+        )
+        for eps, block in sq_rel.items()
+    }
+    return [plan.summary() for plan in plans], rms_rel, failures
+
+
+class TestHestonRVPipeline:
+    CFG = HestonRVConfig(
+        params=HestonParams(2.0, 0.04, 0.3),
+        epsilon_grid=(0.02, 0.01),
+        replications=30,
+        master_seed=20260305,
+        pilot_span=50,
+    )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_heston_rv(self.CFG)
+
+    @pytest.fixture(scope="class")
+    def length(self):
+        _, plans = _plan_heston_rv(self.CFG)
+        length = max(plan.fine_rows for plan in plans)
+        # the last normals chunk is partial
+        assert length > _HESTON_CHUNK and length % _HESTON_CHUNK != 0
+        return length
+
+    def check_against(self, reference, config):
+        plans, rms_rel, failures = reference
+        report = run_heston_rv(config)
+        assert report.plans == plans
+        assert report.rms_rel == rms_rel
+        assert report.failures == failures
+
+    def test_matches_blocked_reference(self, reference, length):
+        self.check_against(reference, self.CFG)
+
+    def test_memory_cap_sets_width_only(self, reference, length):
+        # room for 7 price columns: batches of 7, 7, 7, 7 and 2
+        capped = dataclasses.replace(self.CFG, memory_cap_bytes=8 * length * 7)
+        self.check_against(reference, capped)
+
+    def test_memory_cap(self, length):
+        with pytest.raises(ResourceLimit):
+            run_heston_rv(dataclasses.replace(self.CFG, memory_cap_bytes=8 * length - 1))

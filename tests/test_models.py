@@ -32,7 +32,7 @@ from submoments import (
     simulate_slow_fast,
     smoothing_observable,
 )
-from submoments.models import SLOW_FAST_CATALOG
+from submoments.models import SLOW_FAST_CATALOG, _heston_core
 
 
 class TestOU:
@@ -177,6 +177,31 @@ class TestHeston:
         b = simulate_heston(HESTON, 300, 0.01, RandomStreamSpec(5, 2))
         assert np.array_equal(a[0].samples, b[0].samples)
         assert np.array_equal(a[1].samples, b[1].samples)
+
+    def test_core_continues_across_chunks(self):
+        # vol_of_vol**2 > 2 * reversion * level: the raw variance goes negative
+        wild = HestonParams(reversion=1.0, level=0.04, vol_of_vol=1.0)
+        rng = np.random.default_rng(31)
+        n, dt = 2000, 0.01
+        z_var = rng.standard_normal((n, 3))
+        z_price = rng.standard_normal((n, 3))
+        v0 = np.array([0.04, 0.0, 0.1])
+        r_full, v_full, end_full = _heston_core(wild, n, dt, z_var, z_price, v0)
+        # cut right after steps whose raw variance is negative, so the carried
+        # raw value differs from the truncated one at every boundary
+        negative = np.flatnonzero(v_full[:-1, 0] == 0.0)
+        assert negative.size >= 3
+        cuts = [0, *(negative[[0, negative.size // 2, -1]] + 1), n]
+        r, v, pieces = None, v0, []
+        for lo, hi in zip(cuts, cuts[1:]):
+            r_part, v_part, v = _heston_core(
+                wild, hi - lo, dt, z_var[lo:hi], z_price[lo:hi], v, r
+            )
+            r = r_part[-1]
+            pieces.append((r_part, v_part))
+        assert np.array_equal(np.vstack([a for a, _ in pieces]), r_full)
+        assert np.array_equal(np.vstack([b for _, b in pieces]), v_full)
+        assert np.array_equal(v, end_full)
 
 
 class TestObservables:
