@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -60,6 +59,9 @@ from .invert import (
 )
 from .lab import (
     build_report,
+    check_assert_keys,
+    evaluate_thresholds,
+    # not called here: the benchmark tracer wraps it under this module by name
     perturbation_gap_check,
     run_endtoend_ou,
     run_heston_rv,
@@ -311,126 +313,6 @@ def _preset_path(name: str) -> Path:
     return Path(str(path))
 
 
-def _check_line(name: str, ok: bool, detail: str) -> None:
-    print(f"[CHECK] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def _slope_band(slopes: dict, prefix: str, lo: float, hi: float):
-    vals = {k: v["slope"] for k, v in slopes.items() if k.startswith(prefix)}
-    if not vals:
-        return False, f"no fitted slopes under {prefix!r}"
-    ok = all(lo <= s <= hi for s in vals.values())
-    listing = ", ".join(f"{k.split('/')[-1]}={v:.3f}" for k, v in sorted(vals.items()))
-    return ok, f"band [{lo:g}, {hi:g}]: {listing}"
-
-
-def _generic_checks(report, ensemble, config, inputs, checks: dict) -> list:
-    results = []
-    slopes = report.slopes
-
-    def band(name, prefix):
-        lo = checks.get(f"{name}_min", -math.inf)
-        hi = checks.get(f"{name}_max", math.inf)
-        results.append((name, *_slope_band(slopes, prefix, lo, hi)))
-
-    if "err_x_slope_min" in checks or "err_x_slope_max" in checks:
-        band("err_x_slope", "err_x_vs_n/")
-    if "err_y_rho_slope_min" in checks or "err_y_rho_slope_max" in checks:
-        band("err_y_rho_slope", "err_y_vs_rho/")
-    if "gap_rho_slope_min" in checks or "gap_rho_slope_max" in checks:
-        band("gap_rho_slope", "gap_vs_rho/")
-    for key, slope_name in (
-        ("mean_l2_slope", "mean_l2_vs_span"),
-        ("mean_l4_slope", "mean_l4_vs_span"),
-    ):
-        if f"{key}_min" in checks or f"{key}_max" in checks:
-            lo = checks.get(f"{key}_min", -math.inf)
-            hi = checks.get(f"{key}_max", math.inf)
-            if slope_name not in slopes:
-                results.append((key, False, "slope not fitted"))
-            else:
-                s = slopes[slope_name]["slope"]
-                results.append((key, lo <= s <= hi, f"slope {s:.3f} in [{lo:g}, {hi:g}]"))
-    if "bound_fraction_min" in checks:
-        need = checks["bound_fraction_min"]
-        fr = report.bound_fractions
-        if not fr:
-            results.append(("bound_fraction", False, "no [bounds] section configured"))
-        else:
-            worst = min(fr.values())
-            results.append(
-                (
-                    "bound_fraction",
-                    worst >= need,
-                    f"contained_x={fr['contained_x']:.3f}, "
-                    f"contained_y={fr['contained_y']:.3f}, need >= {need:g}",
-                )
-            )
-    if "ratio_band_max" in checks:
-        cap = checks["ratio_band_max"]
-        ratios = [row["err_y_l2"] / row["rho"] for row in report.rows if row["rho"] > 0]
-        if not ratios:
-            results.append(("ratio_band", False, "no positive-rho grid points"))
-        else:
-            spread = max(ratios) / min(ratios)
-            results.append(
-                ("ratio_band", spread <= cap, f"spread {spread:.3f} <= {cap:g}")
-            )
-    if checks.get("gap_within_bound") or checks.get("mean_within_bound"):
-        nu_of = lambda rho: (1.0 + rho) * config.model.l4_norm
-        gap_checks = perturbation_gap_check(ensemble, nu_of)
-        if checks.get("gap_within_bound"):
-            bad = [g for g in gap_checks if not g.cov_ok]
-            detail = (
-                "all covariance gaps below 4*nu*rho"
-                if not bad
-                else f"{len(bad)} level(s) exceed, worst rho {bad[0].rho:g}"
-            )
-            results.append(("gap_within_bound", not bad, detail))
-        if checks.get("mean_within_bound"):
-            bad = [g for g in gap_checks if not g.mean_ok]
-            detail = (
-                "all mean gaps below nu*rho"
-                if not bad
-                else f"{len(bad)} level(s) exceed, worst rho {bad[0].rho:g}"
-            )
-            results.append(("mean_within_bound", not bad, detail))
-    return results
-
-
-def _endtoend_checks(report, checks: dict) -> list:
-    results = []
-    if "min_fraction" in checks:
-        need = checks["min_fraction"]
-        worst = min(report.fraction_within.values())
-        listing = ", ".join(f"{k}={v:.3f}" for k, v in report.fraction_within.items())
-        results.append(
-            ("recovery_fraction", report.passed(need), f"{listing}, need >= {need:g}")
-        )
-    return results
-
-
-def _heston_checks(report, config, checks: dict) -> list:
-    results = []
-    finest = min(config.epsilon_grid)
-    errs = report.errors_at(finest)
-    for key, name in (
-        ("level_rms_max", "level"),
-        ("reversion_rms_max", "reversion"),
-        ("vol_rms_max", "vol_of_vol"),
-    ):
-        if key in checks:
-            cap = checks[key]
-            val = errs[name]
-            results.append((key, val <= cap, f"rms {val:.4f} <= {cap:g} at eps {finest:g}"))
-    if checks.get("nonincreasing"):
-        ok = report.nonincreasing()
-        results.append(
-            ("nonincreasing", ok, "rms errors do not grow as eps shrinks")
-        )
-    return results
-
-
 def cmd_lab(args) -> int:
     if (args.config is None) == (args.preset is None):
         raise UsageError("give exactly one of --config or --preset")
@@ -441,12 +323,13 @@ def cmd_lab(args) -> int:
     if args.workers is not None:
         bundle.sections.setdefault("run", {})["workers"] = str(args.workers)
     kind = pipeline_kind(bundle)
+    checks = assert_thresholds(bundle) if args.check else {}
+    check_assert_keys(kind, checks)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = build_run_settings(bundle)
     outputs: list[str] = []
-    results: list = []
-    checks = assert_thresholds(bundle) if args.check else {}
+    ensemble = None
 
     if kind == "generic":
         config = build_experiment(bundle)
@@ -463,8 +346,6 @@ def cmd_lab(args) -> int:
             print(f"slope {key}: {fit['slope']:.4f} (r2 {fit['r_squared']:.4f})")
         for key, val in sorted(report.bound_fractions.items()):
             print(f"bound fraction {key}: {val:.4f}")
-        if checks:
-            results = _generic_checks(report, ensemble, config, inputs, checks)
     elif kind == "ou_endtoend":
         config = build_endtoend(bundle)
         report = run_endtoend_ou(config)
@@ -475,8 +356,6 @@ def cmd_lab(args) -> int:
                 f"{name}: fraction within {report.tolerance:g} = "
                 f"{report.fraction_within[name]:.3f}, rms rel = {report.rms_rel[name]:.4f}"
             )
-        if checks:
-            results = _endtoend_checks(report, checks)
     else:
         config = build_heston_rv(bundle)
         report = run_heston_rv(config)
@@ -486,8 +365,6 @@ def cmd_lab(args) -> int:
             errs = report.errors_at(eps)
             listing = ", ".join(f"{k}={v:.4f}" for k, v in errs.items())
             print(f"eps {eps:g}: rms rel {listing}")
-        if checks:
-            results = _heston_checks(report, config, checks)
 
     manifest = {
         "command": "lab",
@@ -500,8 +377,8 @@ def cmd_lab(args) -> int:
     _write_json(manifest, out_dir / "manifest.json")
     if checks:
         failed = False
-        for name, ok, detail in results:
-            _check_line(name, ok, detail)
+        for name, ok, detail in evaluate_thresholds(kind, checks, report, config, ensemble):
+            print(f"[CHECK] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
             failed = failed or not ok
         if failed:
             print("one or more checks failed", file=sys.stderr)

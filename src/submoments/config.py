@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import SubsamplingScheme
-from .lab import EndToEndConfig, ExperimentConfig, HestonRVConfig
+from .lab import THRESHOLDS, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from .models import (
     GradientDiffusionParams,
     HestonParams,
@@ -48,18 +48,11 @@ _SECTION_KEYS = {
     },
     "endtoend": {"rho", "c_n", "c_delta", "u1", "tolerance"},
     "heston": {"epsilons", "u1", "u2", "c_n", "c_delta", "fine_step", "pilot_span"},
-    "assert": {
-        "err_x_slope_min", "err_x_slope_max",
-        "err_y_rho_slope_min", "err_y_rho_slope_max",
-        "gap_rho_slope_min", "gap_rho_slope_max",
-        "gap_within_bound", "mean_within_bound",
-        "ratio_band_max", "bound_fraction_min",
-        "mean_l2_slope_min", "mean_l2_slope_max",
-        "mean_l4_slope_min", "mean_l4_slope_max",
-        "min_fraction",
-        "level_rms_max", "reversion_rms_max", "vol_rms_max",
-        "nonincreasing",
-    },
+    "assert": {key for checks in THRESHOLDS.values() for check in checks for key in check.keys},
+}
+
+_ASSERT_FLAGS = {
+    key for checks in THRESHOLDS.values() for check in checks if check.flag for key in check.keys
 }
 
 _MODEL_KEYS = {
@@ -69,7 +62,7 @@ _MODEL_KEYS = {
     "slow_fast": {"kind", "entry", "scale"},
 }
 
-_PIPELINES = ("generic", "ou_endtoend", "heston_rv")
+_PIPELINES = tuple(THRESHOLDS)
 
 
 @dataclass
@@ -400,7 +393,7 @@ def assert_thresholds(bundle: ConfigBundle) -> dict:
     body = bundle.sections.get("assert", {})
     out = {}
     for key, raw in body.items():
-        if key in ("gap_within_bound", "mean_within_bound", "nonincreasing"):
+        if key in _ASSERT_FLAGS:
             out[key] = _as_bool("assert", key, raw)
         else:
             out[key] = _as_float("assert", key, raw)

@@ -59,7 +59,3 @@ class SimulationDiverged(NumericalError):
 
 class MomentsOutsideModelRange(NumericalError):
     """Empirical moments are incompatible with the model's moment map."""
-
-
-class SolverDidNotConverge(NumericalError):
-    """Iterative solver hit its iteration cap before meeting tolerance."""

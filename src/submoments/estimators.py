@@ -58,34 +58,19 @@ def _pairwise_mean(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanEstimate:
-    """Plain and lag-shifted empirical means of one coarse sequence."""
+    """Empirical mean of one coarse sequence."""
 
     vector: np.ndarray
-    shifted_vector: np.ndarray
     n_obs: int
-    kappa: int
     big_delta: float | None = None
 
 
-def empirical_mean(samples, kappa: int = 0, big_delta: float | None = None) -> MeanEstimate:
-    """Means of the first N and the kappa-shifted N coarse samples.
-
-    ``N`` is the sequence length minus ``kappa``.  With ``kappa = 0`` the
-    two means are the same array.
-    """
-    if kappa < 0:
-        raise ParameterDomain(f"kappa must be >= 0, got {kappa}")
+def empirical_mean(samples, big_delta: float | None = None) -> MeanEstimate:
+    """Mean of the coarse samples, one entry per coordinate."""
     arr = _as_matrix(samples)
-    n = arr.shape[0] - kappa
-    if n < 1:
-        raise InsufficientData(
-            f"need more than kappa={kappa} samples, got {arr.shape[0]}"
-        )
-    vector = _pairwise_mean(arr[:n])
-    shifted = vector if kappa == 0 else _pairwise_mean(arr[kappa : kappa + n])
-    return MeanEstimate(
-        vector=vector, shifted_vector=shifted, n_obs=n, kappa=kappa, big_delta=big_delta
-    )
+    if arr.shape[0] < 1:
+        raise InsufficientData("need at least one sample")
+    return MeanEstimate(vector=_pairwise_mean(arr), n_obs=arr.shape[0], big_delta=big_delta)
 
 
 @dataclass(frozen=True)
@@ -156,22 +141,6 @@ def lagged_covariance(
         n_obs=n_obs,
         big_delta=big_delta,
     )
-
-
-def lagged_covariance_product_form(samples, n_obs: int, kappa: int) -> np.ndarray:
-    """Same statistic as the average of raw products minus product of means.
-
-    Exposed for equivalence testing; the centered form is the production
-    path.
-    """
-    arr = _as_matrix(samples)
-    _check_lengths(arr, n_obs, kappa)
-    lead = arr[:n_obs]
-    lagged = arr[kappa : kappa + n_obs]
-    raw = np.sum(lead[:, :, None] * lagged[:, None, :], axis=0) / n_obs
-    mean = _pairwise_mean(lead)
-    shifted = _pairwise_mean(lagged)
-    return raw - np.outer(mean, shifted)
 
 
 def covariance_curve(

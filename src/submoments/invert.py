@@ -118,7 +118,7 @@ def extract_moment_vector(
     for pos, d in enumerate(desc):
         if d.kind == "mean":
             if mean_vec is None:
-                mean_vec = empirical_mean(samples, kappa=0).vector
+                mean_vec = empirical_mean(samples).vector
             if d.i >= mean_vec.size:
                 raise ParameterDomain(f"mean coordinate {d.i} out of range")
             out[pos] = mean_vec[d.i]

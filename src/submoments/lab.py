@@ -17,8 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .errors import (
     ParameterDomain,
     ResourceLimit,
     SchemeGridMismatch,
+    ValidationError,
 )
 from .estimators import empirical_mean, lag_index, lagged_covariance
 from .grids import (
@@ -68,11 +71,23 @@ _OBSERVABLES = ("identity", "multiplicative", "smoothing")
 _RHO_KINDS = ("identity", "sqrt", "table")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 4096  # time rows of normals drawn per replication at once
+_EXECUTION_FIELDS = ("workers", "memory_cap_bytes")
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+
+def config_hash(config) -> str:
+    """sha256 run identity of a pipeline config, without its execution fields.
+
+    ``workers`` and ``memory_cap_bytes`` are left out: runs that differ only
+    in them produce bitwise-equal results and share one identity.
+    """
+    fields = {k: v for k, v in asdict(config).items() if k not in _EXECUTION_FIELDS}
+    blob = json.dumps(fields, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,10 @@ class ExperimentConfig:
             raise ParameterDomain("need at least one lag")
         if any(u < 0 for u in self.lags):
             raise ParameterDomain("lags must be >= 0")
+        if self.horizon_a is not None:
+            for u in self.lags:
+                if u > self.horizon_a:
+                    raise ParameterDomain(f"lag {u} exceeds horizon {self.horizon_a}")
 
     def rho_of(self, eps: float) -> float:
         if self.rho_kind == "identity":
@@ -152,10 +171,6 @@ class ExperimentConfig:
         if eps not in table:
             raise ParameterDomain(f"epsilon {eps} missing from rho table")
         return float(table[eps])
-
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -389,7 +404,7 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
         khat_x=np.empty((n_points, n_reps, n_lags, r, r)),
         mean_y=np.empty((n_points, n_reps, r)),
         mean_x=np.empty((n_points, n_reps, r)),
-        config_hash=config.config_hash(),
+        config_hash=config_hash(config),
     )
     for gi, point in enumerate(points):
         if config.workers > 1:
@@ -805,10 +820,6 @@ class EndToEndConfig:
         if self.replications < 30:
             raise ParameterDomain("need at least 30 replications")
 
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
-
 
 @dataclass
 class EndToEndReport:
@@ -877,7 +888,7 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
         rms_rel=rms,
         tolerance=config.tolerance,
         scheme=scheme,
-        config_hash=config.config_hash(),
+        config_hash=config_hash(config),
     )
 
 
@@ -919,10 +930,6 @@ class HestonRVConfig:
         u1, u2 = self.u_pair
         if not (0 < u1 < u2):
             raise ParameterDomain("need 0 < u1 < u2")
-
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -1156,5 +1163,156 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
         plans=[plan.summary() for plan in plans],
         rms_rel=rms_rel,
         failures=failures,
-        config_hash=config.config_hash(),
+        config_hash=config_hash(config),
     )
+
+
+# ---------------------------------------------------------------------------
+# [assert] threshold checks
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One ``[CHECK]`` line and the ``[assert]`` keys that switch it on.
+
+    ``test(values, report, config, ensemble)`` returns ``(ok, detail)``;
+    ``values`` holds one threshold per key, ``None`` for a key not given.
+    A ``flag`` check has boolean keys and runs only when one is true.
+    """
+
+    name: str
+    keys: tuple
+    test: Callable
+    flag: bool = False
+
+
+def _slope_band(prefix: str, values, report, config, ensemble):
+    lo, hi = values
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    vals = {k: v["slope"] for k, v in report.slopes.items() if k.startswith(prefix)}
+    if not vals:
+        return False, f"slope {prefix!r} not fitted"
+    listing = ", ".join(f"{k.split('/')[-1]}={v:.3f}" for k, v in sorted(vals.items()))
+    return all(lo <= s <= hi for s in vals.values()), f"band [{lo:g}, {hi:g}]: {listing}"
+
+
+def _bound_fraction(values, report, config, ensemble):
+    (need,) = values
+    fr = report.bound_fractions
+    if not fr:
+        return False, "no [bounds] section configured"
+    return min(fr.values()) >= need, (
+        f"contained_x={fr['contained_x']:.3f}, "
+        f"contained_y={fr['contained_y']:.3f}, need >= {need:g}"
+    )
+
+
+def _ratio_band(values, report, config, ensemble):
+    (cap,) = values
+    ratios = [row["err_y_l2"] / row["rho"] for row in report.rows if row["rho"] > 0]
+    if not ratios:
+        return False, "no positive-rho grid points"
+    spread = max(ratios) / min(ratios)
+    return spread <= cap, f"spread {spread:.3f} <= {cap:g}"
+
+
+def _gap_levels(field: str, passing: str, values, report, config, ensemble):
+    nu_of = lambda rho: (1.0 + rho) * config.model.l4_norm
+    bad = [g for g in perturbation_gap_check(ensemble, nu_of) if not getattr(g, field)]
+    if not bad:
+        return True, passing
+    return False, f"{len(bad)} level(s) exceed, at rho {', '.join(f'{g.rho:g}' for g in bad)}"
+
+
+def _recovery_fraction(values, report, config, ensemble):
+    (need,) = values
+    listing = ", ".join(f"{k}={v:.3f}" for k, v in report.fraction_within.items())
+    return report.passed(need), f"{listing}, need >= {need:g}"
+
+
+def _rms_cap(param: str, values, report, config, ensemble):
+    (cap,) = values
+    finest = min(report.rms_rel)
+    val = report.errors_at(finest)[param]
+    return val <= cap, f"rms {val:.4f} <= {cap:g} at eps {finest:g}"
+
+
+def _nonincreasing(values, report, config, ensemble):
+    return report.nonincreasing(), "rms errors do not grow as eps shrinks"
+
+
+# check name -> key prefix of the fitted slopes its band bounds
+_SLOPE_BANDS = {
+    "err_x_slope": "err_x_vs_n/",
+    "err_y_rho_slope": "err_y_vs_rho/",
+    "gap_rho_slope": "gap_vs_rho/",
+    "mean_l2_slope": "mean_l2_vs_span",
+    "mean_l4_slope": "mean_l4_vs_span",
+}
+
+#: Every ``[assert]`` key, per pipeline kind, in the order its check prints.
+THRESHOLDS = {
+    "generic": (
+        *(
+            _Check(name, (f"{name}_min", f"{name}_max"), partial(_slope_band, prefix))
+            for name, prefix in _SLOPE_BANDS.items()
+        ),
+        _Check("bound_fraction", ("bound_fraction_min",), _bound_fraction),
+        _Check("ratio_band", ("ratio_band_max",), _ratio_band),
+        _Check(
+            "gap_within_bound",
+            ("gap_within_bound",),
+            partial(_gap_levels, "cov_ok", "all covariance gaps below 4*nu*rho"),
+            flag=True,
+        ),
+        _Check(
+            "mean_within_bound",
+            ("mean_within_bound",),
+            partial(_gap_levels, "mean_ok", "all mean gaps below nu*rho"),
+            flag=True,
+        ),
+    ),
+    "ou_endtoend": (_Check("recovery_fraction", ("min_fraction",), _recovery_fraction),),
+    "heston_rv": (
+        *(
+            _Check(key, (key,), partial(_rms_cap, param))
+            for key, param in (
+                ("level_rms_max", "level"),
+                ("reversion_rms_max", "reversion"),
+                ("vol_rms_max", "vol_of_vol"),
+            )
+        ),
+        _Check("nonincreasing", ("nonincreasing",), _nonincreasing, flag=True),
+    ),
+}
+
+
+def check_assert_keys(kind: str, checks) -> None:
+    """Reject ``[assert]`` keys that no check of pipeline ``kind`` reads."""
+    allowed = [key for check in THRESHOLDS[kind] for key in check.keys]
+    extra = sorted(set(checks) - set(allowed))
+    if extra:
+        raise ValidationError(
+            f"config [assert] keys {extra} do not apply to pipeline kind {kind!r}; "
+            f"allowed: {allowed}"
+        )
+
+
+def evaluate_thresholds(kind: str, checks: dict, report, config=None, ensemble=None) -> list:
+    """``(name, ok, detail)`` for each check of pipeline ``kind`` that ``checks`` turns on.
+
+    ``checks`` maps ``[assert]`` keys to thresholds, as ``assert_thresholds``
+    parses them; a key that does not apply to ``kind`` raises
+    ``ValidationError``.  The generic bound checks also need the run's
+    ``config`` and ``ensemble``.
+    """
+    check_assert_keys(kind, checks)
+    rows = []
+    for check in THRESHOLDS[kind]:
+        values = tuple(checks.get(key) for key in check.keys)
+        given = [v for v in values if v is not None]
+        if given and (not check.flag or any(given)):
+            rows.append((check.name, *check.test(values, report, config, ensemble)))
+    return rows

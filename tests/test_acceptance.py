@@ -28,7 +28,6 @@ from submoments import (
     invert_ou,
     lag_index,
     lagged_covariance,
-    lagged_covariance_product_form,
     ou_moment_map,
 )
 from submoments.cli import _preset_path
@@ -42,11 +41,14 @@ from submoments.config import (
 )
 from submoments.lab import (
     build_report,
+    evaluate_thresholds,
     perturbation_gap_check,
     run_endtoend_ou,
     run_heston_rv,
     run_replications,
 )
+
+from oracles import lagged_covariance_product_form
 
 
 def _verdict(num: str, name: str, ok: bool, detail: str) -> bool:
@@ -183,22 +185,13 @@ def test_criterion_5_parameter_recovery(endtoend_run):
 
 
 def test_criterion_6_heston_recovery(heston_run):
+    # the preset's four [assert] thresholds, evaluated as `lab --assert` does
     report, checks = heston_run
-    finest = min(report.rms_rel)
-    errs = report.errors_at(finest)
-    mono = report.nonincreasing()
-    ok = (
-        errs["level"] <= checks["level_rms_max"]
-        and errs["reversion"] <= checks["reversion_rms_max"]
-        and errs["vol_of_vol"] <= checks["vol_rms_max"]
-        and mono
-    )
-    detail = (
-        f"eps={finest:g}: level={errs['level']:.3f} (<= {checks['level_rms_max']:g}), "
-        f"reversion={errs['reversion']:.3f} (<= {checks['reversion_rms_max']:g}), "
-        f"vol_of_vol={errs['vol_of_vol']:.3f} (<= {checks['vol_rms_max']:g}); "
-        f"nonincreasing={mono}"
-    )
+    rows = evaluate_thresholds("heston_rv", checks, report)
+    names = [name for name, _, _ in rows]
+    ok = names == ["level_rms_max", "reversion_rms_max", "vol_rms_max", "nonincreasing"]
+    ok = ok and all(passed for _, passed, _ in rows)
+    detail = "; ".join(f"{name}: {detail}" for name, _, detail in rows)
     assert _verdict("6", "realized-volatility recovery", ok, detail)
 
 

@@ -20,6 +20,7 @@ from submoments import (
     BoundInputs,
     HestonParams,
     OUParams,
+    ParameterDomain,
     SubsamplingScheme,
     TrajectoryGrid,
     ValidationError,
@@ -48,6 +49,7 @@ from submoments.config import (
     load_config,
     pipeline_kind,
 )
+from submoments.lab import check_assert_keys
 
 OU_CFG = """
 [model]
@@ -204,6 +206,14 @@ horizon = 2.0
         assert config.lags == (0.0, 1.0)
         assert config.horizon_a == 2.0
         assert config.replications == 30 and config.master_seed == 5
+
+    def test_experiment_lags_within_horizon(self, tmp_path):
+        text = "[model]\nkind = ou\n[sweep]\nepsilons = 0.3, 0.25, 0.2\n[lags]\n"
+        ok = write_cfg(tmp_path, text + "values = 0, 1.0\nhorizon = 1.0\n", "ok.cfg")
+        assert build_experiment(load_config(ok)).horizon_a == 1.0
+        bad = write_cfg(tmp_path, text + "values = 0, 1.5\nhorizon = 1.0\n", "bad.cfg")
+        with pytest.raises(ParameterDomain, match="lag 1.5 exceeds horizon 1.0"):
+            build_experiment(load_config(bad))
 
     def test_experiment_needs_ou(self, tmp_path):
         with pytest.raises(ValidationError, match="uses the ou model"):
@@ -415,6 +425,23 @@ class TestEstimateCommand:
             assert "non-finite sample at row 17" in captured.err
 
 
+def smoke_variant(tmp_path, replace: dict):
+    """The smoke preset written out with whole sections replaced."""
+    sections = {**load_config(_preset_path("smoke")).sections, **replace}
+    text = "\n".join(
+        f"[{name}]\n" + "\n".join(f"{k} = {v}" for k, v in body.items())
+        for name, body in sections.items()
+    )
+    return write_cfg(tmp_path, text + "\n", "variant.cfg")
+
+
+def forbid_simulation(monkeypatch):
+    def fail(config):
+        raise AssertionError("the lab simulated before rejecting its config")
+
+    monkeypatch.setattr("submoments.cli.run_replications", fail)
+
+
 class TestLabCommand:
     def test_presets_available(self):
         names = available_presets()
@@ -445,21 +472,37 @@ class TestLabCommand:
         assert report["meta"]["observable"] == "multiplicative"
 
     def test_failed_threshold_exits_one(self, tmp_path, capsys):
-        smoke = load_config(_preset_path("smoke"))
-        text = (
-            "\n".join(
-                f"[{name}]\n" + "\n".join(f"{k} = {v}" for k, v in body.items())
-                for name, body in smoke.sections.items()
-                if name != "assert"
-            )
-            + "\n[assert]\nerr_y_rho_slope_min = 5.0\n"
-        )
-        cfg = write_cfg(tmp_path, text, "fail.cfg")
+        cfg = smoke_variant(tmp_path, {"assert": {"err_y_rho_slope_min": "5.0"}})
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "checks failed" in captured.err
+
+    def test_inapplicable_assert_key_exits_three(self, tmp_path, capsys, monkeypatch):
+        # recovery and Heston thresholds on a generic sweep would never be checked
+        cfg = smoke_variant(
+            tmp_path, {"assert": {"min_fraction": "0.99", "level_rms_max": "0.0001"}}
+        )
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
+        err = capsys.readouterr().err
+        assert "['level_rms_max', 'min_fraction'] do not apply to pipeline kind 'generic'" in err
+        assert "allowed: ['err_x_slope_min'" in err
+        assert not out.exists()
+
+    def test_shipped_assert_keys_apply(self):
+        for name in available_presets():
+            bundle = load_config(_preset_path(name))
+            check_assert_keys(pipeline_kind(bundle), assert_thresholds(bundle))
+
+    def test_lag_past_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
+        cfg = smoke_variant(tmp_path, {"lags": {"values": "0, 0.5", "horizon": "0.25"}})
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert "lag 0.5 exceeds horizon 0.25" in capsys.readouterr().err
 
     def test_without_assert_ignores_thresholds(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -481,6 +524,21 @@ class TestLazyImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestBenchmarkTrace:
+    def test_trace_wraps_every_named_function(self, tmp_path):
+        # perfbench/child.py wraps package functions by module and name and
+        # raises AttributeError when one of them is no longer bound
+        child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+        spans = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(child), "trace", str(spans), "scheme", "--rho", "0.1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(spans.read_text())["spans"]
 
 
 class TestConsoleScript:

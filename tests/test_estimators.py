@@ -20,10 +20,11 @@ from submoments import (
     estimates_to_csv,
     lag_index,
     lagged_covariance,
-    lagged_covariance_product_form,
     ou_true_covariance,
     simulate_ou,
 )
+
+from oracles import lagged_covariance_product_form
 
 
 class TestLagIndex:
@@ -47,16 +48,6 @@ class TestLagIndex:
 
 
 class TestEmpiricalMean:
-    def test_shifted_window(self):
-        est = empirical_mean([1.0, 2.0, 3.0, 4.0], kappa=2)
-        assert est.n_obs == 2
-        assert est.vector == pytest.approx([1.5])
-        assert est.shifted_vector == pytest.approx([3.5])
-
-    def test_zero_lag_shares_the_array(self):
-        est = empirical_mean([1.0, 2.0, 3.0], kappa=0)
-        assert est.vector is est.shifted_vector
-
     def test_matrix_input(self):
         data = np.array([[1.0, 10.0], [3.0, 30.0]])
         est = empirical_mean(data)
@@ -64,9 +55,9 @@ class TestEmpiricalMean:
 
     def test_guards(self):
         with pytest.raises(InsufficientData):
-            empirical_mean([1.0, 2.0], kappa=2)
+            empirical_mean(np.empty((0, 1)))
         with pytest.raises(ParameterDomain):
-            empirical_mean([1.0, 2.0], kappa=-1)
+            empirical_mean(np.zeros((2, 2, 2)))
 
 
 def _rand(n, r=1, seed=0):

@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 from submoments import (
+    ConvergenceReport,
     EndToEndConfig,
+    EndToEndReport,
+    Ensemble,
     ExperimentConfig,
     HestonParams,
     HestonRVConfig,
+    HestonRVReport,
     OUParams,
     ParameterDomain,
     ResourceLimit,
@@ -35,11 +39,20 @@ from submoments import (
     save_ensemble,
     simulate_ou,
     RandomStreamSpec,
+    SubsamplingScheme,
+    ValidationError,
 )
 from submoments.errors import MomentsOutsideModelRange
 from submoments.grids import StreamRole, subsample_sequence
 from submoments.invert import invert_cir
-from submoments.lab import _HESTON_CHUNK, _plan_heston_rv, _rv_moments, run_heston_rv
+from submoments.lab import (
+    _HESTON_CHUNK,
+    _plan_heston_rv,
+    _rv_moments,
+    config_hash,
+    evaluate_thresholds,
+    run_heston_rv,
+)
 from submoments.models import (
     _heston_core,
     heston_initial_variance,
@@ -188,6 +201,7 @@ class TestSweepEngine:
         )
         assert np.array_equal(serial.khat_x, parallel.khat_x)
         assert np.array_equal(serial.mean_y, parallel.mean_y)
+        assert serial.config_hash == parallel.config_hash
 
     def test_budget_family_rate(self):
         cfg = small_config(
@@ -433,3 +447,185 @@ class TestHestonRVPipeline:
     def test_memory_cap(self, length):
         with pytest.raises(ResourceLimit):
             run_heston_rv(dataclasses.replace(self.CFG, memory_cap_bytes=8 * length - 1))
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize(
+        "config",
+        [small_config(), TestHestonRVPipeline.CFG],
+        ids=["experiment", "heston_rv"],
+    )
+    def test_identity_ignores_execution_settings(self, config):
+        base = config_hash(config)
+        assert len(base) == 64
+        assert config_hash(dataclasses.replace(config, memory_cap_bytes=10**6)) == base
+        if isinstance(config, ExperimentConfig):
+            assert config_hash(dataclasses.replace(config, workers=2)) == base
+            assert config_hash(dataclasses.replace(config, workers=1)) == base
+        assert config_hash(dataclasses.replace(config, master_seed=config.master_seed + 1)) != base
+
+
+def _slope(value):
+    return {"slope": value, "intercept": 0.0, "r_squared": 1.0}
+
+
+GENERIC_REPORT = ConvergenceReport(
+    meta={},
+    rows=[{"rho": 0.2, "err_y_l2": 0.4}, {"rho": 0.1, "err_y_l2": 0.1}],  # ratio spread 2
+    mean_rows=[],
+    slopes={
+        "err_x_vs_n/lag_0": _slope(-0.30),
+        "err_x_vs_n/lag_1": _slope(-0.35),
+        "err_y_vs_rho/lag_0": _slope(1.00),
+        "gap_vs_rho/lag_0": _slope(1.05),
+        "mean_l2_vs_span": _slope(-0.50),
+        "mean_l4_vs_span": _slope(-0.49),
+    },
+    bound_rows=[],
+    bound_fractions={"contained_x": 1.0, "contained_y": 0.9},
+)
+
+ENDTOEND_REPORT = EndToEndReport(
+    names=("mean", "reversion", "noise"),
+    truth=np.ones(3),
+    rel_errors=np.zeros((30, 3)),
+    fraction_within={"mean": 1.0, "reversion": 0.95, "noise": 1.0},
+    rms_rel={"mean": 0.01, "reversion": 0.05, "noise": 0.02},
+    tolerance=0.1,
+    scheme=SubsamplingScheme(100, 0.1),
+    config_hash="",
+)
+
+
+def _heston_report(coarse_level):
+    return HestonRVReport(
+        truth={},
+        plans=[],
+        rms_rel={
+            0.01: {"reversion": 0.30, "level": coarse_level, "vol_of_vol": 0.20},
+            0.005: {"reversion": 0.20, "level": 0.03, "vol_of_vol": 0.10},
+        },
+        failures={},
+        config_hash="",
+    )
+
+
+def _gap_ensemble(cov_gap, mean_gap):
+    """One grid point at rho = 0.1 whose proxy estimates sit a fixed gap away."""
+    reps = 4
+    return Ensemble(
+        grid_kind="epsilon",
+        labels=np.array([0.1]),
+        rhos=np.array([0.1]),
+        n_obs=np.array([100]),
+        strides=np.array([1]),
+        big_deltas=np.array([0.1]),
+        lags=np.array([0.0]),
+        lags_used=np.zeros((1, 1)),
+        kappas=np.zeros((1, 1), dtype=int),
+        khat_y=np.full((1, reps, 1, 1, 1), cov_gap),
+        khat_x=np.zeros((1, reps, 1, 1, 1)),
+        mean_y=np.full((1, reps, 1), mean_gap),
+        mean_x=np.zeros((1, reps, 1)),
+    )
+
+
+class TestEvaluateThresholds:
+    @pytest.mark.parametrize(
+        "checks, expected",
+        [
+            ({"err_x_slope_min": -0.4, "err_x_slope_max": -0.2}, True),
+            ({"err_x_slope_min": -0.4}, True),
+            ({"err_x_slope_min": -0.32}, False),  # lag_1 = -0.35 falls below
+            ({"err_x_slope_max": -0.32}, False),
+            ({"err_y_rho_slope_min": 0.8, "err_y_rho_slope_max": 1.2}, True),
+            ({"err_y_rho_slope_max": 0.9}, False),
+            ({"gap_rho_slope_min": 0.9, "gap_rho_slope_max": 1.1}, True),
+            ({"gap_rho_slope_min": 1.1}, False),
+            ({"mean_l2_slope_min": -0.6, "mean_l2_slope_max": -0.4}, True),
+            ({"mean_l2_slope_max": -0.6}, False),
+            ({"mean_l4_slope_min": -0.6}, True),
+            ({"mean_l4_slope_min": -0.35, "mean_l4_slope_max": -0.15}, False),
+            ({"bound_fraction_min": 0.9}, True),
+            ({"bound_fraction_min": 0.95}, False),  # contained_y = 0.9
+            ({"ratio_band_max": 2.5}, True),
+            ({"ratio_band_max": 1.5}, False),
+        ],
+    )
+    def test_generic_report_checks(self, checks, expected):
+        (row,) = evaluate_thresholds("generic", checks, GENERIC_REPORT)
+        assert row[0] == next(iter(checks)).rsplit("_", 1)[0]
+        assert row[1] is expected
+
+    def test_slope_not_fitted_fails(self):
+        report = dataclasses.replace(GENERIC_REPORT, slopes={}, bound_fractions={})
+        rows = evaluate_thresholds(
+            "generic", {"mean_l4_slope_min": -1.0, "bound_fraction_min": 0.5}, report
+        )
+        assert [(name, ok) for name, ok, _ in rows] == [
+            ("mean_l4_slope", False),
+            ("bound_fraction", False),
+        ]
+        assert "not fitted" in rows[0][2]
+
+    def test_gap_bounds(self):
+        nu = 1.1 * MODEL.l4_norm
+        cov_bound, mean_bound = 4 * nu * 0.1, nu * 0.1
+        checks = {"mean_within_bound": True, "gap_within_bound": True}
+        for cov_scale, mean_scale in ((0.5, 2.0), (2.0, 0.5)):
+            ensemble = _gap_ensemble(cov_scale * cov_bound, mean_scale * mean_bound)
+            rows = evaluate_thresholds(
+                "generic", checks, GENERIC_REPORT, small_config(), ensemble
+            )
+            assert [(name, ok) for name, ok, _ in rows] == [
+                ("gap_within_bound", cov_scale < 1),
+                ("mean_within_bound", mean_scale < 1),
+            ]
+            assert "1 level(s) exceed, at rho 0.1" in rows[int(cov_scale < 1)][2]
+
+    def test_false_flag_runs_nothing(self):
+        checks = {"gap_within_bound": False, "mean_within_bound": False}
+        assert evaluate_thresholds("generic", checks, GENERIC_REPORT) == []
+
+    @pytest.mark.parametrize("need, expected", [(0.9, True), (0.96, False)])
+    def test_recovery_fraction(self, need, expected):
+        rows = evaluate_thresholds("ou_endtoend", {"min_fraction": need}, ENDTOEND_REPORT)
+        assert [(name, ok) for name, ok, _ in rows] == [("recovery_fraction", expected)]
+
+    @pytest.mark.parametrize(
+        "checks, expected",
+        [
+            ({"level_rms_max": 0.05}, True),  # finest eps: 0.03
+            ({"level_rms_max": 0.02}, False),
+            ({"reversion_rms_max": 0.25}, True),
+            ({"reversion_rms_max": 0.1}, False),
+            ({"vol_rms_max": 0.15}, True),
+            ({"vol_rms_max": 0.05}, False),
+        ],
+    )
+    def test_heston_rms_caps(self, checks, expected):
+        (row,) = evaluate_thresholds("heston_rv", checks, _heston_report(0.05))
+        assert row[0] == next(iter(checks))
+        assert row[1] is expected
+        assert "at eps 0.005" in row[2]
+
+    @pytest.mark.parametrize("coarse_level, expected", [(0.05, True), (0.02, False)])
+    def test_nonincreasing(self, coarse_level, expected):
+        rows = evaluate_thresholds("heston_rv", {"nonincreasing": True}, _heston_report(coarse_level))
+        assert [(name, ok) for name, ok, _ in rows] == [("nonincreasing", expected)]
+
+    def test_rows_follow_table_order(self):
+        checks = {
+            "nonincreasing": True,
+            "vol_rms_max": 0.3,
+            "reversion_rms_max": 0.3,
+            "level_rms_max": 0.1,
+        }
+        rows = evaluate_thresholds("heston_rv", checks, _heston_report(0.05))
+        assert [name for name, _, _ in rows] == [
+            "level_rms_max", "reversion_rms_max", "vol_rms_max", "nonincreasing",
+        ]
+
+    def test_inapplicable_key_rejected(self):
+        with pytest.raises(ValidationError, match=r"\['min_fraction'\] do not apply to pipeline kind 'generic'"):
+            evaluate_thresholds("generic", {"min_fraction": 0.9}, GENERIC_REPORT)
