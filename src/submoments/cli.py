@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
-import json
 import sys
 from pathlib import Path
 
@@ -45,7 +44,6 @@ from .grids import (
     read_csv,
     resolve_stride,
     subsample_sequence,
-    validate_grid,
     write_binary,
     write_csv,
 )
@@ -61,6 +59,7 @@ from .lab import (
     build_report,
     check_assert_keys,
     evaluate_thresholds,
+    finite_json,
     # not called here: the benchmark tracer wraps it under this module by name
     perturbation_gap_check,
     run_endtoend_ou,
@@ -96,16 +95,11 @@ def _write_grid(grid: TrajectoryGrid, path: Path) -> None:
 def _read_grid(path: Path) -> TrajectoryGrid:
     if not path.exists():
         raise ValidationError(f"trajectory file not found: {path}")
-    grid = read_csv(path) if path.suffix.lower() == ".csv" else read_binary(path)
-    check = validate_grid(grid)
-    if not check.ok:
-        at = "" if check.index is None else f" at row {check.index}"
-        raise ValidationError(f"{path}: {check.reason}{at}")
-    return grid
+    return read_csv(path) if path.suffix.lower() == ".csv" else read_binary(path)
 
 
 def _write_json(payload: dict, path: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = finite_json(payload)
     if path is None:
         print(text)
     else:
@@ -231,7 +225,6 @@ def cmd_estimate(args) -> int:
         ],
     }
     if args.csv is not None:
-        estimates_to_csv(curve, args.csv)
         payload["csv"] = str(args.csv)
     if args.model is not None:
         u1 = args.u1
@@ -259,7 +252,10 @@ def cmd_estimate(args) -> int:
             )
             est = truncate_to_ball(est, ParameterBall(center=center, radius=args.ball_radius))
         payload["parameters"] = est.as_dict()
+    # the JSON goes first: a refused (non-finite) payload leaves no sidecar
     _write_json(payload, None if args.output is None else Path(args.output))
+    if args.csv is not None:
+        estimates_to_csv(curve, args.csv)
     return 0
 
 

@@ -15,6 +15,9 @@ cancel two large numbers against each other.
 Sums are taken with numpy's pairwise reduction (not a BLAS dot), which
 keeps the accumulation error at the square-root-of-log level even for
 million-sample sequences and makes results independent of BLAS vendor.
+Each column, and each covariance entry, is its own 1-d reduction:
+``np.sum(axis=0)`` over an ``(N, r)`` array is pairwise only when r = 1,
+and adds the rows one after another otherwise.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def _pairwise_mean(block: np.ndarray) -> np.ndarray:
-    return np.sum(block, axis=0) / block.shape[0]
+    return np.array([np.sum(block[:, j]) for j in range(block.shape[1])]) / block.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,12 @@ def _centered_cross_product(arr: np.ndarray, n_obs: int, kappa: int):
     lagged = arr[kappa : kappa + n_obs]
     mean = _pairwise_mean(lead)
     shifted = mean if kappa == 0 else _pairwise_mean(lagged)
-    prod = (lead - mean)[:, :, None] * (lagged - shifted)[:, None, :]
-    matrix = np.sum(prod, axis=0) / n_obs
+    lead_c = lead - mean
+    lagged_c = lead_c if kappa == 0 else lagged - shifted
+    r = arr.shape[1]
+    matrix = np.array(
+        [[np.sum(lead_c[:, i] * lagged_c[:, j]) for j in range(r)] for i in range(r)]
+    ) / n_obs
     return matrix, mean, shifted
 
 

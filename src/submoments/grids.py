@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch
+from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch, ValidationError
 
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
 
@@ -46,8 +46,8 @@ class TrajectoryGrid:
         Row ``n-1`` holds the state at time ``n * delta``.  A 1-d array is
         promoted to shape (L, 1).  The array is frozen after construction.
     delta : float
-        Grid step.  Construction is permissive; use :func:`validate_grid`
-        to check the full invariants.
+        Grid step.  Construction is permissive: it accepts any step and
+        non-finite samples.  The file readers reject both.
     """
 
     samples: np.ndarray
@@ -69,33 +69,6 @@ class TrajectoryGrid:
     def times(self) -> np.ndarray:
         """Grid times ``delta, 2*delta, ..., L*delta``."""
         return self.delta * np.arange(1, self.n_samples + 1)
-
-
-@dataclass(frozen=True)
-class GridValidation:
-    """Outcome of :func:`validate_grid`; ``index`` is the first bad row."""
-
-    ok: bool
-    reason: str | None = None
-    index: int | None = None
-
-
-def validate_grid(grid: TrajectoryGrid) -> GridValidation:
-    """Check grid invariants, reporting the first violation found.
-
-    Invariants: at least one sample, positive finite step, every entry
-    finite.  Returns a result value instead of raising so callers can
-    report the offending sample index.
-    """
-    if grid.n_samples < 1:
-        return GridValidation(False, "trajectory holds no samples")
-    if not np.isfinite(grid.delta) or grid.delta <= 0.0:
-        return GridValidation(False, f"grid step must be positive, got {grid.delta}")
-    finite = np.isfinite(grid.samples).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        return GridValidation(False, "non-finite sample", index=bad)
-    return GridValidation(True)
 
 
 class StreamRole(str, Enum):
@@ -238,6 +211,19 @@ def subsample_sequence(
     return subsample_view(grid, wider, offset=offset)
 
 
+def _check_file_grid(path, samples: np.ndarray, delta: float) -> None:
+    """Reject a non-positive or non-finite step and non-finite samples.
+
+    The sample check is one boolean mask; the row scan runs only on failure.
+    """
+    if not np.isfinite(delta) or delta <= 0.0:
+        raise ParameterDomain(f"{path}: grid step must be positive and finite, got {delta}")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValidationError(f"{path}: non-finite sample at row {row}")
+
+
 def write_binary(grid: TrajectoryGrid, path) -> None:
     """Write the compact binary form: little-endian header then column-major data.
 
@@ -249,7 +235,11 @@ def write_binary(grid: TrajectoryGrid, path) -> None:
 
 
 def read_binary(path) -> TrajectoryGrid:
-    """Read a trajectory written by :func:`write_binary`."""
+    """Read a trajectory written by :func:`write_binary`.
+
+    Raises ``ValidationError`` on a non-positive or non-finite step and on a
+    non-finite sample, naming its row.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -261,6 +251,7 @@ def read_binary(path) -> TrajectoryGrid:
     if flat.size != dim * count:
         raise InsufficientData(f"{path}: expected {dim * count} values, got {flat.size}")
     samples = flat.reshape(dim, count).T
+    _check_file_grid(path, samples, delta)
     return TrajectoryGrid(samples, delta)
 
 
@@ -279,17 +270,18 @@ def read_csv(path) -> TrajectoryGrid:
     """Read a trajectory written by :func:`write_csv`.
 
     The step is recovered from the first time entry (time = delta by the
-    1-based convention) and cross-checked against the spacing.
+    1-based convention) and every time is checked against ``n * delta``,
+    the times the writer computed, so rounding in long files and overflow
+    to ``inf`` at huge steps read back as written.  Raises
+    ``ValidationError`` as :func:`read_binary` does.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 1 or data.shape[1] < 2:
         raise InsufficientData(f"{path}: no samples")
     times, samples = data[:, 0], data[:, 1:]
     delta = float(times[0])
-    if delta <= 0.0:
-        raise ParameterDomain(f"{path}: first time must be positive, got {delta}")
-    if len(times) > 1:
-        steps = np.diff(times)
-        if not np.allclose(steps, delta, rtol=1e-9, atol=1e-12):
-            raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")
-    return TrajectoryGrid(samples, delta)
+    _check_file_grid(path, samples, delta)
+    grid = TrajectoryGrid(samples, delta)
+    if not np.allclose(times, grid.times, rtol=1e-9, atol=1e-12):
+        raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")
+    return grid

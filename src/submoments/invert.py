@@ -2,9 +2,8 @@
 
 A moment vector pairs values with descriptors saying which statistic each
 entry is (a mean coordinate or a covariance entry at some lag).  Closed
-forms exist for the scalar mean-reverting model and the square-root
-variance model; other moment maps go through a ball-constrained
-Gauss-Newton solver with finite-difference Jacobians.
+forms invert the scalar mean-reverting model and the square-root
+variance model.
 """
 
 from __future__ import annotations
@@ -173,37 +172,18 @@ class ParameterBall:
         t = np.asarray(theta, dtype=float)
         return float(np.linalg.norm(t - self.center)) <= self.radius
 
-    def project(self, theta) -> np.ndarray:
-        """Closest point of the ball (theta itself when inside)."""
-        t = np.asarray(theta, dtype=float)
-        gap = t - self.center
-        dist = float(np.linalg.norm(gap))
-        if dist <= self.radius:
-            return t
-        return self.center + gap * (self.radius / dist)
-
-
-@dataclass(frozen=True)
-class SolverDiagnostics:
-    iterations: int
-    residual_norm: float
-    converged: bool
-    at_boundary: bool = False
-
 
 @dataclass(frozen=True)
 class ParameterEstimate:
     """Estimated parameter vector with provenance.
 
     ``truncated`` records whether the safeguard replaced the estimate by
-    the zero vector.  ``diagnostics`` is present for iteratively solved
-    estimates.
+    the zero vector.
     """
 
     theta: np.ndarray
     names: tuple
     truncated: bool = False
-    diagnostics: SolverDiagnostics | None = None
     moments: MomentVector | None = None
 
     def __post_init__(self):
@@ -217,13 +197,6 @@ class ParameterEstimate:
     def as_dict(self) -> dict:
         out = {name: float(v) for name, v in zip(self.names, self.theta)}
         out["truncated"] = self.truncated
-        if self.diagnostics is not None:
-            out["solver"] = {
-                "iterations": self.diagnostics.iterations,
-                "residual_norm": self.diagnostics.residual_norm,
-                "converged": self.diagnostics.converged,
-                "at_boundary": self.diagnostics.at_boundary,
-            }
         if self.moments is not None:
             out["moments"] = {
                 str(d): float(v)
@@ -247,7 +220,6 @@ def truncate_to_ball(estimate: ParameterEstimate, ball: ParameterBall) -> Parame
         theta=theta,
         names=estimate.names,
         truncated=clipped,
-        diagnostics=estimate.diagnostics,
         moments=estimate.moments,
     )
 
@@ -328,92 +300,3 @@ def invert_cir(psi, u1: float, moments: MomentVector | None = None) -> Parameter
         names=CIR_PARAMETER_NAMES,
         moments=moments,
     )
-
-
-def cir_moment_map(theta, u1: float) -> np.ndarray:
-    """Forward map ``theta -> [mean, var, cov(u1)]`` for the variance process."""
-    _positive_lag(u1)
-    reversion, level, vol = np.asarray(theta, dtype=float)
-    if reversion <= 0 or level <= 0 or vol <= 0:
-        raise ParameterDomain("all square-root parameters must be > 0")
-    var = vol**2 * level / (2.0 * reversion)
-    return np.array([level, var, var * math.exp(-reversion * u1)])
-
-
-# ---------------------------------------------------------------------------
-# Generic least-squares inversion
-# ---------------------------------------------------------------------------
-
-
-def _fd_jacobian(forward_map, theta: np.ndarray, base: np.ndarray) -> np.ndarray:
-    jac = np.empty((base.size, theta.size))
-    for k in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[k]))
-        probe = theta.copy()
-        probe[k] += h
-        jac[:, k] = (forward_map(probe) - base) / h
-    return jac
-
-
-def invert_least_squares(
-    forward_map,
-    psi_hat,
-    init,
-    ball: ParameterBall,
-    max_iter: int = 100,
-    step_tol: float = 1e-10,
-) -> ParameterEstimate:
-    """Ball-constrained Gauss-Newton fit of a moment map.
-
-    Minimizes ``||forward_map(theta) - psi_hat||`` from ``init`` (which must
-    lie in the ball).  Steps use finite-difference Jacobians with relative
-    probe size 1e-6, a halving line search, and projection back onto the
-    ball.  Convergence means the accepted step fell below ``step_tol`` or
-    the residual stalled; hitting the iteration cap returns the current
-    point with ``converged=False`` rather than raising.
-    """
-    psi_hat = np.asarray(psi_hat, dtype=float)
-    theta = np.array(init, dtype=float)
-    if not ball.contains(theta):
-        raise ParameterDomain("initial point must lie inside the ball")
-    resid = forward_map(theta) - psi_hat
-    rnorm = float(np.linalg.norm(resid))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        jac = _fd_jacobian(forward_map, theta, resid + psi_hat)
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        accepted = False
-        for _ in range(25):
-            candidate = ball.project(theta + step)
-            try:
-                cand_resid = forward_map(candidate) - psi_hat
-            except ParameterDomain:
-                step *= 0.5
-                continue
-            cand_norm = float(np.linalg.norm(cand_resid))
-            if cand_norm <= rnorm or np.allclose(candidate, theta):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True  # no descent direction left: stalled
-            break
-        moved = float(np.linalg.norm(candidate - theta))
-        stalled = abs(rnorm - cand_norm) <= 1e-14 * (1.0 + rnorm)
-        theta, resid, rnorm = candidate, cand_resid, cand_norm
-        if moved < step_tol * (1.0 + float(np.linalg.norm(theta))) or stalled:
-            converged = True
-            break
-    at_boundary = math.isclose(
-        float(np.linalg.norm(theta - ball.center)), ball.radius, rel_tol=1e-9
-    )
-    diag = SolverDiagnostics(
-        iterations=iterations,
-        residual_norm=rnorm,
-        converged=converged,
-        at_boundary=at_boundary,
-    )
-    k = theta.size
-    names = tuple(f"theta_{i}" for i in range(k))
-    return ParameterEstimate(theta=theta, names=names, diagnostics=diag)

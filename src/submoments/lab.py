@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     MomentsOutsideModelRange,
+    NumericalError,
     ParameterDomain,
     ResourceLimit,
     SchemeGridMismatch,
@@ -41,7 +42,6 @@ from .grids import (
     subsample_sequence,
 )
 from .invert import (
-    MomentVector,
     default_ou_descriptors,
     extract_moment_vector,
     invert_cir,
@@ -551,82 +551,20 @@ def perturbation_gap_check(ensemble: Ensemble, nu_of_rho) -> list[GapCheck]:
 
 
 # ---------------------------------------------------------------------------
-# Decorrelation probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeTable:
-    """Empirical decorrelation of moment words along one long path."""
-
-    gaps: np.ndarray  # (T,) gaps actually used (grid multiples)
-    values: np.ndarray  # (T,) max |cov| over the word design
-    noise: np.ndarray  # (T,) block standard errors for the max pair
-    fitted_rate: float | None
-    fitted_level: float | None
-
-    def is_nonincreasing(self, tol_multiple: float = 3.0) -> bool:
-        """Monotone within noise: each rise must stay inside the error bars."""
-        slack = tol_multiple * (self.noise[:-1] + self.noise[1:])
-        return bool(np.all(np.diff(self.values) <= slack))
-
-
-def decorrelation_probe(
-    grid: TrajectoryGrid,
-    gaps,
-    pair_offset: float = 0.5,
-    n_blocks: int = 20,
-) -> ProbeTable:
-    """Estimate the decorrelation envelope of first and second moment words.
-
-    The word design is ``{x_t, x_t * x_{t+h}}`` with ``h = pair_offset``
-    (rounded to the grid).  For each gap the covariance of every word pair
-    is estimated by a long-path average; the table value is the largest
-    magnitude and its block-resampled standard error is the noise scale.
-    An exponential rate is fitted over the gaps that clear three noise
-    standard errors.
-    """
-    x = grid.samples[:, 0]
-    delta = grid.delta
-    h = max(1, int(round(pair_offset / delta)))
-    gap_steps = [max(1, int(round(float(g) / delta))) for g in gaps]
-    words = [x[:-h], x[:-h] * x[h:]]
-    values, noises, used = [], [], []
-    for k in gap_steps:
-        best, best_se = 0.0, 0.0
-        length = x.size - k - 2 * h
-        if length < 10 * n_blocks:
-            raise ParameterDomain(f"path too short to probe gap {k * delta:g}")
-        for a in words:
-            for b in words:
-                av = a[:length]
-                bv = b[k : k + length]
-                prod = (av - av.mean()) * (bv - bv.mean())
-                cov = abs(float(prod.mean()))
-                blocks = np.array_split(prod, n_blocks)
-                bm = np.array([blk.mean() for blk in blocks])
-                se = float(bm.std(ddof=1) / math.sqrt(n_blocks))
-                if cov > best:
-                    best, best_se = cov, se
-        values.append(best)
-        noises.append(best_se)
-        used.append(k * delta)
-    values = np.array(values)
-    noises = np.array(noises)
-    used = np.array(used)
-    clear = values > 3.0 * noises
-    rate = level = None
-    if clear.sum() >= 2:
-        slope, intercept = np.polyfit(used[clear], np.log(values[clear]), 1)
-        rate, level = -float(slope), float(math.exp(intercept))
-    return ProbeTable(
-        gaps=used, values=values, noise=noises, fitted_rate=rate, fitted_level=level
-    )
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+def finite_json(payload) -> str:
+    """Indented, key-sorted JSON; ``NumericalError`` on a NaN or infinity.
+
+    Callers serialise before opening any output, so a refused payload leaves
+    no partial file behind.
+    """
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"refusing to write non-finite JSON: {exc}") from None
 
 
 @dataclass
@@ -649,12 +587,12 @@ class ConvergenceReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return finite_json(self.to_json_dict())
 
     def write_json(self, path) -> None:
+        text = self.to_json()
         with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+            fh.write(text + "\n")
 
     def write_csv(self, path) -> None:
         cols = [

@@ -183,15 +183,6 @@ def error_bound_unobservable(inputs: BoundInputs, scheme: SubsamplingScheme) -> 
     return gamma / math.sqrt(span) + inputs.lipschitz_lambda * scheme.big_delta
 
 
-def mean_error_bounds(inputs: BoundInputs, scheme: SubsamplingScheme) -> tuple[float, float]:
-    """(L2, L4) error bounds for the empirical mean over the scheme's span."""
-    span = scheme.n_obs * scheme.big_delta
-    i_f = inputs.profile.integral_tail
-    l2 = math.sqrt(inputs.dim_r * (inputs.nu**2 * scheme.big_delta + 2.0 * i_f) / span)
-    l4 = (inputs.dim_r * mean_bound_constant(inputs.profile)) ** 0.25 / span**0.25
-    return l2, l4
-
-
 def observable_bound_terms(
     inputs: BoundInputs, scheme: SubsamplingScheme, rho: float, expected_c_delta: float | None = None
 ) -> tuple[float, float]:
@@ -273,34 +264,6 @@ def scheme_from_rho(
     return SchemeRecommendation(
         scheme=scheme, rho=rho, span=scheme.span, predicted_error=predicted
     )
-
-
-@dataclass(frozen=True)
-class SequenceValidation:
-    ok: bool
-    reason: str | None = None
-
-
-def validate_scheme_sequence(pairs) -> SequenceValidation:
-    """Check a refinement sequence of (epsilon, scheme) pairs.
-
-    A valid sequence has at least three entries, strictly decreasing
-    positive epsilon, non-increasing big_delta that overall decreases, and
-    strictly increasing span.
-    """
-    pairs = list(pairs)
-    if len(pairs) < 3:
-        return SequenceValidation(False, "need at least three refinement levels")
-    eps = np.array([float(e) for e, _ in pairs])
-    deltas = np.array([s.big_delta for _, s in pairs])
-    spans = np.array([s.span for _, s in pairs])
-    if (eps <= 0).any() or not (np.diff(eps) < 0).all():
-        return SequenceValidation(False, "epsilon levels must be positive and strictly decreasing")
-    if not (np.diff(deltas) <= 0).all() or not deltas[-1] < deltas[0]:
-        return SequenceValidation(False, "big_delta must be non-increasing toward zero")
-    if not (np.diff(spans) > 0).all():
-        return SequenceValidation(False, "span must be strictly increasing")
-    return SequenceValidation(True)
 
 
 def decorrelation_sum_bound(

@@ -1,5 +1,7 @@
 """Reference implementations the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 
@@ -17,3 +19,14 @@ def lagged_covariance_product_form(samples, n_obs: int, kappa: int) -> np.ndarra
     mean = np.sum(lead, axis=0) / n_obs
     shifted = np.sum(lagged, axis=0) / n_obs
     return raw - np.outer(mean, shifted)
+
+
+def cir_moment_map(theta, u1: float) -> np.ndarray:
+    """Forward map ``theta -> [mean, var, cov(u1)]`` of the square-root variance model.
+
+    The exact stationary moments for ``(reversion, level, vol_of_vol)``;
+    ``invert_cir`` is their closed-form inverse.
+    """
+    reversion, level, vol = np.asarray(theta, dtype=float)
+    var = vol**2 * level / (2.0 * reversion)
+    return np.array([level, var, var * math.exp(-reversion * u1)])

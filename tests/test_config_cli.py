@@ -4,6 +4,7 @@ CLI behavior is exercised through ``cli.main`` for speed; one subprocess
 test covers the installed console script.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -16,24 +17,6 @@ import numpy as np
 import pytest
 
 import submoments
-from submoments import (
-    BoundInputs,
-    HestonParams,
-    OUParams,
-    ParameterDomain,
-    SubsamplingScheme,
-    TrajectoryGrid,
-    ValidationError,
-    covariance_curve,
-    empirical_mean,
-    ou_bound_inputs,
-    read_binary,
-    read_csv,
-    resolve_stride,
-    subsample_sequence,
-    write_binary,
-    write_csv,
-)
 from submoments.cli import _preset_path, available_presets, main
 from submoments.config import (
     _parse_rho_table,
@@ -49,7 +32,21 @@ from submoments.config import (
     load_config,
     pipeline_kind,
 )
-from submoments.lab import check_assert_keys
+from submoments.errors import ParameterDomain, ValidationError
+from submoments.estimators import covariance_curve, empirical_mean
+from submoments.grids import (
+    SubsamplingScheme,
+    TrajectoryGrid,
+    read_binary,
+    read_csv,
+    resolve_stride,
+    subsample_sequence,
+    write_binary,
+    write_csv,
+)
+from submoments.lab import ConvergenceReport, check_assert_keys
+from submoments.models import HestonParams, OUParams, ou_bound_inputs
+from submoments.schemes import BoundInputs, scheme_from_rho
 
 OU_CFG = """
 [model]
@@ -508,6 +505,49 @@ class TestLabCommand:
         out = tmp_path / "run"
         assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == 0
         assert "[CHECK]" not in capsys.readouterr().out
+
+
+class TestNonFiniteOutput:
+    """A NaN or infinity in a payload exits 5 before any output is opened."""
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_scheme_payload_with_nan(self, tmp_path, capsys, monkeypatch, to_file):
+        def nan_error(*args):
+            return dataclasses.replace(scheme_from_rho(*args), predicted_error=math.nan)
+
+        monkeypatch.setattr("submoments.cli.scheme_from_rho", nan_error)
+        out = tmp_path / "scheme.json"
+        argv = ["scheme", "--rho", "0.1", *(["--output", str(out)] if to_file else [])]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+        assert not out.exists()
+
+    def test_estimate_overflow_writes_nothing(self, tmp_path, capsys):
+        # finite samples whose products overflow: the covariances are inf
+        values = 1e200 * np.random.default_rng(3).standard_normal(400)
+        path = tmp_path / "huge.bin"
+        write_binary(TrajectoryGrid(values, 0.25), path)
+        out, csv = tmp_path / "moments.json", tmp_path / "curve.csv"
+        argv = ["estimate", "--input", str(path), "--lags", "0,1.0"]
+        assert main([*argv, "--output", str(out), "--csv", str(csv)]) == 5
+        assert main(argv) == 5
+        assert capsys.readouterr().out == ""
+        assert not out.exists() and not csv.exists()
+
+    def test_lab_report_with_nan(self, tmp_path, capsys, monkeypatch):
+        report = ConvergenceReport(
+            meta={}, rows=[], mean_rows=[], bound_rows=[], bound_fractions={},
+            slopes={"err_x_lag0": {"slope": math.nan, "r_squared": 1.0}},
+        )
+        monkeypatch.setattr("submoments.cli.run_replications", lambda config: None)
+        monkeypatch.setattr("submoments.cli.build_report", lambda *args: report)
+        out = tmp_path / "run"
+        assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+        assert not (out / "report.json").exists()
 
 
 class TestLazyImports:

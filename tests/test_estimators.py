@@ -8,21 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from submoments import (
-    InsufficientData,
-    OUParams,
-    ParameterDomain,
-    RandomStreamSpec,
-    SchemeTooShortForLag,
-    SubsamplingScheme,
+from submoments.errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
+from submoments.estimators import (
     covariance_curve,
     empirical_mean,
     estimates_to_csv,
     lag_index,
     lagged_covariance,
-    ou_true_covariance,
-    simulate_ou,
 )
+from submoments.grids import RandomStreamSpec, SubsamplingScheme
+from submoments.models import OUParams, ou_true_covariance, simulate_ou
 
 from oracles import lagged_covariance_product_form
 
@@ -66,14 +61,20 @@ def _rand(n, r=1, seed=0):
 
 class TestLaggedCovariance:
     def test_brute_force_bitwise(self):
-        # same pairwise np.sum reduction as production, explicit indexing
+        # same reductions as production, explicit indexing: one 1-d pairwise
+        # np.sum per column of the means and per (i, j) entry of the matrix
         arr = _rand(35, 2, seed=5)
         n, kappa = 30, 3
         lead, lagged = arr[:n], arr[kappa : kappa + n]
-        mean = np.sum(lead, axis=0) / n
-        shifted = np.sum(lagged, axis=0) / n
-        terms = np.array([np.outer(lead[i] - mean, lagged[i] - shifted) for i in range(n)])
-        oracle = np.sum(terms, axis=0) / n
+        mean = np.array([np.sum(lead[:, j]) for j in range(2)]) / n
+        shifted = np.array([np.sum(lagged[:, j]) for j in range(2)]) / n
+        oracle = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                terms = np.array(
+                    [(lead[t, i] - mean[i]) * (lagged[t, j] - shifted[j]) for t in range(n)]
+                )
+                oracle[i, j] = np.sum(terms) / n
         est = lagged_covariance(arr, n_obs=n, kappa=kappa, big_delta=0.5)
         assert np.array_equal(est.matrix, oracle)
 
@@ -87,6 +88,20 @@ class TestLaggedCovariance:
         ) / n
         est = lagged_covariance(arr, n_obs=n, kappa=kappa, big_delta=1.0)
         assert est.matrix[0, 0] == pytest.approx(oracle, rel=1e-12)
+
+    def test_fsum_two_columns_million_rows(self):
+        # Pairwise summation keeps the relative error near eps * log2(n);
+        # adding the rows one after another (np.sum(axis=0) on an (n, 2)
+        # array) misses it by 2-10x at this offset.
+        n = 1_000_000
+        arr = 1e3 + _rand(n, 2, seed=17)
+        tol = np.finfo(float).eps * math.log2(n)
+        exact_mean = [math.fsum(arr[:, j]) / n for j in range(2)]
+        assert empirical_mean(arr).vector == pytest.approx(exact_mean, rel=tol, abs=0.0)
+        centred = [arr[:, j] - exact_mean[j] for j in range(2)]
+        exact_var = [math.fsum(c * c) / n for c in centred]
+        est = lagged_covariance(arr, n_obs=n, kappa=0, big_delta=1.0)
+        assert np.diag(est.matrix) == pytest.approx(exact_var, rel=tol, abs=0.0)
 
     def test_matches_ou_covariance(self):
         p = OUParams(mean=1.0, reversion=1.0, noise=math.sqrt(2.0))

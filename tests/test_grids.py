@@ -4,14 +4,18 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from submoments import (
+from submoments.errors import (
     InsufficientData,
     ParameterDomain,
-    RandomStreamSpec,
     SchemeGridMismatch,
+    ValidationError,
+)
+from submoments.grids import (
+    RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
     TrajectoryGrid,
@@ -20,7 +24,6 @@ from submoments import (
     resolve_stride,
     subsample_sequence,
     subsample_view,
-    validate_grid,
     write_binary,
     write_csv,
 )
@@ -28,6 +31,9 @@ from submoments import (
 
 def line_grid(n=12, delta=0.5):
     return TrajectoryGrid(np.arange(1.0, n + 1.0), delta)
+
+
+FORMATS = {".bin": (write_binary, read_binary), ".csv": (write_csv, read_csv)}
 
 
 class TestTrajectoryGrid:
@@ -51,22 +57,41 @@ class TestTrajectoryGrid:
 
 
 class TestValidateGrid:
-    def test_good_grid(self):
-        assert validate_grid(line_grid()).ok
+    """The file readers validate every grid they return."""
 
-    def test_empty(self):
-        res = validate_grid(TrajectoryGrid(np.empty((0, 1)), 0.1))
-        assert not res.ok and "no samples" in res.reason
+    def test_good_grid(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_binary(line_grid(), path)
+        assert np.array_equal(read_binary(path).samples, line_grid().samples)
 
-    def test_bad_step(self):
-        res = validate_grid(TrajectoryGrid([1.0], 0.0))
-        assert not res.ok and "step" in res.reason
+    def test_empty(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(struct.pack("<qdq", 1, 0.5, 0))
+        with pytest.raises(ParameterDomain, match="count=0"):
+            read_binary(path)
 
-    def test_reports_first_nonfinite_row(self):
+    def test_bad_step(self, tmp_path):
+        for write, read in FORMATS.values():
+            for delta in (np.nan, np.inf, 0.0, -0.5):
+                path = tmp_path / "t"
+                write(TrajectoryGrid([1.0, 2.0], delta), path)
+                with pytest.raises(ParameterDomain, match="step must be positive and finite"):
+                    read(path)
+
+    def test_reports_first_nonfinite_row(self, tmp_path):
         data = np.ones((6, 2))
         data[3, 1] = np.nan
-        res = validate_grid(TrajectoryGrid(data, 0.1))
-        assert not res.ok and res.index == 3
+        data[5, 0] = np.nan
+        path = tmp_path / "t.bin"
+        write_binary(TrajectoryGrid(data, 0.1), path)
+        with pytest.raises(ValidationError, match=r"non-finite sample at row 3$"):
+            read_binary(path)
+
+    def test_csv_inf_names_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time,x0,x1\n0.5,1.0,2.0\n1.0,3.0,inf\n1.5,-inf,4.0\n")
+        with pytest.raises(ValidationError, match=r"non-finite sample at row 1$"):
+            read_csv(path)
 
 
 class TestSubsampling:
@@ -232,3 +257,49 @@ class TestFileFormats:
         path.write_text("time,x0\n0.1,1.0\n0.2,2.0\n0.35,3.0\n")
         with pytest.raises(SchemeGridMismatch):
             read_csv(path)
+
+
+@st.composite
+def finite_grids(draw):
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    samples = draw(hnp.arrays(np.float64, (rows, cols), elements=finite))
+    delta = draw(
+        st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+    )
+    return TrajectoryGrid(samples, delta)
+
+
+class TestFileRoundTrips:
+    # one file per format, overwritten by every example
+    SETTINGS = settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @pytest.mark.parametrize("suffix", sorted(FORMATS))
+    @SETTINGS
+    @given(grid=finite_grids())
+    def test_round_trip_is_exact(self, tmp_path, suffix, grid):
+        write, read = FORMATS[suffix]
+        path = tmp_path / f"t{suffix}"
+        write(grid, path)
+        back = read(path)
+        assert back.delta == grid.delta
+        assert back.samples.shape == grid.samples.shape
+        assert back.samples.tobytes() == grid.samples.tobytes()
+
+    @pytest.mark.parametrize("suffix", sorted(FORMATS))
+    @SETTINGS
+    @given(grid=finite_grids(), data=st.data())
+    def test_one_non_finite_value_names_its_row(self, tmp_path, suffix, grid, data):
+        row = data.draw(st.integers(0, grid.n_samples - 1))
+        col = data.draw(st.integers(0, grid.dim - 1))
+        samples = grid.samples.copy()
+        samples[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        write, read = FORMATS[suffix]
+        path = tmp_path / f"t{suffix}"
+        write(TrajectoryGrid(samples, grid.delta), path)
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value).endswith(f"non-finite sample at row {row}")

@@ -1,4 +1,4 @@
-"""Moment descriptors, closed-form inversions, and the constrained solver."""
+"""Moment descriptors, closed-form inversions, and safeguard truncation."""
 
 import math
 
@@ -7,27 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submoments import (
+from submoments.errors import MomentsOutsideModelRange, ParameterDomain
+from submoments.estimators import empirical_mean, lagged_covariance
+from submoments.grids import SubsamplingScheme
+from submoments.invert import (
     CIR_PARAMETER_NAMES,
-    OU_PARAMETER_NAMES,
     MomentDescriptor,
-    MomentsOutsideModelRange,
     MomentVector,
+    OU_PARAMETER_NAMES,
     ParameterBall,
-    ParameterDomain,
-    SubsamplingScheme,
-    cir_moment_map,
     default_ou_descriptors,
-    empirical_mean,
     extract_moment_vector,
     invert_cir,
-    invert_least_squares,
     invert_ou,
-    lagged_covariance,
     ou_moment_map,
     truncate_to_ball,
     truncate_vector,
 )
+
+from oracles import cir_moment_map
 
 
 class TestDescriptors:
@@ -161,19 +159,13 @@ class TestClosedForms:
     def test_forward_map_domain(self):
         with pytest.raises(ParameterDomain):
             ou_moment_map([0.0, -1.0, 1.0], 1.0)
-        with pytest.raises(ParameterDomain):
-            cir_moment_map([1.0, 0.0, 1.0], 1.0)
 
 
 class TestBallAndTruncation:
-    def test_contains_and_project(self):
+    def test_contains(self):
         ball = ParameterBall(center=[1.0, 0.0], radius=2.0)
         assert ball.contains([1.0, 2.0])  # distance exactly the radius
         assert not ball.contains([1.0, 2.1])
-        proj = ball.project([1.0, 5.0])
-        assert np.linalg.norm(proj - ball.center) == pytest.approx(2.0, rel=1e-12)
-        inside = np.array([0.5, 0.5])
-        assert np.array_equal(ball.project(inside), inside)
 
     def test_domain(self):
         with pytest.raises(ParameterDomain):
@@ -206,46 +198,3 @@ class TestBallAndTruncation:
         twice, _ = truncate_vector(once, ball)
         assert np.array_equal(once, twice)
 
-
-class TestLeastSquares:
-    BALL = ParameterBall(center=[0.5, 1.0, 1.0], radius=2.0)
-
-    def test_recovers_exact_solution(self):
-        theta_true = np.array([0.5, 1.2, 0.9])
-        psi = ou_moment_map(theta_true, 1.0)
-        est = invert_least_squares(
-            lambda t: ou_moment_map(t, 1.0), psi, [0.6, 1.0, 1.0], self.BALL
-        )
-        assert est.diagnostics.converged
-        assert est.theta == pytest.approx(theta_true, abs=1e-6)
-        assert est.names == ("theta_0", "theta_1", "theta_2")
-
-    def test_agrees_with_closed_form(self):
-        psi = ou_moment_map(np.array([0.2, 0.8, 1.1]), 1.0)
-        gn = invert_least_squares(
-            lambda t: ou_moment_map(t, 1.0), psi, [0.5, 1.0, 1.0], self.BALL
-        )
-        assert gn.theta == pytest.approx(invert_ou(psi, 1.0).theta, abs=1e-6)
-
-    def test_linear_map_one_shot(self):
-        a = np.array([[2.0, 0.0], [0.0, 3.0]])
-        est = invert_least_squares(
-            lambda t: a @ t, [2.0, 3.0], [0.0, 0.0],
-            ParameterBall(center=[0.0, 0.0], radius=10.0),
-        )
-        assert est.theta == pytest.approx([1.0, 1.0], abs=1e-8)
-        assert est.diagnostics.residual_norm < 1e-8
-
-    def test_unreachable_target_stops_on_boundary(self):
-        ball = ParameterBall(center=[0.0, 0.0], radius=1.0)
-        est = invert_least_squares(
-            lambda t: np.asarray(t, dtype=float), [3.0, 0.0], [0.0, 0.0], ball
-        )
-        assert est.diagnostics.at_boundary
-        assert np.linalg.norm(est.theta) == pytest.approx(1.0, rel=1e-9)
-        assert est.theta[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_init_outside_ball_rejected(self):
-        ball = ParameterBall(center=[0.0], radius=1.0)
-        with pytest.raises(ParameterDomain):
-            invert_least_squares(lambda t: t, [0.0], [5.0], ball)

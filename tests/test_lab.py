@@ -11,51 +11,52 @@ import math
 import numpy as np
 import pytest
 
-from submoments import (
+from submoments.errors import (
+    MomentsOutsideModelRange,
+    ParameterDomain,
+    ResourceLimit,
+    ValidationError,
+)
+from submoments.grids import (
+    RandomStreamSpec,
+    StreamRole,
+    SubsamplingScheme,
+    TrajectoryGrid,
+    subsample_sequence,
+)
+from submoments.invert import invert_cir
+from submoments.lab import (
     ConvergenceReport,
     EndToEndConfig,
     EndToEndReport,
     Ensemble,
     ExperimentConfig,
-    HestonParams,
     HestonRVConfig,
     HestonRVReport,
-    OUParams,
-    ParameterDomain,
-    ResourceLimit,
-    TrajectoryGrid,
-    build_report,
-    decorrelation_probe,
-    empirical_lp_error,
-    ensemble_cov_errors,
-    ensemble_mean_errors,
-    fit_rate_slope,
-    load_ensemble,
-    ou_bound_inputs,
-    ou_true_covariance,
-    perturbation_gap_check,
-    run_endtoend_ou,
-    run_replications,
-    save_ensemble,
-    simulate_ou,
-    RandomStreamSpec,
-    SubsamplingScheme,
-    ValidationError,
-)
-from submoments.errors import MomentsOutsideModelRange
-from submoments.grids import StreamRole, subsample_sequence
-from submoments.invert import invert_cir
-from submoments.lab import (
     _HESTON_CHUNK,
     _plan_heston_rv,
     _rv_moments,
+    build_report,
     config_hash,
+    empirical_lp_error,
+    ensemble_cov_errors,
+    ensemble_mean_errors,
     evaluate_thresholds,
+    fit_rate_slope,
+    load_ensemble,
+    perturbation_gap_check,
+    run_endtoend_ou,
     run_heston_rv,
+    run_replications,
+    save_ensemble,
 )
 from submoments.models import (
+    HestonParams,
+    OUParams,
     _heston_core,
     heston_initial_variance,
+    ou_bound_inputs,
+    ou_true_covariance,
     realized_volatility_observable,
 )
 
@@ -286,23 +287,6 @@ class TestGapCheck:
         checks = perturbation_gap_check(ens, lambda rho: 1.0)
         for gi, chk in enumerate(checks):
             assert np.allclose(chk.gap_by_lag, direct[gi])
-
-
-class TestDecorrelationProbe:
-    def test_ou_rate_recovered(self):
-        grid = simulate_ou(
-            OUParams(0.0, 1.0, math.sqrt(2.0)), 80_000, 0.05, RandomStreamSpec(71)
-        )
-        table = decorrelation_probe(grid, gaps=(0.5, 1.0, 1.5, 2.0))
-        assert table.values.shape == (4,)
-        assert np.all(table.values > 0)
-        assert table.is_nonincreasing()
-        assert table.fitted_rate == pytest.approx(1.0, abs=0.2)
-
-    def test_short_path_rejected(self):
-        grid = simulate_ou(OUParams(0.0, 1.0, 1.0), 150, 0.05, RandomStreamSpec(72))
-        with pytest.raises(ParameterDomain, match="too short"):
-            decorrelation_probe(grid, gaps=(0.5,))
 
 
 class TestEndToEnd:

@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from submoments import (
-    GradientDiffusionParams,
-    HestonParams,
+from submoments.errors import (
     InsufficientData,
-    OUParams,
     ParameterDomain,
-    RandomStreamSpec,
     SchemeGridMismatch,
     SimulationDiverged,
+)
+from submoments.grids import RandomStreamSpec, TrajectoryGrid
+from submoments.models import (
+    GradientDiffusionParams,
+    HestonParams,
+    OUParams,
+    SLOW_FAST_CATALOG,
     SlowFastParams,
-    TrajectoryGrid,
+    _heston_core,
     default_rv_window,
     heston_initial_variance,
     multiplicative_perturbation_observable,
@@ -32,7 +35,6 @@ from submoments import (
     simulate_slow_fast,
     smoothing_observable,
 )
-from submoments.models import SLOW_FAST_CATALOG, _heston_core
 
 
 class TestOU:

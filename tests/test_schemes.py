@@ -8,25 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from submoments import (
+from submoments.errors import ParameterDomain
+from submoments.grids import SubsamplingScheme
+from submoments.models import OUParams, ou_decorrelation_profile
+from submoments.schemes import (
     BoundInputs,
     DecorrelationProfile,
-    OUParams,
-    ParameterDomain,
-    SubsamplingScheme,
     covariance_bound_constant,
     decorrelation_sum_bound,
     error_bound_observable,
     error_bound_unobservable,
     gaussian_fourth_moment,
     mean_bound_constant,
-    mean_error_bounds,
     observable_bound_terms,
-    ou_decorrelation_profile,
     reference_bound_inputs,
     scheme_from_n,
     scheme_from_rho,
-    validate_scheme_sequence,
 )
 
 UNIT_TAIL = DecorrelationProfile.exponential(c=math.e, rate=1.0)  # tail integral 1
@@ -87,13 +84,6 @@ class TestBoundConstants:
         gamma = 8.0 + 2.5 * math.sqrt(2.0)
         expect = gamma / 10.0 + 1.0
         assert error_bound_unobservable(inputs, scheme) == pytest.approx(expect, rel=1e-12)
-
-    def test_mean_error_bounds_formula(self):
-        inputs = reference_bound_inputs()
-        scheme = SubsamplingScheme(n_obs=100, big_delta=1.0)
-        l2, l4 = mean_error_bounds(inputs, scheme)
-        assert l2 == pytest.approx(math.sqrt(3.0 / 100.0), rel=1e-12)
-        assert l4 == pytest.approx(7.0**0.25 / 100.0**0.25, rel=1e-12)
 
     def test_observable_matches_unobservable_at_zero_rho(self):
         inputs = reference_bound_inputs()
@@ -156,14 +146,6 @@ class TestSchemeRules:
         expect = 0.4 + (gamma / math.sqrt(c_delta) + c_delta) * 1000 ** (-1.0 / 3.0)
         assert rec.predicted_error == pytest.approx(expect, rel=1e-12)
 
-    def test_sequence_validation(self):
-        good = [(eps, scheme_from_rho(eps).scheme) for eps in (0.2, 0.1, 0.05)]
-        assert validate_scheme_sequence(good).ok
-        assert not validate_scheme_sequence(good[:2]).ok
-        assert not validate_scheme_sequence(list(reversed(good))).ok
-        # same scheme at every level: spans stop increasing
-        flat = [(eps, SubsamplingScheme(100, 0.1)) for eps in (0.2, 0.1, 0.05)]
-        assert not validate_scheme_sequence(flat).ok
 
 
 class TestDecorrelationSum:
