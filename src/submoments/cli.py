@@ -103,6 +103,7 @@ def _write_json(payload: dict, path: Path | None) -> None:
     if path is None:
         print(text)
     else:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
 
 
@@ -321,8 +322,7 @@ def cmd_lab(args) -> int:
     kind = pipeline_kind(bundle)
     checks = assert_thresholds(bundle) if args.check else {}
     check_assert_keys(kind, checks)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.output_dir)  # made by the first write: a refused run leaves none
     run = build_run_settings(bundle)
     outputs: list[str] = []
     ensemble = None

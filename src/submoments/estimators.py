@@ -12,10 +12,15 @@ The centered-product form above is used throughout; it is algebraically
 identical to "average of products minus product of averages" but does not
 cancel two large numbers against each other.
 
+Every covariance, in this module, in ``invert`` and in the lab, comes from
+one kernel, :func:`lagged_covariances`.  It centres the lead block
+``s_1..s_N`` once for all lags (its mean is the paper's ``mean`` above) and,
+for each distinct kappa, centres the lagged block into one reused workspace.
+
 Sums are taken with numpy's pairwise reduction (not a BLAS dot), which
 keeps the accumulation error at the square-root-of-log level even for
 million-sample sequences and makes results independent of BLAS vendor.
-Each column, and each covariance entry, is its own 1-d reduction:
+Each mean column and each covariance entry is its own 1-d reduction:
 ``np.sum(axis=0)`` over an ``(N, r)`` array is pairwise only when r = 1,
 and adds the rows one after another otherwise.
 """
@@ -65,15 +70,14 @@ class MeanEstimate:
 
     vector: np.ndarray
     n_obs: int
-    big_delta: float | None = None
 
 
-def empirical_mean(samples, big_delta: float | None = None) -> MeanEstimate:
+def empirical_mean(samples) -> MeanEstimate:
     """Mean of the coarse samples, one entry per coordinate."""
     arr = _as_matrix(samples)
     if arr.shape[0] < 1:
         raise InsufficientData("need at least one sample")
-    return MeanEstimate(vector=_pairwise_mean(arr), n_obs=arr.shape[0], big_delta=big_delta)
+    return MeanEstimate(vector=_pairwise_mean(arr), n_obs=arr.shape[0])
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,36 @@ def _check_lengths(arr: np.ndarray, n_obs: int, kappa: int) -> None:
         )
 
 
-def _centered_cross_product(arr: np.ndarray, n_obs: int, kappa: int):
-    lead = arr[:n_obs]
-    lagged = arr[kappa : kappa + n_obs]
-    mean = _pairwise_mean(lead)
-    shifted = mean if kappa == 0 else _pairwise_mean(lagged)
-    lead_c = lead - mean
-    lagged_c = lead_c if kappa == 0 else lagged - shifted
+def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance matrices at several coarse lags, and the lead-block mean.
+
+    Returns ``(cov, mean)``: ``cov[l]`` is the ``(r, r)`` estimate at
+    ``kappas[l]``, each distinct kappa computed once, and ``mean`` is the
+    mean of the first ``n_obs`` samples.  Every kappa is length-checked.
+    """
+    arr = _as_matrix(samples)
+    kappas = [int(k) for k in kappas]
+    for kappa in kappas or [0]:
+        _check_lengths(arr, n_obs, kappa)
+    distinct = list(dict.fromkeys(kappas))
     r = arr.shape[1]
-    matrix = np.array(
-        [[np.sum(lead_c[:, i] * lagged_c[:, j]) for j in range(r)] for i in range(r)]
-    ) / n_obs
-    return matrix, mean, shifted
+    mean = _pairwise_mean(arr[:n_obs])
+    lead_c = arr[:n_obs] - mean
+    lagged_c = np.empty_like(lead_c)
+    # at r = 1 each lagged column is read once, so its product overwrites it
+    product = lagged_c[:, 0] if r == 1 else np.empty(n_obs)
+    cov = np.empty((len(distinct), r, r))
+    for li, kappa in enumerate(distinct):
+        if kappa == 0:
+            block = lead_c
+        else:
+            lagged = arr[kappa : kappa + n_obs]
+            block = np.subtract(lagged, _pairwise_mean(lagged), out=lagged_c)
+        for i in range(r):
+            for j in range(r):
+                cov[li, i, j] = np.sum(np.multiply(lead_c[:, i], block[:, j], out=product))
+    cov /= n_obs
+    return cov[[distinct.index(kappa) for kappa in kappas]], mean
 
 
 def lagged_covariance(
@@ -135,13 +157,11 @@ def lagged_covariance(
     """
     if big_delta <= 0 or not np.isfinite(big_delta):
         raise ParameterDomain(f"big_delta must be positive, got {big_delta}")
-    arr = _as_matrix(samples)
-    _check_lengths(arr, n_obs, kappa)
-    matrix, _, _ = _centered_cross_product(arr, n_obs, kappa)
+    cov, _ = lagged_covariances(samples, n_obs, [kappa])
     if lag_requested is None:
         lag_requested = kappa * big_delta
     return LaggedCovarianceEstimate(
-        matrix=matrix,
+        matrix=cov[0],
         lag_requested=float(lag_requested),
         lag_used=kappa * big_delta,
         kappa=kappa,
@@ -167,25 +187,20 @@ def covariance_curve(
         for u in lag_list:
             if u > horizon_a:
                 raise ParameterDomain(f"lag {u} exceeds horizon {horizon_a}")
-    arr = _as_matrix(samples)
-    cache: dict[int, np.ndarray] = {}
-    out = []
-    for u in lag_list:
-        kappa = lag_index(u, scheme.big_delta)
-        if kappa not in cache:
-            _check_lengths(arr, scheme.n_obs, kappa)
-            cache[kappa], _, _ = _centered_cross_product(arr, scheme.n_obs, kappa)
-        out.append(
-            LaggedCovarianceEstimate(
-                matrix=cache[kappa],
-                lag_requested=u,
-                lag_used=kappa * scheme.big_delta,
-                kappa=kappa,
-                n_obs=scheme.n_obs,
-                big_delta=scheme.big_delta,
-            )
+    kappas = [lag_index(u, scheme.big_delta) for u in lag_list]
+    cov, _ = lagged_covariances(samples, scheme.n_obs, kappas)
+    matrices = dict(zip(kappas, cov))  # one matrix object per distinct kappa
+    return [
+        LaggedCovarianceEstimate(
+            matrix=matrices[kappa],
+            lag_requested=u,
+            lag_used=kappa * scheme.big_delta,
+            kappa=kappa,
+            n_obs=scheme.n_obs,
+            big_delta=scheme.big_delta,
         )
-    return out
+        for u, kappa in zip(lag_list, kappas)
+    ]
 
 
 def estimates_to_csv(estimates, path) -> None:

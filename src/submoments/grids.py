@@ -26,8 +26,8 @@ from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch, Valid
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
 
 
-def _as_samples(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
+def _as_samples(values, copy: bool = True) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, order="C", copy=True if copy else None)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -44,7 +44,10 @@ class TrajectoryGrid:
     ----------
     samples : array, shape (L, r)
         Row ``n-1`` holds the state at time ``n * delta``.  A 1-d array is
-        promoted to shape (L, 1).  The array is frozen after construction.
+        promoted to shape (L, 1).  The constructor freezes a copy, so the
+        caller keeps its array.  ``simulate_ou``, the multiplicative
+        observable and ``read_binary`` instead hand over the array they
+        built through ``_handover``, which freezes it without a copy.
     delta : float
         Grid step.  Construction is permissive: it accepts any step and
         non-finite samples.  The file readers reject both.
@@ -56,6 +59,14 @@ class TrajectoryGrid:
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_samples(self.samples))
         object.__setattr__(self, "delta", float(self.delta))
+
+    @classmethod
+    def _handover(cls, samples: np.ndarray, delta: float) -> "TrajectoryGrid":
+        """Grid that takes over an array its producer built: frozen, not copied."""
+        grid = cls.__new__(cls)
+        object.__setattr__(grid, "samples", _as_samples(samples, copy=False))
+        object.__setattr__(grid, "delta", float(delta))
+        return grid
 
     @property
     def n_samples(self) -> int:
@@ -252,7 +263,7 @@ def read_binary(path) -> TrajectoryGrid:
         raise InsufficientData(f"{path}: expected {dim * count} values, got {flat.size}")
     samples = flat.reshape(dim, count).T
     _check_file_grid(path, samples, delta)
-    return TrajectoryGrid(samples, delta)
+    return TrajectoryGrid._handover(samples, delta)
 
 
 def write_csv(grid: TrajectoryGrid, path) -> None:

@@ -18,7 +18,8 @@ from .errors import (
     MomentsOutsideModelRange,
     ParameterDomain,
 )
-from .estimators import empirical_mean, lag_index, lagged_covariance
+# empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
+from .estimators import empirical_mean, lag_index, lagged_covariance, lagged_covariances
 from .grids import SubsamplingScheme
 
 # ---------------------------------------------------------------------------
@@ -105,31 +106,29 @@ def extract_moment_vector(
     """Evaluate the named statistics on one coarse sequence.
 
     ``samples`` must supply ``n_obs`` plus the largest rounded lag shift.
-    Covariance requests at equal rounded lag share one computation.
+    Means are taken over the first ``n_obs`` samples, as the covariances
+    are, and all covariances come from one :func:`lagged_covariances` call.
     """
     desc = tuple(
         d if isinstance(d, MomentDescriptor) else MomentDescriptor.parse(d)
         for d in descriptors
     )
-    cache: dict[int, np.ndarray] = {}
-    mean_vec = None
+    covs = [d for d in desc if d.kind == "cov"]
+    if horizon_a is not None:
+        for d in covs:
+            if d.lag > horizon_a:
+                raise ParameterDomain(f"lag {d.lag} exceeds horizon {horizon_a}")
+    kappas = [lag_index(d.lag, scheme.big_delta) for d in covs]
+    cov, mean_vec = lagged_covariances(samples, scheme.n_obs, kappas)
+    matrices = dict(zip(covs, cov))
     out = np.empty(len(desc))
     for pos, d in enumerate(desc):
         if d.kind == "mean":
-            if mean_vec is None:
-                mean_vec = empirical_mean(samples).vector
             if d.i >= mean_vec.size:
                 raise ParameterDomain(f"mean coordinate {d.i} out of range")
             out[pos] = mean_vec[d.i]
         else:
-            if horizon_a is not None and d.lag > horizon_a:
-                raise ParameterDomain(f"lag {d.lag} exceeds horizon {horizon_a}")
-            kappa = lag_index(d.lag, scheme.big_delta)
-            if kappa not in cache:
-                cache[kappa] = lagged_covariance(
-                    samples, scheme.n_obs, kappa, scheme.big_delta, lag_requested=d.lag
-                ).matrix
-            mat = cache[kappa]
+            mat = matrices[d]
             if d.i >= mat.shape[0] or d.j >= mat.shape[1]:
                 raise ParameterDomain(f"covariance index ({d.i},{d.j}) out of range")
             out[pos] = mat[d.i, d.j]

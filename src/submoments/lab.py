@@ -21,6 +21,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .errors import (
     SchemeGridMismatch,
     ValidationError,
 )
-from .estimators import empirical_mean, lag_index, lagged_covariance
+# empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
+from .estimators import empirical_mean, lag_index, lagged_covariance, lagged_covariances
 from .grids import (
     RandomStreamSpec,
     StreamRole,
@@ -344,33 +346,11 @@ def _one_replication(config: ExperimentConfig, point: SweepPoint, rep: int):
         else subsample_sequence(x_aligned, point.scheme, n_extra=kmax)
     )
 
-    n_lags = len(point.kappas)
-    r = x_seq.shape[1]
-    ky = np.empty((n_lags, r, r))
-    kx = np.empty((n_lags, r, r))
-    cache_y: dict[int, np.ndarray] = {}
-    cache_x: dict[int, np.ndarray] = {}
-    for li, kappa in enumerate(point.kappas):
-        if kappa not in cache_x:
-            cache_x[kappa] = lagged_covariance(
-                x_seq, point.scheme.n_obs, kappa, point.scheme.big_delta
-            ).matrix
-            cache_y[kappa] = (
-                cache_x[kappa]
-                if y_seq is x_seq
-                else lagged_covariance(
-                    y_seq, point.scheme.n_obs, kappa, point.scheme.big_delta
-                ).matrix
-            )
-        kx[li] = cache_x[kappa]
-        ky[li] = cache_y[kappa]
-    my = empirical_mean(y_seq[: point.scheme.n_obs]).vector
-    mx = (
-        my
-        if y_seq is x_seq
-        else empirical_mean(x_seq[: point.scheme.n_obs]).vector
-    )
-    return ky, kx, my, np.array(mx)
+    kx, mx = lagged_covariances(x_seq, point.scheme.n_obs, point.kappas)
+    if y_seq is x_seq:
+        return kx, kx, mx, mx
+    ky, my = lagged_covariances(y_seq, point.scheme.n_obs, point.kappas)
+    return ky, kx, my, mx
 
 
 def _replication_block(args):
@@ -590,7 +570,8 @@ class ConvergenceReport:
         return finite_json(self.to_json_dict())
 
     def write_json(self, path) -> None:
-        text = self.to_json()
+        text = self.to_json()  # a non-finite report raises before the directory exists
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text + "\n")
 
@@ -927,17 +908,15 @@ class HestonRVReport:
 
 def _rv_moments(y_coarse: np.ndarray, plan: _RVPlan):
     """Moment vector [mean, extrapolated variance, cov(lag1)] from RV samples."""
-    n = plan.scheme.n_obs
-    k1 = lagged_covariance(y_coarse, n, plan.kappa1, plan.scheme.big_delta).matrix[0, 0]
-    k2 = lagged_covariance(y_coarse, n, plan.kappa2, plan.scheme.big_delta).matrix[0, 0]
-    mean_v = empirical_mean(y_coarse[:n]).vector[0]
+    cov, mean = lagged_covariances(y_coarse, plan.scheme.n_obs, (plan.kappa1, plan.kappa2))
+    k1, k2 = cov[:, 0, 0]
     if not (k1 > 0 and k2 > 0 and k2 < k1):
         raise MomentsOutsideModelRange(
             f"lagged covariances not usable: k1={k1}, k2={k2}"
         )
     rev = math.log(k1 / k2) / (plan.lag2 - plan.lag1)
     var_v = k1 * math.exp(rev * plan.lag1)
-    return np.array([mean_v, var_v, k1])
+    return np.array([mean[0], var_v, k1])
 
 
 def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:

@@ -132,14 +132,15 @@ def simulate_ou(
     if delta <= 0 or not np.isfinite(delta):
         raise ParameterDomain(f"delta must be positive, got {delta}")
     rng = stream.generator()
-    z = rng.standard_normal(length)
+    shocks = rng.standard_normal(length)
     phi = math.exp(-params.reversion * delta)
     sig0 = params.stationary_std
     innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
-    shocks = innov * z
-    shocks[0] = sig0 * z[0]  # stationary start
-    dev = lfilter([1.0], [1.0, -phi], shocks)
-    return TrajectoryGrid(params.mean + dev, delta)
+    shocks[1:] *= innov
+    shocks[0] *= sig0  # stationary start
+    path = lfilter([1.0], [1.0, -phi], shocks)
+    path += params.mean
+    return TrajectoryGrid._handover(path, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,7 @@ def multiplicative_perturbation_observable(x: TrajectoryGrid, rho: float) -> Tra
     """Proxy ``Y = (1 + rho) X``; its L4 distance to X is exactly rho * ||X||_4."""
     if rho < 0:
         raise ParameterDomain(f"rho must be >= 0, got {rho}")
-    return TrajectoryGrid((1.0 + rho) * x.samples, x.delta)
+    return TrajectoryGrid._handover((1.0 + rho) * x.samples, x.delta)
 
 
 def smoothing_observable(x: TrajectoryGrid, eps: float) -> TrajectoryGrid:

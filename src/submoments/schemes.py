@@ -166,11 +166,6 @@ def covariance_bound_constant(inputs: BoundInputs) -> float:
     )
 
 
-def mean_bound_constant(profile: DecorrelationProfile) -> float:
-    """Constant C = 7 I(f) entering the fourth-moment mean bound."""
-    return 7.0 * profile.integral_tail
-
-
 def error_bound_unobservable(inputs: BoundInputs, scheme: SubsamplingScheme) -> float:
     """Worst-case covariance error when the hidden process itself is sampled.
 

@@ -21,6 +21,26 @@ def lagged_covariance_product_form(samples, n_obs: int, kappa: int) -> np.ndarra
     return raw - np.outer(mean, shifted)
 
 
+def centered_cross_product(arr: np.ndarray, n_obs: int, kappa: int):
+    """One lag at a time: the per-kappa centred covariance, lead mean and shifted mean.
+
+    ``arr`` has shape (L, r).  Each mean column and each ``(i, j)`` entry is
+    its own 1-d pairwise ``np.sum``, the reduction order
+    ``lagged_covariances`` must keep, so the two agree bitwise.
+    """
+    lead = arr[:n_obs]
+    lagged = arr[kappa : kappa + n_obs]
+    mean = np.array([np.sum(lead[:, j]) for j in range(arr.shape[1])]) / n_obs
+    shifted = np.array([np.sum(lagged[:, j]) for j in range(arr.shape[1])]) / n_obs
+    lead_c = lead - mean
+    lagged_c = lagged - shifted
+    r = arr.shape[1]
+    matrix = np.array(
+        [[np.sum(lead_c[:, i] * lagged_c[:, j]) for j in range(r)] for i in range(r)]
+    ) / n_obs
+    return matrix, mean, shifted
+
+
 def cir_moment_map(theta, u1: float) -> np.ndarray:
     """Forward map ``theta -> [mean, var, cov(u1)]`` of the square-root variance model.
 

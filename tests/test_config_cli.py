@@ -32,7 +32,7 @@ from submoments.config import (
     load_config,
     pipeline_kind,
 )
-from submoments.errors import ParameterDomain, ValidationError
+from submoments.errors import ParameterDomain, ResourceLimit, ValidationError
 from submoments.estimators import covariance_curve, empirical_mean
 from submoments.grids import (
     SubsamplingScheme,
@@ -390,6 +390,15 @@ class TestEstimateCommand:
         assert payload["parameters"]["truncated"]
         assert payload["parameters"]["mean"] == 0.0
 
+    def test_model_mean_is_the_reported_mean(self, ou_trajectory, capsys):
+        # both are the mean of the first n_obs coarse samples, not of the
+        # n_obs + kappa rows the lags need
+        argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--model", "ou"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["parameters"]["mean"] == payload["mean"][0]
+        assert payload["parameters"]["moments"]["mean(0)"] == payload["mean"][0]
+
     def test_csv_sidecar(self, ou_trajectory, tmp_path, capsys):
         csv = tmp_path / "curve.csv"
         assert main(
@@ -548,6 +557,22 @@ class TestNonFiniteOutput:
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite" in captured.err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("code", [4, 5])
+    def test_refused_lab_run_creates_no_directory(self, tmp_path, capsys, monkeypatch, code):
+        def refuse(config):
+            if code == 4:
+                raise ResourceLimit("over the cap")
+
+        report = ConvergenceReport(
+            meta={}, rows=[], mean_rows=[], bound_rows=[], bound_fractions={},
+            slopes={"err_x_lag0": {"slope": math.nan, "r_squared": 1.0}},
+        )
+        monkeypatch.setattr("submoments.cli.run_replications", refuse)
+        monkeypatch.setattr("submoments.cli.build_report", lambda *args: report)
+        out = tmp_path / "run"
+        assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == code
+        assert not out.exists()
 
 
 class TestLazyImports:

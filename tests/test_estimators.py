@@ -15,11 +15,12 @@ from submoments.estimators import (
     estimates_to_csv,
     lag_index,
     lagged_covariance,
+    lagged_covariances,
 )
 from submoments.grids import RandomStreamSpec, SubsamplingScheme
 from submoments.models import OUParams, ou_true_covariance, simulate_ou
 
-from oracles import lagged_covariance_product_form
+from oracles import centered_cross_product, lagged_covariance_product_form
 
 
 class TestLagIndex:
@@ -161,6 +162,34 @@ class TestLaggedCovariance:
         base = lagged_covariance(arr, 25, 0, 1.0).matrix
         moved = lagged_covariance(arr + float(shift), 25, 0, 1.0).matrix
         assert np.allclose(base, moved, atol=1e-9)
+
+
+class TestLaggedCovariances:
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("kappas", [[0], [3, 0, 3, 1], [6, 2, 2]])
+    @pytest.mark.parametrize("step", [1, 3])  # contiguous and strided (sub-sampled) input
+    def test_bitwise_equal_to_per_lag_oracle(self, r, kappas, step):
+        arr = (1e3 + _rand(70 * step, r, seed=18))[step - 1 :: step]
+        n = 60
+        cov, mean = lagged_covariances(arr, n, kappas)
+        assert cov.shape == (len(kappas), r, r)
+        for li, kappa in enumerate(kappas):
+            matrix, lead_mean, _ = centered_cross_product(arr, n, kappa)
+            assert np.array_equal(cov[li], matrix)
+            assert np.array_equal(mean, lead_mean)
+
+    def test_every_kappa_is_checked(self):
+        arr = _rand(25, 1, seed=12)
+        with pytest.raises(InsufficientData, match="kappa=6"):
+            lagged_covariances(arr, 20, [0, 1, 6])
+        with pytest.raises(SchemeTooShortForLag, match="kappa=3"):
+            lagged_covariances(arr, 20, [1, 3, 2])
+        with pytest.raises(ParameterDomain, match="kappa must be >= 0"):
+            lagged_covariances(arr, 20, [1, -1])
+        with pytest.raises(ParameterDomain, match="n_obs must be >= 2"):
+            lagged_covariances(arr, 1, [])
+        cov, mean = lagged_covariances(arr, 20, [])
+        assert cov.shape == (0, 1, 1) and mean[0] == empirical_mean(arr[:20]).vector[0]
 
 
 class TestCovarianceCurve:

@@ -55,6 +55,13 @@ class TestTrajectoryGrid:
         with pytest.raises(ParameterDomain):
             TrajectoryGrid(np.zeros((2, 2, 2)), 0.1)
 
+    def test_caller_array_is_copied(self):
+        values = np.arange(1.0, 6.0)
+        g = TrajectoryGrid(values, 0.1)
+        values[0] = 99.0
+        assert g.samples[0, 0] == 1.0
+        assert values.flags.writeable
+
 
 class TestValidateGrid:
     """The file readers validate every grid they return."""

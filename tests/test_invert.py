@@ -82,7 +82,7 @@ class TestExtract:
     def test_matches_direct_estimators(self):
         arr = np.random.default_rng(61).standard_normal(60)
         mv = extract_moment_vector(arr, self.SCHEME, ["mean(0)", "cov(0,0)@1.0"])
-        assert mv.values[0] == empirical_mean(arr).vector[0]
+        assert mv.values[0] == empirical_mean(arr[:50]).vector[0]
         direct = lagged_covariance(arr, 50, 2, 0.5)
         assert mv.values[1] == direct.matrix[0, 0]
 

@@ -77,6 +77,24 @@ class TestOU:
         assert corr == pytest.approx(math.exp(-1.0), abs=0.03)
         assert float(np.mean(x**4)) ** 0.25 == pytest.approx(p.l4_norm, rel=0.05)
 
+    def test_path_is_handed_over_frozen(self, monkeypatch):
+        # the grid holds the filter's own output array: frozen, not copied
+        import scipy.signal
+
+        made = []
+        real_lfilter = scipy.signal.lfilter
+
+        def recording_lfilter(*args):
+            made.append(real_lfilter(*args))
+            return made[-1]
+
+        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
+        g = simulate_ou(OUParams(1.0, 1.0, 1.0), 1000, 0.1, RandomStreamSpec(5))
+        assert not g.samples.flags.writeable
+        assert np.shares_memory(g.samples, made[0])
+        y = multiplicative_perturbation_observable(g, 0.1)
+        assert not y.samples.flags.writeable
+
     def test_length_and_step_domain(self):
         p = OUParams(0.0, 1.0, 1.0)
         with pytest.raises(ParameterDomain):

@@ -19,7 +19,6 @@ from submoments.schemes import (
     error_bound_observable,
     error_bound_unobservable,
     gaussian_fourth_moment,
-    mean_bound_constant,
     observable_bound_terms,
     reference_bound_inputs,
     scheme_from_n,
@@ -73,10 +72,6 @@ class TestBoundConstants:
             nu=1.0, horizon_a=0.0, dim_r=1, profile=UNIT_TAIL, lipschitz_lambda=1.0
         )
         assert covariance_bound_constant(inputs) == pytest.approx(10.5, rel=1e-12)
-
-    def test_mean_constant_is_seven_tail_integrals(self):
-        prof = DecorrelationProfile.exponential(c=2.0 * math.e, rate=1.0)
-        assert mean_bound_constant(prof) == pytest.approx(14.0, rel=1e-12)
 
     def test_unobservable_bound_formula(self):
         inputs = reference_bound_inputs()
