@@ -30,6 +30,7 @@ from .config import (
     build_heston_rv,
     build_model,
     build_run_settings,
+    check_run_keys,
     load_config,
     pipeline_kind,
 )
@@ -48,9 +49,9 @@ from .grids import (
     write_csv,
 )
 from .invert import (
+    MomentVector,
     ParameterBall,
     default_ou_descriptors,
-    extract_moment_vector,
     invert_cir,
     invert_ou,
     truncate_to_ball,
@@ -208,7 +209,22 @@ def cmd_estimate(args) -> int:
         )
     scheme = resolve_stride(SubsamplingScheme(n_obs=n_obs, big_delta=big_delta), grid.delta)
     seq = subsample_sequence(grid, scheme, n_extra=kmax, offset=args.offset)
-    curve = covariance_curve(seq, scheme, lags)
+    curve_lags = list(lags)
+    if args.model is not None:
+        u1 = args.u1
+        if u1 is None:
+            positive = [u for u in lags if lag_index(u, scheme.big_delta) >= 1]
+            if not positive:
+                raise UsageError("--model needs a lag that is positive on the coarse grid")
+            u1 = positive[0]
+        if lag_index(u1, scheme.big_delta) < 1:
+            raise ValidationError(
+                f"lag {u1} rounds to zero on the coarse step {scheme.big_delta}"
+            )
+        curve_lags += [0.0, u1]  # the inversion's variance and lag-u1 covariance
+    # one kernel pass: a kappa that --lags already requests costs nothing more
+    curve = covariance_curve(seq, scheme, curve_lags)
+    reported = curve[: len(lags)]
     mean = empirical_mean(seq[: scheme.n_obs])
     payload: dict = {
         "n_obs": scheme.n_obs,
@@ -222,25 +238,16 @@ def cmd_estimate(args) -> int:
                 "kappa": est.kappa,
                 "matrix": est.matrix.tolist(),
             }
-            for est in curve
+            for est in reported
         ],
     }
     if args.csv is not None:
         payload["csv"] = str(args.csv)
     if args.model is not None:
-        u1 = args.u1
-        if u1 is None:
-            positive = [u for u in lags if lag_index(u, scheme.big_delta) >= 1]
-            if not positive:
-                raise UsageError("--model needs a lag that is positive on the coarse grid")
-            u1 = positive[0]
-        kappa1 = lag_index(u1, scheme.big_delta)
-        if kappa1 < 1:
-            raise ValidationError(
-                f"lag {u1} rounds to zero on the coarse step {scheme.big_delta}"
-            )
-        lag_used = kappa1 * scheme.big_delta
-        psi = extract_moment_vector(seq, scheme, default_ou_descriptors(lag_used))
+        variance, cov_u1 = curve[len(lags) :]
+        lag_used = cov_u1.lag_used
+        values = [mean.vector[0], variance.matrix[0, 0], cov_u1.matrix[0, 0]]
+        psi = MomentVector(values, default_ou_descriptors(lag_used))
         if args.model == "ou":
             est = invert_ou(psi.values, lag_used, moments=psi)
         else:
@@ -256,7 +263,7 @@ def cmd_estimate(args) -> int:
     # the JSON goes first: a refused (non-finite) payload leaves no sidecar
     _write_json(payload, None if args.output is None else Path(args.output))
     if args.csv is not None:
-        estimates_to_csv(curve, args.csv)
+        estimates_to_csv(reported, args.csv)
     return 0
 
 
@@ -322,6 +329,7 @@ def cmd_lab(args) -> int:
     kind = pipeline_kind(bundle)
     checks = assert_thresholds(bundle) if args.check else {}
     check_assert_keys(kind, checks)
+    check_run_keys(kind, bundle)  # --workers counts: it was written into [run] above
     out_dir = Path(args.output_dir)  # made by the first write: a refused run leaves none
     run = build_run_settings(bundle)
     outputs: list[str] = []

@@ -27,8 +27,16 @@ from .models import (
 )
 from .schemes import BoundInputs, DecorrelationProfile
 
+# [run] keys each pipeline kind reads; only the generic sweep has a pool and an ensemble
+_COMMON_RUN_KEYS = ("master_seed", "replications")
+_RUN_KEYS = {
+    "generic": (*_COMMON_RUN_KEYS, "workers", "save_ensemble"),
+    "ou_endtoend": _COMMON_RUN_KEYS,
+    "heston_rv": _COMMON_RUN_KEYS,
+}
+
 _SECTION_KEYS = {
-    "run": {"master_seed", "replications", "workers", "save_ensemble"},
+    "run": set(_RUN_KEYS["generic"]),
     "model": {
         "kind", "mean", "reversion", "noise", "level", "vol_of_vol", "drift",
         "coeffs", "sigma", "name", "entry", "scale",
@@ -240,6 +248,16 @@ def pipeline_kind(bundle: ConfigBundle) -> str:
             f"config [pipeline] kind must be one of {_PIPELINES}, got {kind!r}"
         )
     return kind
+
+
+def check_run_keys(kind: str, bundle: ConfigBundle) -> None:
+    """Reject ``[run]`` keys that pipeline ``kind`` does not read."""
+    extra = sorted(set(bundle.sections.get("run", {})) - set(_RUN_KEYS[kind]))
+    if extra:
+        raise ValidationError(
+            f"config [run] keys {extra} do not apply to pipeline kind {kind!r}; "
+            f"allowed: {list(_RUN_KEYS[kind])}"
+        )
 
 
 def _parse_schemes(raw: str) -> tuple:

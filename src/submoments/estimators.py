@@ -170,23 +170,13 @@ def lagged_covariance(
     )
 
 
-def covariance_curve(
-    samples,
-    scheme: SubsamplingScheme,
-    lags,
-    horizon_a: float | None = None,
-) -> list[LaggedCovarianceEstimate]:
+def covariance_curve(samples, scheme: SubsamplingScheme, lags) -> list[LaggedCovarianceEstimate]:
     """Covariance estimates at several requested lags on one scheme.
 
     Lags are rounded to the coarse grid first; requests that round to the
-    same ``kappa`` share one computation.  ``horizon_a`` optionally caps the
-    admissible lag.
+    same ``kappa`` share one computation.
     """
     lag_list = [float(u) for u in lags]
-    if horizon_a is not None:
-        for u in lag_list:
-            if u > horizon_a:
-                raise ParameterDomain(f"lag {u} exceeds horizon {horizon_a}")
     kappas = [lag_index(u, scheme.big_delta) for u in lag_list]
     cov, _ = lagged_covariances(samples, scheme.n_obs, kappas)
     matrices = dict(zip(kappas, cov))  # one matrix object per distinct kappa

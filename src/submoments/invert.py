@@ -9,7 +9,6 @@ variance model.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,6 @@ from .grids import SubsamplingScheme
 # ---------------------------------------------------------------------------
 # Moment vectors
 # ---------------------------------------------------------------------------
-
-_DESCRIPTOR_RE = re.compile(
-    r"^(?:mean\((?P<mi>\d+)\)|cov\((?P<ci>\d+),(?P<cj>\d+)\)@(?P<lag>[0-9.eE+-]+))$"
-)
 
 
 @dataclass(frozen=True)
@@ -57,15 +52,6 @@ class MomentDescriptor:
     @classmethod
     def cov(cls, i: int = 0, j: int = 0, lag: float = 0.0) -> "MomentDescriptor":
         return cls(kind="cov", i=i, j=j, lag=float(lag))
-
-    @classmethod
-    def parse(cls, text: str) -> "MomentDescriptor":
-        m = _DESCRIPTOR_RE.match(text.strip())
-        if not m:
-            raise ParameterDomain(f"cannot parse moment descriptor {text!r}")
-        if m.group("mi") is not None:
-            return cls.mean(int(m.group("mi")))
-        return cls.cov(int(m.group("ci")), int(m.group("cj")), float(m.group("lag")))
 
     def __str__(self) -> str:
         if self.kind == "mean":
@@ -97,27 +83,15 @@ class MomentVector:
         return self.values.size
 
 
-def extract_moment_vector(
-    samples,
-    scheme: SubsamplingScheme,
-    descriptors,
-    horizon_a: float | None = None,
-) -> MomentVector:
+def extract_moment_vector(samples, scheme: SubsamplingScheme, descriptors) -> MomentVector:
     """Evaluate the named statistics on one coarse sequence.
 
     ``samples`` must supply ``n_obs`` plus the largest rounded lag shift.
     Means are taken over the first ``n_obs`` samples, as the covariances
     are, and all covariances come from one :func:`lagged_covariances` call.
     """
-    desc = tuple(
-        d if isinstance(d, MomentDescriptor) else MomentDescriptor.parse(d)
-        for d in descriptors
-    )
+    desc = tuple(descriptors)
     covs = [d for d in desc if d.kind == "cov"]
-    if horizon_a is not None:
-        for d in covs:
-            if d.lag > horizon_a:
-                raise ParameterDomain(f"lag {d.lag} exceeds horizon {horizon_a}")
     kappas = [lag_index(d.lag, scheme.big_delta) for d in covs]
     cov, mean_vec = lagged_covariances(samples, scheme.n_obs, kappas)
     matrices = dict(zip(covs, cov))

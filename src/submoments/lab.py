@@ -18,8 +18,8 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -87,8 +87,8 @@ def config_hash(config) -> str:
     ``workers`` and ``memory_cap_bytes`` are left out: runs that differ only
     in them produce bitwise-equal results and share one identity.
     """
-    fields = {k: v for k, v in asdict(config).items() if k not in _EXECUTION_FIELDS}
-    blob = json.dumps(fields, sort_keys=True, default=str)
+    kept = {k: v for k, v in asdict(config).items() if k not in _EXECUTION_FIELDS}
+    blob = json.dumps(kept, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -283,42 +283,15 @@ class Ensemble:
 def save_ensemble(ensemble: Ensemble, path) -> None:
     """Persist the raw records plus the config hash they came from."""
     np.savez_compressed(
-        path,
-        grid_kind=np.array(ensemble.grid_kind),
-        labels=ensemble.labels,
-        rhos=ensemble.rhos,
-        n_obs=ensemble.n_obs,
-        strides=ensemble.strides,
-        big_deltas=ensemble.big_deltas,
-        lags=ensemble.lags,
-        lags_used=ensemble.lags_used,
-        kappas=ensemble.kappas,
-        khat_y=ensemble.khat_y,
-        khat_x=ensemble.khat_x,
-        mean_y=ensemble.mean_y,
-        mean_x=ensemble.mean_x,
-        config_hash=np.array(ensemble.config_hash),
+        path, **{f.name: np.asarray(getattr(ensemble, f.name)) for f in fields(Ensemble)}
     )
 
 
 def load_ensemble(path) -> Ensemble:
     with np.load(path) as data:
-        return Ensemble(
-            grid_kind=str(data["grid_kind"]),
-            labels=data["labels"],
-            rhos=data["rhos"],
-            n_obs=data["n_obs"],
-            strides=data["strides"],
-            big_deltas=data["big_deltas"],
-            lags=data["lags"],
-            lags_used=data["lags_used"],
-            kappas=data["kappas"],
-            khat_y=data["khat_y"],
-            khat_x=data["khat_x"],
-            mean_y=data["mean_y"],
-            mean_x=data["mean_x"],
-            config_hash=str(data["config_hash"]),
-        )
+        records = {f.name: data[f.name] for f in fields(Ensemble)}
+    # grid_kind and config_hash come back as 0-d unicode arrays
+    return Ensemble(**{k: str(v) if v.dtype.kind == "U" else v for k, v in records.items()})
 
 
 def _one_replication(config: ExperimentConfig, point: SweepPoint, rep: int):
@@ -353,9 +326,25 @@ def _one_replication(config: ExperimentConfig, point: SweepPoint, rep: int):
     return ky, kx, my, mx
 
 
-def _replication_block(args):
-    config, point, reps = args
-    return [_one_replication(config, point, rep) for rep in reps]
+def _run_jobs(fn, jobs, workers: int) -> None:
+    """Call ``fn(*job)`` for every job on one pool of ``workers`` threads.
+
+    At most ``2 * workers`` jobs are in flight, so the bookkeeping does not
+    grow with the sweep.  The first job to raise cancels the queued ones.
+    """
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = set()
+        for job in jobs:
+            if len(pending) == 2 * workers:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+            pending.add(pool.submit(fn, *job))
+        for future in as_completed(pending):
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_replications(config: ExperimentConfig) -> Ensemble:
@@ -363,7 +352,11 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
 
     Replication ``m`` draws only from streams keyed by ``m``, so results do
     not depend on execution order and re-running with the same master seed
-    reproduces the ensemble bit for bit.
+    reproduces the ensemble bit for bit.  Every (grid point, replication)
+    pair is one job on a single pool of ``config.workers`` threads, one
+    thread included, and writes its own ensemble slot.  The first job to
+    raise cancels the queued ones; its error propagates once the running
+    ones finish.
     """
     config.validate()
     points = _plan_sweep(config)
@@ -386,24 +379,14 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
         mean_x=np.empty((n_points, n_reps, r)),
         config_hash=config_hash(config),
     )
-    for gi, point in enumerate(points):
-        if config.workers > 1:
-            chunk = max(1, math.ceil(n_reps / (config.workers * 4)))
-            blocks = [
-                (config, point, range(start, min(start + chunk, n_reps)))
-                for start in range(0, n_reps, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = []
-                for block in pool.map(_replication_block, blocks):
-                    results.extend(block)
-        else:
-            results = [_one_replication(config, point, rep) for rep in range(n_reps)]
-        for rep, (ky, kx, my, mx) in enumerate(results):
-            ens.khat_y[gi, rep] = ky
-            ens.khat_x[gi, rep] = kx
-            ens.mean_y[gi, rep] = my
-            ens.mean_x[gi, rep] = mx
+
+    def fill(gi: int, rep: int) -> None:
+        ky, kx, my, mx = _one_replication(config, points[gi], rep)
+        ens.khat_y[gi, rep], ens.khat_x[gi, rep] = ky, kx
+        ens.mean_y[gi, rep], ens.mean_x[gi, rep] = my, mx
+
+    jobs = [(gi, rep) for gi in range(n_points) for rep in range(n_reps)]
+    _run_jobs(fill, jobs, config.workers)
     return ens
 
 

@@ -29,6 +29,7 @@ from submoments.config import (
     build_heston_rv,
     build_model,
     build_run_settings,
+    check_run_keys,
     load_config,
     pipeline_kind,
 )
@@ -399,6 +400,33 @@ class TestEstimateCommand:
         assert payload["parameters"]["mean"] == payload["mean"][0]
         assert payload["parameters"]["moments"]["mean(0)"] == payload["mean"][0]
 
+    def test_model_takes_one_kernel_pass(self, ou_trajectory, capsys, monkeypatch):
+        calls = []
+        for module in (submoments.estimators, submoments.invert):
+
+            def counted(*args, kernel=module.lagged_covariances):
+                calls.append(args)
+                return kernel(*args)
+
+            monkeypatch.setattr(module, "lagged_covariances", counted)
+        argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--model", "ou"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+    def test_model_u1_outside_lags(self, ou_trajectory, capsys):
+        # --u1 feeds the inversion only; the report lists just the --lags
+        argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--u1", "0.5"]
+        assert main([*argv, "--model", "ou"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["lag"] for c in payload["covariances"]] == [0.0, 1.0]
+        grid = read_binary(ou_trajectory)
+        scheme = resolve_stride(SubsamplingScheme(payload["n_obs"], 0.25), grid.delta)
+        seq = subsample_sequence(grid, scheme, n_extra=4)
+        (cov_u1,) = covariance_curve(seq, scheme, [0.5])
+        moments = payload["parameters"]["moments"]
+        assert moments["cov(0,0)@0.5"] == cov_u1.matrix[0, 0]
+        assert moments["cov(0,0)@0"] == payload["covariances"][0]["matrix"][0][0]
+
     def test_csv_sidecar(self, ou_trajectory, tmp_path, capsys):
         csv = tmp_path / "curve.csv"
         assert main(
@@ -431,9 +459,9 @@ class TestEstimateCommand:
             assert "non-finite sample at row 17" in captured.err
 
 
-def smoke_variant(tmp_path, replace: dict):
-    """The smoke preset written out with whole sections replaced."""
-    sections = {**load_config(_preset_path("smoke")).sections, **replace}
+def preset_variant(tmp_path, replace: dict, preset: str = "smoke"):
+    """A shipped preset written out with whole sections replaced."""
+    sections = {**load_config(_preset_path(preset)).sections, **replace}
     text = "\n".join(
         f"[{name}]\n" + "\n".join(f"{k} = {v}" for k, v in body.items())
         for name, body in sections.items()
@@ -445,7 +473,8 @@ def forbid_simulation(monkeypatch):
     def fail(config):
         raise AssertionError("the lab simulated before rejecting its config")
 
-    monkeypatch.setattr("submoments.cli.run_replications", fail)
+    for name in ("run_replications", "run_endtoend_ou", "run_heston_rv"):
+        monkeypatch.setattr(f"submoments.cli.{name}", fail)
 
 
 class TestLabCommand:
@@ -478,7 +507,7 @@ class TestLabCommand:
         assert report["meta"]["observable"] == "multiplicative"
 
     def test_failed_threshold_exits_one(self, tmp_path, capsys):
-        cfg = smoke_variant(tmp_path, {"assert": {"err_y_rho_slope_min": "5.0"}})
+        cfg = preset_variant(tmp_path, {"assert": {"err_y_rho_slope_min": "5.0"}})
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 1
         captured = capsys.readouterr()
@@ -487,7 +516,7 @@ class TestLabCommand:
 
     def test_inapplicable_assert_key_exits_three(self, tmp_path, capsys, monkeypatch):
         # recovery and Heston thresholds on a generic sweep would never be checked
-        cfg = smoke_variant(
+        cfg = preset_variant(
             tmp_path, {"assert": {"min_fraction": "0.99", "level_rms_max": "0.0001"}}
         )
         forbid_simulation(monkeypatch)
@@ -503,8 +532,31 @@ class TestLabCommand:
             bundle = load_config(_preset_path(name))
             check_assert_keys(pipeline_kind(bundle), assert_thresholds(bundle))
 
+    @pytest.mark.parametrize("preset", ["ou_endtoend", "heston_rv"])
+    @pytest.mark.parametrize("key", ["workers", "save_ensemble"])
+    def test_inapplicable_run_key_exits_three(self, tmp_path, capsys, monkeypatch, preset, key):
+        # only the generic sweep has a worker pool and an ensemble to save
+        if key == "workers":
+            argv = ["--preset", preset, "--workers", "2"]
+        else:
+            run = load_config(_preset_path(preset)).sections["run"]
+            cfg = preset_variant(tmp_path, {"run": {**run, key: "true"}}, preset)
+            argv = ["--config", str(cfg)]
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", *argv, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"config [run] keys ['{key}'] do not apply to pipeline kind '{preset}'" in err
+        assert "allowed: ['master_seed', 'replications']" in err
+        assert not out.exists()
+
+    def test_shipped_run_keys_apply(self):
+        for name in available_presets():
+            bundle = load_config(_preset_path(name))
+            check_run_keys(pipeline_kind(bundle), bundle)
+
     def test_lag_past_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
-        cfg = smoke_variant(tmp_path, {"lags": {"values": "0, 0.5", "horizon": "0.25"}})
+        cfg = preset_variant(tmp_path, {"lags": {"values": "0, 0.5", "horizon": "0.25"}})
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3

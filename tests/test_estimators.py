@@ -210,11 +210,6 @@ class TestCovarianceCurve:
         direct = lagged_covariance(arr, 100, 8, 0.1, lag_requested=0.8)
         assert np.array_equal(curve.matrix, direct.matrix)
 
-    def test_horizon_cap(self):
-        arr = _rand(120, 1, seed=15)
-        with pytest.raises(ParameterDomain, match="horizon"):
-            covariance_curve(arr, SubsamplingScheme(100, 0.1), [0.5, 3.0], horizon_a=2.0)
-
 
 class TestCsvExport:
     def test_roundtrip_rows(self, tmp_path):

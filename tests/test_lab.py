@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from submoments import lab
 from submoments.errors import (
     MomentsOutsideModelRange,
+    NumericalError,
     ParameterDomain,
     ResourceLimit,
     ValidationError,
@@ -196,13 +198,42 @@ class TestSweepEngine:
             assert np.allclose(ens.mean_y[gi], (1.0 + rho) * ens.mean_x[gi], rtol=1e-12)
 
     def test_parallel_matches_serial(self):
-        serial = run_replications(small_config(epsilon_grid=(0.3, 0.25, 0.21)))
-        parallel = run_replications(
-            small_config(epsilon_grid=(0.3, 0.25, 0.21), workers=2)
-        )
-        assert np.array_equal(serial.khat_x, parallel.khat_x)
-        assert np.array_equal(serial.mean_y, parallel.mean_y)
-        assert serial.config_hash == parallel.config_hash
+        for observable in ("identity", "multiplicative"):
+            config = small_config(epsilon_grid=(0.3, 0.25, 0.21), observable=observable)
+            serial = run_replications(config)
+            parallel = run_replications(dataclasses.replace(config, workers=2))
+            for field in ("khat_x", "khat_y", "mean_x", "mean_y"):
+                assert np.array_equal(getattr(serial, field), getattr(parallel, field))
+            assert serial.config_hash == parallel.config_hash
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pool_per_sweep(self, monkeypatch, workers):
+        pools = []
+
+        class CountedPool(lab.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(lab, "ThreadPoolExecutor", CountedPool)
+        run_replications(small_config(workers=workers))
+        assert pools == [workers]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_error_cancels_queued_jobs(self, monkeypatch, workers):
+        calls = []
+        replicate = lab._one_replication
+
+        def failing(config, point, rep):
+            calls.append(rep)
+            if rep == 0:
+                raise NumericalError("injected")
+            return replicate(config, point, rep)
+
+        monkeypatch.setattr(lab, "_one_replication", failing)
+        with pytest.raises(NumericalError, match="injected"):
+            run_replications(small_config(workers=workers))  # 3 points x 30 reps
+        assert 1 <= len(calls) <= 2 * workers
 
     def test_budget_family_rate(self):
         cfg = small_config(
