@@ -129,6 +129,7 @@ def _parse_floats(raw: str, flag: str) -> list:
 
 def cmd_simulate(args) -> int:
     bundle = load_config(args.config)
+    check_run_keys("simulate", bundle)
     model = build_model(bundle)
     run = build_run_settings(bundle)
     seed = run["master_seed"] if args.seed is None else args.seed
@@ -140,8 +141,8 @@ def cmd_simulate(args) -> int:
         delta = req.delta if args.delta is None else args.delta
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
-    if delta <= 0:
-        raise ValidationError(f"delta must be > 0, got {delta}")
+    if delta <= 0 or not np.isfinite(delta):
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     out = Path(args.output)
     outputs: list[str] = []

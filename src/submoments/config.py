@@ -27,12 +27,14 @@ from .models import (
 )
 from .schemes import BoundInputs, DecorrelationProfile
 
-# [run] keys each pipeline kind reads; only the generic sweep has a pool and an ensemble
+# [run] keys each pipeline kind reads; only the generic sweep has a pool and an
+# ensemble, and the simulate command steps one path from the seed alone
 _COMMON_RUN_KEYS = ("master_seed", "replications")
 _RUN_KEYS = {
     "generic": (*_COMMON_RUN_KEYS, "workers", "save_ensemble"),
     "ou_endtoend": _COMMON_RUN_KEYS,
     "heston_rv": _COMMON_RUN_KEYS,
+    "simulate": ("master_seed",),
 }
 
 _SECTION_KEYS = {
@@ -251,11 +253,12 @@ def pipeline_kind(bundle: ConfigBundle) -> str:
 
 
 def check_run_keys(kind: str, bundle: ConfigBundle) -> None:
-    """Reject ``[run]`` keys that pipeline ``kind`` does not read."""
+    """Reject ``[run]`` keys that pipeline ``kind``, or ``"simulate"``, does not read."""
     extra = sorted(set(bundle.sections.get("run", {})) - set(_RUN_KEYS[kind]))
     if extra:
+        reader = "the simulate command" if kind == "simulate" else f"pipeline kind {kind!r}"
         raise ValidationError(
-            f"config [run] keys {extra} do not apply to pipeline kind {kind!r}; "
+            f"config [run] keys {extra} do not apply to {reader}; "
             f"allowed: {list(_RUN_KEYS[kind])}"
         )
 

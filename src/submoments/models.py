@@ -293,6 +293,9 @@ class HestonParams:
         return self.stationary_variance * math.exp(-self.reversion * lag)
 
 
+_BLOCK = 256  # steps per block of the price pass and the scalar loop: small buffers
+
+
 def _heston_core(
     params: HestonParams,
     n_steps: int,
@@ -313,22 +316,127 @@ def _heston_core(
     call over the whole path, bit for bit.  Carrying the truncated
     variance instead would break that whenever the raw variance is
     negative.
+
+    Step ``n + 1`` is, in this order of IEEE operations,
+    ``v_raw = (v_raw + reversion * (level - v_plus) * dt)
+    + vol_of_vol * sqrt(v_plus) * sqrt(dt) * z_var[n]``, then
+    ``v_plus = maximum(v_raw, 0)``, and
+    ``r = (r + drift * dt) + sqrt(v_plus) * sqrt(dt) * z_price[n]`` with the
+    ``v_plus`` of the step before.  Only the variance feeds back on itself,
+    so only it is stepped row by row: on Python floats when there is one
+    column (the pilot and ``simulate_heston``), otherwise on whole rows with
+    the constants held as 0-d arrays.  The price then follows from the
+    stored truncated variance in one ordered pass
+    (:func:`_heston_price_pass`).  Every operation is the one the plain
+    per-step recursion does, in the same order, so the result is the same
+    bit for bit.
     """
-    sqdt = math.sqrt(dt)
     v_raw = np.array(v0, dtype=float)
-    v_paths = np.empty_like(z_var)
-    r_paths = np.empty_like(z_price)
     r = np.zeros_like(v_raw) if r0 is None else np.array(r0, dtype=float)
-    v_plus = np.maximum(v_raw, 0.0)
-    for n in range(n_steps):
-        vol = np.sqrt(v_plus)
-        r = np.add(r + params.drift * dt, vol * sqdt * z_price[n], out=r_paths[n])
-        v_raw = v_raw + params.reversion * (params.level - v_plus) * dt \
-            + params.vol_of_vol * vol * sqdt * z_var[n]
-        v_plus = np.maximum(v_raw, 0.0, out=v_paths[n])
+    width = z_var.shape[1]
+    # row 0 is the truncated start; row n + 1 is v_paths[n]
+    v_plus = np.empty((z_var.shape[0] + 1, width))
+    v_plus[0] = np.maximum(v_raw, 0.0)
+    if width == 1:
+        last = _heston_variance_scalar(
+            params, dt, z_var[:n_steps, 0], float(v_raw[0]), v_plus[1 : n_steps + 1, 0]
+        )
+        v_raw = np.array([last])
+    else:
+        _heston_variance_rows(params, dt, z_var[:n_steps], v_raw, v_plus[: n_steps + 1])
+    r_paths = np.empty_like(z_price)
+    r = _heston_price_pass(
+        params.drift * dt, math.sqrt(dt), v_plus[:n_steps], z_price[:n_steps],
+        r, r_paths[:n_steps],
+    )
     if not (np.isfinite(v_raw).all() and np.isfinite(r).all()):
         raise SimulationDiverged("price or variance became non-finite")
-    return r_paths, v_paths, v_raw
+    return r_paths, v_plus[1:], v_raw
+
+
+def _heston_variance_scalar(params: HestonParams, dt: float, z, v_raw: float, out) -> float:
+    """One column of the variance recursion on Python floats.
+
+    Writes the truncated variance after each step into ``out`` and returns
+    the last raw value.  ``0.0 if v <= 0.0 else v`` is ``np.maximum(v, 0.0)``:
+    it keeps NaN and maps -0.0 to 0.0.  The normals are converted a block at
+    a time, so a long path never holds more than a block of Python floats
+    (40,000 at once stayed resident as 2.9 MB after the call).
+    """
+    reversion, level, vol_of_vol = params.reversion, params.level, params.vol_of_vol
+    sqdt = math.sqrt(dt)
+    sqrt = math.sqrt
+    v_plus = 0.0 if v_raw <= 0.0 else v_raw
+    for lo in range(0, len(z), _BLOCK):
+        block = []
+        append = block.append
+        for zn in z[lo : lo + _BLOCK].tolist():
+            v_raw = v_raw + reversion * (level - v_plus) * dt \
+                + vol_of_vol * sqrt(v_plus) * sqdt * zn
+            v_plus = 0.0 if v_raw <= 0.0 else v_raw
+            append(v_plus)
+        out[lo : lo + len(block)] = block
+    return v_raw
+
+
+def _heston_variance_rows(
+    params: HestonParams, dt: float, z: np.ndarray, v_raw: np.ndarray, v_plus: np.ndarray
+) -> None:
+    """The variance recursion on whole rows, in place.
+
+    ``v_raw`` is advanced to the raw variance after the last step; row
+    ``n + 1`` of ``v_plus`` receives the truncated variance after step
+    ``n + 1`` (row 0 holds the start).  The constants are 0-d arrays,
+    which numpy takes without the per-call conversion a Python float needs.
+    """
+    reversion, level, vol_of_vol, dt_, sqdt, zero = (
+        np.array(c, dtype=float)
+        for c in (params.reversion, params.level, params.vol_of_vol, dt, math.sqrt(dt), 0.0)
+    )
+    drift = np.empty_like(v_raw)
+    noise = np.empty_like(v_raw)
+    subtract, multiply, add, sqrt, maximum = (
+        np.subtract, np.multiply, np.add, np.sqrt, np.maximum
+    )
+    for prev, row, zn in zip(v_plus[:-1], v_plus[1:], z):
+        subtract(level, prev, out=drift)
+        multiply(reversion, drift, out=drift)
+        multiply(drift, dt_, out=drift)
+        add(v_raw, drift, out=v_raw)
+        sqrt(prev, out=noise)
+        multiply(vol_of_vol, noise, out=noise)
+        multiply(noise, sqdt, out=noise)
+        multiply(noise, zn, out=noise)
+        add(v_raw, noise, out=v_raw)
+        maximum(v_raw, zero, out=row)
+
+
+def _heston_price_pass(drift_dt, sqdt, v_prev, z, r, out) -> np.ndarray:
+    """``out[n] = (out[n-1] + drift_dt) + sqrt(v_prev[n]) * sqdt * z[n]``, from ``r``.
+
+    Each block of steps is laid out as ``r, drift_dt, inc_1, drift_dt,
+    inc_2, ...`` and summed by one ``np.add.accumulate`` down the rows,
+    which adds strictly in that order, so every partial sum is the one the
+    step-by-step recursion makes.  Returns the last price (``r`` when there
+    are no steps).
+    """
+    steps, width = z.shape
+    block = max(min(_BLOCK, steps), 1)
+    work = np.empty((2 * block + 1, width))
+    work[1::2] = drift_dt
+    for lo in range(0, steps, block):
+        rows = min(block, steps - lo)
+        span = work[: 2 * rows + 1]
+        span[0] = r
+        inc = span[2::2]
+        np.sqrt(v_prev[lo : lo + rows], out=inc)
+        np.multiply(inc, sqdt, out=inc)
+        np.multiply(inc, z[lo : lo + rows], out=inc)
+        np.add.accumulate(span, axis=0, out=span)
+        out[lo : lo + rows] = inc
+        r = out[lo + rows - 1]
+        span[1::2] = drift_dt
+    return r
 
 
 def heston_initial_variance(
@@ -358,7 +466,7 @@ def simulate_heston(
     params.validate()
     if length < 1:
         raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta_fine <= 0:
+    if delta_fine <= 0 or not np.isfinite(delta_fine):
         raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
     rng_var = stream.role(StreamRole.PROCESS_NOISE).generator()
     rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
@@ -542,7 +650,7 @@ def simulate_slow_fast(
     params.validate()
     if length < 1:
         raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta_fine <= 0:
+    if delta_fine <= 0 or not np.isfinite(delta_fine):
         raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
     if delta_fine > params.scale / 10.0 * (1.0 + 1e-12):
         raise ParameterDomain(

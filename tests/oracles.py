@@ -50,3 +50,24 @@ def cir_moment_map(theta, u1: float) -> np.ndarray:
     reversion, level, vol = np.asarray(theta, dtype=float)
     var = vol**2 * level / (2.0 * reversion)
     return np.array([level, var, var * math.exp(-reversion * u1)])
+
+
+def heston_core_reference(params, n_steps: int, dt: float, z_var, z_price, v0, r0=None):
+    """Full-truncation Euler stepped one row at a time, price and variance together.
+
+    The plain recursion ``_heston_core`` must reproduce bit for bit: same
+    arguments, same three returns.
+    """
+    sqdt = math.sqrt(dt)
+    v_raw = np.array(v0, dtype=float)
+    v_paths = np.empty_like(z_var)
+    r_paths = np.empty_like(z_price)
+    r = np.zeros_like(v_raw) if r0 is None else np.array(r0, dtype=float)
+    v_plus = np.maximum(v_raw, 0.0)
+    for n in range(n_steps):
+        vol = np.sqrt(v_plus)
+        r = np.add(r + params.drift * dt, vol * sqdt * z_price[n], out=r_paths[n])
+        v_raw = v_raw + params.reversion * (params.level - v_plus) * dt \
+            + params.vol_of_vol * vol * sqdt * z_var[n]
+        v_plus = np.maximum(v_raw, 0.0, out=v_paths[n])
+    return r_paths, v_paths, v_raw

@@ -11,10 +11,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import submoments
 from submoments.cli import _preset_path, available_presets, main
@@ -340,6 +344,31 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "h.bin.manifest.json").read_text())
         assert manifest["outputs"] == [str(out), str(sibling)]
 
+    def test_unread_run_keys_exit_three(self, tmp_path, capsys):
+        # simulate steps one path from the seed; a pool, a replication count
+        # or a saved ensemble would be silently ignored
+        cfg = write_cfg(
+            tmp_path,
+            HESTON_CFG + "\n[run]\nworkers = 2\nreplications = 500\nsave_ensemble = true\n",
+        )
+        out = tmp_path / "h.bin"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "config [run] keys ['replications', 'save_ensemble', 'workers'] "
+            "do not apply to the simulate command; allowed: ['master_seed']"
+        ) in err
+        assert not list(tmp_path.glob("h*"))
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_three(self, tmp_path, capsys, step):
+        cfg = write_cfg(tmp_path, HESTON_CFG)
+        out = tmp_path / "h.bin"
+        argv = ["simulate", "--config", str(cfg), "--output", str(out), "--delta", step]
+        assert main(argv) == 3
+        assert "delta must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("h*"))
+
     def test_seed_override_changes_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OU_CFG)
         a, b = tmp_path / "s0.bin", tmp_path / "s1.bin"
@@ -596,6 +625,30 @@ class TestNonFiniteOutput:
         assert main(argv) == 5
         assert capsys.readouterr().out == ""
         assert not out.exists() and not csv.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        samples=st.integers(24, 80).flatmap(
+            lambda rows: hnp.arrays(
+                np.float64, (rows, 1),
+                elements=st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    def test_estimate_json_is_finite_or_absent(self, samples):
+        # finite input of any magnitude: either finite JSON or exit 5 and no file
+        def reject(token):
+            raise AssertionError(f"{token} in the estimate JSON")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "grid.bin", Path(tmp) / "moments.json"
+            write_binary(TrajectoryGrid(samples, 0.25), path)
+            code = main(["estimate", "--input", str(path), "--lags", "0,0.25,0.5", "--output", str(out)])
+            if code == 0:
+                json.loads(out.read_text(), parse_constant=reject)
+            else:
+                assert code == 5
+                assert not out.exists()
 
     def test_lab_report_with_nan(self, tmp_path, capsys, monkeypatch):
         report = ConvergenceReport(

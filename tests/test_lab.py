@@ -55,12 +55,13 @@ from submoments.lab import (
 from submoments.models import (
     HestonParams,
     OUParams,
-    _heston_core,
     heston_initial_variance,
     ou_bound_inputs,
     ou_true_covariance,
     realized_volatility_observable,
 )
+
+from oracles import heston_core_reference
 
 MODEL = OUParams(mean=0.5, reversion=1.0, noise=1.0)
 
@@ -379,7 +380,8 @@ def reference_heston_rv(config: HestonRVConfig):
     """The blocked replication loop ``run_heston_rv`` used to run.
 
     Full-length normals are drawn up front for blocks of 24 replications,
-    and each block is stepped by one core call over the whole path.
+    and each block is stepped over the whole path by the per-step reference
+    recursion, not by the package's core.
     """
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
@@ -400,7 +402,7 @@ def reference_heston_rv(config: HestonRVConfig):
             v0[col] = heston_initial_variance(p, rng_var)
             z_var[:, col] = rng_var.standard_normal(length)
             z_price[:, col] = rng_price.standard_normal(length)
-        r_paths, _, _ = _heston_core(p, length, delta_f, z_var, z_price, v0)
+        r_paths, _, _ = heston_core_reference(p, length, delta_f, z_var, z_price, v0)
         for col in range(width):
             for plan in plans:
                 r_eps = r_paths[plan.eps_stride - 1 : plan.fine_rows : plan.eps_stride, col]

@@ -4,6 +4,7 @@ MC tolerances are sized from the effective sample count T / (2 tau) of each
 run and were verified to hold with slack at the pinned seeds.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,8 @@ from submoments.models import (
     simulate_slow_fast,
     smoothing_observable,
 )
+
+from oracles import heston_core_reference
 
 
 class TestOU:
@@ -158,6 +161,13 @@ class TestGradientDiffusion:
 HESTON = HestonParams(reversion=1.0, level=0.04, vol_of_vol=0.2)
 
 
+class _NoDraws:
+    """A stream that fails the test when anything draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"stream.{name} used before the step was checked")
+
+
 class TestHeston:
     def test_domain(self):
         with pytest.raises(ParameterDomain):
@@ -166,6 +176,11 @@ class TestHeston:
             simulate_heston(HESTON, 10, 0.01, RandomStreamSpec(1), v0_mode="bogus")
         with pytest.raises(ParameterDomain):
             simulate_heston(HESTON, 10, 0.01, RandomStreamSpec(1), v0_mode=-0.5)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_rejected_before_drawing(self, step):
+        with pytest.raises(ParameterDomain, match="delta_fine"):
+            simulate_heston(HESTON, 10, step, _NoDraws())
 
     def test_stationary_draw_moments(self):
         rng = np.random.default_rng(7)
@@ -198,30 +213,71 @@ class TestHeston:
         assert np.array_equal(a[0].samples, b[0].samples)
         assert np.array_equal(a[1].samples, b[1].samples)
 
+    # no parameter is a power of two, so every multiplication rounds and a
+    # reordered product shows; WILD has vol_of_vol**2 > 2 * reversion * level,
+    # so its raw variance goes negative
+    CALM = HestonParams(reversion=1.3, level=0.045, vol_of_vol=0.35)
+    WILD = HestonParams(reversion=0.7, level=0.04, vol_of_vol=0.9)
+
+    @pytest.mark.parametrize("width", [1, 3, 120])
+    @pytest.mark.parametrize("drift", [0.0, 0.7])
+    @pytest.mark.parametrize("wild", [False, True])
+    @pytest.mark.parametrize("with_r0", [False, True])
+    def test_core_matches_reference(self, width, drift, wild, with_r0):
+        params = dataclasses.replace(self.WILD if wild else self.CALM, drift=drift)
+        rng = np.random.default_rng([width, int(wild), int(with_r0)])
+        n, dt = 700, 0.01
+        z_var = rng.standard_normal((n, width))
+        z_price = rng.standard_normal((n, width))
+        v0 = rng.uniform(0.0, 0.1, width)
+        v0[0] = -0.02  # a negative raw start: the first step sees its truncation, 0
+        r0 = rng.standard_normal(width) if with_r0 else None
+        got = _heston_core(params, n, dt, z_var, z_price, v0, r0)
+        want = heston_core_reference(params, n, dt, z_var, z_price, v0, r0)
+        if wild:
+            assert np.any(got[1] == 0.0)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_core_continues_across_chunks(self):
-        # vol_of_vol**2 > 2 * reversion * level: the raw variance goes negative
-        wild = HestonParams(reversion=1.0, level=0.04, vol_of_vol=1.0)
+        wild = dataclasses.replace(self.WILD, drift=0.3)
         rng = np.random.default_rng(31)
         n, dt = 2000, 0.01
-        z_var = rng.standard_normal((n, 3))
-        z_price = rng.standard_normal((n, 3))
-        v0 = np.array([0.04, 0.0, 0.1])
-        r_full, v_full, end_full = _heston_core(wild, n, dt, z_var, z_price, v0)
-        # cut right after steps whose raw variance is negative, so the carried
-        # raw value differs from the truncated one at every boundary
-        negative = np.flatnonzero(v_full[:-1, 0] == 0.0)
-        assert negative.size >= 3
-        cuts = [0, *(negative[[0, negative.size // 2, -1]] + 1), n]
-        r, v, pieces = None, v0, []
-        for lo, hi in zip(cuts, cuts[1:]):
-            r_part, v_part, v = _heston_core(
-                wild, hi - lo, dt, z_var[lo:hi], z_price[lo:hi], v, r
-            )
-            r = r_part[-1]
-            pieces.append((r_part, v_part))
-        assert np.array_equal(np.vstack([a for a, _ in pieces]), r_full)
-        assert np.array_equal(np.vstack([b for _, b in pieces]), v_full)
-        assert np.array_equal(v, end_full)
+        for width in (1, 3):  # the scalar and the row-wise variance loop
+            z_var = rng.standard_normal((n, width))
+            z_price = rng.standard_normal((n, width))
+            v0 = np.array([0.04, 0.0, 0.1][:width])
+            r_full, v_full, end_full = heston_core_reference(wild, n, dt, z_var, z_price, v0)
+            # cut right after steps whose raw variance is negative, so the carried
+            # raw value differs from the truncated one at every boundary
+            negative = np.flatnonzero(v_full[:-1, 0] == 0.0)
+            assert negative.size >= 3
+            cuts = [0, *(negative[[0, negative.size // 2, -1]] + 1), n]
+            r, v, pieces = None, v0, []
+            for lo, hi in zip(cuts, cuts[1:]):
+                r_part, v_part, v = _heston_core(
+                    wild, hi - lo, dt, z_var[lo:hi], z_price[lo:hi], v, r
+                )
+                r = r_part[-1]
+                pieces.append((r_part, v_part))
+            assert np.array_equal(np.vstack([a for a, _ in pieces]), r_full)
+            assert np.array_equal(np.vstack([b for _, b in pieces]), v_full)
+            assert np.array_equal(v, end_full)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_core_zero_steps_returns_start(self, width):
+        v0 = np.full(width, 0.05)
+        r_paths, v_paths, v_end = _heston_core(
+            HESTON, 0, 0.01, np.empty((0, width)), np.empty((0, width)), v0
+        )
+        assert r_paths.shape == v_paths.shape == (0, width)
+        assert np.array_equal(v_end, v0)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_core_raises_when_path_diverges(self, width):
+        z = np.full((50, width), 1e300)
+        with pytest.raises(SimulationDiverged), np.errstate(all="ignore"):
+            _heston_core(HESTON, 50, 0.01, z, z, np.full(width, 0.04))
 
 
 class TestObservables:
@@ -336,3 +392,9 @@ class TestSlowFast:
                 SlowFastParams(entry="linear_coupling", scale=0.1),
                 100, 0.05, RandomStreamSpec(1),
             )
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_rejected_before_drawing(self, step):
+        params = SlowFastParams(entry="linear_coupling", scale=0.1)
+        with pytest.raises(ParameterDomain, match="delta_fine"):
+            simulate_slow_fast(params, 100, step, _NoDraws())
