@@ -30,7 +30,7 @@ from .config import (
     build_heston_rv,
     build_model,
     build_run_settings,
-    check_run_keys,
+    check_keys,
     load_config,
     pipeline_kind,
 )
@@ -58,7 +58,6 @@ from .invert import (
 )
 from .lab import (
     build_report,
-    check_assert_keys,
     evaluate_thresholds,
     finite_json,
     # not called here: the benchmark tracer wraps it under this module by name
@@ -129,10 +128,10 @@ def _parse_floats(raw: str, flag: str) -> list:
 
 def cmd_simulate(args) -> int:
     bundle = load_config(args.config)
-    check_run_keys("simulate", bundle)
+    check_keys("simulate", bundle)
     model = build_model(bundle)
     run = build_run_settings(bundle)
-    seed = run["master_seed"] if args.seed is None else args.seed
+    seed = run.get("master_seed", 0) if args.seed is None else args.seed
     if args.length is not None and args.delta is not None:
         length, delta = args.length, args.delta
     else:
@@ -189,6 +188,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# an overflow ends as a non-finite value, which _write_json refuses with exit 5
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_estimate(args) -> int:
     lags = _parse_floats(args.lags, "--lags")
     if any(u < 0 for u in lags):
@@ -328,9 +329,8 @@ def cmd_lab(args) -> int:
     if args.workers is not None:
         bundle.sections.setdefault("run", {})["workers"] = str(args.workers)
     kind = pipeline_kind(bundle)
+    check_keys(kind, bundle)  # --seed and --workers count: they were written into [run] above
     checks = assert_thresholds(bundle) if args.check else {}
-    check_assert_keys(kind, checks)
-    check_run_keys(kind, bundle)  # --workers counts: it was written into [run] above
     out_dir = Path(args.output_dir)  # made by the first write: a refused run leaves none
     run = build_run_settings(bundle)
     outputs: list[str] = []
@@ -339,12 +339,16 @@ def cmd_lab(args) -> int:
     if kind == "generic":
         config = build_experiment(bundle)
         inputs = build_bounds(bundle, config.model)
+        if inputs is not None and max(config.lags) > inputs.horizon_a:
+            raise ValidationError(
+                f"lag {max(config.lags)} exceeds [bounds] horizon_a {inputs.horizon_a}"
+            )
         ensemble = run_replications(config)
         report = build_report(config, ensemble, inputs)
         report.write_json(out_dir / "report.json")
         report.write_csv(out_dir / "report.csv")
         outputs += [str(out_dir / "report.json"), str(out_dir / "report.csv")]
-        if run["save_ensemble"]:
+        if run.get("save_ensemble"):
             save_ensemble(ensemble, out_dir / "ensemble.npz")
             outputs.append(str(out_dir / "ensemble.npz"))
         for key, fit in sorted(report.slopes.items()):

@@ -1,14 +1,17 @@
 """INI-style configuration files for models, sweeps, and pipelines.
 
-Sections hold ``key = value`` pairs; unknown sections or keys are rejected
-by name so typos fail loudly instead of silently running defaults.  The
-same schema serves the trajectory simulator (model + grid) and the
-convergence lab (pipeline + sweep + asserts).
+``READERS`` declares, for the ``simulate`` command and for each lab pipeline
+kind, every section and key it takes and the config field each key fills.
+``load_config`` accepts the sections and keys some reader takes and rejects
+the rest by name; ``check_keys`` then rejects what the one reader of a file
+does not take, so a misplaced key fails loudly instead of being ignored.  A
+key the file omits takes the default of the field it fills.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -18,59 +21,8 @@ import numpy as np
 from .errors import ValidationError
 from .grids import SubsamplingScheme
 from .lab import THRESHOLDS, EndToEndConfig, ExperimentConfig, HestonRVConfig
-from .models import (
-    GradientDiffusionParams,
-    HestonParams,
-    OUParams,
-    SlowFastParams,
-    ou_bound_inputs,
-)
+from .models import GradientDiffusionParams, HestonParams, OUParams, SlowFastParams, ou_bound_inputs
 from .schemes import BoundInputs, DecorrelationProfile
-
-# [run] keys each pipeline kind reads; only the generic sweep has a pool and an
-# ensemble, and the simulate command steps one path from the seed alone
-_COMMON_RUN_KEYS = ("master_seed", "replications")
-_RUN_KEYS = {
-    "generic": (*_COMMON_RUN_KEYS, "workers", "save_ensemble"),
-    "ou_endtoend": _COMMON_RUN_KEYS,
-    "heston_rv": _COMMON_RUN_KEYS,
-    "simulate": ("master_seed",),
-}
-
-_SECTION_KEYS = {
-    "run": set(_RUN_KEYS["generic"]),
-    "model": {
-        "kind", "mean", "reversion", "noise", "level", "vol_of_vol", "drift",
-        "coeffs", "sigma", "name", "entry", "scale",
-    },
-    "grid": {"length", "delta"},
-    "observable": {"kind", "rho", "eps", "window"},
-    "pipeline": {"kind"},
-    "sweep": {
-        "family", "epsilons", "n_values", "c_n", "c_delta",
-        "stride_resolution", "schemes",
-    },
-    "rho": {"kind", "c_rho", "table"},
-    "lags": {"values", "horizon"},
-    "bounds": {
-        "source", "nu", "horizon_a", "dim_r", "lipschitz",
-        "profile_kind", "profile_c", "profile_rate", "profile_exponent",
-    },
-    "endtoend": {"rho", "c_n", "c_delta", "u1", "tolerance"},
-    "heston": {"epsilons", "u1", "u2", "c_n", "c_delta", "fine_step", "pilot_span"},
-    "assert": {key for checks in THRESHOLDS.values() for check in checks for key in check.keys},
-}
-
-_ASSERT_FLAGS = {
-    key for checks in THRESHOLDS.values() for check in checks if check.flag for key in check.keys
-}
-
-_MODEL_KEYS = {
-    "ou": {"kind", "mean", "reversion", "noise"},
-    "heston": {"kind", "reversion", "level", "vol_of_vol", "drift"},
-    "gradient_diffusion": {"kind", "coeffs", "sigma", "name"},
-    "slow_fast": {"kind", "entry", "scale"},
-}
 
 _PIPELINES = tuple(THRESHOLDS)
 
@@ -94,18 +46,27 @@ def _fail(section: str, key: str, message: str):
     raise ValidationError(f"config [{section}] {key}: {message}")
 
 
-def _as_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(section, key, f"expected a number, got {raw!r}")
+def _scalar(cast, expected: str):
+    """Parser that applies ``cast`` and names ``expected`` when it fails."""
+
+    def parse(section: str, key: str, raw: str):
+        try:
+            return cast(raw)
+        except ValueError:
+            _fail(section, key, f"expected {expected}, got {raw!r}")
+
+    return parse
 
 
-def _as_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(section, key, f"expected an integer, got {raw!r}")
+_as_str = _scalar(str, "text")
+_as_float = _scalar(float, "a number")
+_as_int = _scalar(int, "an integer")
+_as_float_list = _scalar(
+    lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()), "comma-separated numbers"
+)
+_as_int_list = _scalar(
+    lambda raw: tuple(int(float(v)) for v in raw.split(",") if v.strip()), "comma-separated numbers"
+)
 
 
 def _as_bool(section: str, key: str, raw: str) -> bool:
@@ -117,15 +78,176 @@ def _as_bool(section: str, key: str, raw: str) -> bool:
     _fail(section, key, f"expected a boolean, got {raw!r}")
 
 
-def _as_float_list(section: str, key: str, raw: str) -> tuple:
-    try:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        _fail(section, key, f"expected comma-separated numbers, got {raw!r}")
+def _as_matrix(section: str, key: str, raw: str) -> np.ndarray:
+    flat = _as_float_list(section, key, raw)
+    r = math.isqrt(len(flat))
+    if r * r != len(flat):
+        _fail(section, key, "needs a square number of entries (row-major)")
+    return np.array(flat).reshape(r, r)
+
+
+def _pairs(make, expected: str):
+    """Parser of comma-separated ``a:b`` pairs, each turned into ``make(a, b)``."""
+
+    def parse(section: str, key: str, raw: str) -> tuple:
+        out = []
+        for chunk in filter(None, (c.strip() for c in raw.split(","))):
+            try:
+                out.append(make(*chunk.split(":")))
+            except (ValueError, TypeError):
+                _fail(section, key, f"expected {expected} pairs, got {chunk!r}")
+        return tuple(out)
+
+    return parse
+
+
+_parse_schemes = _pairs(
+    lambda n, d: SubsamplingScheme(n_obs=int(n), big_delta=float(d)), "n_obs:big_delta"
+)
+_parse_rho_table = _pairs(lambda eps, rho: (float(eps), float(rho)), "eps:rho")
+
+
+# ---------------------------------------------------------------------------
+# Key tables: key -> (parser, field it fills)
+# ---------------------------------------------------------------------------
+
+
+def _same(parse, *keys) -> dict:
+    """Keys that fill the field of the same name."""
+    return {key: (parse, key) for key in keys}
+
+
+_KIND = _same(_as_str, "kind")
+
+#: [model] kind -> (parameter class, the keys that kind takes)
+_MODELS = {
+    "ou": (OUParams, _same(_as_float, "mean", "reversion", "noise")),
+    "heston": (HestonParams, _same(_as_float, "reversion", "level", "vol_of_vol", "drift")),
+    "gradient_diffusion": (
+        GradientDiffusionParams,
+        {
+            "coeffs": (_as_float_list, "potential_coeffs"),
+            "sigma": (_as_matrix, "sigma"),
+            "name": (_as_str, "name"),
+        },
+    ),
+    "slow_fast": (SlowFastParams, {"entry": (_as_str, "entry"), "scale": (_as_float, "scale")}),
+}
+
+
+def _model(*kinds) -> dict:
+    return {**_KIND, **{k: v for kind in kinds for k, v in _MODELS[kind][1].items()}}
+
+
+def _asserts(kind: str) -> dict:
+    return {
+        key: (_as_bool if check.flag else _as_float, key)
+        for check in THRESHOLDS[kind]
+        for key in check.keys
+    }
+
+
+_RUN = _same(_as_int, "master_seed", "replications")
+
+#: reader -> section -> key -> (parser, field it fills).  A reader is the
+#: simulate command or a pipeline kind; a field belongs to the reader's
+#: config class, except ``kind`` and ``save_ensemble``, which the CLI reads.
+READERS = {
+    "simulate": {
+        "model": _model(*_MODELS),
+        "grid": {"length": (_as_int, "length"), "delta": (_as_float, "delta")},
+        "run": _same(_as_int, "master_seed"),
+    },
+    "generic": {
+        "run": {**_RUN, **_same(_as_int, "workers"), **_same(_as_bool, "save_ensemble")},
+        "model": _model("ou"),
+        "pipeline": _KIND,
+        "observable": {"kind": (_as_str, "observable")},
+        "sweep": {
+            "family": (_as_str, "scheme_family"),
+            "epsilons": (_as_float_list, "epsilon_grid"),
+            "n_values": (_as_int_list, "n_grid"),
+            **_same(_as_float, "c_n", "c_delta"),
+            "stride_resolution": (_as_int, "stride_resolution"),
+            "schemes": (_parse_schemes, "custom_schemes"),
+        },
+        "rho": {
+            "kind": (_as_str, "rho_kind"),
+            "c_rho": (_as_float, "c_rho"),
+            "table": (_parse_rho_table, "rho_table"),
+        },
+        "lags": {"values": (_as_float_list, "lags"), "horizon": (_as_float, "horizon_a")},
+        "bounds": {
+            **_same(_as_str, "source", "profile_kind"),
+            **_same(_as_float, "nu", "horizon_a", "lipschitz"),
+            **_same(_as_float, "profile_c", "profile_rate", "profile_exponent"),
+            "dim_r": (_as_int, "dim_r"),
+        },
+        "assert": _asserts("generic"),
+    },
+    "ou_endtoend": {
+        "run": _RUN,
+        "model": _model("ou"),
+        "pipeline": _KIND,
+        "endtoend": _same(_as_float, "rho", "c_n", "c_delta", "u1", "tolerance"),
+        "assert": _asserts("ou_endtoend"),
+    },
+    "heston_rv": {
+        "run": _RUN,
+        "model": _model("heston"),
+        "pipeline": _KIND,
+        "heston": {
+            "epsilons": (_as_float_list, "epsilon_grid"),
+            **_same(_as_float, "u1", "u2", "c_n", "c_delta", "fine_step", "pilot_span"),
+        },
+        "assert": _asserts("heston_rv"),
+    },
+}
+
+
+def _any_reader() -> dict:
+    merged: dict = {}
+    for taken in READERS.values():
+        for section, keys in taken.items():
+            merged.setdefault(section, {}).update(keys)
+    return merged
+
+
+#: section -> key -> (parser, field) over every reader: what a file may hold
+_SECTIONS = _any_reader()
+
+
+def _parse(bundle: ConfigBundle, section: str, table: dict) -> dict:
+    """``{field: value}`` for the keys of ``table`` that ``section`` gives."""
+    body = bundle.sections.get(section, {})
+    return {
+        field: parse(section, key, body[key]) for key, (parse, field) in table.items() if key in body
+    }
+
+
+def _fields(reader: str, bundle: ConfigBundle, *sections) -> dict:
+    """The fields ``reader`` fills from ``sections``, for the keys the file gives."""
+    fields = {}
+    for section in sections:
+        fields.update(_parse(bundle, section, READERS[reader][section]))
+    return fields
+
+
+def _build(cls, bundle: ConfigBundle, section: str, table: dict):
+    """``cls`` from ``section``; a field without a default needs its key."""
+    fields = _parse(bundle, section, table)
+    missing = [
+        key
+        for key, (_, field) in table.items()
+        if field not in fields and cls.__dataclass_fields__[field].default is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValidationError(f"config needs a [{section}] section with {' and '.join(missing)}")
+    return cls(**fields)
 
 
 def load_config(path) -> ConfigBundle:
-    """Parse and validate one config file against the section schema."""
+    """Parse one config file; reject sections and keys that no reader takes."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -137,12 +259,12 @@ def load_config(path) -> ConfigBundle:
         raise ValidationError(f"config parse error: {exc}") from exc
     sections: dict = {}
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _SECTIONS:
             raise ValidationError(
                 f"config section [{name}] is not recognized; "
-                f"known sections: {sorted(_SECTION_KEYS)}"
+                f"known sections: {sorted(_SECTIONS)}"
             )
-        allowed = _SECTION_KEYS[name]
+        allowed = _SECTIONS[name]
         body = {}
         for key, value in parser.items(name):
             if key not in allowed:
@@ -156,6 +278,23 @@ def load_config(path) -> ConfigBundle:
     return ConfigBundle(sections=sections, sha256=digest, path=str(path))
 
 
+def check_keys(reader: str, bundle: ConfigBundle) -> None:
+    """Reject a section or key that ``reader`` (``"simulate"`` or a pipeline kind) does not take."""
+    taken = READERS[reader]
+    name = "the simulate command" if reader == "simulate" else f"pipeline kind {reader!r}"
+    for section, body in bundle.sections.items():
+        if section not in taken:
+            raise ValidationError(
+                f"config section [{section}] does not apply to {name}; allowed: {list(taken)}"
+            )
+        extra = sorted(set(body) - set(taken[section]))
+        if extra:
+            raise ValidationError(
+                f"config [{section}] keys {extra} do not apply to {name}; "
+                f"allowed: {list(taken[section])}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -165,51 +304,18 @@ def build_model(bundle: ConfigBundle):
     """Instantiate the [model] section; the kind selects the parameter set."""
     if not bundle.has("model"):
         raise ValidationError("config needs a [model] section")
-    body = bundle.sections["model"]
-    kind = body.get("kind")
-    if kind not in _MODEL_KEYS:
+    kind = bundle.get("model", "kind")
+    if kind not in _MODELS:
         raise ValidationError(
-            f"config [model] kind must be one of {sorted(_MODEL_KEYS)}, got {kind!r}"
+            f"config [model] kind must be one of {sorted(_MODELS)}, got {kind!r}"
         )
-    extra = set(body) - _MODEL_KEYS[kind]
+    cls, table = _MODELS[kind]
+    extra = set(bundle.sections["model"]) - {*_KIND, *table}
     if extra:
         raise ValidationError(
             f"config [model] keys {sorted(extra)} do not apply to kind {kind!r}"
         )
-    if kind == "ou":
-        params = OUParams(
-            mean=_as_float("model", "mean", body.get("mean", "0")),
-            reversion=_as_float("model", "reversion", body.get("reversion", "1")),
-            noise=_as_float("model", "noise", body.get("noise", "1")),
-        )
-        params.validate()
-        return params
-    if kind == "heston":
-        params = HestonParams(
-            reversion=_as_float("model", "reversion", body.get("reversion", "1")),
-            level=_as_float("model", "level", body.get("level", "0.04")),
-            vol_of_vol=_as_float("model", "vol_of_vol", body.get("vol_of_vol", "0.3")),
-            drift=_as_float("model", "drift", body.get("drift", "0")),
-        )
-        params.validate()
-        return params
-    if kind == "gradient_diffusion":
-        coeffs = _as_float_list("model", "coeffs", body.get("coeffs", ""))
-        sigma_flat = _as_float_list("model", "sigma", body.get("sigma", "1"))
-        r = int(math.isqrt(len(sigma_flat)))
-        if r * r != len(sigma_flat):
-            _fail("model", "sigma", "needs a square number of entries (row-major)")
-        params = GradientDiffusionParams(
-            potential_coeffs=coeffs,
-            sigma=np.array(sigma_flat).reshape(r, r),
-            name=body.get("name", "polynomial"),
-        )
-        params.validate()
-        return params
-    params = SlowFastParams(
-        entry=body.get("entry", "linear_coupling"),
-        scale=_as_float("model", "scale", body.get("scale", "0.1")),
-    )
+    params = _build(cls, bundle, "model", table)
     params.validate()
     return params
 
@@ -221,26 +327,17 @@ class GridRequest:
 
 
 def build_grid_request(bundle: ConfigBundle) -> GridRequest:
-    if not bundle.has("grid"):
-        raise ValidationError("config needs a [grid] section with length and delta")
-    body = bundle.sections["grid"]
-    length = _as_int("grid", "length", body.get("length", "0"))
-    delta = _as_float("grid", "delta", body.get("delta", "0"))
-    if length < 1:
+    req = _build(GridRequest, bundle, "grid", READERS["simulate"]["grid"])
+    if req.length < 1:
         _fail("grid", "length", "must be >= 1")
-    if delta <= 0:
+    if req.delta <= 0:
         _fail("grid", "delta", "must be > 0")
-    return GridRequest(length=length, delta=delta)
+    return req
 
 
 def build_run_settings(bundle: ConfigBundle) -> dict:
-    body = bundle.sections.get("run", {})
-    return {
-        "master_seed": _as_int("run", "master_seed", body.get("master_seed", "0")),
-        "replications": _as_int("run", "replications", body.get("replications", "100")),
-        "workers": _as_int("run", "workers", body.get("workers", "1")),
-        "save_ensemble": _as_bool("run", "save_ensemble", body.get("save_ensemble", "false")),
-    }
+    """The [run] values the file gives; an omitted key takes its field's default."""
+    return _parse(bundle, "run", _SECTIONS["run"])
 
 
 def pipeline_kind(bundle: ConfigBundle) -> str:
@@ -252,79 +349,14 @@ def pipeline_kind(bundle: ConfigBundle) -> str:
     return kind
 
 
-def check_run_keys(kind: str, bundle: ConfigBundle) -> None:
-    """Reject ``[run]`` keys that pipeline ``kind``, or ``"simulate"``, does not read."""
-    extra = sorted(set(bundle.sections.get("run", {})) - set(_RUN_KEYS[kind]))
-    if extra:
-        reader = "the simulate command" if kind == "simulate" else f"pipeline kind {kind!r}"
-        raise ValidationError(
-            f"config [run] keys {extra} do not apply to {reader}; "
-            f"allowed: {list(_RUN_KEYS[kind])}"
-        )
-
-
-def _parse_schemes(raw: str) -> tuple:
-    out = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            n_str, d_str = chunk.split(":")
-            out.append(SubsamplingScheme(n_obs=int(n_str), big_delta=float(d_str)))
-        except (ValueError, TypeError):
-            _fail("sweep", "schemes", f"expected n_obs:big_delta pairs, got {chunk!r}")
-    return tuple(out)
-
-
-def _parse_rho_table(raw: str) -> tuple:
-    out = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            eps_str, rho_str = chunk.split(":")
-            out.append((float(eps_str), float(rho_str)))
-        except ValueError:
-            _fail("rho", "table", f"expected eps:rho pairs, got {chunk!r}")
-    return tuple(out)
-
-
 def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
     """Assemble the generic sweep configuration."""
     model = build_model(bundle)
     if not isinstance(model, OUParams):
         raise ValidationError("the generic sweep pipeline uses the ou model")
-    run = build_run_settings(bundle)
-    sweep = bundle.sections.get("sweep", {})
-    rho = bundle.sections.get("rho", {})
-    lags = bundle.sections.get("lags", {})
-    obs = bundle.sections.get("observable", {})
-    horizon_raw = lags.get("horizon")
-    config = ExperimentConfig(
-        model=model,
-        observable=obs.get("kind", "identity"),
-        rho_kind=rho.get("kind", "identity"),
-        c_rho=_as_float("rho", "c_rho", rho.get("c_rho", "1")),
-        rho_table=_parse_rho_table(rho.get("table", "")),
-        epsilon_grid=_as_float_list("sweep", "epsilons", sweep.get("epsilons", "")),
-        n_grid=tuple(
-            int(v) for v in _as_float_list("sweep", "n_values", sweep.get("n_values", ""))
-        ),
-        scheme_family=sweep.get("family", "from_rho"),
-        c_n=_as_float("sweep", "c_n", sweep.get("c_n", "1")),
-        c_delta=_as_float("sweep", "c_delta", sweep.get("c_delta", "1")),
-        custom_schemes=_parse_schemes(sweep.get("schemes", "")),
-        lags=_as_float_list("lags", "values", lags.get("values", "0")),
-        horizon_a=None if horizon_raw is None else _as_float("lags", "horizon", horizon_raw),
-        replications=run["replications"],
-        master_seed=run["master_seed"],
-        stride_resolution=_as_int(
-            "sweep", "stride_resolution", sweep.get("stride_resolution", "1")
-        ),
-        workers=run["workers"],
-    )
+    fields = _fields("generic", bundle, "run", "observable", "sweep", "rho", "lags")
+    fields.pop("save_ensemble", None)  # the lab command's switch, not a sweep setting
+    config = ExperimentConfig(model=model, **fields)
     config.validate()
     return config
 
@@ -333,34 +365,28 @@ def build_bounds(bundle: ConfigBundle, model) -> BoundInputs | None:
     """Assemble [bounds]; ``source = ou_analytic`` derives them from the model."""
     if not bundle.has("bounds"):
         return None
-    body = bundle.sections["bounds"]
+    body = _fields("generic", bundle, "bounds")
     source = body.get("source", "explicit")
     if source == "ou_analytic":
         if not isinstance(model, OUParams):
             raise ValidationError("[bounds] source ou_analytic needs the ou model")
-        horizon = _as_float("bounds", "horizon_a", body.get("horizon_a", "1"))
-        return ou_bound_inputs(model, horizon)
+        return ou_bound_inputs(model, body.get("horizon_a", 1.0))
     if source != "explicit":
         _fail("bounds", "source", "must be ou_analytic or explicit")
     kind = body.get("profile_kind", "exponential")
+    c = body.get("profile_c", 1.0)
     if kind == "exponential":
-        profile = DecorrelationProfile.exponential(
-            c=_as_float("bounds", "profile_c", body.get("profile_c", "1")),
-            rate=_as_float("bounds", "profile_rate", body.get("profile_rate", "1")),
-        )
+        profile = DecorrelationProfile.exponential(c=c, rate=body.get("profile_rate", 1.0))
     elif kind == "power":
-        profile = DecorrelationProfile.power(
-            c=_as_float("bounds", "profile_c", body.get("profile_c", "1")),
-            exponent=_as_float("bounds", "profile_exponent", body.get("profile_exponent", "2")),
-        )
+        profile = DecorrelationProfile.power(c=c, exponent=body.get("profile_exponent", 2.0))
     else:
         _fail("bounds", "profile_kind", "must be exponential or power")
     return BoundInputs(
-        nu=_as_float("bounds", "nu", body.get("nu", "1")),
-        horizon_a=_as_float("bounds", "horizon_a", body.get("horizon_a", "1")),
-        dim_r=_as_int("bounds", "dim_r", body.get("dim_r", "1")),
+        nu=body.get("nu", 1.0),
+        horizon_a=body.get("horizon_a", 1.0),
+        dim_r=body.get("dim_r", 1),
         profile=profile,
-        lipschitz_lambda=_as_float("bounds", "lipschitz", body.get("lipschitz", "1")),
+        lipschitz_lambda=body.get("lipschitz", 1.0),
     )
 
 
@@ -368,18 +394,7 @@ def build_endtoend(bundle: ConfigBundle) -> EndToEndConfig:
     model = build_model(bundle)
     if not isinstance(model, OUParams):
         raise ValidationError("the end-to-end pipeline uses the ou model")
-    run = build_run_settings(bundle)
-    body = bundle.sections.get("endtoend", {})
-    config = EndToEndConfig(
-        model=model,
-        rho=_as_float("endtoend", "rho", body.get("rho", "0.05")),
-        c_n=_as_float("endtoend", "c_n", body.get("c_n", "12")),
-        c_delta=_as_float("endtoend", "c_delta", body.get("c_delta", "1")),
-        u1=_as_float("endtoend", "u1", body.get("u1", "1")),
-        replications=run["replications"],
-        master_seed=run["master_seed"],
-        tolerance=_as_float("endtoend", "tolerance", body.get("tolerance", "0.1")),
-    )
+    config = EndToEndConfig(model=model, **_fields("ou_endtoend", bundle, "run", "endtoend"))
     config.validate()
     return config
 
@@ -388,34 +403,14 @@ def build_heston_rv(bundle: ConfigBundle) -> HestonRVConfig:
     model = build_model(bundle)
     if not isinstance(model, HestonParams):
         raise ValidationError("the realized-variance pipeline uses the heston model")
-    run = build_run_settings(bundle)
-    body = bundle.sections.get("heston", {})
-    fine_raw = body.get("fine_step")
-    config = HestonRVConfig(
-        params=model,
-        epsilon_grid=_as_float_list("heston", "epsilons", body.get("epsilons", "0.01,0.005")),
-        replications=run["replications"],
-        master_seed=run["master_seed"],
-        u_pair=(
-            _as_float("heston", "u1", body.get("u1", "0.25")),
-            _as_float("heston", "u2", body.get("u2", "0.75")),
-        ),
-        c_n=_as_float("heston", "c_n", body.get("c_n", "1")),
-        c_delta=_as_float("heston", "c_delta", body.get("c_delta", "1")),
-        fine_step=None if fine_raw is None else _as_float("heston", "fine_step", fine_raw),
-        pilot_span=_as_float("heston", "pilot_span", body.get("pilot_span", "200")),
-    )
+    fields = _fields("heston_rv", bundle, "run", "heston")
+    u1, u2 = HestonRVConfig.u_pair
+    fields["u_pair"] = (fields.pop("u1", u1), fields.pop("u2", u2))
+    config = HestonRVConfig(params=model, **fields)
     config.validate()
     return config
 
 
 def assert_thresholds(bundle: ConfigBundle) -> dict:
     """Numeric thresholds from [assert]; booleans stay booleans."""
-    body = bundle.sections.get("assert", {})
-    out = {}
-    for key, raw in body.items():
-        if key in _ASSERT_FLAGS:
-            out[key] = _as_bool("assert", key, raw)
-        else:
-            out[key] = _as_float("assert", key, raw)
-    return out
+    return _parse(bundle, "assert", _SECTIONS["assert"])

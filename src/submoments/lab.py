@@ -705,8 +705,8 @@ class EndToEndConfig:
     c_n: float = 12.0
     c_delta: float = 1.0
     u1: float = 1.0
-    replications: int = 200
-    master_seed: int = 7
+    replications: int = 100
+    master_seed: int = 0
     tolerance: float = 0.10
 
     def validate(self) -> None:
@@ -813,8 +813,8 @@ class HestonRVConfig:
 
     params: HestonParams
     epsilon_grid: tuple = (0.01, 0.005)
-    replications: int = 120
-    master_seed: int = 11
+    replications: int = 100
+    master_seed: int = 0
     u_pair: tuple = (0.25, 0.75)
     c_n: float = 1.0
     c_delta: float = 1.0
@@ -1189,17 +1189,6 @@ THRESHOLDS = {
 }
 
 
-def check_assert_keys(kind: str, checks) -> None:
-    """Reject ``[assert]`` keys that no check of pipeline ``kind`` reads."""
-    allowed = [key for check in THRESHOLDS[kind] for key in check.keys]
-    extra = sorted(set(checks) - set(allowed))
-    if extra:
-        raise ValidationError(
-            f"config [assert] keys {extra} do not apply to pipeline kind {kind!r}; "
-            f"allowed: {allowed}"
-        )
-
-
 def evaluate_thresholds(kind: str, checks: dict, report, config=None, ensemble=None) -> list:
     """``(name, ok, detail)`` for each check of pipeline ``kind`` that ``checks`` turns on.
 
@@ -1208,7 +1197,13 @@ def evaluate_thresholds(kind: str, checks: dict, report, config=None, ensemble=N
     ``ValidationError``.  The generic bound checks also need the run's
     ``config`` and ``ensemble``.
     """
-    check_assert_keys(kind, checks)
+    allowed = [key for check in THRESHOLDS[kind] for key in check.keys]
+    extra = sorted(set(checks) - set(allowed))
+    if extra:
+        raise ValidationError(
+            f"config [assert] keys {extra} do not apply to pipeline kind {kind!r}; "
+            f"allowed: {allowed}"
+        )
     rows = []
     for check in THRESHOLDS[kind]:
         values = tuple(checks.get(key) for key in check.keys)

@@ -44,9 +44,9 @@ class OUParams:
     ``noise = 0`` is accepted as the degenerate constant-path limit.
     """
 
-    mean: float
-    reversion: float
-    noise: float
+    mean: float = 0.0
+    reversion: float = 1.0
+    noise: float = 1.0
 
     def validate(self) -> None:
         if not np.isfinite([self.mean, self.reversion, self.noise]).all():
@@ -155,11 +155,12 @@ class GradientDiffusionParams:
     ``potential_coeffs`` are the coefficients (c_0, ..., c_d) of a scalar
     polynomial ``q(u) = sum c_k u^k`` applied per coordinate, so
     ``Q(x) = sum_i q(x_i)``.  Confinement requires even degree >= 2 with a
-    positive leading coefficient.  ``sigma`` is a full-rank square matrix.
+    positive leading coefficient.  ``sigma`` is a full-rank square matrix;
+    a scalar is a 1 x 1 matrix.
     """
 
     potential_coeffs: tuple
-    sigma: np.ndarray
+    sigma: np.ndarray = 1.0
     name: str = "polynomial"
 
     def __post_init__(self):
@@ -267,9 +268,9 @@ class HestonParams:
     dR = drift dt + sqrt(V) dW1 with independent Brownian drivers.
     """
 
-    reversion: float
-    level: float
-    vol_of_vol: float
+    reversion: float = 1.0
+    level: float = 0.04
+    vol_of_vol: float = 0.3
     drift: float = 0.0
 
     def validate(self) -> None:
@@ -617,8 +618,8 @@ SLOW_FAST_CATALOG = _catalog()
 class SlowFastParams:
     """Two-scale system selection: catalog entry plus scale separation eps."""
 
-    entry: str
-    scale: float
+    entry: str = "linear_coupling"
+    scale: float = 0.1
 
     def validate(self) -> None:
         if self.entry not in SLOW_FAST_CATALOG:

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from submoments.config import (
     build_heston_rv,
     build_model,
     build_run_settings,
-    check_run_keys,
+    check_keys,
     load_config,
     pipeline_kind,
 )
@@ -49,7 +50,7 @@ from submoments.grids import (
     write_binary,
     write_csv,
 )
-from submoments.lab import ConvergenceReport, check_assert_keys
+from submoments.lab import ConvergenceReport, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from submoments.models import HestonParams, OUParams, ou_bound_inputs
 from submoments.schemes import BoundInputs, scheme_from_rho
 
@@ -164,12 +165,15 @@ class TestBuilders:
             build_grid_request(load_config(write_cfg(tmp_path, "[grid]\nlength = 0\ndelta = 1\n")))
         with pytest.raises(ValidationError, match="needs a \\[grid\\]"):
             build_grid_request(load_config(write_cfg(tmp_path, "[run]\nworkers = 1\n")))
+        with pytest.raises(ValidationError, match=r"needs a \[grid\] section with delta"):
+            build_grid_request(load_config(write_cfg(tmp_path, "[grid]\nlength = 5\n")))
 
     def test_run_settings_defaults(self, tmp_path):
+        # only the keys the file gives: an omitted key takes its field's default
         run = build_run_settings(load_config(write_cfg(tmp_path, "[grid]\nlength = 1\ndelta = 1\n")))
-        assert run == {
-            "master_seed": 0, "replications": 100, "workers": 1, "save_ensemble": False,
-        }
+        assert run == {}
+        given = write_cfg(tmp_path, "[run]\nworkers = 2\nsave_ensemble = yes\n", "given.cfg")
+        assert build_run_settings(load_config(given)) == {"workers": 2, "save_ensemble": True}
         bad = write_cfg(tmp_path, "[run]\nsave_ensemble = maybe\n")
         with pytest.raises(ValidationError, match="expected a boolean"):
             build_run_settings(load_config(bad))
@@ -273,15 +277,46 @@ horizon = 2.0
             assert_thresholds(load_config(bad))
 
     def test_inline_parsers(self):
-        assert _parse_schemes("100:0.5, 200:0.25") == (
+        assert _parse_schemes("sweep", "schemes", "100:0.5, 200:0.25") == (
             SubsamplingScheme(100, 0.5),
             SubsamplingScheme(200, 0.25),
         )
         with pytest.raises(ValidationError):
-            _parse_schemes("100x0.5")
-        assert _parse_rho_table("0.01:0.1, 0.005:0.07") == ((0.01, 0.1), (0.005, 0.07))
+            _parse_schemes("sweep", "schemes", "100x0.5")
+        assert _parse_rho_table("rho", "table", "0.01:0.1, 0.005:0.07") == (
+            (0.01, 0.1),
+            (0.005, 0.07),
+        )
         with pytest.raises(ValidationError):
-            _parse_rho_table("0.01=0.1")
+            _parse_rho_table("rho", "table", "0.01=0.1")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "[model]\nkind = ou\n[sweep]\nepsilons = 0.3, 0.2, 0.1\n",
+                ExperimentConfig(OUParams(), epsilon_grid=(0.3, 0.2, 0.1)),
+            ),
+            (
+                "[model]\nkind = ou\nmean = 1\n[pipeline]\nkind = ou_endtoend\n",
+                EndToEndConfig(OUParams(mean=1.0)),
+            ),
+            (
+                "[model]\nkind = heston\n[pipeline]\nkind = heston_rv\n",
+                HestonRVConfig(HestonParams()),
+            ),
+        ],
+        ids=["generic", "ou_endtoend", "heston_rv"],
+    )
+    def test_omitted_keys_take_the_field_defaults(self, tmp_path, text, expected):
+        build = {
+            "generic": build_experiment, "ou_endtoend": build_endtoend, "heston_rv": build_heston_rv,
+        }
+        bundle = load_config(write_cfg(tmp_path, text))
+        check_keys(pipeline_kind(bundle), bundle)
+        config = build[pipeline_kind(bundle)](bundle)
+        assert config == expected
+        assert (config.replications, config.master_seed) == (100, 0)  # one [run] default for all kinds
 
 
 class TestSchemeCommand:
@@ -499,10 +534,10 @@ def preset_variant(tmp_path, replace: dict, preset: str = "smoke"):
 
 
 def forbid_simulation(monkeypatch):
-    def fail(config):
-        raise AssertionError("the lab simulated before rejecting its config")
+    def fail(*args):
+        raise AssertionError("the command simulated before rejecting its config")
 
-    for name in ("run_replications", "run_endtoend_ou", "run_heston_rv"):
+    for name in ("run_replications", "run_endtoend_ou", "run_heston_rv", "simulate_ou"):
         monkeypatch.setattr(f"submoments.cli.{name}", fail)
 
 
@@ -556,11 +591,6 @@ class TestLabCommand:
         assert "allowed: ['err_x_slope_min'" in err
         assert not out.exists()
 
-    def test_shipped_assert_keys_apply(self):
-        for name in available_presets():
-            bundle = load_config(_preset_path(name))
-            check_assert_keys(pipeline_kind(bundle), assert_thresholds(bundle))
-
     @pytest.mark.parametrize("preset", ["ou_endtoend", "heston_rv"])
     @pytest.mark.parametrize("key", ["workers", "save_ensemble"])
     def test_inapplicable_run_key_exits_three(self, tmp_path, capsys, monkeypatch, preset, key):
@@ -579,10 +609,55 @@ class TestLabCommand:
         assert "allowed: ['master_seed', 'replications']" in err
         assert not out.exists()
 
-    def test_shipped_run_keys_apply(self):
+    def test_shipped_presets_pass_check_keys(self):
         for name in available_presets():
             bundle = load_config(_preset_path(name))
-            check_run_keys(pipeline_kind(bundle), bundle)
+            check_keys(pipeline_kind(bundle), bundle)
+
+    @pytest.mark.parametrize(
+        "reader, section, body",
+        [
+            ("ou_endtoend", "sweep", {"epsilons": "0.3, 0.2, 0.1"}),
+            ("heston_rv", "endtoend", {"rho": "0.05"}),
+            ("generic", "heston", {"u1": "0.25"}),
+            ("simulate", "sweep", {"epsilons": "0.3, 0.2, 0.1"}),
+        ],
+    )
+    def test_foreign_section_exits_three(self, tmp_path, capsys, monkeypatch, reader, section, body):
+        # a section its reader does not take would be silently ignored
+        out = tmp_path / "run"
+        if reader == "simulate":
+            lines = "".join(f"{k} = {v}\n" for k, v in body.items())
+            cfg = write_cfg(tmp_path, f"{OU_CFG}[{section}]\n{lines}")
+            argv = ["simulate", "--config", str(cfg), "--output", str(out)]
+            name, allowed = "the simulate command", "['model', 'grid', 'run']"
+        else:
+            cfg = preset_variant(tmp_path, {section: body}, "smoke" if reader == "generic" else reader)
+            argv = ["lab", "--config", str(cfg), "--output-dir", str(out)]
+            name, allowed = f"pipeline kind '{reader}'", "['run', 'model', 'pipeline', "
+        forbid_simulation(monkeypatch)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"config section [{section}] does not apply to {name}; allowed: {allowed}" in err
+        assert not list(tmp_path.glob("run*"))
+
+    def test_observable_takes_only_kind(self, tmp_path, capsys, monkeypatch):
+        # the proxy level comes from [sweep] and [rho]; nothing reads [observable] rho
+        cfg = preset_variant(tmp_path, {"observable": {"kind": "multiplicative", "rho": "0.9"}})
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert "config [observable] has unknown key 'rho'; allowed: ['kind']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lag_past_bounds_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the bound holds on [0, horizon_a] only: a lag past it must not be checked against it
+        cfg = preset_variant(tmp_path, {"bounds": {"source": "ou_analytic", "horizon_a": "0.25"}})
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
+        assert "lag 0.5 exceeds [bounds] horizon_a 0.25" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lag_past_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
         cfg = preset_variant(tmp_path, {"lags": {"values": "0, 0.5", "horizon": "0.25"}})
@@ -621,9 +696,14 @@ class TestNonFiniteOutput:
         write_binary(TrajectoryGrid(values, 0.25), path)
         out, csv = tmp_path / "moments.json", tmp_path / "curve.csv"
         argv = ["estimate", "--input", str(path), "--lags", "0,1.0"]
-        assert main([*argv, "--output", str(out), "--csv", str(csv)]) == 5
-        assert main(argv) == 5
-        assert capsys.readouterr().out == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise here
+            assert main([*argv, "--output", str(out), "--csv", str(csv)]) == 5
+            assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 2  # one error line per run
+        assert all(line.startswith("error: ") for line in captured.err.splitlines())
         assert not out.exists() and not csv.exists()
 
     @settings(max_examples=80, deadline=None)
@@ -697,18 +777,31 @@ class TestLazyImports:
 
 
 class TestBenchmarkTrace:
-    def test_trace_wraps_every_named_function(self, tmp_path):
-        # perfbench/child.py wraps package functions by module and name and
-        # raises AttributeError when one of them is no longer bound
+    @staticmethod
+    def trace(tmp_path, argv: list) -> list:
+        """Span names of ``submoments argv`` run under perfbench/child.py's tracer."""
         child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
         spans = tmp_path / "spans.json"
         env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, str(child), "trace", str(spans), "scheme", "--rho", "0.1"],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, str(child), "trace", str(spans), *argv],
+            capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(spans.read_text())["spans"]
+        return [span[0] for span in json.loads(spans.read_text())["spans"]]
+
+    def test_trace_wraps_every_named_function(self, tmp_path):
+        # perfbench/child.py wraps package functions by module and name and
+        # raises AttributeError when one of them is no longer bound
+        assert self.trace(tmp_path, ["scheme", "--rho", "0.1"])
+
+    def test_lab_calls_the_config_builders_through_cli(self, tmp_path):
+        # the tracer sees load_config, pipeline_kind, build_run_settings,
+        # build_experiment and build_bounds only where cli looks them up
+        argv = ["lab", "--preset", "smoke", "--output-dir", str(tmp_path / "run")]
+        names = self.trace(tmp_path, argv)
+        assert names.count("config.build") == 5
+        assert names.count("lab.run") == 1
 
 
 class TestConsoleScript:
