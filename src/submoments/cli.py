@@ -142,6 +142,8 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"length must be >= 1, got {length}")
     if delta <= 0 or not np.isfinite(delta):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
+    if not np.isfinite(length * float(delta)):  # the last grid time, in Python floats
+        raise ValidationError(f"grid times overflow: length {length} * delta {delta} is not finite")
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     out = Path(args.output)
     outputs: list[str] = []

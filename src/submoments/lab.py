@@ -56,6 +56,7 @@ from .models import (
     heston_initial_variance,
     multiplicative_perturbation_observable,
     ou_true_covariance,
+    realized_variance_chunk,
     realized_volatility_observable,
     simulate_ou,
     smoothing_observable,
@@ -72,7 +73,7 @@ from .schemes import (
 _OBSERVABLES = ("identity", "multiplicative", "smoothing")
 _RHO_KINDS = ("identity", "sqrt", "table")
 _FAMILIES = ("from_rho", "from_n", "custom")
-_HESTON_CHUNK = 4096  # time rows of normals drawn per replication at once
+_HESTON_CHUNK = 4096  # fine rows stepped at once, over all heston_rv replications
 _EXECUTION_FIELDS = ("workers", "memory_cap_bytes")
 
 
@@ -820,7 +821,6 @@ class HestonRVConfig:
     c_delta: float = 1.0
     fine_step: float | None = None
     pilot_span: float = 200.0
-    memory_cap_bytes: int = 2 * 1024**3
 
     def validate(self) -> None:
         self.params.validate()
@@ -970,25 +970,53 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
     return delta_f, plans
 
 
-def _heston_price_batch(
-    config: HestonRVConfig, reps: range, length: int, delta_f: float
-) -> np.ndarray:
-    """Price paths of ``reps``, one column each, stepped together.
+def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, coarse: np.ndarray, state):
+    """Append to ``coarse`` the RV samples that end in fine rows ``lo, lo + 1, ...``.
 
-    Each replication's streams are drawn in ``_HESTON_CHUNK``-row pieces,
-    which give the same numbers as one full-length draw, so only the
-    ``(length, len(reps))`` price array is held at full length.
+    ``state`` is ``(carry, seen, filled)``: the realized-variance carry, the
+    eps-grid prices seen and the coarse rows filled so far; the new state is
+    returned.  Fine row ``j`` is on the eps grid when ``(j + 1) % eps_stride
+    == 0``, and coarse row ``q`` is the RV at eps point ``window - 1 + (q + 1)
+    * stride``, as ``subsample_sequence`` picks it.
     """
+    carry, seen, filled = state
+    s = plan.eps_stride
+    prices = r_chunk[(seen + 1) * s - 1 - lo : max(plan.fine_rows - lo, 0) : s]
+    if len(prices) == 0:
+        return state
+    rv, carry = realized_variance_chunk(prices, plan.window, plan.eps, carry)
+    stride = plan.scheme.stride
+    picked = rv[plan.window - 1 + (filled + 1) * stride - seen :: stride]
+    coarse[filled : filled + len(picked)] = picked
+    return carry, seen + len(prices), filled + len(picked)
+
+
+def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
+    """Full realized-variance recovery study across observation scales.
+
+    One fine path per replication serves every eps level (common random
+    numbers), so error comparisons across levels are paired.  All
+    replications are stepped together, ``_HESTON_CHUNK`` fine rows at a
+    time; each chunk extends every level's coarse RV samples and is then
+    dropped, so no price path is held whole.  Replications whose lagged
+    covariances are unusable are counted as failures and excluded from the
+    error summary.
+    """
+    config.validate()
     p = config.params
-    width = len(reps)
+    delta_f, plans = _plan_heston_rv(config)
+    length = max(plan.fine_rows for plan in plans)
+    width = config.replications
+
     streams = []
     v = np.empty(width)
-    for col, rep in enumerate(reps):
+    for rep in range(width):
         stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
         rng_var = stream.generator()
-        v[col] = heston_initial_variance(p, rng_var)
+        v[rep] = heston_initial_variance(p, rng_var)
         streams.append((rng_var, stream.role(StreamRole.AUXILIARY_NOISE).generator()))
-    r_paths = np.empty((length, width), order="F")  # columns are read one at a time
+    coarse = [np.empty((plan.scheme.n_obs + plan.kappa2, width)) for plan in plans]
+    states = [(None, 0, 0)] * len(plans)
     r = np.zeros(width)
     z_var = np.empty((_HESTON_CHUNK, width))
     z_price = np.empty((_HESTON_CHUNK, width))
@@ -998,55 +1026,27 @@ def _heston_price_batch(
             z_var[:rows, col] = rng_var.standard_normal(rows)
             z_price[:rows, col] = rng_price.standard_normal(rows)
         r_chunk, _, v = _heston_core(p, rows, delta_f, z_var[:rows], z_price[:rows], v, r)
-        r_paths[lo : lo + rows] = r_chunk
         r = r_chunk[-1]
-    return r_paths
-
-
-def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
-    """Full realized-variance recovery study across observation scales.
-
-    One fine path per replication serves every eps level (common random
-    numbers), so error comparisons across levels are paired.  Replications
-    whose lagged covariances are unusable are counted as failures and
-    excluded from the error summary.
-    """
-    config.validate()
-    p = config.params
-    delta_f, plans = _plan_heston_rv(config)
-    length = max(plan.fine_rows for plan in plans)
-    width = min(config.replications, config.memory_cap_bytes // (8 * length))
-    if width < 1:
-        raise ResourceLimit(
-            f"one price path of {length} rows needs {8 * length} bytes, cap is "
-            f"{config.memory_cap_bytes} bytes"
-        )
+        states = [
+            _extend_coarse(plan, r_chunk, lo, out, state)
+            for plan, out, state in zip(plans, coarse, states)
+        ]
 
     truth = {"reversion": p.reversion, "level": p.level, "vol_of_vol": p.vol_of_vol}
     names = ("reversion", "level", "vol_of_vol")
     true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
     sq_rel = {plan.eps: [] for plan in plans}
     failures = {plan.eps: 0 for plan in plans}
-
-    for start in range(0, config.replications, width):
-        reps = range(start, min(start + width, config.replications))
-        r_paths = _heston_price_batch(config, reps, length, delta_f)
-        for col in range(len(reps)):
-            for plan in plans:
-                r_eps = r_paths[plan.eps_stride - 1 : plan.fine_rows : plan.eps_stride, col]
-                rv = realized_volatility_observable(
-                    TrajectoryGrid(r_eps, plan.eps), plan.eps, plan.window
-                )
-                coarse = subsample_sequence(rv, plan.scheme, n_extra=plan.kappa2)
-                try:
-                    psi = _rv_moments(coarse, plan)
-                    est = invert_cir(psi, plan.lag1)
-                except MomentsOutsideModelRange:
-                    failures[plan.eps] += 1
-                    continue
-                rel = (est.theta - true_vec) / true_vec
-                sq_rel[plan.eps].append(rel**2)
-        del r_paths  # free this batch before the next one is allocated
+    for col in range(width):
+        for plan, samples in zip(plans, coarse):
+            try:
+                psi = _rv_moments(samples[:, col : col + 1], plan)
+                est = invert_cir(psi, plan.lag1)
+            except MomentsOutsideModelRange:
+                failures[plan.eps] += 1
+                continue
+            rel = (est.theta - true_vec) / true_vec
+            sq_rel[plan.eps].append(rel**2)
 
     rms_rel = {}
     for plan in plans:

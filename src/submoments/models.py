@@ -190,10 +190,6 @@ class GradientDiffusionParams:
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    def grad_potential(self, x: np.ndarray) -> np.ndarray:
-        dq = npoly.polyder(np.asarray(self.potential_coeffs, dtype=float))
-        return npoly.polyval(x, dq)
-
     def stationary_density_unnormalized(self, u, noise_scale: float) -> np.ndarray:
         """One-coordinate density ``exp(-2 q(u) / s^2)`` up to normalization.
 
@@ -228,8 +224,9 @@ def simulate_gradient_diffusion(
     if burn_in < 0:
         raise ParameterDomain(f"burn_in must be >= 0, got {burn_in}")
 
+    dq = npoly.polyder(np.asarray(params.potential_coeffs, dtype=float))  # q'
     scale = 1.0
-    drift_step = abs(float(params.grad_potential(np.array(scale)))) * delta_fine
+    drift_step = abs(float(npoly.polyval(np.array(scale), dq))) * delta_fine
     if drift_step > scale / 2.0:
         raise ParameterDomain(
             f"drift step {drift_step:.3g} at unit scale exceeds half the state scale; "
@@ -247,7 +244,7 @@ def simulate_gradient_diffusion(
         stop = min(start + _DIVERGENCE_CHECK_EVERY, total)
         z = rng.standard_normal((stop - start, r))
         for i in range(start, stop):
-            x = x - params.grad_potential(x) * delta_fine + sqdt * (z[i - start] @ sig_t)
+            x = x - npoly.polyval(x, dq) * delta_fine + sqdt * (z[i - start] @ sig_t)
             if i >= burn_in:
                 out[i - burn_in] = x
         if not np.isfinite(x).all():
@@ -551,10 +548,31 @@ def realized_volatility_observable(
         raise InsufficientData(
             f"need at least {window + 1} return samples, got {returns.n_samples}"
         )
-    sq = np.diff(returns.samples[:, 0]) ** 2
-    csum = np.concatenate(([0.0], np.cumsum(sq)))
-    rolling = csum[window:] - csum[:-window]
-    return TrajectoryGrid(rolling / (window * eps), eps)
+    rv, _ = realized_variance_chunk(returns.samples[:, 0], window, eps)
+    return TrajectoryGrid(rv[window:], eps)
+
+
+def realized_variance_chunk(prices: np.ndarray, window: int, eps: float, carry=None):
+    """Trailing-window realized variance at every row of ``prices``, resumable.
+
+    Row ``m`` of the result is ``(1/(window*eps))`` times the sum of the
+    squared increments over the ``window`` increments that end at row ``m``
+    (one path per column); increments before the path's first row count as
+    zero, so rows before ``window`` are partial windows.  Returns ``(rv,
+    carry)``: passing ``carry`` into the call on the rows that follow gives
+    the same bits as one call over the whole path, since the running sum
+    of squares is one ordered ``np.add.accumulate`` continued from the
+    carried value (``np.cumsum`` adds in the same order).  The carry is the
+    last price row and the last ``window`` running sums; ``None`` starts a
+    path.
+    """
+    if carry is None:
+        carry = (prices[:1], np.zeros((window,) + prices.shape[1:]))
+    last, tail = carry
+    csum = np.concatenate((tail, np.diff(prices, axis=0, prepend=last) ** 2))
+    np.add.accumulate(csum[window - 1 :], axis=0, out=csum[window - 1 :])
+    rv = (csum[window:] - csum[:-window]) / (window * eps)
+    return rv, (prices[-1:].copy(), csum[-window:].copy())
 
 
 def default_rv_window(eps: float) -> int:

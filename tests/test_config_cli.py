@@ -404,6 +404,20 @@ class TestSimulateCommand:
         assert "delta must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("h*"))
 
+    def test_overflowing_grid_times_exit_three(self, tmp_path, capsys, monkeypatch):
+        forbid_simulation(monkeypatch)
+        huge = OU_CFG.replace("length = 3000", "length = 4").replace("delta = 0.25", "delta = 1e308")
+        cfg = write_cfg(tmp_path, huge)
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "grid times overflow: length 4 * delta 1e+308 is not finite" in err
+        assert "Warning" not in err
+        assert not list(tmp_path.glob("huge*"))
+
     def test_seed_override_changes_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OU_CFG)
         a, b = tmp_path / "s0.bin", tmp_path / "s1.bin"
@@ -537,7 +551,10 @@ def forbid_simulation(monkeypatch):
     def fail(*args):
         raise AssertionError("the command simulated before rejecting its config")
 
-    for name in ("run_replications", "run_endtoend_ou", "run_heston_rv", "simulate_ou"):
+    for name in (
+        "run_replications", "run_endtoend_ou", "run_heston_rv", "simulate_ou",
+        "simulate_gradient_diffusion", "simulate_heston", "simulate_slow_fast",
+    ):
         monkeypatch.setattr(f"submoments.cli.{name}", fail)
 
 

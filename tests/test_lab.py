@@ -7,6 +7,7 @@ master seeds), so observed values are reproducible run to run.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,14 +457,23 @@ class TestHestonRVPipeline:
     def test_matches_blocked_reference(self, reference, length):
         self.check_against(reference, self.CFG)
 
-    def test_memory_cap_sets_width_only(self, reference, length):
-        # room for 7 price columns: batches of 7, 7, 7, 7 and 2
-        capped = dataclasses.replace(self.CFG, memory_cap_bytes=8 * length * 7)
-        self.check_against(reference, capped)
+    @pytest.mark.parametrize("chunk", [5, 13, 1000])
+    def test_chunk_boundaries(self, reference, chunk, monkeypatch):
+        # 5 rows is shorter than either RV window (8 and 10); 13 and 1000 are
+        # multiples of neither eps stride (2, 1) nor scheme stride (3, 6)
+        monkeypatch.setattr(lab, "_HESTON_CHUNK", chunk)
+        self.check_against(reference, self.CFG)
 
-    def test_memory_cap(self, length):
-        with pytest.raises(ResourceLimit):
-            run_heston_rv(dataclasses.replace(self.CFG, memory_cap_bytes=8 * length - 1))
+    def test_no_price_path_held_whole(self, length, monkeypatch):
+        monkeypatch.setattr(lab, "_HESTON_CHUNK", 256)
+        price_paths_bytes = 8 * length * self.CFG.replications
+        tracemalloc.start()
+        try:
+            run_heston_rv(self.CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < price_paths_bytes / 2
 
 
 class TestConfigHash:
@@ -475,8 +485,8 @@ class TestConfigHash:
     def test_identity_ignores_execution_settings(self, config):
         base = config_hash(config)
         assert len(base) == 64
-        assert config_hash(dataclasses.replace(config, memory_cap_bytes=10**6)) == base
         if isinstance(config, ExperimentConfig):
+            assert config_hash(dataclasses.replace(config, memory_cap_bytes=10**6)) == base
             assert config_hash(dataclasses.replace(config, workers=2)) == base
             assert config_hash(dataclasses.replace(config, workers=1)) == base
         assert config_hash(dataclasses.replace(config, master_seed=config.master_seed + 1)) != base

@@ -29,6 +29,7 @@ from submoments.models import (
     heston_initial_variance,
     multiplicative_perturbation_observable,
     ou_true_covariance,
+    realized_variance_chunk,
     realized_volatility_observable,
     simulate_gradient_diffusion,
     simulate_heston,
@@ -337,6 +338,21 @@ class TestObservables:
         two_dim = TrajectoryGrid(np.zeros((50, 2)), 0.01)
         with pytest.raises(ParameterDomain):
             realized_volatility_observable(two_dim, 0.01, 5)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 500])
+    def test_rv_chunks_match_one_cumsum(self, chunk):
+        eps, window = 0.01, 10
+        ret, _ = simulate_heston(HESTON, 500, eps, RandomStreamSpec(5))
+        paths = np.column_stack([ret.samples[:, 0], -2.0 * ret.samples[:, 0]])
+        csum = np.concatenate((np.zeros((1, 2)), np.cumsum(np.diff(paths, axis=0) ** 2, axis=0)))
+        expected = (csum[window:] - csum[:-window]) / (window * eps)
+        carry, parts = None, []
+        for lo in range(0, len(paths), chunk):
+            rv, carry = realized_variance_chunk(paths[lo : lo + chunk], window, eps, carry)
+            parts.append(rv)
+        assert np.array_equal(np.concatenate(parts)[window:], expected)
+        whole = realized_volatility_observable(ret, eps, window)
+        assert np.array_equal(whole.samples[:, 0], expected[:, 0])
 
     def test_rv_tracks_true_variance_level(self):
         ret, _ = simulate_heston(HESTON, 30_000, 0.01, RandomStreamSpec(23))
