@@ -341,10 +341,6 @@ def cmd_lab(args) -> int:
     if kind == "generic":
         config = build_experiment(bundle)
         inputs = build_bounds(bundle, config.model)
-        if inputs is not None and max(config.lags) > inputs.horizon_a:
-            raise ValidationError(
-                f"lag {max(config.lags)} exceeds [bounds] horizon_a {inputs.horizon_a}"
-            )
         ensemble = run_replications(config)
         report = build_report(config, ensemble, inputs)
         report.write_json(out_dir / "report.json")

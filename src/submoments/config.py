@@ -179,7 +179,7 @@ READERS = {
         "lags": {"values": (_as_float_list, "lags"), "horizon": (_as_float, "horizon_a")},
         "bounds": {
             **_same(_as_str, "source", "profile_kind"),
-            **_same(_as_float, "nu", "horizon_a", "lipschitz"),
+            **_same(_as_float, "nu", "lipschitz"),
             **_same(_as_float, "profile_c", "profile_rate", "profile_exponent"),
             "dim_r": (_as_int, "dim_r"),
         },
@@ -349,6 +349,9 @@ def pipeline_kind(bundle: ConfigBundle) -> str:
     return kind
 
 
+_BOUNDS_HORIZON = 1.0  # the lag window of [bounds] when [lags] gives no horizon
+
+
 def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
     """Assemble the generic sweep configuration."""
     model = build_model(bundle)
@@ -356,21 +359,27 @@ def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
         raise ValidationError("the generic sweep pipeline uses the ou model")
     fields = _fields("generic", bundle, "run", "observable", "sweep", "rho", "lags")
     fields.pop("save_ensemble", None)  # the lab command's switch, not a sweep setting
+    if bundle.has("bounds"):  # the bound holds on [0, horizon] only
+        fields.setdefault("horizon_a", _BOUNDS_HORIZON)
     config = ExperimentConfig(model=model, **fields)
     config.validate()
     return config
 
 
 def build_bounds(bundle: ConfigBundle, model) -> BoundInputs | None:
-    """Assemble [bounds]; ``source = ou_analytic`` derives them from the model."""
+    """Assemble [bounds]; ``source = ou_analytic`` derives them from the model.
+
+    The bound's lag window is ``[0, horizon]`` of ``[lags] horizon``, the one
+    horizon :class:`ExperimentConfig` checks the lags against.
+    """
     if not bundle.has("bounds"):
         return None
-    body = _fields("generic", bundle, "bounds")
+    body = _fields("generic", bundle, "bounds", "lags")
     source = body.get("source", "explicit")
     if source == "ou_analytic":
         if not isinstance(model, OUParams):
             raise ValidationError("[bounds] source ou_analytic needs the ou model")
-        return ou_bound_inputs(model, body.get("horizon_a", 1.0))
+        return ou_bound_inputs(model, body.get("horizon_a", _BOUNDS_HORIZON))
     if source != "explicit":
         _fail("bounds", "source", "must be ou_analytic or explicit")
     kind = body.get("profile_kind", "exponential")
@@ -383,7 +392,7 @@ def build_bounds(bundle: ConfigBundle, model) -> BoundInputs | None:
         _fail("bounds", "profile_kind", "must be exponential or power")
     return BoundInputs(
         nu=body.get("nu", 1.0),
-        horizon_a=body.get("horizon_a", 1.0),
+        horizon_a=body.get("horizon_a", _BOUNDS_HORIZON),
         dim_r=body.get("dim_r", 1),
         profile=profile,
         lipschitz_lambda=body.get("lipschitz", 1.0),

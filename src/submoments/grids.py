@@ -78,8 +78,9 @@ class TrajectoryGrid:
 
     @property
     def times(self) -> np.ndarray:
-        """Grid times ``delta, 2*delta, ..., L*delta``."""
-        return self.delta * np.arange(1, self.n_samples + 1)
+        """Grid times ``delta, 2*delta, ..., L*delta``; past the float range, ``inf``."""
+        with np.errstate(over="ignore"):  # inf is the written form (see read_csv)
+            return self.delta * np.arange(1, self.n_samples + 1)
 
 
 class StreamRole(str, Enum):
@@ -239,10 +240,13 @@ def write_binary(grid: TrajectoryGrid, path) -> None:
     """Write the compact binary form: little-endian header then column-major data.
 
     Header fields are 64-bit: dim (int), delta (float), sample count (int).
+    Each column is written from its own buffer; only a column of a
+    multi-column grid is copied, to make it contiguous.
     """
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(grid.dim, grid.delta, grid.n_samples))
-        fh.write(np.ascontiguousarray(grid.samples.T).tobytes())
+        for column in grid.samples.T:
+            fh.write(memoryview(np.ascontiguousarray(column, dtype="<f8")))
 
 
 def read_binary(path) -> TrajectoryGrid:

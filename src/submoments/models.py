@@ -13,7 +13,11 @@ the hidden path is the proxy error the scheme rules in
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,6 +117,36 @@ def ou_bound_inputs(params: OUParams, horizon_a: float) -> BoundInputs:
     )
 
 
+_SIGTOOLS = "scipy.signal._sigtools"
+_sigtools_lock = threading.Lock()
+
+
+def _linear_filter():
+    """scipy's compiled IIR kernel ``_sigtools._linear_filter``, loaded on its own.
+
+    ``scipy.signal.lfilter`` hands ``(b, a, x, axis)`` to this kernel, but
+    importing ``scipy.signal`` also imports ``scipy.stats`` and
+    ``scipy.interpolate``: about 1.4 s and 75 MB per process.  The extension
+    module is loaded from its file under its full name, so the package's
+    ``__init__`` never runs, and registered in ``sys.modules``, which both
+    caches it and lets a later ``import scipy.signal`` reuse it.  The lock
+    keeps two pool threads from loading it twice.
+    """
+    with _sigtools_lock:
+        module = sys.modules.get(_SIGTOOLS)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+                _SIGTOOLS, [f"{scipy.submodule_search_locations[0]}/signal"]
+            )
+            if spec is None:
+                raise ImportError(f"simulate_ou needs scipy's compiled module {_SIGTOOLS}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_SIGTOOLS] = module
+    return module._linear_filter
+
+
 def simulate_ou(
     params: OUParams, length: int, delta: float, stream: RandomStreamSpec
 ) -> TrajectoryGrid:
@@ -122,10 +156,6 @@ def simulate_ou(
     coefficient ``exp(-reversion * delta)`` started from the stationary
     marginal; no discretization error at any step size.
     """
-    # scipy.signal takes longer to import than the rest of the package, so
-    # only callers that simulate this model pay for it.
-    from scipy.signal import lfilter
-
     params.validate()
     if length < 1:
         raise ParameterDomain(f"length must be >= 1, got {length}")
@@ -138,7 +168,8 @@ def simulate_ou(
     innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
     shocks[1:] *= innov
     shocks[0] *= sig0  # stationary start
-    path = lfilter([1.0], [1.0, -phi], shocks)
+    # the call lfilter([1.0], [1.0, -phi], shocks) makes: the same bits
+    path = _linear_filter()(np.array([1.0]), np.array([1.0, -phi]), shocks, -1)
     path += params.mean
     return TrajectoryGrid._handover(path, delta)
 

@@ -16,6 +16,7 @@ so the stated slope band cannot be met by any correct estimator.  The
 check is kept honest rather than widened; see README.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,9 +57,10 @@ def _verdict(num: str, name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _generic_run(preset: str):
+def _generic_run(preset: str, **execution):
+    """The preset's sweep, with ``execution`` settings (``workers``) replaced."""
     bundle = load_config(_preset_path(preset))
-    config = build_experiment(bundle)
+    config = dataclasses.replace(build_experiment(bundle), **execution)
     ensemble = run_replications(config)
     report = build_report(config, ensemble, build_bounds(bundle, config.model))
     return config, ensemble, report, assert_thresholds(bundle)
@@ -74,7 +76,9 @@ def _lag_slopes(report, prefix: str) -> dict:
 
 @pytest.fixture(scope="module")
 def ou_rate_run():
-    return _generic_run("ou_rate")
+    # the report is bitwise the same at any worker count (its config_hash
+    # leaves workers out), so the longest sweep runs on the 2-worker pool
+    return _generic_run("ou_rate", workers=2)
 
 
 @pytest.fixture(scope="module")

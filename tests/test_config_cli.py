@@ -4,6 +4,7 @@ CLI behavior is exercised through ``cli.main`` for speed; one subprocess
 test covers the installed console script.
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -228,20 +229,20 @@ horizon = 2.0
     def test_bounds_modes(self, tmp_path):
         assert build_bounds(load_config(write_cfg(tmp_path, OU_CFG)), None) is None
         analytic = write_cfg(
-            tmp_path, OU_CFG + "\n[bounds]\nsource = ou_analytic\nhorizon_a = 1.5\n", "b1.cfg"
+            tmp_path, OU_CFG + "\n[lags]\nhorizon = 1.5\n[bounds]\nsource = ou_analytic\n", "b1.cfg"
         )
         model = OUParams(1.0, 1.0, 1.0)
         got = build_bounds(load_config(analytic), model)
         assert got == ou_bound_inputs(model, 1.5)
         explicit = write_cfg(
             tmp_path,
-            "[bounds]\nnu = 2\nhorizon_a = 1\ndim_r = 1\nlipschitz = 0.5\n"
+            "[bounds]\nnu = 2\ndim_r = 1\nlipschitz = 0.5\n"
             "profile_kind = exponential\nprofile_c = 3\nprofile_rate = 0.7\n",
             "b2.cfg",
         )
         inputs = build_bounds(load_config(explicit), model)
         assert isinstance(inputs, BoundInputs)
-        assert inputs.nu == 2.0 and inputs.lipschitz_lambda == 0.5
+        assert inputs.nu == 2.0 and inputs.lipschitz_lambda == 0.5 and inputs.horizon_a == 1.0
         assert inputs.profile.integral_full == pytest.approx(3.0 / 0.7)
         bad = write_cfg(tmp_path, "[bounds]\nprofile_kind = bessel\n", "b3.cfg")
         with pytest.raises(ValidationError, match="profile_kind"):
@@ -668,13 +669,17 @@ class TestLabCommand:
         assert not out.exists()
 
     def test_lag_past_bounds_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
-        # the bound holds on [0, horizon_a] only: a lag past it must not be checked against it
+        # the bound holds on [0, horizon] of [lags]: [bounds] has no horizon of its own
         cfg = preset_variant(tmp_path, {"bounds": {"source": "ou_analytic", "horizon_a": "0.25"}})
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
-        assert "lag 0.5 exceeds [bounds] horizon_a 0.25" in capsys.readouterr().err
+        assert "config [bounds] has unknown key 'horizon_a'" in capsys.readouterr().err
         assert not out.exists()
+        # without [lags] horizon the bounds' window [0, 1] still refuses a longer lag
+        cfg = preset_variant(tmp_path, {"lags": {"values": "0, 1.5"}})
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert "lag 1.5 exceeds horizon 1.0" in capsys.readouterr().err
 
     def test_lag_past_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
         cfg = preset_variant(tmp_path, {"lags": {"values": "0, 0.5", "horizon": "0.25"}})
@@ -778,19 +783,42 @@ class TestNonFiniteOutput:
 
 
 class TestLazyImports:
-    def test_cli_without_ou_simulation_skips_scipy(self):
+    @staticmethod
+    def scipy_modules(argv: list, then: str = "") -> list:
+        """scipy modules loaded by ``submoments argv`` in a fresh interpreter."""
         code = (
             "import sys\n"
             "import submoments.cli\n"
-            "assert submoments.cli.main(['scheme', '--rho', '0.1']) == 0\n"
+            f"assert submoments.cli.main({argv!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            + then  # checks that print nothing
         )
         env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+    def test_cli_without_ou_simulation_skips_scipy(self):
+        assert self.scipy_modules(["scheme", "--rho", "0.1"]) == []
+
+    def test_ou_simulate_loads_only_the_filter_kernel(self, tmp_path):
+        cfg = write_cfg(tmp_path, OU_CFG)
+        argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.bin")]
+        # a later import of scipy.signal reuses the loaded kernel, and lfilter works
+        then = (
+            "kernel = sys.modules['scipy.signal._sigtools']\n"
+            "import scipy.signal\n"
+            "assert scipy.signal._signaltools._sigtools is kernel\n"
+            "assert scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 2.0]).tolist() == [1.0, 2.5]\n"
+        )
+        assert self.scipy_modules(argv, then) == ["scipy.signal._sigtools"]
+
+    def test_parallel_ou_lab_loads_only_the_filter_kernel(self, tmp_path):
+        # two pool threads reach the first OU simulation together
+        argv = ["lab", "--preset", "smoke", "--workers", "2", "--output-dir", str(tmp_path / "run")]
+        assert self.scipy_modules(argv) == ["scipy.signal._sigtools"]
 
 
 class TestBenchmarkTrace:

@@ -6,11 +6,16 @@ run and were verified to hold with slack at the pinned seeds.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import submoments
 from submoments.errors import (
     InsufficientData,
     ParameterDomain,
@@ -25,6 +30,7 @@ from submoments.models import (
     SLOW_FAST_CATALOG,
     SlowFastParams,
     _heston_core,
+    _linear_filter,
     default_rv_window,
     heston_initial_variance,
     multiplicative_perturbation_observable,
@@ -83,16 +89,14 @@ class TestOU:
 
     def test_path_is_handed_over_frozen(self, monkeypatch):
         # the grid holds the filter's own output array: frozen, not copied
-        import scipy.signal
-
         made = []
-        real_lfilter = scipy.signal.lfilter
+        kernel = _linear_filter()
 
-        def recording_lfilter(*args):
-            made.append(real_lfilter(*args))
+        def recording_kernel(*args):
+            made.append(kernel(*args))
             return made[-1]
 
-        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
+        monkeypatch.setattr("submoments.models._linear_filter", lambda: recording_kernel)
         g = simulate_ou(OUParams(1.0, 1.0, 1.0), 1000, 0.1, RandomStreamSpec(5))
         assert not g.samples.flags.writeable
         assert np.shares_memory(g.samples, made[0])
@@ -108,6 +112,51 @@ class TestOU:
 
 
 QUARTIC = GradientDiffusionParams(potential_coeffs=(0, 0, 0, 0, 0.25), sigma=[[1.0]])
+
+
+class TestLinearFilterKernel:
+    """simulate_ou's compiled kernel gives the bits of scipy.signal.lfilter."""
+
+    @pytest.mark.parametrize("lead", [0.0, -0.0])
+    @pytest.mark.parametrize("phi", [0.0, math.exp(-0.01), 0.9999])
+    @pytest.mark.parametrize("length", [1, 2, 1000, 123_457, 10**6])
+    def test_equals_lfilter_bitwise(self, length, phi, lead):
+        from scipy.signal import lfilter
+
+        x = np.random.default_rng(length).standard_normal(length)
+        x[0] = lead
+        x[1::5] = -lead
+        x[3::5] = 0.0
+        x[4::5] = -0.0
+        got = _linear_filter()(np.array([1.0]), np.array([1.0, -phi]), x, -1)
+        assert got.tobytes() == lfilter([1.0], [1.0, -phi], x).tobytes()
+
+    def test_concurrent_first_load_registers_one_module(self):
+        # eight threads past a barrier race to the first load in a fresh
+        # interpreter; the extension is created once and all get its kernel
+        code = (
+            "import importlib.util, sys, threading\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "from submoments.models import _linear_filter\n"
+            "made = []\n"
+            "create = importlib.util.module_from_spec\n"
+            "importlib.util.module_from_spec = lambda spec: made.append(spec) or create(spec)\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(8)\n"
+            "def load():\n"
+            "    barrier.wait(timeout=30)\n"
+            "    return _linear_filter()\n"
+            "with ThreadPoolExecutor(8) as pool:\n"
+            "    got = [f.result(timeout=60) for f in [pool.submit(load) for _ in range(8)]]\n"
+            "kernel = sys.modules['scipy.signal._sigtools']._linear_filter\n"
+            "print(sum(k is kernel for k in got), len(made))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["8", "1"]
 
 
 class TestGradientDiffusion:
