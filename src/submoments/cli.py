@@ -369,7 +369,7 @@ def cmd_lab(args) -> int:
         _write_json(report.to_json_dict(), out_dir / "heston_rv.json")
         outputs.append(str(out_dir / "heston_rv.json"))
         for eps in config.epsilon_grid:
-            errs = report.errors_at(eps)
+            errs = report.rms_rel[eps]
             listing = ", ".join(f"{k}={v:.4f}" for k, v in errs.items())
             print(f"eps {eps:g}: rms rel {listing}")
 

@@ -141,29 +141,23 @@ def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndar
     return cov[[distinct.index(kappa) for kappa in kappas]], mean
 
 
-def lagged_covariance(
-    samples,
-    n_obs: int,
-    kappa: int,
-    big_delta: float,
-    lag_requested: float | None = None,
-) -> LaggedCovarianceEstimate:
+def lagged_covariance(samples, n_obs: int, kappa: int, big_delta: float) -> LaggedCovarianceEstimate:
     """Lagged covariance matrix of a coarse sequence.
 
-    Entry (i, j) estimates ``Cov(X_t(i), X_{t + kappa*big_delta}(j))``.
-    Extra trailing samples beyond ``n_obs + kappa`` are ignored.  Requires
-    ``n_obs >= 2`` and, for positive lags, ``n_obs >= 10 * kappa`` so the
-    average spans many decorrelation windows.
+    Entry (i, j) estimates ``Cov(X_t(i), X_{t + kappa*big_delta}(j))``; the
+    estimate reports ``kappa * big_delta`` as both the requested and the
+    used lag.  Extra trailing samples beyond ``n_obs + kappa`` are ignored.
+    Requires ``n_obs >= 2`` and, for positive lags, ``n_obs >= 10 * kappa``
+    so the average spans many decorrelation windows.
     """
     if big_delta <= 0 or not np.isfinite(big_delta):
         raise ParameterDomain(f"big_delta must be positive, got {big_delta}")
     cov, _ = lagged_covariances(samples, n_obs, [kappa])
-    if lag_requested is None:
-        lag_requested = kappa * big_delta
+    lag = kappa * big_delta
     return LaggedCovarianceEstimate(
         matrix=cov[0],
-        lag_requested=float(lag_requested),
-        lag_used=kappa * big_delta,
+        lag_requested=float(lag),
+        lag_used=lag,
         kappa=kappa,
         n_obs=n_obs,
         big_delta=big_delta,

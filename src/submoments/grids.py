@@ -118,9 +118,6 @@ class RandomStreamSpec:
         )
         return np.random.Generator(np.random.Philox(seq))
 
-    def replication(self, index: int) -> "RandomStreamSpec":
-        return RandomStreamSpec(self.master_seed, index, self.stream_role)
-
     def role(self, role: StreamRole | str) -> "RandomStreamSpec":
         return RandomStreamSpec(self.master_seed, self.replication_index, StreamRole(role))
 
@@ -146,11 +143,6 @@ class SubsamplingScheme:
             raise ParameterDomain(f"big_delta must be positive, got {self.big_delta}")
         if self.stride is not None and self.stride < 1:
             raise ParameterDomain(f"stride must be >= 1, got {self.stride}")
-
-    @classmethod
-    def from_stride(cls, n_obs: int, stride: int, delta: float) -> "SubsamplingScheme":
-        """Build a resolved scheme on a grid of step ``delta``."""
-        return cls(n_obs=n_obs, big_delta=stride * delta, stride=stride)
 
     @property
     def is_resolved(self) -> bool:

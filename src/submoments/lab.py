@@ -74,7 +74,8 @@ _OBSERVABLES = ("identity", "multiplicative", "smoothing")
 _RHO_KINDS = ("identity", "sqrt", "table")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 4096  # fine rows stepped at once, over all heston_rv replications
-_EXECUTION_FIELDS = ("workers", "memory_cap_bytes")
+_MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a generic sweep may plan for, else ResourceLimit
+_EXECUTION_FIELDS = ("workers",)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +86,8 @@ _EXECUTION_FIELDS = ("workers", "memory_cap_bytes")
 def config_hash(config) -> str:
     """sha256 run identity of a pipeline config, without its execution fields.
 
-    ``workers`` and ``memory_cap_bytes`` are left out: runs that differ only
-    in them produce bitwise-equal results and share one identity.
+    ``workers`` is left out: runs that differ only in it produce
+    bitwise-equal results and share one identity.
     """
     kept = {k: v for k, v in asdict(config).items() if k not in _EXECUTION_FIELDS}
     blob = json.dumps(kept, sort_keys=True, default=str)
@@ -124,7 +125,6 @@ class ExperimentConfig:
     master_seed: int = 0
     stride_resolution: int = 1
     workers: int = 1
-    memory_cap_bytes: int = 2 * 1024**3
 
     def validate(self) -> None:
         self.model.validate()
@@ -241,10 +241,10 @@ def _check_memory(config: ExperimentConfig, points) -> None:
     # fine path, observable copy, centered temporaries, per-lag product
     per_path = worst * 8 * 4
     need = per_path * max(1, config.workers)
-    if need > config.memory_cap_bytes:
+    if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
             f"run needs about {need / 1e9:.2f} GB of workspace, cap is "
-            f"{config.memory_cap_bytes / 1e9:.2f} GB"
+            f"{_MEMORY_CAP_BYTES / 1e9:.2f} GB"
         )
 
 
@@ -418,14 +418,6 @@ def empirical_lp_error(estimates: np.ndarray, target, p: float) -> np.ndarray:
     return (np.mean(sup**p, axis=1)) ** (1.0 / p)
 
 
-def ensemble_cov_errors(
-    ensemble: Ensemble, oracle: np.ndarray, p: float = 2.0, which: str = "x"
-) -> np.ndarray:
-    """(G, L) L^p covariance errors against an oracle of shape (L, r, r)."""
-    est = ensemble.khat_x if which == "x" else ensemble.khat_y
-    return empirical_lp_error(est, oracle[None, None], p)
-
-
 def ensemble_mean_errors(
     ensemble: Ensemble, true_mean, p: float = 2.0, which: str = "x"
 ) -> np.ndarray:
@@ -585,8 +577,8 @@ def build_report(
     model = config.model
     lags = ensemble.lags
     oracle = np.array([[[ou_true_covariance(model, u)]] for u in lags])
-    err_x = ensemble_cov_errors(ensemble, oracle, p=2.0, which="x")
-    err_y = ensemble_cov_errors(ensemble, oracle, p=2.0, which="y")
+    err_x = empirical_lp_error(ensemble.khat_x, oracle[None, None], 2.0)
+    err_y = empirical_lp_error(ensemble.khat_y, oracle[None, None], 2.0)
     gap = empirical_lp_error(ensemble.khat_y - ensemble.khat_x, 0.0, 2.0)
     mean_l2_x = ensemble_mean_errors(ensemble, model.mean, p=2.0, which="x")
     mean_l4_x = ensemble_mean_errors(ensemble, model.mean, p=4.0, which="x")
@@ -722,6 +714,8 @@ class EndToEndConfig:
             raise ParameterDomain("u1 must be > 0")
         if self.replications < 30:
             raise ParameterDomain("need at least 30 replications")
+        if not (0 < self.tolerance < math.inf):
+            raise ParameterDomain(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass
@@ -832,6 +826,10 @@ class HestonRVConfig:
         u1, u2 = self.u_pair
         if not (0 < u1 < u2):
             raise ParameterDomain("need 0 < u1 < u2")
+        for name in ("fine_step", "pilot_span"):
+            value = getattr(self, name)
+            if value is not None and not (0 < value < math.inf):
+                raise ParameterDomain(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -867,9 +865,6 @@ class HestonRVReport:
     rms_rel: dict  # eps -> {param: rms relative error}
     failures: dict  # eps -> count of degenerate-moment replications
     config_hash: str
-
-    def errors_at(self, eps: float) -> dict:
-        return self.rms_rel[eps]
 
     def nonincreasing(self) -> bool:
         eps_sorted = sorted(self.rms_rel, reverse=True)  # large -> small
@@ -1135,7 +1130,7 @@ def _recovery_fraction(values, report, config, ensemble):
 def _rms_cap(param: str, values, report, config, ensemble):
     (cap,) = values
     finest = min(report.rms_rel)
-    val = report.errors_at(finest)[param]
+    val = report.rms_rel[finest][param]
     return val <= cap, f"rms {val:.4f} <= {cap:g} at eps {finest:g}"
 
 

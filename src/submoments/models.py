@@ -221,39 +221,25 @@ class GradientDiffusionParams:
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    def stationary_density_unnormalized(self, u, noise_scale: float) -> np.ndarray:
-        """One-coordinate density ``exp(-2 q(u) / s^2)`` up to normalization.
-
-        Valid when sigma = s * I; used as a quadrature oracle for the
-        stationary moments of separable potentials.
-        """
-        q = npoly.polyval(np.asarray(u, dtype=float), np.asarray(self.potential_coeffs))
-        return np.exp(-2.0 * q / noise_scale**2)
-
 
 def simulate_gradient_diffusion(
     params: GradientDiffusionParams,
     length: int,
     delta_fine: float,
     stream: RandomStreamSpec,
-    burn_in: int | None = None,
 ) -> TrajectoryGrid:
     """Euler-Maruyama path of a confining gradient diffusion, after burn-in.
 
-    Starts at the origin and discards ``burn_in`` steps (default: ten unit
-    reversion times).  The drift step is checked against half the state
-    scale before starting; a path that still blows up raises
-    ``SimulationDiverged``.
+    Starts at the origin and discards the steps of ten unit reversion
+    times.  The drift step is checked against half the state scale before
+    starting; a path that still blows up raises ``SimulationDiverged``.
     """
     params.validate()
     if length < 1:
         raise ParameterDomain(f"length must be >= 1, got {length}")
     if delta_fine <= 0 or not np.isfinite(delta_fine):
         raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
-    if burn_in is None:
-        burn_in = int(math.ceil(10.0 / delta_fine))
-    if burn_in < 0:
-        raise ParameterDomain(f"burn_in must be >= 0, got {burn_in}")
+    warm_up = int(math.ceil(10.0 / delta_fine))
 
     dq = npoly.polyder(np.asarray(params.potential_coeffs, dtype=float))  # q'
     scale = 1.0
@@ -267,7 +253,7 @@ def simulate_gradient_diffusion(
     r = params.dim
     rng = stream.generator()
     sqdt = math.sqrt(delta_fine)
-    total = burn_in + length
+    total = warm_up + length
     out = np.empty((length, r))
     x = np.zeros(r)
     sig_t = params.sigma.T
@@ -276,8 +262,8 @@ def simulate_gradient_diffusion(
         z = rng.standard_normal((stop - start, r))
         for i in range(start, stop):
             x = x - npoly.polyval(x, dq) * delta_fine + sqdt * (z[i - start] @ sig_t)
-            if i >= burn_in:
-                out[i - burn_in] = x
+            if i >= warm_up:
+                out[i - warm_up] = x
         if not np.isfinite(x).all():
             raise SimulationDiverged(
                 f"state became non-finite near step {stop} of {total}"
@@ -306,20 +292,6 @@ class HestonParams:
             raise ParameterDomain("reversion, level and vol_of_vol must be > 0")
         if not np.isfinite([self.reversion, self.level, self.vol_of_vol, self.drift]).all():
             raise ParameterDomain("parameters must be finite")
-
-    @property
-    def stationary_mean(self) -> float:
-        return self.level
-
-    @property
-    def stationary_variance(self) -> float:
-        return self.vol_of_vol**2 * self.level / (2.0 * self.reversion)
-
-    def variance_covariance(self, lag: float) -> float:
-        """Stationary autocovariance of the variance process at lag >= 0."""
-        if lag < 0:
-            raise ParameterDomain(f"lag must be >= 0, got {lag}")
-        return self.stationary_variance * math.exp(-self.reversion * lag)
 
 
 _BLOCK = 256  # steps per block of the price pass and the scalar loop: small buffers
@@ -482,15 +454,14 @@ def simulate_heston(
     length: int,
     delta_fine: float,
     stream: RandomStreamSpec,
-    v0_mode: str | float = "stationary",
 ) -> tuple[TrajectoryGrid, TrajectoryGrid]:
     """Simulate (returns path, variance path) with full-truncation Euler.
 
     The variance driver uses the stream's process-noise role and the price
     driver the auxiliary role, so hidden and observable randomness stay
-    independent within one replication.  The stored variance is the
-    truncated non-negative one.  ``v0_mode`` is ``"stationary"`` or a fixed
-    non-negative starting value.
+    independent within one replication.  The start is drawn from the
+    stationary law, and the stored variance is the truncated non-negative
+    one.
     """
     params.validate()
     if length < 1:
@@ -499,14 +470,7 @@ def simulate_heston(
         raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
     rng_var = stream.role(StreamRole.PROCESS_NOISE).generator()
     rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
-    if isinstance(v0_mode, str):
-        if v0_mode != "stationary":
-            raise ParameterDomain(f"unknown v0_mode {v0_mode!r}")
-        v0 = float(heston_initial_variance(params, rng_var))
-    else:
-        v0 = float(v0_mode)
-        if v0 < 0:
-            raise ParameterDomain(f"fixed v0 must be >= 0, got {v0}")
+    v0 = float(heston_initial_variance(params, rng_var))
     z_var = rng_var.standard_normal((length, 1))
     z_price = rng_price.standard_normal((length, 1))
     r_paths, v_paths, _ = _heston_core(

@@ -47,6 +47,8 @@ class DecorrelationProfile:
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
             raise ParameterDomain(f"unknown profile kind {self.kind!r}")
+        if not np.isfinite([self.c, self.rate, self.exponent]).all():
+            raise ParameterDomain("profile c, rate and exponent must be finite")
         if self.kind == "exponential":
             if self.c <= 0 or self.rate <= 0:
                 raise ParameterDomain("exponential profile needs c > 0 and rate > 0")
@@ -137,6 +139,8 @@ class BoundInputs:
     lipschitz_lambda: float
 
     def __post_init__(self):
+        if not np.isfinite([self.nu, self.lipschitz_lambda, self.horizon_a]).all():
+            raise ParameterDomain("nu, lipschitz_lambda and horizon_a must be finite")
         if self.nu <= 0 or self.lipschitz_lambda < 0:
             raise ParameterDomain("need nu > 0 and lipschitz_lambda >= 0")
         if self.horizon_a < 0 or self.dim_r < 1:
@@ -179,34 +183,25 @@ def error_bound_unobservable(inputs: BoundInputs, scheme: SubsamplingScheme) -> 
 
 
 def observable_bound_terms(
-    inputs: BoundInputs, scheme: SubsamplingScheme, rho: float, expected_c_delta: float | None = None
+    inputs: BoundInputs, scheme: SubsamplingScheme, rho: float
 ) -> tuple[float, float]:
     """(proxy term, statistical term) of the observable-sequence bound.
 
     The proxy term is ``4 * nu * rho``.  The statistical term folds the
     hidden-process bound into a single ``N**(-1/3)`` coefficient using the
-    scheme's own ``c_delta = big_delta * N**(1/3)``.  When
-    ``expected_c_delta`` is given the scheme must belong to that family.
+    scheme's own ``c_delta = big_delta * N**(1/3)``.
     """
     if rho < 0:
         raise ParameterDomain(f"rho must be >= 0, got {rho}")
     c_delta = scheme.big_delta * scheme.n_obs ** (1.0 / 3.0)
-    if expected_c_delta is not None and not math.isclose(
-        c_delta, expected_c_delta, rel_tol=1e-9
-    ):
-        raise ParameterDomain(
-            f"scheme has c_delta {c_delta}, not in the requested family {expected_c_delta}"
-        )
     gamma = covariance_bound_constant(inputs)
     c_app = gamma / math.sqrt(c_delta) + inputs.lipschitz_lambda * c_delta
     return 4.0 * inputs.nu * rho, c_app * scheme.n_obs ** (-1.0 / 3.0)
 
 
-def error_bound_observable(
-    inputs: BoundInputs, scheme: SubsamplingScheme, rho: float, expected_c_delta: float | None = None
-) -> float:
+def error_bound_observable(inputs: BoundInputs, scheme: SubsamplingScheme, rho: float) -> float:
     """Covariance error bound when only the proxy sequence is sampled."""
-    proxy, stat = observable_bound_terms(inputs, scheme, rho, expected_c_delta)
+    proxy, stat = observable_bound_terms(inputs, scheme, rho)
     return proxy + stat
 
 
@@ -234,18 +229,12 @@ class SchemeRecommendation:
     predicted_error: float
 
 
-def scheme_from_rho(
-    rho: float,
-    c_n: float = 1.0,
-    c_delta: float = 1.0,
-    inputs: BoundInputs | None = None,
-) -> SchemeRecommendation:
+def scheme_from_rho(rho: float, c_n: float = 1.0, c_delta: float = 1.0) -> SchemeRecommendation:
     """Proxy-quality rule: ``N = ceil(c_n * rho**-3)``, ``big_delta = c_delta * rho``.
 
     This balances the proxy and statistical error terms so the total decays
-    linearly in ``rho``.  ``predicted_error`` is evaluated with ``inputs``
-    (reference constants when omitted), so it is a scaling guide unless real
-    constants are supplied.
+    linearly in ``rho``.  ``predicted_error`` is evaluated with the unit
+    constants of :func:`reference_bound_inputs`, so it is a scaling guide.
     """
     if not (0.0 < rho < 1.0):
         raise ParameterDomain(f"rho must lie in (0, 1), got {rho}")
@@ -253,9 +242,7 @@ def scheme_from_rho(
         raise ParameterDomain("c_n and c_delta must be > 0")
     n_obs = max(8, math.ceil(c_n * rho**-3))
     scheme = SubsamplingScheme(n_obs=n_obs, big_delta=c_delta * rho)
-    if inputs is None:
-        inputs = reference_bound_inputs()
-    predicted = error_bound_observable(inputs, scheme, rho)
+    predicted = error_bound_observable(reference_bound_inputs(), scheme, rho)
     return SchemeRecommendation(
         scheme=scheme, rho=rho, span=scheme.span, predicted_error=predicted
     )

@@ -688,6 +688,50 @@ class TestLabCommand:
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
         assert "lag 0.5 exceeds horizon 0.25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("fine_step", "0"), ("fine_step", "nan"), ("fine_step", "inf"),
+            ("pilot_span", "0"), ("pilot_span", "-1"), ("pilot_span", "nan"), ("pilot_span", "inf"),
+        ],
+    )
+    def test_bad_heston_step_exits_three(self, tmp_path, capsys, monkeypatch, key, value):
+        heston = load_config(_preset_path("heston_rv")).sections["heston"]
+        cfg = preset_variant(tmp_path, {"heston": {**heston, key: value}}, "heston_rv")
+        forbid_simulation(monkeypatch)  # the pilot runs inside run_heston_rv
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert f"{key} must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_endtoend_tolerance_exits_three(self, tmp_path, capsys, monkeypatch, value):
+        body = load_config(_preset_path("ou_endtoend")).sections["endtoend"]
+        cfg = preset_variant(tmp_path, {"endtoend": {**body, "tolerance": value}}, "ou_endtoend")
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
+        assert "tolerance must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"nu": "nan"},
+            {"lipschitz": "inf"},
+            {"profile_c": "nan"},
+            {"profile_rate": "inf"},
+            {"profile_kind": "power", "profile_exponent": "inf"},
+        ],
+    )
+    def test_non_finite_bounds_exit_three(self, tmp_path, capsys, monkeypatch, bounds):
+        cfg = preset_variant(tmp_path, {"bounds": {"source": "explicit", **bounds}})
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_assert_ignores_thresholds(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == 0

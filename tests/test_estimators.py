@@ -207,7 +207,7 @@ class TestCovarianceCurve:
         arr = _rand(120, 1, seed=14)
         scheme = SubsamplingScheme(100, 0.1)
         (curve,) = covariance_curve(arr, scheme, [0.8])
-        direct = lagged_covariance(arr, 100, 8, 0.1, lag_requested=0.8)
+        direct = lagged_covariance(arr, 100, 8, 0.1)
         assert np.array_equal(curve.matrix, direct.matrix)
 
 

@@ -105,32 +105,32 @@ class TestSubsampling:
     def test_every_second_sample(self):
         # fine values 1..12; stride 2 keeps fine indices 2,4,6,8,10 (1-based)
         g = line_grid(12, 0.5)
-        scheme = SubsamplingScheme.from_stride(n_obs=5, stride=2, delta=0.5)
+        scheme = SubsamplingScheme(5, 2 * 0.5, 2)
         view = subsample_view(g, scheme)
         assert view[:, 0].tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
 
     def test_offset_shifts_selection(self):
         g = line_grid(12, 0.5)
-        scheme = SubsamplingScheme.from_stride(n_obs=5, stride=2, delta=0.5)
+        scheme = SubsamplingScheme(5, 2 * 0.5, 2)
         view = subsample_view(g, scheme, offset=1)
         assert view[:, 0].tolist() == [3.0, 5.0, 7.0, 9.0, 11.0]
 
     def test_view_shares_memory(self):
         g = line_grid()
-        scheme = SubsamplingScheme.from_stride(n_obs=3, stride=3, delta=0.5)
+        scheme = SubsamplingScheme(3, 3 * 0.5, 3)
         assert np.shares_memory(subsample_view(g, scheme), g.samples)
 
     def test_strides_compose(self):
         g = line_grid(60, 0.1)
-        once = SubsamplingScheme.from_stride(n_obs=10, stride=6, delta=0.1)
-        first = SubsamplingScheme.from_stride(n_obs=30, stride=2, delta=0.1)
+        once = SubsamplingScheme(10, 6 * 0.1, 6)
+        first = SubsamplingScheme(30, 2 * 0.1, 2)
         inner = TrajectoryGrid(subsample_view(g, first), 0.2)
-        second = SubsamplingScheme.from_stride(n_obs=10, stride=3, delta=0.2)
+        second = SubsamplingScheme(10, 3 * 0.2, 3)
         assert np.array_equal(subsample_view(g, once), subsample_view(inner, second))
 
     def test_too_short_raises(self):
         g = line_grid(5, 0.5)
-        scheme = SubsamplingScheme.from_stride(n_obs=3, stride=2, delta=0.5)
+        scheme = SubsamplingScheme(3, 2 * 0.5, 2)
         with pytest.raises(InsufficientData):
             subsample_view(g, scheme)
 
@@ -145,7 +145,7 @@ class TestSubsampling:
 
     def test_sequence_extends_view(self):
         g = line_grid(12, 0.5)
-        scheme = SubsamplingScheme.from_stride(n_obs=3, stride=2, delta=0.5)
+        scheme = SubsamplingScheme(3, 2 * 0.5, 2)
         seq = subsample_sequence(g, scheme, n_extra=2)
         assert seq[:, 0].tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
 
@@ -167,7 +167,7 @@ class TestSubsampling:
     def test_selection_formula(self, n_obs, stride, offset):
         length = offset + n_obs * stride + 3
         g = TrajectoryGrid(np.arange(length, dtype=float), 1.0)
-        scheme = SubsamplingScheme.from_stride(n_obs, stride, 1.0)
+        scheme = SubsamplingScheme(n_obs, stride * 1.0, stride)
         view = subsample_view(g, scheme, offset=offset)
         expect = offset + stride * np.arange(1, n_obs + 1) - 1  # row index of sample n
         assert np.array_equal(view[:, 0], expect.astype(float))
@@ -186,10 +186,9 @@ class TestRandomStreams:
         assert not np.array_equal(a, b)
 
     def test_replications_independent_of_order(self):
-        spec = RandomStreamSpec(9)
-        late_first = spec.replication(5).generator().standard_normal(8)
-        early = spec.replication(0).generator().standard_normal(8)
-        late_again = spec.replication(5).generator().standard_normal(8)
+        late_first = RandomStreamSpec(9, 5).generator().standard_normal(8)
+        early = RandomStreamSpec(9, 0).generator().standard_normal(8)
+        late_again = RandomStreamSpec(9, 5).generator().standard_normal(8)
         assert np.array_equal(late_first, late_again)
         assert not np.array_equal(early, late_first)
 

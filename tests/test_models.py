@@ -44,7 +44,7 @@ from submoments.models import (
     smoothing_observable,
 )
 
-from oracles import heston_core_reference
+from oracles import heston_core_reference, stationary_density_unnormalized
 
 
 class TestOU:
@@ -181,8 +181,9 @@ class TestGradientDiffusion:
         assert float(x.var()) == pytest.approx(0.5, abs=0.06)
 
     def test_quartic_second_moment_matches_quadrature(self):
-        num = quad(lambda u: u * u * QUARTIC.stationary_density_unnormalized(u, 1.0), -np.inf, np.inf)[0]
-        den = quad(lambda u: QUARTIC.stationary_density_unnormalized(u, 1.0), -np.inf, np.inf)[0]
+        density = lambda u: stationary_density_unnormalized(QUARTIC, u, 1.0)
+        num = quad(lambda u: u * u * density(u), -np.inf, np.inf)[0]
+        den = quad(density, -np.inf, np.inf)[0]
         oracle = num / den
         assert oracle == pytest.approx(0.478, abs=0.001)
         g = simulate_gradient_diffusion(QUARTIC, 100_000, 0.01, RandomStreamSpec(11))
@@ -209,6 +210,8 @@ class TestGradientDiffusion:
 
 
 HESTON = HestonParams(reversion=1.0, level=0.04, vol_of_vol=0.2)
+# variance of the stationary Gamma law of V, whose mean is the level
+HESTON_V_VAR = HESTON.vol_of_vol**2 * HESTON.level / (2.0 * HESTON.reversion)
 
 
 class _NoDraws:
@@ -222,10 +225,6 @@ class TestHeston:
     def test_domain(self):
         with pytest.raises(ParameterDomain):
             HestonParams(-1.0, 0.04, 0.2).validate()
-        with pytest.raises(ParameterDomain):
-            simulate_heston(HESTON, 10, 0.01, RandomStreamSpec(1), v0_mode="bogus")
-        with pytest.raises(ParameterDomain):
-            simulate_heston(HESTON, 10, 0.01, RandomStreamSpec(1), v0_mode=-0.5)
 
     @pytest.mark.parametrize("step", [math.nan, math.inf])
     def test_non_finite_step_rejected_before_drawing(self, step):
@@ -235,22 +234,16 @@ class TestHeston:
     def test_stationary_draw_moments(self):
         rng = np.random.default_rng(7)
         v0 = heston_initial_variance(HESTON, rng, size=200_000)
-        assert float(v0.mean()) == pytest.approx(HESTON.stationary_mean, abs=1e-3)
-        assert float(v0.var()) == pytest.approx(HESTON.stationary_variance, rel=0.05)
+        assert float(v0.mean()) == pytest.approx(HESTON.level, abs=1e-3)
+        assert float(v0.var()) == pytest.approx(HESTON_V_VAR, rel=0.05)
 
     def test_variance_path_statistics(self):
         ret, var = simulate_heston(HESTON, 150_000, 0.01, RandomStreamSpec(21))
         v = var.samples[:, 0]
         assert np.all(v >= 0.0)
         assert float(v.mean()) == pytest.approx(0.04, abs=0.004)
-        assert float(v.var()) == pytest.approx(HESTON.stationary_variance, rel=0.25)
+        assert float(v.var()) == pytest.approx(HESTON_V_VAR, rel=0.25)
         assert ret.n_samples == var.n_samples == 150_000
-
-    def test_variance_covariance_formula(self):
-        assert HESTON.variance_covariance(0.0) == pytest.approx(8e-4)
-        assert HESTON.variance_covariance(2.0) == pytest.approx(8e-4 * math.exp(-2.0))
-        with pytest.raises(ParameterDomain):
-            HESTON.variance_covariance(-1.0)
 
     def test_tiny_vol_of_vol_pins_variance_to_level(self):
         calm = HestonParams(reversion=1.0, level=0.04, vol_of_vol=0.001)

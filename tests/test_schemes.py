@@ -73,6 +73,13 @@ class TestBoundConstants:
         )
         assert covariance_bound_constant(inputs) == pytest.approx(10.5, rel=1e-12)
 
+    @pytest.mark.parametrize("field", ["nu", "horizon_a", "lipschitz_lambda"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constants_rejected(self, field, value):
+        fields = dict(nu=1.0, horizon_a=1.0, dim_r=1, profile=UNIT_TAIL, lipschitz_lambda=1.0)
+        with pytest.raises(ParameterDomain, match="must be finite"):
+            BoundInputs(**{**fields, field: value})
+
     def test_unobservable_bound_formula(self):
         inputs = reference_bound_inputs()
         scheme = SubsamplingScheme(n_obs=100, big_delta=1.0)
@@ -94,16 +101,9 @@ class TestBoundConstants:
 
     def test_statistical_term_halves_when_budget_grows_eightfold(self):
         inputs = reference_bound_inputs()
-        _, stat_small = observable_bound_terms(inputs, scheme_from_n(1000), 0.0, expected_c_delta=1.0)
-        _, stat_big = observable_bound_terms(inputs, scheme_from_n(8000), 0.0, expected_c_delta=1.0)
+        _, stat_small = observable_bound_terms(inputs, scheme_from_n(1000), 0.0)
+        _, stat_big = observable_bound_terms(inputs, scheme_from_n(8000), 0.0)
         assert stat_big == pytest.approx(stat_small / 2.0, rel=1e-9)
-
-    def test_family_membership_enforced(self):
-        inputs = reference_bound_inputs()
-        with pytest.raises(ParameterDomain):
-            observable_bound_terms(
-                inputs, SubsamplingScheme(1000, 0.5), 0.0, expected_c_delta=1.0
-            )
 
 
 class TestSchemeRules:

@@ -1,5 +1,6 @@
-"""The documented library surface: the README quick start and ``submoments.__all__``."""
+"""The library surface: the README quick start, ``submoments.__all__``, and no name only tests reach."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -21,3 +22,37 @@ def test_readme_library_quick_start_runs(capsys):
 def test_every_exported_name_resolves():
     assert len(set(submoments.__all__)) == len(submoments.__all__)
     assert [name for name in submoments.__all__ if not hasattr(submoments, name)] == []
+
+
+#: names the package defines that only tests reach, each with its reason
+TEST_ONLY_ALLOWED = {
+    "load_ensemble": "reads back the ensemble.npz artifact that `lab` writes with save_ensemble",
+}
+
+
+def unreferenced_names(root: Path) -> list:
+    """Functions, classes, methods and properties of ``src/submoments`` named
+    nowhere in ``src``, ``scripts``, ``perfbench`` or ``README.md`` but in
+    their own definitions (dunders excluded), as ``grep -w`` would count them.
+    """
+    defined: dict = {}
+    for path in sorted((root / "src" / "submoments").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined[node.name] = defined.get(node.name, 0) + 1
+    corpus = [root / "README.md"]
+    for top in ("src", "scripts", "perfbench"):
+        corpus += [p for p in (root / top).rglob("*") if p.suffix in (".py", ".md", ".cfg")]
+    text = "\n".join(p.read_text() for p in corpus)
+    return sorted(
+        name
+        for name, count in defined.items()
+        if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count
+    )
+
+
+def test_no_name_only_tests_reach():
+    root = README.parent
+    assert [n for n in unreferenced_names(root) if n not in TEST_ONLY_ALLOWED] == []
+    assert set(TEST_ONLY_ALLOWED) <= set(unreferenced_names(root))  # no stale allowance
