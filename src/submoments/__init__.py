@@ -5,7 +5,7 @@ The package covers the full workflow: simulate a model (or load a
 trajectory), apply an observable that degrades it into a proxy sequence,
 pick a sub-sampling scheme matched to the proxy quality, estimate means
 and lagged covariances, compare them against theoretical error bounds,
-and invert the moments back into model parameters.
+and invert the mean and two covariances back into model parameters.
 
 The top level carries the library quick start of the README, the bound
 identities the acceptance suite checks, and the error classes; everything
@@ -26,9 +26,9 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .estimators import lag_index, lagged_covariance
+from .estimators import lag_index, lagged_covariance, lagged_covariances
 from .grids import RandomStreamSpec, resolve_stride, subsample_sequence
-from .invert import default_ou_descriptors, extract_moment_vector, invert_ou, ou_moment_map
+from .invert import invert_ou, ou_moment_map
 from .models import OUParams, simulate_ou
 from .schemes import (
     DecorrelationProfile,
@@ -56,9 +56,8 @@ __all__ = [
     # README library quick start
     "OUParams",
     "RandomStreamSpec",
-    "default_ou_descriptors",
-    "extract_moment_vector",
     "invert_ou",
+    "lagged_covariances",
     "resolve_stride",
     "scheme_from_rho",
     "simulate_ou",

@@ -48,14 +48,7 @@ from .grids import (
     write_binary,
     write_csv,
 )
-from .invert import (
-    MomentVector,
-    ParameterBall,
-    default_ou_descriptors,
-    invert_cir,
-    invert_ou,
-    truncate_to_ball,
-)
+from .invert import ParameterBall, invert_cir, invert_ou, truncate_to_ball
 from .lab import (
     build_report,
     evaluate_thresholds,
@@ -196,6 +189,11 @@ def cmd_estimate(args) -> int:
     lags = _parse_floats(args.lags, "--lags")
     if any(u < 0 for u in lags):
         raise ValidationError("lags must be >= 0")
+    center = [0.0, 0.0, 0.0]
+    if args.model is not None and args.ball_center is not None:
+        center = _parse_floats(args.ball_center, "--ball-center")
+        if len(center) != 3:  # both models have three parameters
+            raise UsageError(f"--ball-center expects 3 values, got {len(center)}")
     grid = _read_grid(Path(args.input))
     big_delta = grid.delta if args.big_delta is None else args.big_delta
     if big_delta <= 0:
@@ -234,7 +232,7 @@ def cmd_estimate(args) -> int:
         "n_obs": scheme.n_obs,
         "big_delta": scheme.big_delta,
         "stride": scheme.stride,
-        "mean": [float(v) for v in mean.vector],
+        "mean": [float(v) for v in mean],
         "covariances": [
             {
                 "lag": est.lag_requested,
@@ -250,20 +248,16 @@ def cmd_estimate(args) -> int:
     if args.model is not None:
         variance, cov_u1 = curve[len(lags) :]
         lag_used = cov_u1.lag_used
-        values = [mean.vector[0], variance.matrix[0, 0], cov_u1.matrix[0, 0]]
-        psi = MomentVector(values, default_ou_descriptors(lag_used))
-        if args.model == "ou":
-            est = invert_ou(psi.values, lag_used, moments=psi)
-        else:
-            est = invert_cir(psi.values, lag_used, moments=psi)
+        psi = [mean[0], variance.matrix[0, 0], cov_u1.matrix[0, 0]]
+        invert = invert_ou if args.model == "ou" else invert_cir
+        est = invert(psi, lag_used)
         if args.ball_radius is not None:
-            center = (
-                np.zeros(est.theta.size)
-                if args.ball_center is None
-                else np.array(_parse_floats(args.ball_center, "--ball-center"))
-            )
             est = truncate_to_ball(est, ParameterBall(center=center, radius=args.ball_radius))
-        payload["parameters"] = est.as_dict()
+        keys = ("mean(0)", "cov(0,0)@0", f"cov(0,0)@{lag_used:g}")
+        payload["parameters"] = {
+            **est.as_dict(),
+            "moments": {key: float(v) for key, v in zip(keys, psi)},
+        }
     # the JSON goes first: a refused (non-finite) payload leaves no sidecar
     _write_json(payload, None if args.output is None else Path(args.output))
     if args.csv is not None:

@@ -12,7 +12,7 @@ The centered-product form above is used throughout; it is algebraically
 identical to "average of products minus product of averages" but does not
 cancel two large numbers against each other.
 
-Every covariance, in this module, in ``invert`` and in the lab, comes from
+Every covariance, in this module, in the CLI and in the lab, comes from
 one kernel, :func:`lagged_covariances`.  It centres the lead block
 ``s_1..s_N`` once for all lags (its mean is the paper's ``mean`` above) and,
 for each distinct kappa, centres the lagged block into one reused workspace.
@@ -64,20 +64,12 @@ def _pairwise_mean(block: np.ndarray) -> np.ndarray:
     return np.array([np.sum(block[:, j]) for j in range(block.shape[1])]) / block.shape[0]
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
-    """Empirical mean of one coarse sequence."""
-
-    vector: np.ndarray
-    n_obs: int
-
-
-def empirical_mean(samples) -> MeanEstimate:
+def empirical_mean(samples) -> np.ndarray:
     """Mean of the coarse samples, one entry per coordinate."""
     arr = _as_matrix(samples)
     if arr.shape[0] < 1:
         raise InsufficientData("need at least one sample")
-    return MeanEstimate(vector=_pairwise_mean(arr), n_obs=arr.shape[0])
+    return _pairwise_mean(arr)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Back out model parameters from a vector of estimated moments.
+"""Back out model parameters from estimated moments.
 
-A moment vector pairs values with descriptors saying which statistic each
-entry is (a mean coordinate or a covariance entry at some lag).  Closed
-forms invert the scalar mean-reverting model and the square-root
+Each inversion takes three numbers of one coordinate: its mean, its
+variance and its covariance at one positive lag ``u1``, read off the
+arrays that :func:`submoments.estimators.lagged_covariances` returns.
+Closed forms invert the scalar mean-reverting model and the square-root
 variance model.
 """
 
@@ -13,112 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MomentsOutsideModelRange,
-    ParameterDomain,
-)
+from .errors import MomentsOutsideModelRange, ParameterDomain
 # empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
-from .estimators import empirical_mean, lag_index, lagged_covariance, lagged_covariances
-from .grids import SubsamplingScheme
-
-# ---------------------------------------------------------------------------
-# Moment vectors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentDescriptor:
-    """Names one statistic: ``mean(i)`` or ``cov(i,j)@lag``."""
-
-    kind: str
-    i: int
-    j: int = 0
-    lag: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("mean", "cov"):
-            raise ParameterDomain(f"descriptor kind must be mean or cov, got {self.kind!r}")
-        if self.i < 0 or self.j < 0:
-            raise ParameterDomain("coordinate indices must be >= 0")
-        if self.lag < 0:
-            raise ParameterDomain(f"lag must be >= 0, got {self.lag}")
-        if self.kind == "mean" and self.lag != 0.0:
-            raise ParameterDomain("mean descriptors carry no lag")
-
-    @classmethod
-    def mean(cls, i: int = 0) -> "MomentDescriptor":
-        return cls(kind="mean", i=i)
-
-    @classmethod
-    def cov(cls, i: int = 0, j: int = 0, lag: float = 0.0) -> "MomentDescriptor":
-        return cls(kind="cov", i=i, j=j, lag=float(lag))
-
-    def __str__(self) -> str:
-        if self.kind == "mean":
-            return f"mean({self.i})"
-        return f"cov({self.i},{self.j})@{self.lag:g}"
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moment values with their descriptors, pairwise distinct."""
-
-    values: np.ndarray
-    descriptors: tuple
-
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        vals.flags.writeable = False
-        desc = tuple(self.descriptors)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "descriptors", desc)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ParameterDomain("moment vector must be a non-empty 1-d array")
-        if len(desc) != vals.size:
-            raise ParameterDomain("descriptor count must match value count")
-        if len(set(desc)) != len(desc):
-            raise ParameterDomain("moment descriptors must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def extract_moment_vector(samples, scheme: SubsamplingScheme, descriptors) -> MomentVector:
-    """Evaluate the named statistics on one coarse sequence.
-
-    ``samples`` must supply ``n_obs`` plus the largest rounded lag shift.
-    Means are taken over the first ``n_obs`` samples, as the covariances
-    are, and all covariances come from one :func:`lagged_covariances` call.
-    """
-    desc = tuple(descriptors)
-    covs = [d for d in desc if d.kind == "cov"]
-    kappas = [lag_index(d.lag, scheme.big_delta) for d in covs]
-    cov, mean_vec = lagged_covariances(samples, scheme.n_obs, kappas)
-    matrices = dict(zip(covs, cov))
-    out = np.empty(len(desc))
-    for pos, d in enumerate(desc):
-        if d.kind == "mean":
-            if d.i >= mean_vec.size:
-                raise ParameterDomain(f"mean coordinate {d.i} out of range")
-            out[pos] = mean_vec[d.i]
-        else:
-            mat = matrices[d]
-            if d.i >= mat.shape[0] or d.j >= mat.shape[1]:
-                raise ParameterDomain(f"covariance index ({d.i},{d.j}) out of range")
-            out[pos] = mat[d.i, d.j]
-    return MomentVector(values=out, descriptors=desc)
-
-
-def default_ou_descriptors(u1: float) -> tuple:
-    """Mean, variance, and one positive-lag covariance of the scalar model."""
-    if u1 <= 0:
-        raise ParameterDomain(f"u1 must be > 0, got {u1}")
-    return (
-        MomentDescriptor.mean(0),
-        MomentDescriptor.cov(0, 0, 0.0),
-        MomentDescriptor.cov(0, 0, u1),
-    )
-
+from .estimators import empirical_mean, lagged_covariance
 
 # ---------------------------------------------------------------------------
 # Parameter estimates and the truncation ball
@@ -148,7 +46,7 @@ class ParameterBall:
 
 @dataclass(frozen=True)
 class ParameterEstimate:
-    """Estimated parameter vector with provenance.
+    """Estimated parameter vector with its parameter names.
 
     ``truncated`` records whether the safeguard replaced the estimate by
     the zero vector.
@@ -157,7 +55,6 @@ class ParameterEstimate:
     theta: np.ndarray
     names: tuple
     truncated: bool = False
-    moments: MomentVector | None = None
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -170,31 +67,14 @@ class ParameterEstimate:
     def as_dict(self) -> dict:
         out = {name: float(v) for name, v in zip(self.names, self.theta)}
         out["truncated"] = self.truncated
-        if self.moments is not None:
-            out["moments"] = {
-                str(d): float(v)
-                for d, v in zip(self.moments.descriptors, self.moments.values)
-            }
         return out
-
-
-def truncate_vector(theta, ball: ParameterBall) -> tuple[np.ndarray, bool]:
-    """Zero the vector when it falls outside the closed ball."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    if ball.contains(t):
-        return t, False
-    return np.zeros_like(t), True
 
 
 def truncate_to_ball(estimate: ParameterEstimate, ball: ParameterBall) -> ParameterEstimate:
     """Safeguarded copy of an estimate: zero vector when outside the ball."""
-    theta, clipped = truncate_vector(estimate.theta, ball)
-    return ParameterEstimate(
-        theta=theta,
-        names=estimate.names,
-        truncated=clipped,
-        moments=estimate.moments,
-    )
+    if ball.contains(estimate.theta):
+        return ParameterEstimate(estimate.theta, estimate.names)
+    return ParameterEstimate(np.zeros_like(estimate.theta), estimate.names, truncated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +90,7 @@ def _positive_lag(u1: float) -> None:
         raise ParameterDomain(f"u1 must be a positive lag, got {u1}")
 
 
-def invert_ou(psi, u1: float, moments: MomentVector | None = None) -> ParameterEstimate:
+def invert_ou(psi, u1: float) -> ParameterEstimate:
     """Closed-form mean-reverting fit from ``[mean, cov(0), cov(u1)]``.
 
     reversion = log(cov0 / cov_u1) / u1 and noise^2 = 2 * reversion * cov0.
@@ -233,7 +113,6 @@ def invert_ou(psi, u1: float, moments: MomentVector | None = None) -> ParameterE
     return ParameterEstimate(
         theta=np.array([mu, reversion, noise]),
         names=OU_PARAMETER_NAMES,
-        moments=moments,
     )
 
 
@@ -247,7 +126,7 @@ def ou_moment_map(theta, u1: float) -> np.ndarray:
     return np.array([mu, var, var * math.exp(-reversion * u1)])
 
 
-def invert_cir(psi, u1: float, moments: MomentVector | None = None) -> ParameterEstimate:
+def invert_cir(psi, u1: float) -> ParameterEstimate:
     """Closed-form square-root-variance fit from ``[mean, var, cov(u1)]``.
 
     level = mean, reversion = log(var / cov_u1) / u1 and
@@ -271,5 +150,4 @@ def invert_cir(psi, u1: float, moments: MomentVector | None = None) -> Parameter
     return ParameterEstimate(
         theta=np.array([reversion, mean_v, vol]),
         names=CIR_PARAMETER_NAMES,
-        moments=moments,
     )

@@ -43,12 +43,7 @@ from .grids import (
     resolve_stride,
     subsample_sequence,
 )
-from .invert import (
-    default_ou_descriptors,
-    extract_moment_vector,
-    invert_cir,
-    invert_ou,
-)
+from .invert import invert_cir, invert_ou
 from .models import (
     HestonParams,
     OUParams,
@@ -236,11 +231,15 @@ def _fine_length(point: SweepPoint) -> int:
     return point.offset_rows + (point.scheme.n_obs + kmax) * point.scheme.stride
 
 
-def _check_memory(config: ExperimentConfig, points) -> None:
-    worst = max(_fine_length(p) for p in points)
-    # fine path, observable copy, centered temporaries, per-lag product
-    per_path = worst * 8 * 4
-    need = per_path * max(1, config.workers)
+def _check_memory(rows: float, paths: int = 1) -> None:
+    """Refuse a plan of ``paths`` fine paths of ``rows`` rows each over the cap.
+
+    A float ``rows`` that overflowed to infinity is refused too.
+    """
+    # four float64 columns a row: a sweep's fine path, observable copy,
+    # centered temporaries and per-lag product; a pilot's two normal
+    # columns and its variance and price paths
+    need = rows * 8 * 4 * paths
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
             f"run needs about {need / 1e9:.2f} GB of workspace, cap is "
@@ -361,7 +360,7 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
     """
     config.validate()
     points = _plan_sweep(config)
-    _check_memory(config, points)
+    _check_memory(max(_fine_length(p) for p in points), max(1, config.workers))
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
     r = 1  # scalar hidden model
     ens = Ensemble(
@@ -763,14 +762,13 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     fine_len = scheme.n_obs + kappa1
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
     rel = np.empty((config.replications, 3))
-    descriptors = default_ou_descriptors(lag_used)
     for rep in range(config.replications):
         stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
         x = simulate_ou(config.model, fine_len, scheme.big_delta, stream)
         y = multiplicative_perturbation_observable(x, config.rho)
         seq = subsample_sequence(y, scheme, n_extra=kappa1)
-        psi = extract_moment_vector(seq, scheme, descriptors)
-        est = invert_ou(psi.values, lag_used, moments=psi)
+        cov, mean = lagged_covariances(seq, scheme.n_obs, (0, kappa1))
+        est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], lag_used)
         rel[rep] = np.abs(est.theta - truth) / np.abs(truth)
     names = ("mean", "reversion", "noise")
     fraction = {
@@ -934,6 +932,7 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
             )
         plans_eps.append((eps, s_eps, default_rv_window(eps)))
 
+    _check_memory(config.pilot_span / delta_f)  # before the pilot sizes or draws anything
     rho_hat = _pilot_rho(config, delta_f, plans_eps)
 
     plans = []

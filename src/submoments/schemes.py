@@ -238,8 +238,8 @@ def scheme_from_rho(rho: float, c_n: float = 1.0, c_delta: float = 1.0) -> Schem
     """
     if not (0.0 < rho < 1.0):
         raise ParameterDomain(f"rho must lie in (0, 1), got {rho}")
-    if c_n <= 0 or c_delta <= 0:
-        raise ParameterDomain("c_n and c_delta must be > 0")
+    if not (0 < c_n < math.inf and 0 < c_delta < math.inf):
+        raise ParameterDomain(f"c_n and c_delta must be finite and > 0, got {c_n}, {c_delta}")
     n_obs = max(8, math.ceil(c_n * rho**-3))
     scheme = SubsamplingScheme(n_obs=n_obs, big_delta=c_delta * rho)
     predicted = error_bound_observable(reference_bound_inputs(), scheme, rho)

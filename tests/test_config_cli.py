@@ -446,7 +446,7 @@ class TestEstimateCommand:
         seq = subsample_sequence(grid, scheme, n_extra=4)
         curve = covariance_curve(seq, scheme, [0.0, 1.0])
         assert payload["n_obs"] == 2996 and payload["stride"] == 1
-        assert payload["mean"][0] == empirical_mean(seq[:2996]).vector[0]
+        assert payload["mean"][0] == empirical_mean(seq[:2996])[0]
         for got, est in zip(payload["covariances"], curve):
             assert got["kappa"] == est.kappa
             assert got["matrix"][0][0] == est.matrix[0, 0]
@@ -481,13 +481,13 @@ class TestEstimateCommand:
 
     def test_model_takes_one_kernel_pass(self, ou_trajectory, capsys, monkeypatch):
         calls = []
-        for module in (submoments.estimators, submoments.invert):
+        kernel = submoments.estimators.lagged_covariances
 
-            def counted(*args, kernel=module.lagged_covariances):
-                calls.append(args)
-                return kernel(*args)
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
 
-            monkeypatch.setattr(module, "lagged_covariances", counted)
+        monkeypatch.setattr(submoments.estimators, "lagged_covariances", counted)
         argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--model", "ou"]
         assert main(argv) == 0
         assert len(calls) == 1
@@ -495,16 +495,30 @@ class TestEstimateCommand:
     def test_model_u1_outside_lags(self, ou_trajectory, capsys):
         # --u1 feeds the inversion only; the report lists just the --lags
         argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--u1", "0.5"]
-        assert main([*argv, "--model", "ou"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [c["lag"] for c in payload["covariances"]] == [0.0, 1.0]
-        grid = read_binary(ou_trajectory)
-        scheme = resolve_stride(SubsamplingScheme(payload["n_obs"], 0.25), grid.delta)
-        seq = subsample_sequence(grid, scheme, n_extra=4)
-        (cov_u1,) = covariance_curve(seq, scheme, [0.5])
-        moments = payload["parameters"]["moments"]
-        assert moments["cov(0,0)@0.5"] == cov_u1.matrix[0, 0]
-        assert moments["cov(0,0)@0"] == payload["covariances"][0]["matrix"][0][0]
+        for model in ("ou", "cir"):
+            assert main([*argv, "--model", model]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert [c["lag"] for c in payload["covariances"]] == [0.0, 1.0]
+            grid = read_binary(ou_trajectory)
+            scheme = resolve_stride(SubsamplingScheme(payload["n_obs"], 0.25), grid.delta)
+            seq = subsample_sequence(grid, scheme, n_extra=4)
+            (cov_u1,) = covariance_curve(seq, scheme, [0.5])
+            moments = payload["parameters"]["moments"]
+            assert list(moments) == ["cov(0,0)@0", "cov(0,0)@0.5", "mean(0)"]
+            assert moments["cov(0,0)@0.5"] == cov_u1.matrix[0, 0]
+            assert moments["cov(0,0)@0"] == payload["covariances"][0]["matrix"][0][0]
+            assert moments["mean(0)"] == payload["mean"][0]
+
+    def test_ball_center_count_exits_two(self, ou_trajectory, tmp_path, capsys):
+        out = tmp_path / "moments.json"
+        argv = [
+            "estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--model", "ou",
+            "--ball-radius", "10", "--ball-center", "0,0", "--output", str(out),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--ball-center expects 3 values, got 2" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_csv_sidecar(self, ou_trajectory, tmp_path, capsys):
         csv = tmp_path / "curve.csv"
@@ -730,6 +744,40 @@ class TestLabCommand:
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "preset, section",
+        [(None, None), ("smoke", "sweep"), ("ou_endtoend", "endtoend"), ("heston_rv", "heston")],
+    )
+    def test_non_finite_scheme_constant_exits_three(self, tmp_path, capsys, preset, section, value):
+        out = tmp_path / "run"
+        if preset is None:
+            argv = ["scheme", "--rho", "0.05", "--c-n", value, "--output", str(out)]
+        else:
+            body = load_config(_preset_path(preset)).sections[section]
+            cfg = preset_variant(tmp_path, {section: {**body, "c_n": value}}, preset)
+            argv = ["lab", "--config", str(cfg), "--output-dir", str(out)]
+        assert main(argv) == 3
+        assert "c_n and c_delta must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("span, cap", [("1e308", None), ("1000", 10**6)])
+    def test_pilot_over_memory_cap_exits_four(self, tmp_path, capsys, monkeypatch, span, cap):
+        # 1e308 / fine_step overflows to inf; 1000 / 0.005 rows is 6.4 MB of
+        # pilot, over a lowered cap so that a missed check allocates little
+        def fail(*args):
+            raise AssertionError("the pilot was stepped before its size was checked")
+
+        monkeypatch.setattr("submoments.lab._heston_core", fail)
+        if cap is not None:
+            monkeypatch.setattr("submoments.lab._MEMORY_CAP_BYTES", cap)
+        heston = load_config(_preset_path("heston_rv")).sections["heston"]
+        cfg = preset_variant(tmp_path, {"heston": {**heston, "pilot_span": span}}, "heston_rv")
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 4
+        assert "GB of workspace, cap is" in capsys.readouterr().err
         assert not out.exists()
 
     def test_without_assert_ignores_thresholds(self, tmp_path, capsys):

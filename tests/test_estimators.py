@@ -46,8 +46,7 @@ class TestLagIndex:
 class TestEmpiricalMean:
     def test_matrix_input(self):
         data = np.array([[1.0, 10.0], [3.0, 30.0]])
-        est = empirical_mean(data)
-        assert est.vector == pytest.approx([2.0, 20.0])
+        assert empirical_mean(data) == pytest.approx([2.0, 20.0])
 
     def test_guards(self):
         with pytest.raises(InsufficientData):
@@ -98,7 +97,7 @@ class TestLaggedCovariance:
         arr = 1e3 + _rand(n, 2, seed=17)
         tol = np.finfo(float).eps * math.log2(n)
         exact_mean = [math.fsum(arr[:, j]) / n for j in range(2)]
-        assert empirical_mean(arr).vector == pytest.approx(exact_mean, rel=tol, abs=0.0)
+        assert empirical_mean(arr) == pytest.approx(exact_mean, rel=tol, abs=0.0)
         centred = [arr[:, j] - exact_mean[j] for j in range(2)]
         exact_var = [math.fsum(c * c) / n for c in centred]
         est = lagged_covariance(arr, n_obs=n, kappa=0, big_delta=1.0)
@@ -189,7 +188,7 @@ class TestLaggedCovariances:
         with pytest.raises(ParameterDomain, match="n_obs must be >= 2"):
             lagged_covariances(arr, 1, [])
         cov, mean = lagged_covariances(arr, 20, [])
-        assert cov.shape == (0, 1, 1) and mean[0] == empirical_mean(arr[:20]).vector[0]
+        assert cov.shape == (0, 1, 1) and mean[0] == empirical_mean(arr[:20])[0]
 
 
 class TestCovarianceCurve:

@@ -1,4 +1,4 @@
-"""Moment descriptors, closed-form inversions, and safeguard truncation."""
+"""Closed-form inversions and safeguard truncation."""
 
 import math
 
@@ -8,111 +8,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submoments.errors import MomentsOutsideModelRange, ParameterDomain
-from submoments.estimators import empirical_mean, lagged_covariance
+from submoments.estimators import covariance_curve, empirical_mean, lagged_covariances
 from submoments.grids import SubsamplingScheme
 from submoments.invert import (
     CIR_PARAMETER_NAMES,
-    MomentDescriptor,
-    MomentVector,
     OU_PARAMETER_NAMES,
     ParameterBall,
-    default_ou_descriptors,
-    extract_moment_vector,
+    ParameterEstimate,
     invert_cir,
     invert_ou,
     ou_moment_map,
     truncate_to_ball,
-    truncate_vector,
 )
-from submoments.lab import ExperimentConfig
-from submoments.models import OUParams
 
 from oracles import cir_moment_map
 
 
-class TestDescriptors:
-    def test_str_round_trip(self):
-        assert str(MomentDescriptor.mean(3)) == "mean(3)"
-        assert str(MomentDescriptor.cov(0, 1, 0.25)) == "cov(0,1)@0.25"
-
-    def test_constructor_domain(self):
-        with pytest.raises(ParameterDomain):
-            MomentDescriptor(kind="median", i=0)
-        with pytest.raises(ParameterDomain):
-            MomentDescriptor(kind="mean", i=0, lag=1.0)
-        with pytest.raises(ParameterDomain):
-            MomentDescriptor.cov(0, 0, -0.5)
-
-
-class TestMomentVector:
-    def test_distinct_descriptors_required(self):
-        d = MomentDescriptor.cov(0, 0, 0.5)
-        with pytest.raises(ParameterDomain):
-            MomentVector(values=[1.0, 2.0], descriptors=(d, d))
-
-    def test_count_mismatch(self):
-        with pytest.raises(ParameterDomain):
-            MomentVector(values=[1.0], descriptors=())
-
-    def test_len(self):
-        mv = MomentVector([1.0, 2.0], (MomentDescriptor.mean(0), MomentDescriptor.cov()))
-        assert len(mv) == 2
-
-
 class TestExtract:
+    """The inversion's moments ``[mean, cov(0), cov(u1)]`` read off the kernel arrays."""
+
     SCHEME = SubsamplingScheme(50, 0.5)
 
     def test_constant_sequence(self):
-        mv = extract_moment_vector(
-            np.full(60, 2.5),
-            self.SCHEME,
-            [
-                MomentDescriptor.mean(0),
-                MomentDescriptor.cov(0, 0, 0.0),
-                MomentDescriptor.cov(0, 0, 1.0),
-            ],
-        )
-        assert mv.values[0] == 2.5
-        assert mv.values[1] == 0.0 and mv.values[2] == 0.0
+        cov, mean = lagged_covariances(np.full(60, 2.5), 50, (0, 2))
+        assert mean[0] == 2.5
+        assert cov[0, 0, 0] == 0.0 and cov[1, 0, 0] == 0.0
+        with pytest.raises(MomentsOutsideModelRange):
+            invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], 1.0)
 
     def test_matches_direct_estimators(self):
+        # estimate --model takes them from empirical_mean and covariance_curve,
+        # the end-to-end lab from one lagged_covariances call
         arr = np.random.default_rng(61).standard_normal(60)
-        mv = extract_moment_vector(
-            arr, self.SCHEME, [MomentDescriptor.mean(0), MomentDescriptor.cov(0, 0, 1.0)]
-        )
-        assert mv.values[0] == empirical_mean(arr[:50]).vector[0]
-        direct = lagged_covariance(arr, 50, 2, 0.5)
-        assert mv.values[1] == direct.matrix[0, 0]
-
-    def test_equal_rounded_lags_agree(self):
-        arr = np.random.default_rng(62).standard_normal(60)
-        mv = extract_moment_vector(
-            arr, self.SCHEME, [MomentDescriptor.cov(0, 0, 0.5), MomentDescriptor.cov(0, 0, 0.52)]
-        )
-        assert mv.values[0] == mv.values[1]
-        assert mv.descriptors[0].lag != mv.descriptors[1].lag
-
-    def test_horizon_and_index_guards(self):
-        # a lag past the horizon is refused where it enters, by the sweep config
-        config = ExperimentConfig(
-            model=OUParams(0.0, 1.0, 1.0),
-            epsilon_grid=(0.3, 0.2, 0.1),
-            lags=(3.0,),
-            horizon_a=2.0,
-        )
-        with pytest.raises(ParameterDomain, match="horizon"):
-            config.validate()
-        arr = np.random.default_rng(63).standard_normal(60)
-        with pytest.raises(ParameterDomain, match="out of range"):
-            extract_moment_vector(arr, self.SCHEME, [MomentDescriptor.mean(1)])
-        with pytest.raises(ParameterDomain, match="out of range"):
-            extract_moment_vector(arr, self.SCHEME, [MomentDescriptor.cov(0, 1, 0.0)])
-
-    def test_default_descriptors(self):
-        d = default_ou_descriptors(0.5)
-        assert [str(x) for x in d] == ["mean(0)", "cov(0,0)@0", "cov(0,0)@0.5"]
-        with pytest.raises(ParameterDomain):
-            default_ou_descriptors(0.0)
+        cov, mean = lagged_covariances(arr, 50, (0, 2))
+        assert mean[0] == empirical_mean(arr[:50])[0]
+        var, cov_u1 = covariance_curve(arr, self.SCHEME, [0.0, 1.0])
+        assert cov[0, 0, 0] == var.matrix[0, 0] and cov[1, 0, 0] == cov_u1.matrix[0, 0]
 
 
 class TestClosedForms:
@@ -182,10 +113,10 @@ class TestBallAndTruncation:
 
     def test_truncate_vector(self):
         ball = ParameterBall(center=[0.0, 0.0], radius=1.0)
-        kept, clipped = truncate_vector([0.3, 0.4], ball)
-        assert not clipped and kept == pytest.approx([0.3, 0.4])
-        zeroed, clipped = truncate_vector([3.0, 4.0], ball)
-        assert clipped and np.array_equal(zeroed, [0.0, 0.0])
+        kept = truncate_to_ball(ParameterEstimate([0.3, 0.4], ("a", "b")), ball)
+        assert not kept.truncated and kept.theta == pytest.approx([0.3, 0.4])
+        zeroed = truncate_to_ball(ParameterEstimate([3.0, 4.0], ("a", "b")), ball)
+        assert zeroed.truncated and np.array_equal(zeroed.theta, [0.0, 0.0])
 
     def test_truncate_estimate_keeps_metadata(self):
         est = invert_ou([0.0, 1.0, math.exp(-1.0)], 1.0)
@@ -201,7 +132,7 @@ class TestBallAndTruncation:
     @settings(max_examples=80, deadline=None)
     def test_truncation_idempotent(self, x, radius):
         ball = ParameterBall(center=[1.0, -1.0], radius=radius)
-        once, _ = truncate_vector(x, ball)
-        twice, _ = truncate_vector(once, ball)
-        assert np.array_equal(once, twice)
+        once = truncate_to_ball(ParameterEstimate(x, ("a", "b")), ball)
+        twice = truncate_to_ball(once, ball)
+        assert np.array_equal(once.theta, twice.theta)
 

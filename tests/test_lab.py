@@ -145,6 +145,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterDomain):
             small_config(**overrides).validate()
 
+    def test_lag_past_horizon(self):
+        # a lag past the horizon is refused where it enters, by the sweep config
+        with pytest.raises(ParameterDomain, match="horizon"):
+            small_config(lags=(3.0,), horizon_a=2.0).validate()
+
     def test_from_n_needs_grid(self):
         with pytest.raises(ParameterDomain):
             small_config(scheme_family="from_n").validate()

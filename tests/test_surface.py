@@ -24,6 +24,35 @@ def test_every_exported_name_resolves():
     assert [name for name in submoments.__all__ if not hasattr(submoments, name)] == []
 
 
+def top_level_names_used() -> set:
+    """Package attributes the README library block reads, and names the
+    acceptance suite imports from ``submoments``."""
+    block = ast.parse(readme_library_quick_start())
+    (alias,) = [a.asname or a.name for n in block.body if isinstance(n, ast.Import) for a in n.names]
+    used = {
+        node.attr
+        for node in ast.walk(block)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == alias
+    }
+    acceptance = ast.parse((README.parent / "tests" / "test_acceptance.py").read_text())
+    for node in ast.walk(acceptance):
+        if isinstance(node, ast.ImportFrom) and node.module == "submoments":
+            used |= {a.name for a in node.names}
+    return used
+
+
+def test_exports_are_exactly_the_used_names_and_errors():
+    errors = submoments.errors
+    error_classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    used = top_level_names_used()
+    assert sorted(set(submoments.__all__) - used - error_classes - {"__version__"}) == []
+    assert sorted(used - set(submoments.__all__)) == []
+
+
 #: names the package defines that only tests reach, each with its reason
 TEST_ONLY_ALLOWED = {
     "load_ensemble": "reads back the ensemble.npz artifact that `lab` writes with save_ensemble",
