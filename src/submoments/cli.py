@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed assertion, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ from .config import (
     load_config,
     pipeline_kind,
 )
-from .errors import InsufficientData, SubmomentsError, UsageError, ValidationError
+from .errors import InsufficientData, ResourceLimit, SubmomentsError, UsageError, ValidationError
 from .estimators import covariance_curve, empirical_mean, estimates_to_csv, lag_index
 from .grids import (
     RandomStreamSpec,
@@ -199,31 +200,33 @@ def cmd_estimate(args) -> int:
     if big_delta <= 0:
         raise ValidationError(f"big delta must be > 0, got {big_delta}")
     kmax = max(lag_index(u, big_delta) for u in lags)
-    stride = max(1, int(round(big_delta / grid.delta)))
-    if args.n_obs is not None:
-        n_obs = args.n_obs
-    else:
-        n_obs = (grid.n_samples - args.offset) // stride - kmax
-    if n_obs < 2:
-        raise InsufficientData(
-            f"trajectory of {grid.n_samples} rows leaves {n_obs} observations "
-            f"after stride {stride} and lag allowance {kmax}"
-        )
-    scheme = resolve_stride(SubsamplingScheme(n_obs=n_obs, big_delta=big_delta), grid.delta)
-    seq = subsample_sequence(grid, scheme, n_extra=kmax, offset=args.offset)
+    coarse = resolve_stride(SubsamplingScheme(n_obs=1, big_delta=big_delta), grid.delta)
     curve_lags = list(lags)
     if args.model is not None:
         u1 = args.u1
         if u1 is None:
-            positive = [u for u in lags if lag_index(u, scheme.big_delta) >= 1]
+            positive = [u for u in lags if lag_index(u, coarse.big_delta) >= 1]
             if not positive:
                 raise UsageError("--model needs a lag that is positive on the coarse grid")
             u1 = positive[0]
-        if lag_index(u1, scheme.big_delta) < 1:
+        kappa1 = lag_index(u1, coarse.big_delta)
+        if kappa1 < 1:
             raise ValidationError(
-                f"lag {u1} rounds to zero on the coarse step {scheme.big_delta}"
+                f"lag {u1} rounds to zero on the coarse step {coarse.big_delta}"
             )
+        kmax = max(kmax, kappa1)  # the rows past n_obs serve the inversion lag too
         curve_lags += [0.0, u1]  # the inversion's variance and lag-u1 covariance
+    if args.n_obs is not None:
+        n_obs = args.n_obs
+    else:
+        n_obs = (grid.n_samples - args.offset) // coarse.stride - kmax
+    if n_obs < 2:
+        raise InsufficientData(
+            f"trajectory of {grid.n_samples} rows leaves {n_obs} observations "
+            f"after stride {coarse.stride} and lag allowance {kmax}"
+        )
+    scheme = dataclasses.replace(coarse, n_obs=n_obs)
+    seq = subsample_sequence(grid, scheme, n_extra=kmax, offset=args.offset)
     # one kernel pass: a kappa that --lags already requests costs nothing more
     curve = covariance_curve(seq, scheme, curve_lags)
     reported = curve[: len(lags)]
@@ -456,6 +459,9 @@ def main(argv=None) -> int:
     except SubmomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # an allocation no resource cap foresaw
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ResourceLimit.exit_code
 
 
 if __name__ == "__main__":

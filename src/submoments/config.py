@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .grids import SubsamplingScheme
 from .lab import THRESHOLDS, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from .models import GradientDiffusionParams, HestonParams, OUParams, SlowFastParams, ou_bound_inputs
-from .schemes import BoundInputs, DecorrelationProfile
+from .schemes import BoundInputs
 
 _PIPELINES = tuple(THRESHOLDS)
 
@@ -177,12 +177,7 @@ READERS = {
             "table": (_parse_rho_table, "rho_table"),
         },
         "lags": {"values": (_as_float_list, "lags"), "horizon": (_as_float, "horizon_a")},
-        "bounds": {
-            **_same(_as_str, "source", "profile_kind"),
-            **_same(_as_float, "nu", "lipschitz"),
-            **_same(_as_float, "profile_c", "profile_rate", "profile_exponent"),
-            "dim_r": (_as_int, "dim_r"),
-        },
+        "bounds": _same(_as_str, "source"),
         "assert": _asserts("generic"),
     },
     "ou_endtoend": {
@@ -366,8 +361,8 @@ def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
     return config
 
 
-def build_bounds(bundle: ConfigBundle, model) -> BoundInputs | None:
-    """Assemble [bounds]; ``source = ou_analytic`` derives them from the model.
+def build_bounds(bundle: ConfigBundle, model: OUParams) -> BoundInputs | None:
+    """Assemble [bounds]: ``source = ou_analytic`` derives them from the model.
 
     The bound's lag window is ``[0, horizon]`` of ``[lags] horizon``, the one
     horizon :class:`ExperimentConfig` checks the lags against.
@@ -375,28 +370,10 @@ def build_bounds(bundle: ConfigBundle, model) -> BoundInputs | None:
     if not bundle.has("bounds"):
         return None
     body = _fields("generic", bundle, "bounds", "lags")
-    source = body.get("source", "explicit")
-    if source == "ou_analytic":
-        if not isinstance(model, OUParams):
-            raise ValidationError("[bounds] source ou_analytic needs the ou model")
-        return ou_bound_inputs(model, body.get("horizon_a", _BOUNDS_HORIZON))
-    if source != "explicit":
-        _fail("bounds", "source", "must be ou_analytic or explicit")
-    kind = body.get("profile_kind", "exponential")
-    c = body.get("profile_c", 1.0)
-    if kind == "exponential":
-        profile = DecorrelationProfile.exponential(c=c, rate=body.get("profile_rate", 1.0))
-    elif kind == "power":
-        profile = DecorrelationProfile.power(c=c, exponent=body.get("profile_exponent", 2.0))
-    else:
-        _fail("bounds", "profile_kind", "must be exponential or power")
-    return BoundInputs(
-        nu=body.get("nu", 1.0),
-        horizon_a=body.get("horizon_a", _BOUNDS_HORIZON),
-        dim_r=body.get("dim_r", 1),
-        profile=profile,
-        lipschitz_lambda=body.get("lipschitz", 1.0),
-    )
+    source = body.get("source")
+    if source != "ou_analytic":
+        _fail("bounds", "source", f"must be ou_analytic, got {source!r}")
+    return ou_bound_inputs(model, body.get("horizon_a", _BOUNDS_HORIZON))
 
 
 def build_endtoend(bundle: ConfigBundle) -> EndToEndConfig:

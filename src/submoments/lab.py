@@ -183,8 +183,34 @@ class SweepPoint:
     lags_used: tuple
 
 
+def _plan_point(
+    label: float, rho: float, eps: float, scheme, lags, resolution: int = 1, smoothing: bool = False
+) -> SweepPoint:
+    """Pin ``scheme`` to a fine grid of ``resolution`` steps per coarse step."""
+    fine = scheme.big_delta / resolution
+    resolved = resolve_stride(scheme, fine)
+    kappas = tuple(lag_index(u, resolved.big_delta) for u in lags)
+    offset = 0
+    if smoothing:
+        ratio = eps / fine
+        offset = int(round(ratio))
+        if offset < 1 or not math.isclose(ratio, offset, rel_tol=1e-9):
+            raise SchemeGridMismatch(
+                f"smoothing window {eps} is not a multiple of the fine step {fine}"
+            )
+    return SweepPoint(
+        label=label,
+        rho=rho,
+        eps=eps,
+        scheme=resolved,
+        fine_delta=fine,
+        offset_rows=offset,
+        kappas=kappas,
+        lags_used=tuple(k * resolved.big_delta for k in kappas),
+    )
+
+
 def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
-    points = []
     if config.scheme_family == "from_n":
         raw = [(float(n), 0.0, 0.0, scheme_from_n(int(n), config.c_delta)) for n in config.n_grid]
     elif config.scheme_family == "from_rho":
@@ -198,32 +224,10 @@ def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
             (float(eps), config.rho_of(eps), float(eps), scheme)
             for eps, scheme in zip(config.epsilon_grid, config.custom_schemes)
         ]
-    for label, rho, eps, scheme in raw:
-        fine = scheme.big_delta / config.stride_resolution
-        resolved = resolve_stride(scheme, fine)
-        kappas = tuple(lag_index(u, resolved.big_delta) for u in config.lags)
-        lags_used = tuple(k * resolved.big_delta for k in kappas)
-        offset = 0
-        if config.observable == "smoothing":
-            ratio = eps / fine
-            offset = int(round(ratio))
-            if offset < 1 or not math.isclose(ratio, offset, rel_tol=1e-9):
-                raise SchemeGridMismatch(
-                    f"smoothing window {eps} is not a multiple of the fine step {fine}"
-                )
-        points.append(
-            SweepPoint(
-                label=label,
-                rho=rho,
-                eps=eps,
-                scheme=resolved,
-                fine_delta=fine,
-                offset_rows=offset,
-                kappas=kappas,
-                lags_used=lags_used,
-            )
-        )
-    return points
+    smoothing = config.observable == "smoothing"
+    return [
+        _plan_point(*point, config.lags, config.stride_resolution, smoothing) for point in raw
+    ]
 
 
 def _fine_length(point: SweepPoint) -> int:
@@ -232,13 +236,14 @@ def _fine_length(point: SweepPoint) -> int:
 
 
 def _check_memory(rows: float, paths: int = 1) -> None:
-    """Refuse a plan of ``paths`` fine paths of ``rows`` rows each over the cap.
+    """Refuse a plan of ``paths`` paths of ``rows`` rows each over the cap.
 
     A float ``rows`` that overflowed to infinity is refused too.
     """
     # four float64 columns a row: a sweep's fine path, observable copy,
     # centered temporaries and per-lag product; a pilot's two normal
-    # columns and its variance and price paths
+    # columns and its variance and price paths; the realized-variance
+    # main pass holds one, its coarse samples
     need = rows * 8 * 4 * paths
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
@@ -265,10 +270,10 @@ class Ensemble:
     lags: np.ndarray  # (L,)
     lags_used: np.ndarray  # (G, L)
     kappas: np.ndarray  # (G, L) int
-    khat_y: np.ndarray  # (G, M, L, r, r)
-    khat_x: np.ndarray  # (G, M, L, r, r)
-    mean_y: np.ndarray  # (G, M, r)
-    mean_x: np.ndarray  # (G, M, r)
+    khat_y: np.ndarray  # (G, M, L)
+    khat_x: np.ndarray  # (G, M, L)
+    mean_y: np.ndarray  # (G, M)
+    mean_x: np.ndarray  # (G, M)
     config_hash: str = ""
 
     @property
@@ -294,31 +299,31 @@ def load_ensemble(path) -> Ensemble:
     return Ensemble(**{k: str(v) if v.dtype.kind == "U" else v for k, v in records.items()})
 
 
-def _one_replication(config: ExperimentConfig, point: SweepPoint, rep: int):
-    """Estimates for one (grid point, replication) pair; pure in its inputs."""
-    stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-    fine_len = _fine_length(point)
-    x_grid = simulate_ou(config.model, fine_len, point.fine_delta, stream)
-    if config.observable == "identity":
-        y_grid = x_grid
-    elif config.observable == "multiplicative":
+def _coarse_sequences(model: OUParams, observable: str, point: SweepPoint, stream):
+    """Coarse observable and hidden sequences of one (grid point, replication) pair.
+
+    The hidden path is read from the observable's warm-up offset on, so both
+    sequences sit on the same times; for the identity observable they are
+    one array.
+    """
+    x_grid = simulate_ou(model, _fine_length(point), point.fine_delta, stream)
+    n_extra = max(point.kappas)
+    if observable == "identity":
+        x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra)
+        return x_seq, x_seq
+    if observable == "multiplicative":
         y_grid = multiplicative_perturbation_observable(x_grid, point.rho)
     else:
         y_grid = smoothing_observable(x_grid, point.eps)
-    # align the hidden path with the observable's warm-up offset
-    x_aligned = (
-        x_grid
-        if point.offset_rows == 0
-        else TrajectoryGrid(x_grid.samples[point.offset_rows :], x_grid.delta)
-    )
-    kmax = max(point.kappas)
-    y_seq = subsample_sequence(y_grid, point.scheme, n_extra=kmax)
-    x_seq = (
-        y_seq
-        if y_grid is x_aligned
-        else subsample_sequence(x_aligned, point.scheme, n_extra=kmax)
-    )
+    y_seq = subsample_sequence(y_grid, point.scheme, n_extra=n_extra)
+    x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra, offset=point.offset_rows)
+    return y_seq, x_seq
 
+
+def _one_replication(config: ExperimentConfig, point: SweepPoint, rep: int):
+    """Estimates for one (grid point, replication) pair; pure in its inputs."""
+    stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
+    y_seq, x_seq = _coarse_sequences(config.model, config.observable, point, stream)
     kx, mx = lagged_covariances(x_seq, point.scheme.n_obs, point.kappas)
     if y_seq is x_seq:
         return kx, kx, mx, mx
@@ -362,7 +367,6 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
     points = _plan_sweep(config)
     _check_memory(max(_fine_length(p) for p in points), max(1, config.workers))
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
-    r = 1  # scalar hidden model
     ens = Ensemble(
         grid_kind="n_obs" if config.scheme_family == "from_n" else "epsilon",
         labels=np.array([p.label for p in points]),
@@ -373,17 +377,17 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
         lags=np.array(config.lags, dtype=float),
         lags_used=np.array([p.lags_used for p in points]),
         kappas=np.array([p.kappas for p in points], dtype=int),
-        khat_y=np.empty((n_points, n_reps, n_lags, r, r)),
-        khat_x=np.empty((n_points, n_reps, n_lags, r, r)),
-        mean_y=np.empty((n_points, n_reps, r)),
-        mean_x=np.empty((n_points, n_reps, r)),
+        khat_y=np.empty((n_points, n_reps, n_lags)),
+        khat_x=np.empty((n_points, n_reps, n_lags)),
+        mean_y=np.empty((n_points, n_reps)),
+        mean_x=np.empty((n_points, n_reps)),
         config_hash=config_hash(config),
     )
 
     def fill(gi: int, rep: int) -> None:
         ky, kx, my, mx = _one_replication(config, points[gi], rep)
-        ens.khat_y[gi, rep], ens.khat_x[gi, rep] = ky, kx
-        ens.mean_y[gi, rep], ens.mean_x[gi, rep] = my, mx
+        ens.khat_y[gi, rep], ens.khat_x[gi, rep] = ky[:, 0, 0], kx[:, 0, 0]
+        ens.mean_y[gi, rep], ens.mean_x[gi, rep] = my[0], mx[0]
 
     jobs = [(gi, rep) for gi in range(n_points) for rep in range(n_reps)]
     _run_jobs(fill, jobs, config.workers)
@@ -396,34 +400,17 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
 
 
 def empirical_lp_error(estimates: np.ndarray, target, p: float) -> np.ndarray:
-    """Monte Carlo L^p error of an estimate array against its target.
+    """Monte Carlo L^p error ``mean(|estimate - target|^p over M)^(1/p)``.
 
-    ``estimates`` has shape (G, M, ...); the trailing axes are reduced with
-    the entrywise sup norm, then the replication axis with the L^p mean
-    ``(average of norm^p)**(1/p)``.  Returns shape (G,) or (G, L) depending
-    on whether a lag axis precedes the matrix axes.
+    ``estimates`` has shape (G, M) or (G, M, L), with replications on axis
+    1; ``target`` broadcasts against it.  Returns shape (G,) or (G, L).
     """
     if p <= 0:
         raise ParameterDomain(f"p must be > 0, got {p}")
     est = np.asarray(estimates, dtype=float)
-    if est.ndim < 3:
+    if est.ndim < 2:
         raise ParameterDomain("estimates must have shape (G, M, ...)")
     diff = np.abs(est - np.asarray(target, dtype=float))
-    # sup norm over every axis after (G, M) except an optional lag axis
-    if est.ndim > 3:
-        sup = diff.reshape(diff.shape[0], diff.shape[1], diff.shape[2], -1).max(axis=3)
-    else:
-        sup = diff
-    return (np.mean(sup**p, axis=1)) ** (1.0 / p)
-
-
-def ensemble_mean_errors(
-    ensemble: Ensemble, true_mean, p: float = 2.0, which: str = "x"
-) -> np.ndarray:
-    """(G,) L^p errors of the empirical mean against the true mean."""
-    est = ensemble.mean_y if which == "y" else ensemble.mean_x
-    target = np.broadcast_to(np.asarray(true_mean, dtype=float), est.shape)
-    diff = np.abs(est - target).max(axis=2)
     return (np.mean(diff**p, axis=1)) ** (1.0 / p)
 
 
@@ -479,12 +466,12 @@ def perturbation_gap_check(ensemble: Ensemble, nu_of_rho) -> list[GapCheck]:
     ``4 * nu * rho`` and the mean gap below ``nu * rho``.
     """
     gaps = empirical_lp_error(ensemble.khat_y - ensemble.khat_x, 0.0, 2.0)
+    mean_gaps = empirical_lp_error(ensemble.mean_y - ensemble.mean_x, 0.0, 4.0)
     out = []
     for gi in range(ensemble.labels.size):
         rho = float(ensemble.rhos[gi])
         nu = float(nu_of_rho(rho))
-        mean_diff = np.abs(ensemble.mean_y[gi] - ensemble.mean_x[gi]).max(axis=1)
-        mean_gap = float(np.mean(mean_diff**4) ** 0.25)
+        mean_gap = float(mean_gaps[gi])
         bound = 4.0 * nu * rho
         mean_bound = nu * rho
         gap = float(gaps[gi].max())
@@ -531,18 +518,8 @@ class ConvergenceReport:
     bound_rows: list
     bound_fractions: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "rows": self.rows,
-            "mean_rows": self.mean_rows,
-            "slopes": self.slopes,
-            "bound_rows": self.bound_rows,
-            "bound_fractions": self.bound_fractions,
-        }
-
     def to_json(self) -> str:
-        return finite_json(self.to_json_dict())
+        return finite_json(asdict(self))
 
     def write_json(self, path) -> None:
         text = self.to_json()  # a non-finite report raises before the directory exists
@@ -575,13 +552,13 @@ def build_report(
     """
     model = config.model
     lags = ensemble.lags
-    oracle = np.array([[[ou_true_covariance(model, u)]] for u in lags])
-    err_x = empirical_lp_error(ensemble.khat_x, oracle[None, None], 2.0)
-    err_y = empirical_lp_error(ensemble.khat_y, oracle[None, None], 2.0)
+    oracle = np.array([ou_true_covariance(model, u) for u in lags])
+    err_x = empirical_lp_error(ensemble.khat_x, oracle, 2.0)
+    err_y = empirical_lp_error(ensemble.khat_y, oracle, 2.0)
     gap = empirical_lp_error(ensemble.khat_y - ensemble.khat_x, 0.0, 2.0)
-    mean_l2_x = ensemble_mean_errors(ensemble, model.mean, p=2.0, which="x")
-    mean_l4_x = ensemble_mean_errors(ensemble, model.mean, p=4.0, which="x")
-    mean_l2_y = ensemble_mean_errors(ensemble, model.mean, p=2.0, which="y")
+    mean_l2_x = empirical_lp_error(ensemble.mean_x, model.mean, 2.0)
+    mean_l4_x = empirical_lp_error(ensemble.mean_x, model.mean, 4.0)
+    mean_l2_y = empirical_lp_error(ensemble.mean_y, model.mean, 2.0)
 
     rows = []
     for gi in range(ensemble.labels.size):
@@ -752,23 +729,20 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     """
     config.validate()
     rec = scheme_from_rho(config.rho, config.c_n, config.c_delta)
-    scheme = resolve_stride(rec.scheme, rec.scheme.big_delta)  # coarse = fine
-    kappa1 = lag_index(config.u1, scheme.big_delta)
+    point = _plan_point(config.rho, config.rho, 0.0, rec.scheme, (0.0, config.u1))  # coarse = fine
+    scheme, kappa1 = point.scheme, point.kappas[1]
     if kappa1 < 1:
         raise ParameterDomain(
             f"u1 {config.u1} rounds to lag zero on big_delta {scheme.big_delta}"
         )
-    lag_used = kappa1 * scheme.big_delta
-    fine_len = scheme.n_obs + kappa1
+    _check_memory(_fine_length(point))
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
     rel = np.empty((config.replications, 3))
     for rep in range(config.replications):
         stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-        x = simulate_ou(config.model, fine_len, scheme.big_delta, stream)
-        y = multiplicative_perturbation_observable(x, config.rho)
-        seq = subsample_sequence(y, scheme, n_extra=kappa1)
-        cov, mean = lagged_covariances(seq, scheme.n_obs, (0, kappa1))
-        est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], lag_used)
+        seq, _ = _coarse_sequences(config.model, "multiplicative", point, stream)
+        cov, mean = lagged_covariances(seq, scheme.n_obs, point.kappas)
+        est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], point.lags_used[1])
         rel[rep] = np.abs(est.theta - truth) / np.abs(truth)
     names = ("mean", "reversion", "noise")
     fraction = {
@@ -1001,6 +975,7 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     delta_f, plans = _plan_heston_rv(config)
     length = max(plan.fine_rows for plan in plans)
     width = config.replications
+    _check_memory(sum(plan.scheme.n_obs + plan.kappa2 for plan in plans), width)
 
     streams = []
     v = np.empty(width)

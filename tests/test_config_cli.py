@@ -53,7 +53,7 @@ from submoments.grids import (
 )
 from submoments.lab import ConvergenceReport, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from submoments.models import HestonParams, OUParams, ou_bound_inputs
-from submoments.schemes import BoundInputs, scheme_from_rho
+from submoments.schemes import scheme_from_rho
 
 OU_CFG = """
 [model]
@@ -234,19 +234,10 @@ horizon = 2.0
         model = OUParams(1.0, 1.0, 1.0)
         got = build_bounds(load_config(analytic), model)
         assert got == ou_bound_inputs(model, 1.5)
-        explicit = write_cfg(
-            tmp_path,
-            "[bounds]\nnu = 2\ndim_r = 1\nlipschitz = 0.5\n"
-            "profile_kind = exponential\nprofile_c = 3\nprofile_rate = 0.7\n",
-            "b2.cfg",
-        )
-        inputs = build_bounds(load_config(explicit), model)
-        assert isinstance(inputs, BoundInputs)
-        assert inputs.nu == 2.0 and inputs.lipschitz_lambda == 0.5 and inputs.horizon_a == 1.0
-        assert inputs.profile.integral_full == pytest.approx(3.0 / 0.7)
-        bad = write_cfg(tmp_path, "[bounds]\nprofile_kind = bessel\n", "b3.cfg")
-        with pytest.raises(ValidationError, match="profile_kind"):
-            build_bounds(load_config(bad), model)
+        for body, name in (("source = explicit\n", "b2.cfg"), ("", "b3.cfg")):
+            other = write_cfg(tmp_path, "[bounds]\n" + body, name)
+            with pytest.raises(ValidationError, match="source: must be ou_analytic"):
+                build_bounds(load_config(other), model)
 
     def test_endtoend_and_heston_builders(self, tmp_path):
         e2e = write_cfg(
@@ -419,6 +410,23 @@ class TestSimulateCommand:
         assert "Warning" not in err
         assert not list(tmp_path.glob("huge*"))
 
+    def test_failed_allocation_exits_four(self, tmp_path, capsys, monkeypatch):
+        # an allocation no cap foresees, as numpy raises it; nothing is allocated here
+        message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("submoments.cli.simulate_ou", out_of_memory)
+        cfg = write_cfg(tmp_path, OU_CFG)
+        out = tmp_path / "big.bin"
+        argv = ["simulate", "--config", str(cfg), "--output", str(out), "--length", "10000000000000"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message}\n"
+        assert not list(tmp_path.glob("big*"))
+
     def test_seed_override_changes_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OU_CFG)
         a, b = tmp_path / "s0.bin", tmp_path / "s1.bin"
@@ -509,6 +517,19 @@ class TestEstimateCommand:
             assert moments["cov(0,0)@0"] == payload["covariances"][0]["matrix"][0][0]
             assert moments["mean(0)"] == payload["mean"][0]
 
+    def test_u1_past_lags_sizes_the_sequence(self, ou_trajectory, capsys):
+        # --u1 0.75 needs kappa 3 on the 0.25 grid while --lags needs only 1:
+        # the lag allowance covers both
+        argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,0.25", "--model", "ou"]
+        assert main([*argv, "--u1", "0.75"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_obs"] == 3000 - 3
+        grid = read_binary(ou_trajectory)
+        scheme = resolve_stride(SubsamplingScheme(payload["n_obs"], 0.25), grid.delta)
+        seq = subsample_sequence(grid, scheme, n_extra=3)
+        (cov_u1,) = covariance_curve(seq, scheme, [0.75])
+        assert payload["parameters"]["moments"]["cov(0,0)@0.75"] == cov_u1.matrix[0, 0]
+
     def test_ball_center_count_exits_two(self, ou_trajectory, tmp_path, capsys):
         out = tmp_path / "moments.json"
         argv = [
@@ -562,10 +583,15 @@ def preset_variant(tmp_path, replace: dict, preset: str = "smoke"):
     return write_cfg(tmp_path, text + "\n", "variant.cfg")
 
 
-def forbid_simulation(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the command simulated before rejecting its config")
+def forbidden(what: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(what)
 
+    return fail
+
+
+def forbid_simulation(monkeypatch):
+    fail = forbidden("the command simulated before rejecting its config")
     for name in (
         "run_replications", "run_endtoend_ou", "run_heston_rv", "simulate_ou",
         "simulate_gradient_diffusion", "simulate_heston", "simulate_slow_fast",
@@ -736,14 +762,18 @@ class TestLabCommand:
             {"profile_c": "nan"},
             {"profile_rate": "inf"},
             {"profile_kind": "power", "profile_exponent": "inf"},
+            {"dim_r": "1"},
+            {"profile_exponent": "inf"},
         ],
     )
     def test_non_finite_bounds_exit_three(self, tmp_path, capsys, monkeypatch, bounds):
-        cfg = preset_variant(tmp_path, {"bounds": {"source": "explicit", **bounds}})
+        # [bounds] derives every constant from the OU model: hand-set ones are unknown keys
+        cfg = preset_variant(tmp_path, {"bounds": {"source": "ou_analytic", **bounds}})
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
-        assert "must be finite" in capsys.readouterr().err
+        key = next(iter(bounds))
+        assert f"config [bounds] has unknown key {key!r}; allowed: ['source']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -767,9 +797,7 @@ class TestLabCommand:
     def test_pilot_over_memory_cap_exits_four(self, tmp_path, capsys, monkeypatch, span, cap):
         # 1e308 / fine_step overflows to inf; 1000 / 0.005 rows is 6.4 MB of
         # pilot, over a lowered cap so that a missed check allocates little
-        def fail(*args):
-            raise AssertionError("the pilot was stepped before its size was checked")
-
+        fail = forbidden("the pilot was stepped before its size was checked")
         monkeypatch.setattr("submoments.lab._heston_core", fail)
         if cap is not None:
             monkeypatch.setattr("submoments.lab._MEMORY_CAP_BYTES", cap)
@@ -778,6 +806,43 @@ class TestLabCommand:
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 4
         assert "GB of workspace, cap is" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_endtoend_over_memory_cap_exits_four(self, tmp_path, capsys, monkeypatch):
+        # c_n = 1e9 plans 8e12 rows a path; the check comes before any draw
+        body = load_config(_preset_path("ou_endtoend")).sections["endtoend"]
+        cfg = preset_variant(tmp_path, {"endtoend": {**body, "c_n": "1e9"}}, "ou_endtoend")
+        monkeypatch.setattr("submoments.lab.simulate_ou", forbidden("a path was drawn"))
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 4
+        assert "GB of workspace, cap is" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c_n, cap", [("1e9", None), ("1", 10**7)])
+    def test_heston_main_pass_over_memory_cap_exits_four(
+        self, tmp_path, capsys, monkeypatch, c_n, cap
+    ):
+        # the short pilot runs; the main pass's coarse samples (about 1e13
+        # rows at c_n = 1e9, over a 10 MB cap at c_n = 1) are refused before
+        # its first draw
+        draws = []
+        initial = submoments.lab.heston_initial_variance
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return initial(*args, **kwargs)
+
+        monkeypatch.setattr("submoments.lab.heston_initial_variance", counted)
+        if cap is not None:
+            monkeypatch.setattr("submoments.lab._MEMORY_CAP_BYTES", cap)
+        heston = load_config(_preset_path("heston_rv")).sections["heston"]
+        cfg = preset_variant(
+            tmp_path, {"heston": {**heston, "c_n": c_n, "pilot_span": "20"}}, "heston_rv"
+        )
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 4
+        assert "GB of workspace, cap is" in capsys.readouterr().err
+        assert len(draws) == 1  # the pilot's initial variance only
         assert not out.exists()
 
     def test_without_assert_ignores_thresholds(self, tmp_path, capsys):

@@ -25,8 +25,10 @@ from submoments.grids import (
     StreamRole,
     SubsamplingScheme,
     TrajectoryGrid,
+    resolve_stride,
     subsample_sequence,
 )
+from submoments.estimators import lagged_covariances
 from submoments.invert import invert_cir
 from submoments.lab import (
     ConvergenceReport,
@@ -42,7 +44,6 @@ from submoments.lab import (
     build_report,
     config_hash,
     empirical_lp_error,
-    ensemble_mean_errors,
     evaluate_thresholds,
     fit_rate_slope,
     load_ensemble,
@@ -59,7 +60,10 @@ from submoments.models import (
     ou_bound_inputs,
     ou_true_covariance,
     realized_volatility_observable,
+    simulate_ou,
+    smoothing_observable,
 )
+from submoments.schemes import scheme_from_rho
 
 from oracles import heston_core_reference
 
@@ -103,21 +107,19 @@ class TestRateFit:
 
 class TestLpError:
     def test_hand_values(self):
-        est = np.array([1.0, 3.0]).reshape(1, 2, 1, 1)
+        est = np.array([1.0, 3.0]).reshape(1, 2, 1)
         assert empirical_lp_error(est, 0.0, 2.0)[0, 0] == pytest.approx(math.sqrt(5.0))
         assert empirical_lp_error(est, 0.0, 4.0)[0, 0] == pytest.approx(41.0**0.25)
-
-    def test_sup_norm_over_matrix(self):
-        est = np.array([[1.0, -4.0], [2.0, 0.0]]).reshape(1, 1, 1, 2, 2)
-        assert empirical_lp_error(est, 0.0, 2.0)[0, 0] == pytest.approx(4.0)
+        # a mean ensemble has no lag axis
+        assert empirical_lp_error(est[..., 0], 1.0, 2.0)[0] == pytest.approx(math.sqrt(2.0))
 
     def test_lag_axis_preserved(self):
-        est = np.zeros((2, 5, 3, 1, 1))
+        est = np.zeros((2, 5, 3))
         assert empirical_lp_error(est, 0.0, 2.0).shape == (2, 3)
 
     def test_guards(self):
         with pytest.raises(ParameterDomain):
-            empirical_lp_error(np.zeros((2, 5)), 0.0, 2.0)
+            empirical_lp_error(np.zeros(5), 0.0, 2.0)
         with pytest.raises(ParameterDomain):
             empirical_lp_error(np.zeros((2, 5, 1)), 0.0, 0.0)
 
@@ -185,7 +187,8 @@ class TestSweepEngine:
         assert np.allclose(ens.lags_used, [[0.0, 0.9], [0.0, 1.0], [0.0, 1.0]])
         assert np.allclose(ens.spans, [38 * 0.3, 64 * 0.25, 125 * 0.2])
         assert ens.replications == 30
-        assert ens.khat_x.shape == (3, 30, 2, 1, 1)
+        assert ens.khat_x.shape == (3, 30, 2)
+        assert ens.mean_x.shape == (3, 30)
 
         again = run_replications(small_config())
         assert np.array_equal(ens.khat_x, again.khat_x)
@@ -203,6 +206,31 @@ class TestSweepEngine:
             scale = (1.0 + rho) ** 2
             assert np.allclose(ens.khat_y[gi], scale * ens.khat_x[gi], rtol=1e-10)
             assert np.allclose(ens.mean_y[gi], (1.0 + rho) * ens.mean_x[gi], rtol=1e-12)
+
+    def test_smoothing_matches_direct_computation(self):
+        # the hidden path is read from the smoothing window's warm-up on
+        config = small_config(
+            observable="smoothing", epsilon_grid=(0.2, 0.1, 0.05), lags=(0.0, 0.5, 1.0),
+            master_seed=11, stride_resolution=4, horizon_a=1.0,
+        )
+        ens = run_replications(config)
+        for gi, eps in enumerate(config.epsilon_grid):
+            planned = scheme_from_rho(eps, config.c_n, config.c_delta).scheme
+            fine = planned.big_delta / 4
+            scheme = resolve_stride(planned, fine)
+            offset, kappas = round(eps / fine), tuple(ens.kappas[gi])
+            rows = offset + (scheme.n_obs + max(kappas)) * scheme.stride
+            for rep in range(config.replications):
+                stream = RandomStreamSpec(11, rep, StreamRole.PROCESS_NOISE)
+                x = simulate_ou(MODEL, rows, fine, stream)
+                y = smoothing_observable(x, eps)
+                y_seq = subsample_sequence(y, scheme, n_extra=max(kappas))
+                x_seq = subsample_sequence(x, scheme, n_extra=max(kappas), offset=offset)
+                pairs = ((x_seq, ens.khat_x, ens.mean_x), (y_seq, ens.khat_y, ens.mean_y))
+                for seq, khat, mean in pairs:
+                    cov, m = lagged_covariances(seq, scheme.n_obs, kappas)
+                    assert np.array_equal(khat[gi, rep], cov[:, 0, 0])
+                    assert mean[gi, rep] == m[0]
 
     def test_parallel_matches_serial(self):
         for observable in ("identity", "multiplicative"):
@@ -284,16 +312,16 @@ class TestReport:
         assert report.meta["replications"] == 30
         assert report.meta["config_hash"] == ens.config_hash
         parsed = json.loads(report.to_json())
-        assert parsed == report.to_json_dict()
+        assert parsed == dataclasses.asdict(report)
 
     def test_error_helpers_match_report(self):
         cfg = small_config()
         ens = run_replications(cfg)
-        oracle = np.array([[[ou_true_covariance(MODEL, u)]] for u in ens.lags])
-        err = empirical_lp_error(ens.khat_x, oracle[None, None], 2.0)
+        oracle = np.array([ou_true_covariance(MODEL, u) for u in ens.lags])
+        err = empirical_lp_error(ens.khat_x, oracle, 2.0)
         report = build_report(cfg, ens)
         assert report.rows[0]["err_x_l2"] == pytest.approx(err[0, 0], rel=1e-12)
-        mean_err = ensemble_mean_errors(ens, MODEL.mean, p=2.0, which="x")
+        mean_err = empirical_lp_error(ens.mean_x, MODEL.mean, 2.0)
         assert report.mean_rows[0]["mean_err_l2_x"] == pytest.approx(
             mean_err[0], rel=1e-12
         )
@@ -554,10 +582,10 @@ def _gap_ensemble(cov_gap, mean_gap):
         lags=np.array([0.0]),
         lags_used=np.zeros((1, 1)),
         kappas=np.zeros((1, 1), dtype=int),
-        khat_y=np.full((1, reps, 1, 1, 1), cov_gap),
-        khat_x=np.zeros((1, reps, 1, 1, 1)),
-        mean_y=np.full((1, reps, 1), mean_gap),
-        mean_x=np.zeros((1, reps, 1)),
+        khat_y=np.full((1, reps, 1), cov_gap),
+        khat_x=np.zeros((1, reps, 1)),
+        mean_y=np.full((1, reps), mean_gap),
+        mean_x=np.zeros((1, reps)),
     )
 
 

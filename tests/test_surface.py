@@ -1,10 +1,12 @@
-"""The library surface: the README quick start, ``submoments.__all__``, and no name only tests reach."""
+"""The library surface: the README quick start and config table, ``submoments.__all__``, and no
+name only tests reach."""
 
 import ast
 import re
 from pathlib import Path
 
 import submoments
+from submoments.config import READERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,6 +19,35 @@ def readme_library_quick_start() -> str:
 def test_readme_library_quick_start_runs(capsys):
     exec(compile(readme_library_quick_start(), str(README), "exec"), {})
     assert "'reversion'" in capsys.readouterr().out
+
+
+def readme_config_table() -> dict:
+    """reader -> section -> backticked keys, as the README config table lists them.
+
+    A parenthesised note, such as a section's one legal value, is not a key.
+    """
+    rows = README.read_text().split("| reader", 1)[1].splitlines()[2:]
+    table = {}
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        reader, cell = (c.strip() for c in row.strip("|").split("|"))
+        parts = re.split(r"`\[(\w+)\]`", cell)
+        table[reader.strip("`")] = {
+            section: set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", rest)))
+            for section, rest in zip(parts[1::2], parts[2::2])
+        }
+    return table
+
+
+def test_readme_config_table_matches_readers():
+    table = readme_config_table()
+    assert set(table) == set(READERS)
+    for reader, sections in READERS.items():
+        assert set(table[reader]) == set(sections), reader
+        for section, keys in sections.items():
+            if section not in ("model", "assert"):  # listed by reference to their own tables
+                assert table[reader][section] == set(keys), (reader, section)
 
 
 def test_every_exported_name_resolves():
