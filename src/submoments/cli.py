@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 failed assertion, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.resources
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from .config import (
     pipeline_kind,
 )
 from .errors import InsufficientData, ResourceLimit, SubmomentsError, UsageError, ValidationError
-from .estimators import covariance_curve, empirical_mean, estimates_to_csv, lag_index
+from .estimators import covariance_curve, empirical_mean, estimates_to_csv
 from .grids import (
     RandomStreamSpec,
     StreamRole,
@@ -44,7 +43,6 @@ from .grids import (
     TrajectoryGrid,
     read_binary,
     read_csv,
-    resolve_stride,
     subsample_sequence,
     write_binary,
     write_csv,
@@ -56,6 +54,7 @@ from .lab import (
     finite_json,
     # not called here: the benchmark tracer wraps it under this module by name
     perturbation_gap_check,
+    plan_point,
     run_endtoend_ou,
     run_heston_rv,
     run_replications,
@@ -197,35 +196,31 @@ def cmd_estimate(args) -> int:
             raise UsageError(f"--ball-center expects 3 values, got {len(center)}")
     grid = _read_grid(Path(args.input))
     big_delta = grid.delta if args.big_delta is None else args.big_delta
-    if big_delta <= 0:
-        raise ValidationError(f"big delta must be > 0, got {big_delta}")
-    kmax = max(lag_index(u, big_delta) for u in lags)
-    coarse = resolve_stride(SubsamplingScheme(n_obs=1, big_delta=big_delta), grid.delta)
+    # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
+    planned = lags + ([args.u1] if args.model is not None and args.u1 is not None else [])
+    point = plan_point(SubsamplingScheme(1, big_delta), grid.delta, planned, args.offset)
     curve_lags = list(lags)
     if args.model is not None:
         u1 = args.u1
         if u1 is None:
-            positive = [u for u in lags if lag_index(u, coarse.big_delta) >= 1]
+            positive = [u for u, kappa in zip(lags, point.kappas) if kappa >= 1]
             if not positive:
                 raise UsageError("--model needs a lag that is positive on the coarse grid")
             u1 = positive[0]
-        kappa1 = lag_index(u1, coarse.big_delta)
-        if kappa1 < 1:
-            raise ValidationError(
-                f"lag {u1} rounds to zero on the coarse step {coarse.big_delta}"
-            )
-        kmax = max(kmax, kappa1)  # the rows past n_obs serve the inversion lag too
+        else:
+            point.require_positive(-1)
         curve_lags += [0.0, u1]  # the inversion's variance and lag-u1 covariance
-    if args.n_obs is not None:
-        n_obs = args.n_obs
-    else:
-        n_obs = (grid.n_samples - args.offset) // coarse.stride - kmax
+    kmax, stride = max(point.kappas), point.scheme.stride
+    n_obs = args.n_obs
+    if n_obs is None:
+        n_obs = (grid.n_samples - args.offset) // stride - kmax
     if n_obs < 2:
         raise InsufficientData(
             f"trajectory of {grid.n_samples} rows leaves {n_obs} observations "
-            f"after stride {coarse.stride} and lag allowance {kmax}"
+            f"after stride {stride} and lag allowance {kmax}"
         )
-    scheme = dataclasses.replace(coarse, n_obs=n_obs)
+    point = plan_point(SubsamplingScheme(n_obs, big_delta), grid.delta, planned, args.offset)
+    scheme = point.scheme
     seq = subsample_sequence(grid, scheme, n_extra=kmax, offset=args.offset)
     # one kernel pass: a kappa that --lags already requests costs nothing more
     curve = covariance_curve(seq, scheme, curve_lags)

@@ -104,7 +104,6 @@ def _pairs(make, expected: str):
 _parse_schemes = _pairs(
     lambda n, d: SubsamplingScheme(n_obs=int(n), big_delta=float(d)), "n_obs:big_delta"
 )
-_parse_rho_table = _pairs(lambda eps, rho: (float(eps), float(rho)), "eps:rho")
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +170,7 @@ READERS = {
             "stride_resolution": (_as_int, "stride_resolution"),
             "schemes": (_parse_schemes, "custom_schemes"),
         },
-        "rho": {
-            "kind": (_as_str, "rho_kind"),
-            "c_rho": (_as_float, "c_rho"),
-            "table": (_parse_rho_table, "rho_table"),
-        },
+        "rho": {"kind": (_as_str, "rho_kind"), "c_rho": (_as_float, "c_rho")},
         "lags": {"values": (_as_float_list, "lags"), "horizon": (_as_float, "horizon_a")},
         "bounds": _same(_as_str, "source"),
         "assert": _asserts("generic"),

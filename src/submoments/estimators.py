@@ -48,7 +48,10 @@ def lag_index(lag_u: float, big_delta: float) -> int:
         raise ParameterDomain(f"big_delta must be positive, got {big_delta}")
     if lag_u < 0 or not np.isfinite(lag_u):
         raise ParameterDomain(f"lag must be a finite value >= 0, got {lag_u}")
-    return round(lag_u / big_delta)
+    ratio = lag_u / big_delta
+    if not np.isfinite(ratio):
+        raise ParameterDomain(f"lag {lag_u} / coarse step {big_delta} overflows")
+    return round(ratio)
 
 
 def _as_matrix(samples) -> np.ndarray:

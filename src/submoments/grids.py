@@ -15,6 +15,7 @@ order, so replications can run in any order or in parallel.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -163,8 +164,20 @@ def resolve_stride(scheme: SubsamplingScheme, delta: float) -> SubsamplingScheme
     """
     if delta <= 0.0 or not np.isfinite(delta):
         raise ParameterDomain(f"grid step must be positive, got {delta}")
-    stride = max(1, int(round(scheme.big_delta / delta)))
+    ratio = scheme.big_delta / delta
+    if not np.isfinite(ratio):
+        raise ParameterDomain(f"big_delta {scheme.big_delta} / grid step {delta} overflows")
+    stride = max(1, int(round(ratio)))
     return SubsamplingScheme(n_obs=scheme.n_obs, big_delta=stride * delta, stride=stride)
+
+
+def whole_steps(span: float, step: float, what: str) -> int:
+    """``span / step`` as a whole number of grid steps, at least one."""
+    ratio = span / step
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or not math.isclose(ratio, steps, rel_tol=1e-9):
+        raise SchemeGridMismatch(f"{what} {span} is not a whole multiple of the grid step {step}")
+    return steps
 
 
 def _check_commensurate(grid: TrajectoryGrid, scheme: SubsamplingScheme) -> int:

@@ -30,7 +30,6 @@ from .errors import (
     NumericalError,
     ParameterDomain,
     ResourceLimit,
-    SchemeGridMismatch,
     ValidationError,
 )
 # empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
@@ -42,6 +41,7 @@ from .grids import (
     TrajectoryGrid,
     resolve_stride,
     subsample_sequence,
+    whole_steps,
 )
 from .invert import invert_cir, invert_ou
 from .models import (
@@ -66,7 +66,7 @@ from .schemes import (
 )
 
 _OBSERVABLES = ("identity", "multiplicative", "smoothing")
-_RHO_KINDS = ("identity", "sqrt", "table")
+_RHO_KINDS = ("identity", "sqrt")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 4096  # fine rows stepped at once, over all heston_rv replications
 _MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a generic sweep may plan for, else ResourceLimit
@@ -96,8 +96,8 @@ class ExperimentConfig:
     The sweep axis is either ``epsilon_grid`` (proxy level, strictly
     decreasing, at least three entries when rates are to be fitted) or
     ``n_grid`` (sample budgets) for the ``from_n`` family.  ``rho_kind``
-    maps epsilon to the proxy error level: ``identity`` (rho = eps),
-    ``sqrt`` (rho = c_rho * sqrt(eps)) or a ``table`` of exact pairs.
+    maps epsilon to the proxy error level: ``identity`` (rho = eps) or
+    ``sqrt`` (rho = c_rho * sqrt(eps)).
     ``stride_resolution`` is the number of fine simulation steps per coarse
     step; pointwise observables with an exact-transition simulator need
     only 1.
@@ -107,7 +107,6 @@ class ExperimentConfig:
     observable: str = "identity"
     rho_kind: str = "identity"
     c_rho: float = 1.0
-    rho_table: tuple = ()
     epsilon_grid: tuple = ()
     n_grid: tuple = ()
     scheme_family: str = "from_rho"
@@ -161,14 +160,50 @@ class ExperimentConfig:
                     raise ParameterDomain(f"lag {u} exceeds horizon {self.horizon_a}")
 
     def rho_of(self, eps: float) -> float:
-        if self.rho_kind == "identity":
-            return float(eps)
-        if self.rho_kind == "sqrt":
-            return self.c_rho * math.sqrt(eps)
-        table = dict(self.rho_table)
-        if eps not in table:
-            raise ParameterDomain(f"epsilon {eps} missing from rho table")
-        return float(table[eps])
+        return self.c_rho * math.sqrt(eps) if self.rho_kind == "sqrt" else float(eps)
+
+
+@dataclass(frozen=True)
+class CoarsePoint:
+    """A scheme pinned to a fine grid step, with its lags on the coarse grid.
+
+    It reads ``rows`` fine rows: ``offset`` warm-up rows, then ``n_obs``
+    coarse samples plus the ``max(kappas)`` more that the longest lag needs.
+    """
+
+    scheme: SubsamplingScheme  # resolved
+    step: float  # fine grid step
+    offset: int
+    lags: tuple  # as requested
+    kappas: tuple
+    lags_used: tuple
+    rows: int
+
+    def require_positive(self, i: int) -> None:
+        """Refuse lag ``i`` when it rounds to zero on the coarse step."""
+        if self.kappas[i] < 1:
+            raise ParameterDomain(
+                f"lag {self.lags[i]} rounds to zero on the coarse step {self.scheme.big_delta}"
+            )
+
+
+def plan_point(scheme: SubsamplingScheme, step: float, lags, offset: int = 0) -> CoarsePoint:
+    """Pin ``scheme`` to the fine ``step`` and round every lag on the resolved step.
+
+    Every coarse sequence is sized here: the sweep's, the end-to-end and
+    realized-variance pipelines' and ``estimate``'s.
+    """
+    resolved = resolve_stride(scheme, step)
+    kappas = tuple(lag_index(u, resolved.big_delta) for u in lags)
+    return CoarsePoint(
+        scheme=resolved,
+        step=step,
+        offset=offset,
+        lags=tuple(lags),
+        kappas=kappas,
+        lags_used=tuple(k * resolved.big_delta for k in kappas),
+        rows=offset + (resolved.n_obs + max(kappas)) * resolved.stride,
+    )
 
 
 @dataclass(frozen=True)
@@ -176,38 +211,7 @@ class SweepPoint:
     label: float
     rho: float
     eps: float
-    scheme: SubsamplingScheme  # resolved
-    fine_delta: float
-    offset_rows: int  # observable rows discarded at the start (window warm-up)
-    kappas: tuple
-    lags_used: tuple
-
-
-def _plan_point(
-    label: float, rho: float, eps: float, scheme, lags, resolution: int = 1, smoothing: bool = False
-) -> SweepPoint:
-    """Pin ``scheme`` to a fine grid of ``resolution`` steps per coarse step."""
-    fine = scheme.big_delta / resolution
-    resolved = resolve_stride(scheme, fine)
-    kappas = tuple(lag_index(u, resolved.big_delta) for u in lags)
-    offset = 0
-    if smoothing:
-        ratio = eps / fine
-        offset = int(round(ratio))
-        if offset < 1 or not math.isclose(ratio, offset, rel_tol=1e-9):
-            raise SchemeGridMismatch(
-                f"smoothing window {eps} is not a multiple of the fine step {fine}"
-            )
-    return SweepPoint(
-        label=label,
-        rho=rho,
-        eps=eps,
-        scheme=resolved,
-        fine_delta=fine,
-        offset_rows=offset,
-        kappas=kappas,
-        lags_used=tuple(k * resolved.big_delta for k in kappas),
-    )
+    point: CoarsePoint  # its offset is the smoothing window's warm-up
 
 
 def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
@@ -224,15 +228,13 @@ def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
             (float(eps), config.rho_of(eps), float(eps), scheme)
             for eps, scheme in zip(config.epsilon_grid, config.custom_schemes)
         ]
-    smoothing = config.observable == "smoothing"
-    return [
-        _plan_point(*point, config.lags, config.stride_resolution, smoothing) for point in raw
-    ]
-
-
-def _fine_length(point: SweepPoint) -> int:
-    kmax = max(point.kappas)
-    return point.offset_rows + (point.scheme.n_obs + kmax) * point.scheme.stride
+    points = []
+    for label, rho, eps, scheme in raw:
+        step = scheme.big_delta / config.stride_resolution
+        smoothing = config.observable == "smoothing"
+        offset = whole_steps(eps, step, "smoothing window") if smoothing else 0
+        points.append(SweepPoint(label, rho, eps, plan_point(scheme, step, config.lags, offset)))
+    return points
 
 
 def _check_memory(rows: float, paths: int = 1) -> None:
@@ -299,35 +301,37 @@ def load_ensemble(path) -> Ensemble:
     return Ensemble(**{k: str(v) if v.dtype.kind == "U" else v for k, v in records.items()})
 
 
-def _coarse_sequences(model: OUParams, observable: str, point: SweepPoint, stream):
+def _coarse_sequences(model: OUParams, observable: str, sweep: SweepPoint, stream):
     """Coarse observable and hidden sequences of one (grid point, replication) pair.
 
     The hidden path is read from the observable's warm-up offset on, so both
     sequences sit on the same times; for the identity observable they are
     one array.
     """
-    x_grid = simulate_ou(model, _fine_length(point), point.fine_delta, stream)
+    point = sweep.point
+    x_grid = simulate_ou(model, point.rows, point.step, stream)
     n_extra = max(point.kappas)
     if observable == "identity":
         x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra)
         return x_seq, x_seq
     if observable == "multiplicative":
-        y_grid = multiplicative_perturbation_observable(x_grid, point.rho)
+        y_grid = multiplicative_perturbation_observable(x_grid, sweep.rho)
     else:
-        y_grid = smoothing_observable(x_grid, point.eps)
+        y_grid = smoothing_observable(x_grid, sweep.eps)
     y_seq = subsample_sequence(y_grid, point.scheme, n_extra=n_extra)
-    x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra, offset=point.offset_rows)
+    x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra, offset=point.offset)
     return y_seq, x_seq
 
 
-def _one_replication(config: ExperimentConfig, point: SweepPoint, rep: int):
+def _one_replication(config: ExperimentConfig, sweep: SweepPoint, rep: int):
     """Estimates for one (grid point, replication) pair; pure in its inputs."""
     stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-    y_seq, x_seq = _coarse_sequences(config.model, config.observable, point, stream)
-    kx, mx = lagged_covariances(x_seq, point.scheme.n_obs, point.kappas)
+    y_seq, x_seq = _coarse_sequences(config.model, config.observable, sweep, stream)
+    n_obs, kappas = sweep.point.scheme.n_obs, sweep.point.kappas
+    kx, mx = lagged_covariances(x_seq, n_obs, kappas)
     if y_seq is x_seq:
         return kx, kx, mx, mx
-    ky, my = lagged_covariances(y_seq, point.scheme.n_obs, point.kappas)
+    ky, my = lagged_covariances(y_seq, n_obs, kappas)
     return ky, kx, my, mx
 
 
@@ -365,18 +369,19 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
     """
     config.validate()
     points = _plan_sweep(config)
-    _check_memory(max(_fine_length(p) for p in points), max(1, config.workers))
+    _check_memory(max(p.point.rows for p in points), max(1, config.workers))
+    plans = [p.point for p in points]
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
     ens = Ensemble(
         grid_kind="n_obs" if config.scheme_family == "from_n" else "epsilon",
         labels=np.array([p.label for p in points]),
         rhos=np.array([p.rho for p in points]),
-        n_obs=np.array([p.scheme.n_obs for p in points], dtype=int),
-        strides=np.array([p.scheme.stride for p in points], dtype=int),
-        big_deltas=np.array([p.scheme.big_delta for p in points]),
+        n_obs=np.array([p.scheme.n_obs for p in plans], dtype=int),
+        strides=np.array([p.scheme.stride for p in plans], dtype=int),
+        big_deltas=np.array([p.scheme.big_delta for p in plans]),
         lags=np.array(config.lags, dtype=float),
-        lags_used=np.array([p.lags_used for p in points]),
-        kappas=np.array([p.kappas for p in points], dtype=int),
+        lags_used=np.array([p.lags_used for p in plans]),
+        kappas=np.array([p.kappas for p in plans], dtype=int),
         khat_y=np.empty((n_points, n_reps, n_lags)),
         khat_x=np.empty((n_points, n_reps, n_lags)),
         mean_y=np.empty((n_points, n_reps)),
@@ -729,18 +734,15 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     """
     config.validate()
     rec = scheme_from_rho(config.rho, config.c_n, config.c_delta)
-    point = _plan_point(config.rho, config.rho, 0.0, rec.scheme, (0.0, config.u1))  # coarse = fine
-    scheme, kappa1 = point.scheme, point.kappas[1]
-    if kappa1 < 1:
-        raise ParameterDomain(
-            f"u1 {config.u1} rounds to lag zero on big_delta {scheme.big_delta}"
-        )
-    _check_memory(_fine_length(point))
+    point = plan_point(rec.scheme, rec.scheme.big_delta, (0.0, config.u1))  # coarse = fine
+    point.require_positive(1)
+    _check_memory(point.rows)
+    scheme, sweep = point.scheme, SweepPoint(config.rho, config.rho, 0.0, point)
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
     rel = np.empty((config.replications, 3))
     for rep in range(config.replications):
         stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-        seq, _ = _coarse_sequences(config.model, "multiplicative", point, stream)
+        seq, _ = _coarse_sequences(config.model, "multiplicative", sweep, stream)
         cov, mean = lagged_covariances(seq, scheme.n_obs, point.kappas)
         est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], point.lags_used[1])
         rel[rep] = np.abs(est.theta - truth) / np.abs(truth)
@@ -809,24 +811,21 @@ class _RVPlan:
     eps: float
     window: int
     eps_stride: int  # fine steps per eps
-    scheme: SubsamplingScheme  # on the eps grid
-    kappa1: int
-    kappa2: int
-    lag1: float
-    lag2: float
+    point: CoarsePoint  # on the eps grid, offset by the RV window
     rho_hat: float
-    fine_rows: int
 
     def summary(self) -> dict:
+        scheme = self.point.scheme
+        lag1, lag2 = self.point.lags_used
         return {
             "eps": self.eps,
             "window": self.window,
             "rho_hat": self.rho_hat,
-            "n_obs": self.scheme.n_obs,
-            "big_delta": self.scheme.big_delta,
-            "span": self.scheme.span,
-            "lag1": self.lag1,
-            "lag2": self.lag2,
+            "n_obs": scheme.n_obs,
+            "big_delta": scheme.big_delta,
+            "span": scheme.span,
+            "lag1": lag1,
+            "lag2": lag2,
         }
 
 
@@ -858,14 +857,15 @@ class HestonRVReport:
 
 def _rv_moments(y_coarse: np.ndarray, plan: _RVPlan):
     """Moment vector [mean, extrapolated variance, cov(lag1)] from RV samples."""
-    cov, mean = lagged_covariances(y_coarse, plan.scheme.n_obs, (plan.kappa1, plan.kappa2))
+    cov, mean = lagged_covariances(y_coarse, plan.point.scheme.n_obs, plan.point.kappas)
     k1, k2 = cov[:, 0, 0]
     if not (k1 > 0 and k2 > 0 and k2 < k1):
         raise MomentsOutsideModelRange(
             f"lagged covariances not usable: k1={k1}, k2={k2}"
         )
-    rev = math.log(k1 / k2) / (plan.lag2 - plan.lag1)
-    var_v = k1 * math.exp(rev * plan.lag1)
+    lag1, lag2 = plan.point.lags_used
+    rev = math.log(k1 / k2) / (lag2 - lag1)
+    var_v = k1 * math.exp(rev * lag1)
     return np.array([mean[0], var_v, k1])
 
 
@@ -896,15 +896,10 @@ def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:
 def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
     """Fine step and one plan per eps level, sized from the pilot's rho."""
     delta_f = config.fine_step if config.fine_step is not None else min(config.epsilon_grid)
-    plans_eps = []
-    for eps in config.epsilon_grid:
-        ratio = eps / delta_f
-        s_eps = int(round(ratio))
-        if s_eps < 1 or not math.isclose(ratio, s_eps, rel_tol=1e-9):
-            raise SchemeGridMismatch(
-                f"eps {eps} is not a multiple of the fine step {delta_f}"
-            )
-        plans_eps.append((eps, s_eps, default_rv_window(eps)))
+    plans_eps = [
+        (eps, whole_steps(eps, delta_f, "eps"), default_rv_window(eps))
+        for eps in config.epsilon_grid
+    ]
 
     _check_memory(config.pilot_span / delta_f)  # before the pilot sizes or draws anything
     rho_hat = _pilot_rho(config, delta_f, plans_eps)
@@ -912,29 +907,13 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
     plans = []
     for eps, s_eps, window in plans_eps:
         rec = scheme_from_rho(rho_hat[eps], config.c_n, config.c_delta)
-        scheme = resolve_stride(rec.scheme, eps)
-        u1, u2 = config.u_pair
-        kappa1 = lag_index(u1, scheme.big_delta)
-        kappa2 = lag_index(u2, scheme.big_delta)
-        if kappa1 < 1 or kappa2 <= kappa1:
+        point = plan_point(rec.scheme, eps, config.u_pair, window)
+        point.require_positive(0)
+        if point.kappas[1] <= point.kappas[0]:
             raise ParameterDomain(
-                f"lag pair {config.u_pair} degenerates on big_delta {scheme.big_delta}"
+                f"lag pair {config.u_pair} rounds to one lag on big_delta {point.scheme.big_delta}"
             )
-        fine_rows = (window + (scheme.n_obs + kappa2) * scheme.stride) * s_eps
-        plans.append(
-            _RVPlan(
-                eps=eps,
-                window=window,
-                eps_stride=s_eps,
-                scheme=scheme,
-                kappa1=kappa1,
-                kappa2=kappa2,
-                lag1=kappa1 * scheme.big_delta,
-                lag2=kappa2 * scheme.big_delta,
-                rho_hat=rho_hat[eps],
-                fine_rows=fine_rows,
-            )
-        )
+        plans.append(_RVPlan(eps, window, s_eps, point, rho_hat[eps]))
     return delta_f, plans
 
 
@@ -949,11 +928,11 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, coarse: np.ndarr
     """
     carry, seen, filled = state
     s = plan.eps_stride
-    prices = r_chunk[(seen + 1) * s - 1 - lo : max(plan.fine_rows - lo, 0) : s]
+    prices = r_chunk[(seen + 1) * s - 1 - lo : max(plan.point.rows * s - lo, 0) : s]
     if len(prices) == 0:
         return state
     rv, carry = realized_variance_chunk(prices, plan.window, plan.eps, carry)
-    stride = plan.scheme.stride
+    stride = plan.point.scheme.stride
     picked = rv[plan.window - 1 + (filled + 1) * stride - seen :: stride]
     coarse[filled : filled + len(picked)] = picked
     return carry, seen + len(prices), filled + len(picked)
@@ -973,9 +952,10 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     config.validate()
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
-    length = max(plan.fine_rows for plan in plans)
+    length = max(plan.point.rows * plan.eps_stride for plan in plans)
     width = config.replications
-    _check_memory(sum(plan.scheme.n_obs + plan.kappa2 for plan in plans), width)
+    coarse_rows = [plan.point.scheme.n_obs + max(plan.point.kappas) for plan in plans]
+    _check_memory(sum(coarse_rows), width)
 
     streams = []
     v = np.empty(width)
@@ -984,7 +964,7 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
         rng_var = stream.generator()
         v[rep] = heston_initial_variance(p, rng_var)
         streams.append((rng_var, stream.role(StreamRole.AUXILIARY_NOISE).generator()))
-    coarse = [np.empty((plan.scheme.n_obs + plan.kappa2, width)) for plan in plans]
+    coarse = [np.empty((rows, width)) for rows in coarse_rows]
     states = [(None, 0, 0)] * len(plans)
     r = np.zeros(width)
     z_var = np.empty((_HESTON_CHUNK, width))
@@ -1010,7 +990,7 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
         for plan, samples in zip(plans, coarse):
             try:
                 psi = _rv_moments(samples[:, col : col + 1], plan)
-                est = invert_cir(psi, plan.lag1)
+                est = invert_cir(psi, plan.point.lags_used[0])
             except MomentsOutsideModelRange:
                 failures[plan.eps] += 1
                 continue

@@ -30,7 +30,7 @@ from .errors import (
     SchemeGridMismatch,
     SimulationDiverged,
 )
-from .grids import RandomStreamSpec, StreamRole, TrajectoryGrid
+from .grids import RandomStreamSpec, StreamRole, TrajectoryGrid, whole_steps
 from .schemes import BoundInputs, DecorrelationProfile
 
 _DIVERGENCE_CHECK_EVERY = 512
@@ -504,12 +504,7 @@ def smoothing_observable(x: TrajectoryGrid, eps: float) -> TrajectoryGrid:
     """
     if eps <= 0:
         raise ParameterDomain(f"eps must be > 0, got {eps}")
-    ratio = eps / x.delta
-    m = int(round(ratio))
-    if m < 1 or not math.isclose(ratio, m, rel_tol=1e-9, abs_tol=0.0):
-        raise SchemeGridMismatch(
-            f"window {eps} is not a positive multiple of the grid step {x.delta}"
-        )
+    m = whole_steps(eps, x.delta, "window")
     if x.n_samples < m + 1:
         raise InsufficientData(
             f"need at least {m + 1} samples for a window of {m} steps, got {x.n_samples}"

@@ -5,7 +5,9 @@ test covers the installed console script.
 """
 
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -25,7 +27,6 @@ from hypothesis.extra import numpy as hnp
 import submoments
 from submoments.cli import _preset_path, available_presets, main
 from submoments.config import (
-    _parse_rho_table,
     _parse_schemes,
     assert_thresholds,
     build_bounds,
@@ -275,12 +276,6 @@ horizon = 2.0
         )
         with pytest.raises(ValidationError):
             _parse_schemes("sweep", "schemes", "100x0.5")
-        assert _parse_rho_table("rho", "table", "0.01:0.1, 0.005:0.07") == (
-            (0.01, 0.1),
-            (0.005, 0.07),
-        )
-        with pytest.raises(ValidationError):
-            _parse_rho_table("rho", "table", "0.01=0.1")
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -559,6 +554,74 @@ class TestEstimateCommand:
         capsys.readouterr()
         assert main(["estimate", "--input", str(tiny), "--lags", "0,1.0"]) == 4
 
+    @pytest.fixture(scope="class")
+    def long_grid(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("long") / "long.bin"
+        samples = np.random.default_rng(8).standard_normal(200_000)
+        write_binary(TrajectoryGrid(samples, 0.05), path)
+        return path
+
+    @pytest.mark.parametrize("big_delta", ["0.12", "0.08"])
+    def test_lags_round_on_the_resolved_step(self, long_grid, capsys, big_delta):
+        # the step-0.05 grid holds neither request: both resolve to stride 2,
+        # coarse step 0.1, where lag 1 is kappa 10 (the requested steps gave 8 and 12)
+        argv = ["estimate", "--input", str(long_grid), "--big-delta", big_delta, "--lags", "0,1"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stride"] == 2 and payload["big_delta"] == 0.1
+        assert payload["n_obs"] == 200_000 // 2 - 10
+        assert [c["kappa"] for c in payload["covariances"]] == [0, 10]
+
+    @pytest.mark.parametrize(
+        "extra, code, message",
+        [
+            (["--big-delta", "1e308", "--lags", "0"], 3, "overflows"),
+            (["--lags", "0,1e308"], 3, "overflows"),
+            # on the resolved step 0.05 the lag is a finite kappa no file can hold
+            (["--big-delta", "1e-300", "--lags", "0,1e300"], 4, "observations"),
+        ],
+    )
+    def test_huge_ratio_exits_at_the_boundary(self, long_grid, capsys, extra, code, message):
+        assert main(["estimate", "--input", str(long_grid), *extra]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.fixture(scope="class")
+    def small_grid(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("small")
+        cfg = tmp / "ou.cfg"
+        cfg.write_text(OU_CFG)
+        path = tmp / "small.bin"
+        assert main(["simulate", "--config", str(cfg), "--output", str(path), "--length", "256"]) == 0
+        return path
+
+    # any finite float, with small ones drawn often enough that many calls succeed
+    FINITE = st.one_of(st.floats(0, 4), st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        big_delta=FINITE,
+        lags=st.lists(FINITE, min_size=1, max_size=4),
+        model=st.sampled_from([None, "ou"]),
+    )
+    def test_any_finite_request_exits_cleanly(self, small_grid, big_delta, lags, model):
+        # success, or one error line and a documented code; never a traceback
+        # (exit 1). Exit 5 is the inversion's: moments outside the model's range
+        argv = [
+            "estimate", "--input", str(small_grid), f"--big-delta={big_delta!r}",
+            f"--lags={','.join(map(repr, lags))}", *(["--model", model] if model else []),
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code != 0:
+            assert code in ((2, 3, 4, 5) if model else (3, 4)), (code, err.getvalue())
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+
     @pytest.mark.parametrize("suffix", [".bin", ".csv"])
     def test_non_finite_sample_rejected(self, ou_trajectory, tmp_path, capsys, suffix):
         values = read_binary(ou_trajectory).samples[:400, 0].copy()
@@ -706,6 +769,18 @@ class TestLabCommand:
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
         assert "config [observable] has unknown key 'rho'; allowed: ['kind']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rho_table_exits_three(self, tmp_path, capsys, monkeypatch):
+        # [rho] kind = table is cut: the custom family pins explicit points
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        cfg = preset_variant(tmp_path, {"rho": {"kind": "table"}})
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert "unknown rho kind 'table'" in capsys.readouterr().err
+        cfg = preset_variant(tmp_path, {"rho": {"kind": "table", "table": "0.3:0.1"}})
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert "config [rho] has unknown key 'table'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lag_past_bounds_horizon_exits_three(self, tmp_path, capsys, monkeypatch):

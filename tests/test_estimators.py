@@ -42,6 +42,11 @@ class TestLagIndex:
         with pytest.raises(ParameterDomain):
             lag_index(math.inf, 0.1)
 
+    @pytest.mark.parametrize("lag, big_delta", [(1e308, 0.05), (1e300, 1e-300)])
+    def test_overflowing_quotient(self, lag, big_delta):
+        with pytest.raises(ParameterDomain, match="overflows"):
+            lag_index(lag, big_delta)
+
 
 class TestEmpiricalMean:
     def test_matrix_input(self):

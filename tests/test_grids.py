@@ -24,6 +24,7 @@ from submoments.grids import (
     resolve_stride,
     subsample_sequence,
     subsample_view,
+    whole_steps,
     write_binary,
     write_csv,
 )
@@ -157,6 +158,18 @@ class TestSubsampling:
     def test_resolve_stride_floors_at_one(self):
         scheme = resolve_stride(SubsamplingScheme(n_obs=4, big_delta=0.01), 0.05)
         assert scheme.stride == 1 and scheme.big_delta == 0.05
+
+    @pytest.mark.parametrize("big_delta, delta", [(1e308, 0.05), (1.0, 5e-324)])
+    def test_resolve_stride_rejects_an_overflowing_ratio(self, big_delta, delta):
+        with pytest.raises(ParameterDomain, match="overflows"):
+            resolve_stride(SubsamplingScheme(n_obs=4, big_delta=big_delta), delta)
+
+    def test_whole_steps(self):
+        assert whole_steps(0.5, 0.1, "window") == 5
+        # off the grid, under one step, and ratios that overflow (an inf eps level)
+        for span, step in [(0.3, 0.25), (0.05, 0.1), (float("inf"), 0.01), (1e308, 1e-10)]:
+            with pytest.raises(SchemeGridMismatch, match="not a whole multiple"):
+                whole_steps(span, step, "window")
 
     @given(
         n_obs=st.integers(1, 20),

@@ -164,10 +164,8 @@ class TestConfigValidation:
         assert small_config().rho_of(0.3) == 0.3
         cfg = small_config(rho_kind="sqrt", c_rho=2.0)
         assert cfg.rho_of(0.25) == pytest.approx(1.0)
-        cfg = small_config(rho_kind="table", rho_table=((0.3, 0.1), (0.2, 0.05)))
-        assert cfg.rho_of(0.3) == 0.1
-        with pytest.raises(ParameterDomain):
-            cfg.rho_of(0.25)
+        with pytest.raises(ParameterDomain, match="unknown rho kind 'table'"):
+            small_config(rho_kind="table").validate()  # cut: custom schemes pin explicit points
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(lab, "_MEMORY_CAP_BYTES", 1000)
@@ -419,7 +417,7 @@ def reference_heston_rv(config: HestonRVConfig):
     """
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
-    length = max(plan.fine_rows for plan in plans)
+    length = max(plan.point.rows * plan.eps_stride for plan in plans)
     true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
     sq_rel = {plan.eps: [] for plan in plans}
     failures = {plan.eps: 0 for plan in plans}
@@ -439,13 +437,14 @@ def reference_heston_rv(config: HestonRVConfig):
         r_paths, _, _ = heston_core_reference(p, length, delta_f, z_var, z_price, v0)
         for col in range(width):
             for plan in plans:
-                r_eps = r_paths[plan.eps_stride - 1 : plan.fine_rows : plan.eps_stride, col]
+                fine_rows = plan.point.rows * plan.eps_stride
+                r_eps = r_paths[plan.eps_stride - 1 : fine_rows : plan.eps_stride, col]
                 rv = realized_volatility_observable(
                     TrajectoryGrid(r_eps, plan.eps), plan.eps, plan.window
                 )
-                coarse = subsample_sequence(rv, plan.scheme, n_extra=plan.kappa2)
+                coarse = subsample_sequence(rv, plan.point.scheme, n_extra=plan.point.kappas[1])
                 try:
-                    est = invert_cir(_rv_moments(coarse, plan), plan.lag1)
+                    est = invert_cir(_rv_moments(coarse, plan), plan.point.lags_used[0])
                 except MomentsOutsideModelRange:
                     failures[plan.eps] += 1
                     continue
@@ -475,7 +474,7 @@ class TestHestonRVPipeline:
     @pytest.fixture(scope="class")
     def length(self):
         _, plans = _plan_heston_rv(self.CFG)
-        length = max(plan.fine_rows for plan in plans)
+        length = max(plan.point.rows * plan.eps_stride for plan in plans)
         # the last normals chunk is partial
         assert length > _HESTON_CHUNK and length % _HESTON_CHUNK != 0
         return length

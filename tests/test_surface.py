@@ -3,6 +3,7 @@ name only tests reach."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import submoments
@@ -104,12 +105,8 @@ def unreferenced_names(root: Path) -> list:
     corpus = [root / "README.md"]
     for top in ("src", "scripts", "perfbench"):
         corpus += [p for p in (root / top).rglob("*") if p.suffix in (".py", ".md", ".cfg")]
-    text = "\n".join(p.read_text() for p in corpus)
-    return sorted(
-        name
-        for name, count in defined.items()
-        if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count
-    )
+    words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in corpus)))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
 
 
 def test_no_name_only_tests_reach():
