@@ -104,6 +104,15 @@ def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(f"{path.stem}-{tag}{path.suffix}")
 
 
+def _count(n: int) -> str:
+    """``n`` in full up to 15 digits, past that in e-notation (``-2.000e+301``)."""
+    if abs(n) < 10**15:
+        return str(n)
+    from decimal import Decimal  # exact for any int, where float() overflows
+
+    return f"{Decimal(n):.3e}"
+
+
 def _parse_floats(raw: str, flag: str) -> list:
     try:
         values = [float(v) for v in raw.split(",") if v.strip()]
@@ -216,8 +225,8 @@ def cmd_estimate(args) -> int:
         n_obs = (grid.n_samples - args.offset) // stride - kmax
     if n_obs < 2:
         raise InsufficientData(
-            f"trajectory of {grid.n_samples} rows leaves {n_obs} observations "
-            f"after stride {stride} and lag allowance {kmax}"
+            f"trajectory of {grid.n_samples} rows leaves {_count(n_obs)} observations "
+            f"after stride {stride} and lag allowance {_count(kmax)}"
         )
     point = plan_point(SubsamplingScheme(n_obs, big_delta), grid.delta, planned, args.offset)
     scheme = point.scheme

@@ -146,10 +146,6 @@ class SubsamplingScheme:
             raise ParameterDomain(f"stride must be >= 1, got {self.stride}")
 
     @property
-    def is_resolved(self) -> bool:
-        return self.stride is not None
-
-    @property
     def span(self) -> float:
         """Observation span ``n_obs * big_delta``."""
         return self.n_obs * self.big_delta
@@ -180,52 +176,37 @@ def whole_steps(span: float, step: float, what: str) -> int:
     return steps
 
 
-def _check_commensurate(grid: TrajectoryGrid, scheme: SubsamplingScheme) -> int:
-    if not scheme.is_resolved:
+def subsample_sequence(
+    grid: TrajectoryGrid, scheme: SubsamplingScheme, n_extra: int = 0, offset: int = 0
+) -> np.ndarray:
+    """Strided view (no copy) of the coarse samples plus ``n_extra`` trailing ones.
+
+    Selects rows at 1-based fine indices ``offset + n*stride`` for
+    ``n = 1..n_obs + n_extra``: lagged covariances at integer shift
+    ``kappa`` consume ``n_obs + kappa`` coarse samples.  Raises
+    ``InsufficientData`` when the grid is too short and
+    ``SchemeGridMismatch`` when the scheme does not sit on the grid.
+    """
+    if n_extra < 0:
+        raise ParameterDomain(f"n_extra must be >= 0, got {n_extra}")
+    if offset < 0:
+        raise ParameterDomain(f"offset must be >= 0, got {offset}")
+    stride = scheme.stride
+    if stride is None:
         raise SchemeGridMismatch("scheme has no stride; resolve it against the grid first")
-    expect = scheme.stride * grid.delta
+    expect = stride * grid.delta
     if not np.isclose(expect, scheme.big_delta, rtol=1e-12, atol=0.0):
         raise SchemeGridMismatch(
             f"big_delta {scheme.big_delta} != stride*delta {expect}"
         )
-    return scheme.stride
-
-
-def subsample_view(grid: TrajectoryGrid, scheme: SubsamplingScheme, offset: int = 0) -> np.ndarray:
-    """Strided view of the coarse samples (no copy).
-
-    Selects rows at 1-based fine indices ``offset + n*stride`` for
-    ``n = 1..n_obs``.  Raises ``InsufficientData`` when the grid is too
-    short and ``SchemeGridMismatch`` when the scheme does not sit on the
-    grid.
-    """
-    if offset < 0:
-        raise ParameterDomain(f"offset must be >= 0, got {offset}")
-    stride = _check_commensurate(grid, scheme)
-    need = offset + scheme.n_obs * stride
+    count = scheme.n_obs + n_extra
+    need = offset + count * stride
     if need > grid.n_samples:
         raise InsufficientData(
-            f"need {need} samples for n_obs={scheme.n_obs} stride={stride} "
+            f"need {need} samples for n_obs={count} stride={stride} "
             f"offset={offset}, grid has {grid.n_samples}"
         )
-    start = offset + stride - 1
-    return grid.samples[start : offset + scheme.n_obs * stride : stride]
-
-
-def subsample_sequence(
-    grid: TrajectoryGrid, scheme: SubsamplingScheme, n_extra: int = 0, offset: int = 0
-) -> np.ndarray:
-    """Coarse samples plus ``n_extra`` trailing ones for lagged statistics.
-
-    Lagged covariances at integer shift ``kappa`` consume ``n_obs + kappa``
-    coarse samples; this returns that longer strided view.
-    """
-    if n_extra < 0:
-        raise ParameterDomain(f"n_extra must be >= 0, got {n_extra}")
-    wider = SubsamplingScheme(
-        n_obs=scheme.n_obs + n_extra, big_delta=scheme.big_delta, stride=scheme.stride
-    )
-    return subsample_view(grid, wider, offset=offset)
+    return grid.samples[offset + stride - 1 : need : stride]
 
 
 def _check_file_grid(path, samples: np.ndarray, delta: float) -> None:

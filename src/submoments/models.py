@@ -19,7 +19,6 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -140,11 +139,19 @@ def _linear_filter():
                 _SIGTOOLS, [f"{scipy.submodule_search_locations[0]}/signal"]
             )
             if spec is None:
-                raise ImportError(f"simulate_ou needs scipy's compiled module {_SIGTOOLS}")
+                raise ImportError(f"the AR(1) paths need scipy's compiled module {_SIGTOOLS}")
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules[_SIGTOOLS] = module
     return module._linear_filter
+
+
+def _ar1(phi: float, x: np.ndarray) -> np.ndarray:
+    """``out[0] = x[0]``, then ``out[n] = phi * out[n-1] + x[n]``.
+
+    The call ``lfilter([1.0], [1.0, -phi], x)`` makes, on the compiled kernel.
+    """
+    return _linear_filter()(np.array([1.0]), np.array([1.0, -phi]), x, -1)
 
 
 def simulate_ou(
@@ -168,8 +175,7 @@ def simulate_ou(
     innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
     shocks[1:] *= innov
     shocks[0] *= sig0  # stationary start
-    # the call lfilter([1.0], [1.0, -phi], shocks) makes: the same bits
-    path = _linear_filter()(np.array([1.0]), np.array([1.0, -phi]), shocks, -1)
+    path = _ar1(phi, shocks)
     path += params.mean
     return TrajectoryGrid._handover(path, delta)
 
@@ -202,6 +208,8 @@ class GradientDiffusionParams:
 
     def validate(self) -> None:
         coeffs = np.asarray(self.potential_coeffs, dtype=float)
+        if not (np.isfinite(coeffs).all() and np.isfinite(self.sigma).all()):
+            raise ParameterDomain("potential coefficients and sigma must be finite")
         if coeffs.size < 3:
             raise ParameterDomain("potential must have degree >= 2")
         degree = coeffs.size - 1
@@ -577,54 +585,18 @@ def default_rv_window(eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlowFastEntry:
-    """Catalog entry: a two-scale pair and its averaged limit.
-
-    The fast coordinate relaxes like an OU process with unit stationary
-    variance (fast drift -y, fast diffusion sqrt(2)), so the averaged drift
-    is the slow drift integrated against a standard normal in y.
-    """
-
-    name: str
-    description: str
-    slow_drift: Callable[[float, float], float]
-    slow_diffusion: float
-    averaged_drift: Callable[[float], float]
-    averaged_diffusion: float
-    reduced: OUParams
-
-
-def _catalog() -> dict:
-    entries = [
-        SlowFastEntry(
-            name="linear_coupling",
-            description="slow drift -x + y; averages to the unit OU",
-            slow_drift=lambda x, y: -x + y,
-            slow_diffusion=1.0,
-            averaged_drift=lambda x: -x,
-            averaged_diffusion=1.0,
-            reduced=OUParams(mean=0.0, reversion=1.0, noise=1.0),
-        ),
-        SlowFastEntry(
-            name="quadratic_coupling",
-            description="slow drift -x + y^2; averages to OU around 1",
-            slow_drift=lambda x, y: -x + y * y,
-            slow_diffusion=1.0,
-            averaged_drift=lambda x: 1.0 - x,
-            averaged_diffusion=1.0,
-            reduced=OUParams(mean=1.0, reversion=1.0, noise=1.0),
-        ),
-    ]
-    return {e.name: e for e in entries}
-
-
-SLOW_FAST_CATALOG = _catalog()
+# entry -> (p, E[y**p]): slow drift -x + y**p averages to E[y**p] - x
+SLOW_FAST_CATALOG = {"linear_coupling": (1, 0.0), "quadratic_coupling": (2, 1.0)}
 
 
 @dataclass(frozen=True)
 class SlowFastParams:
-    """Two-scale system selection: catalog entry plus scale separation eps."""
+    """Two-scale system: catalog entry plus scale separation eps.
+
+    The fast coordinate is OU with unit stationary variance (drift -y / eps,
+    diffusion sqrt(2 / eps)); the slow one has drift -x + y**p and unit
+    diffusion, so its averaged limit is the unit OU around ``E[y**p]``.
+    """
 
     entry: str = "linear_coupling"
     scale: float = 0.1
@@ -634,12 +606,12 @@ class SlowFastParams:
             raise ParameterDomain(
                 f"unknown entry {self.entry!r}; choose from {sorted(SLOW_FAST_CATALOG)}"
             )
-        if not (0 < self.scale):
-            raise ParameterDomain(f"scale must be > 0, got {self.scale}")
+        if not (0 < self.scale < math.inf):
+            raise ParameterDomain(f"scale must be finite and > 0, got {self.scale}")
 
     @property
-    def catalog_entry(self) -> SlowFastEntry:
-        return SLOW_FAST_CATALOG[self.entry]
+    def reduced(self) -> OUParams:
+        return OUParams(mean=SLOW_FAST_CATALOG[self.entry][1], reversion=1.0, noise=1.0)
 
 
 def simulate_slow_fast(
@@ -654,7 +626,8 @@ def simulate_slow_fast(
     (process-noise role; the fast coordinate uses the auxiliary role), so
     the pair is coupled pathwise and their distance reflects the scale
     separation rather than independent noise.  Requires
-    ``delta_fine <= scale / 10`` to resolve the fast motion.
+    ``delta_fine <= scale / 10`` to resolve the fast motion.  Each Euler
+    recursion is one AR(1) pass; the slow one takes ``y**p`` before each step.
     """
     params.validate()
     if length < 1:
@@ -666,29 +639,21 @@ def simulate_slow_fast(
             f"delta_fine {delta_fine} too coarse for scale {params.scale}; "
             "need delta_fine <= scale / 10"
         )
-    entry = params.catalog_entry
-    eps = params.scale
+    power, averaged = SLOW_FAST_CATALOG[params.entry]
     rng_slow = stream.role(StreamRole.PROCESS_NOISE).generator()
     rng_fast = stream.role(StreamRole.AUXILIARY_NOISE).generator()
 
-    z_init = rng_slow.standard_normal()
-    x = entry.reduced.mean + entry.reduced.stationary_std * z_init
-    x_avg = x  # same start: coupled comparison
-    y = float(rng_fast.standard_normal())  # fast stationary marginal is N(0, 1)
-
+    x0 = averaged + params.reduced.stationary_std * rng_slow.standard_normal()
+    y0 = float(rng_fast.standard_normal())  # fast stationary marginal is N(0, 1)
     z_slow = rng_slow.standard_normal(length)
     z_fast = rng_fast.standard_normal(length)
     sqdt = math.sqrt(delta_fine)
-    fast_diff = math.sqrt(2.0 / eps)
-    out_x = np.empty(length)
-    out_avg = np.empty(length)
-    for n in range(length):
-        dw = sqdt * z_slow[n]
-        x = x + entry.slow_drift(x, y) * delta_fine + entry.slow_diffusion * dw
-        x_avg = x_avg + entry.averaged_drift(x_avg) * delta_fine + entry.averaged_diffusion * dw
-        y = y - (y / eps) * delta_fine + fast_diff * sqdt * z_fast[n]
-        out_x[n] = x
-        out_avg[n] = x_avg
-    if not (np.isfinite(out_x[-1]) and np.isfinite(out_avg[-1]) and np.isfinite(y)):
+    dw = sqdt * z_slow
+    fast_in = math.sqrt(2.0 / params.scale) * sqdt * z_fast
+    y = _ar1(1.0 - delta_fine / params.scale, np.concatenate(([y0], fast_in)))
+    # both slow paths start at x0: a coupled comparison
+    x = _ar1(1.0 - delta_fine, np.concatenate(([x0], y[:-1] ** power * delta_fine + dw)))
+    x_avg = _ar1(1.0 - delta_fine, np.concatenate(([x0], averaged * delta_fine + dw)))
+    if not (np.isfinite(x[-1]) and np.isfinite(x_avg[-1]) and np.isfinite(y[-1])):
         raise SimulationDiverged("slow-fast state became non-finite")
-    return TrajectoryGrid(out_x, delta_fine), TrajectoryGrid(out_avg, delta_fine)
+    return TrajectoryGrid(x[1:], delta_fine), TrajectoryGrid(x_avg[1:], delta_fine)

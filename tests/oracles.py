@@ -5,6 +5,8 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from submoments.grids import StreamRole
+
 
 def lagged_covariance_product_form(samples, n_obs: int, kappa: int) -> np.ndarray:
     """Lagged covariance as the average of raw products minus the product of means.
@@ -82,3 +84,30 @@ def heston_core_reference(params, n_steps: int, dt: float, z_var, z_price, v0, r
             + params.vol_of_vol * vol * sqdt * z_var[n]
         v_plus = np.maximum(v_raw, 0.0, out=v_paths[n])
     return r_paths, v_paths, v_raw
+
+
+def slow_fast_reference(entry: str, scale: float, length: int, dt: float, stream):
+    """The slow-fast Euler scheme stepped one row at a time on Python floats.
+
+    Draws what ``simulate_slow_fast`` draws, in the same order, and returns
+    the slow path and the averaged path.  ``linear_coupling`` has slow drift
+    ``-x + y`` and averaged drift ``-x``; ``quadratic_coupling`` has
+    ``-x + y**2`` and ``1 - x``.
+    """
+    power, averaged = {"linear_coupling": (1, 0.0), "quadratic_coupling": (2, 1.0)}[entry]
+    rng_slow = stream.role(StreamRole.PROCESS_NOISE).generator()
+    rng_fast = stream.role(StreamRole.AUXILIARY_NOISE).generator()
+    x = averaged + math.sqrt(0.5) * rng_slow.standard_normal()  # the averaged OU's std
+    x_avg = x
+    y = float(rng_fast.standard_normal())
+    z_slow = rng_slow.standard_normal(length)
+    z_fast = rng_fast.standard_normal(length)
+    sqdt = math.sqrt(dt)
+    out_x, out_avg = np.empty(length), np.empty(length)
+    for n in range(length):
+        dw = sqdt * z_slow[n]
+        x = x + (-x + y**power) * dt + dw
+        x_avg = x_avg + (averaged - x_avg) * dt + dw
+        y = y - (y / scale) * dt + math.sqrt(2.0 / scale) * sqdt * z_fast[n]
+        out_x[n], out_avg[n] = x, x_avg
+    return out_x, out_avg

@@ -405,6 +405,27 @@ class TestSimulateCommand:
         assert "Warning" not in err
         assert not list(tmp_path.glob("huge*"))
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("kind = gradient_diffusion\ncoeffs = 0, 0, nan\nsigma = 1", "must be finite"),
+            ("kind = gradient_diffusion\ncoeffs = 0, 0, 0.5\nsigma = inf", "must be finite"),
+            ("kind = slow_fast\nentry = linear_coupling\nscale = inf", "scale must be finite"),
+        ],
+        ids=["nan_coeff", "inf_sigma", "inf_scale"],
+    )
+    def test_non_finite_model_parameter_exits_three(self, tmp_path, capsys, monkeypatch, model, message):
+        forbid_simulation(monkeypatch)
+        cfg = write_cfg(tmp_path, f"[model]\n{model}\n\n[grid]\nlength = 2000\ndelta = 0.01\n")
+        out = tmp_path / "m.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 3
+        assert caught == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not list(tmp_path.glob("m*"))
+
     def test_failed_allocation_exits_four(self, tmp_path, capsys, monkeypatch):
         # an allocation no cap foresees, as numpy raises it; nothing is allocated here
         message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
@@ -577,7 +598,8 @@ class TestEstimateCommand:
         [
             (["--big-delta", "1e308", "--lags", "0"], 3, "overflows"),
             (["--lags", "0,1e308"], 3, "overflows"),
-            # on the resolved step 0.05 the lag is a finite kappa no file can hold
+            # on the resolved step 0.05 the lag is a finite kappa no file can hold;
+            # the message shows that 302-digit allowance in e-notation
             (["--big-delta", "1e-300", "--lags", "0,1e300"], 4, "observations"),
         ],
     )
@@ -586,7 +608,7 @@ class TestEstimateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: ") and message in line
+        assert line.startswith("error: ") and message in line and len(line) < 200
 
     @pytest.fixture(scope="class")
     def small_grid(self, tmp_path_factory):

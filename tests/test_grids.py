@@ -23,7 +23,6 @@ from submoments.grids import (
     read_csv,
     resolve_stride,
     subsample_sequence,
-    subsample_view,
     whole_steps,
     write_binary,
     write_csv,
@@ -107,42 +106,42 @@ class TestSubsampling:
         # fine values 1..12; stride 2 keeps fine indices 2,4,6,8,10 (1-based)
         g = line_grid(12, 0.5)
         scheme = SubsamplingScheme(5, 2 * 0.5, 2)
-        view = subsample_view(g, scheme)
+        view = subsample_sequence(g, scheme)
         assert view[:, 0].tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
 
     def test_offset_shifts_selection(self):
         g = line_grid(12, 0.5)
         scheme = SubsamplingScheme(5, 2 * 0.5, 2)
-        view = subsample_view(g, scheme, offset=1)
+        view = subsample_sequence(g, scheme, offset=1)
         assert view[:, 0].tolist() == [3.0, 5.0, 7.0, 9.0, 11.0]
 
     def test_view_shares_memory(self):
         g = line_grid()
         scheme = SubsamplingScheme(3, 3 * 0.5, 3)
-        assert np.shares_memory(subsample_view(g, scheme), g.samples)
+        assert np.shares_memory(subsample_sequence(g, scheme), g.samples)
 
     def test_strides_compose(self):
         g = line_grid(60, 0.1)
         once = SubsamplingScheme(10, 6 * 0.1, 6)
         first = SubsamplingScheme(30, 2 * 0.1, 2)
-        inner = TrajectoryGrid(subsample_view(g, first), 0.2)
+        inner = TrajectoryGrid(subsample_sequence(g, first), 0.2)
         second = SubsamplingScheme(10, 3 * 0.2, 3)
-        assert np.array_equal(subsample_view(g, once), subsample_view(inner, second))
+        assert np.array_equal(subsample_sequence(g, once), subsample_sequence(inner, second))
 
     def test_too_short_raises(self):
         g = line_grid(5, 0.5)
         scheme = SubsamplingScheme(3, 2 * 0.5, 2)
         with pytest.raises(InsufficientData):
-            subsample_view(g, scheme)
+            subsample_sequence(g, scheme)
 
     def test_unresolved_scheme_rejected(self):
         with pytest.raises(SchemeGridMismatch):
-            subsample_view(line_grid(), SubsamplingScheme(n_obs=2, big_delta=1.0))
+            subsample_sequence(line_grid(), SubsamplingScheme(n_obs=2, big_delta=1.0))
 
     def test_incommensurate_rejected(self):
         scheme = SubsamplingScheme(n_obs=2, big_delta=0.7, stride=2)
         with pytest.raises(SchemeGridMismatch):
-            subsample_view(line_grid(12, 0.5), scheme)
+            subsample_sequence(line_grid(12, 0.5), scheme)
 
     def test_sequence_extends_view(self):
         g = line_grid(12, 0.5)
@@ -181,7 +180,7 @@ class TestSubsampling:
         length = offset + n_obs * stride + 3
         g = TrajectoryGrid(np.arange(length, dtype=float), 1.0)
         scheme = SubsamplingScheme(n_obs, stride * 1.0, stride)
-        view = subsample_view(g, scheme, offset=offset)
+        view = subsample_sequence(g, scheme, offset=offset)
         expect = offset + stride * np.arange(1, n_obs + 1) - 1  # row index of sample n
         assert np.array_equal(view[:, 0], expect.astype(float))
 

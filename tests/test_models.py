@@ -29,6 +29,7 @@ from submoments.models import (
     OUParams,
     SLOW_FAST_CATALOG,
     SlowFastParams,
+    _ar1,
     _heston_core,
     _linear_filter,
     default_rv_window,
@@ -44,7 +45,7 @@ from submoments.models import (
     smoothing_observable,
 )
 
-from oracles import heston_core_reference, stationary_density_unnormalized
+from oracles import heston_core_reference, slow_fast_reference, stationary_density_unnormalized
 
 
 class TestOU:
@@ -115,7 +116,7 @@ QUARTIC = GradientDiffusionParams(potential_coeffs=(0, 0, 0, 0, 0.25), sigma=[[1
 
 
 class TestLinearFilterKernel:
-    """simulate_ou's compiled kernel gives the bits of scipy.signal.lfilter."""
+    """The AR(1) helper on the compiled kernel gives the bits of scipy.signal.lfilter."""
 
     @pytest.mark.parametrize("lead", [0.0, -0.0])
     @pytest.mark.parametrize("phi", [0.0, math.exp(-0.01), 0.9999])
@@ -128,7 +129,7 @@ class TestLinearFilterKernel:
         x[1::5] = -lead
         x[3::5] = 0.0
         x[4::5] = -0.0
-        got = _linear_filter()(np.array([1.0]), np.array([1.0, -phi]), x, -1)
+        got = _ar1(phi, x)
         assert got.tobytes() == lfilter([1.0], [1.0, -phi], x).tobytes()
 
     def test_concurrent_first_load_registers_one_module(self):
@@ -171,6 +172,9 @@ class TestGradientDiffusion:
             GradientDiffusionParams((0, 0, 0.5), [[1.0, 0.0], [2.0, 0.0]]).validate()
         with pytest.raises(ParameterDomain):
             GradientDiffusionParams((0, 0, 0.5), [[1.0, 0.0]]).validate()
+        for coeffs, sigma in [((0, 0, math.nan), 1.0), ((0, 0, math.inf), 1.0), ((0, 0, 0.5), math.inf)]:
+            with pytest.raises(ParameterDomain, match="must be finite"):
+                GradientDiffusionParams(coeffs, sigma).validate()
 
     def test_quadratic_potential_matches_ou_law(self):
         # q(u) = u^2 / 2 gives drift -x, i.e. OU with unit reversion
@@ -412,14 +416,21 @@ class TestSlowFast:
     def test_averaged_drift_matches_gaussian_quadrature(self):
         nodes, weights = np.polynomial.hermite_e.hermegauss(40)
         weights = weights / math.sqrt(2.0 * math.pi)
-        for entry in SLOW_FAST_CATALOG.values():
-            for x in (-2.0, 0.0, 1.5):
-                avg = sum(w * entry.slow_drift(x, y) for y, w in zip(nodes, weights))
-                assert avg == pytest.approx(entry.averaged_drift(x), abs=1e-10)
+        for power, averaged in SLOW_FAST_CATALOG.values():
+            assert float(np.sum(weights * nodes**power)) == pytest.approx(averaged, abs=1e-10)
 
     def test_reduced_models(self):
-        assert SLOW_FAST_CATALOG["linear_coupling"].reduced == OUParams(0.0, 1.0, 1.0)
-        assert SLOW_FAST_CATALOG["quadratic_coupling"].reduced == OUParams(1.0, 1.0, 1.0)
+        assert SlowFastParams("linear_coupling").reduced == OUParams(0.0, 1.0, 1.0)
+        assert SlowFastParams("quadratic_coupling").reduced == OUParams(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("entry", sorted(SLOW_FAST_CATALOG))
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_matches_per_step_loop(self, entry, seed):
+        scale, length, dt = 0.02, 20_000, 0.002
+        x, avg = simulate_slow_fast(SlowFastParams(entry, scale), length, dt, RandomStreamSpec(seed))
+        want_x, want_avg = slow_fast_reference(entry, scale, length, dt, RandomStreamSpec(seed))
+        assert np.max(np.abs(x.samples[:, 0] - want_x)) < 1e-12
+        assert np.max(np.abs(avg.samples[:, 0] - want_avg)) < 1e-12
 
     def test_coupled_distance_shrinks_with_scale(self):
         def sup_dist(scale):
@@ -443,8 +454,9 @@ class TestSlowFast:
     def test_domain(self):
         with pytest.raises(ParameterDomain):
             SlowFastParams(entry="nope", scale=0.1).validate()
-        with pytest.raises(ParameterDomain):
-            SlowFastParams(entry="linear_coupling", scale=0.0).validate()
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(ParameterDomain):
+                SlowFastParams(entry="linear_coupling", scale=scale).validate()
         with pytest.raises(ParameterDomain, match="too coarse"):
             simulate_slow_fast(
                 SlowFastParams(entry="linear_coupling", scale=0.1),
