@@ -13,16 +13,26 @@ identical to "average of products minus product of averages" but does not
 cancel two large numbers against each other.
 
 Every covariance, in this module, in the CLI and in the lab, comes from
-one kernel, :func:`lagged_covariances`.  It centres the lead block
-``s_1..s_N`` once for all lags (its mean is the paper's ``mean`` above) and,
-for each distinct kappa, centres the lagged block into one reused workspace.
+one kernel, :func:`lagged_covariances`.  It takes each mean column as one
+``np.sum``, then walks numpy's pairwise split tree over the ``N`` rows
+down to leaves of at most ``_LEAF`` rows.  At a leaf it centres the lead
+rows once and, for each distinct kappa, the lagged rows, into two
+leaf-sized buffers; it multiplies them and sums each product.  The leaf
+sums are added in the tree's order.  So the kernel holds a few leaf
+buffers rather than ``N``-long copies, and its results carry the bits of
+one ``np.sum`` over each full ``N``-long product.
 
 Sums are taken with numpy's pairwise reduction (not a BLAS dot), which
 keeps the accumulation error at the square-root-of-log level even for
 million-sample sequences and makes results independent of BLAS vendor.
 Each mean column and each covariance entry is its own 1-d reduction:
 ``np.sum(axis=0)`` over an ``(N, r)`` array is pairwise only when r = 1,
-and adds the rows one after another otherwise.
+and adds the rows one after another otherwise.  A contiguous 1-d
+``np.sum`` of ``n`` values splits at ``n2 = n // 2`` rounded down to a
+multiple of 8 while ``n`` exceeds its 128-value block (Higham, *Accuracy
+and Stability of Numerical Algorithms*, section 4.2); the tree depends on
+the length alone, which is what lets a leaf's own ``np.sum`` stand in for
+its subtree.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ from .grids import SubsamplingScheme
 
 #: required ratio of sample count to lag shift
 MIN_N_OVER_KAPPA = 10
+
+#: largest row range the covariance kernel centres and sums in one piece
+_LEAF = 1 << 15
 
 
 def lag_index(lag_u: float, big_delta: float) -> int:
@@ -104,12 +117,45 @@ def _check_lengths(arr: np.ndarray, n_obs: int, kappa: int) -> None:
         )
 
 
+def _tree_sums(arr, lo, n, mean, lags, bufs) -> np.ndarray:
+    """Centred lagged product sums over rows ``lo .. lo+n-1``, one per lag and (i, j).
+
+    ``lags`` holds ``(kappa, mean of the lagged block)`` pairs; ``bufs`` the
+    lead, lagged and product buffers of at least ``min(n, _LEAF)`` rows.
+
+    Splits where numpy's pairwise sum splits until a range fits a leaf,
+    then adds the two halves, as that sum does.  A module-level function
+    rather than a closure: a self-referencing closure is a reference cycle
+    that keeps ``arr`` alive until the cyclic collector runs.
+    """
+    if n > _LEAF:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return _tree_sums(arr, lo, n2, mean, lags, bufs) + _tree_sums(
+            arr, lo + n2, n - n2, mean, lags, bufs
+        )
+    lead_c, lagged_c, product = (buf[:n] for buf in bufs)
+    np.subtract(arr[lo : lo + n], mean, out=lead_c)
+    r = arr.shape[1]
+    sums = np.empty((len(lags), r, r))
+    for li, (kappa, shifted) in enumerate(lags):
+        if kappa == 0:
+            block = lead_c
+        else:
+            block = np.subtract(arr[lo + kappa : lo + kappa + n], shifted, out=lagged_c)
+        for i in range(r):
+            for j in range(r):
+                sums[li, i, j] = np.sum(np.multiply(lead_c[:, i], block[:, j], out=product))
+    return sums
+
+
 def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndarray]:
     """Covariance matrices at several coarse lags, and the lead-block mean.
 
     Returns ``(cov, mean)``: ``cov[l]`` is the ``(r, r)`` estimate at
     ``kappas[l]``, each distinct kappa computed once, and ``mean`` is the
     mean of the first ``n_obs`` samples.  Every kappa is length-checked.
+    Working memory is a few ``_LEAF``-row buffers, whatever ``n_obs``.
     """
     arr = _as_matrix(samples)
     kappas = [int(k) for k in kappas]
@@ -118,20 +164,13 @@ def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndar
     distinct = list(dict.fromkeys(kappas))
     r = arr.shape[1]
     mean = _pairwise_mean(arr[:n_obs])
-    lead_c = arr[:n_obs] - mean
-    lagged_c = np.empty_like(lead_c)
+    lags = [(k, _pairwise_mean(arr[k : k + n_obs]) if k else mean) for k in distinct]
+    rows = min(n_obs, _LEAF)
+    lead_c = np.empty((rows, r))
+    lagged_c = np.empty((rows, r))
     # at r = 1 each lagged column is read once, so its product overwrites it
-    product = lagged_c[:, 0] if r == 1 else np.empty(n_obs)
-    cov = np.empty((len(distinct), r, r))
-    for li, kappa in enumerate(distinct):
-        if kappa == 0:
-            block = lead_c
-        else:
-            lagged = arr[kappa : kappa + n_obs]
-            block = np.subtract(lagged, _pairwise_mean(lagged), out=lagged_c)
-        for i in range(r):
-            for j in range(r):
-                cov[li, i, j] = np.sum(np.multiply(lead_c[:, i], block[:, j], out=product))
+    product = lagged_c[:, 0] if r == 1 else np.empty(rows)
+    cov = _tree_sums(arr, 0, n_obs, mean, lags, (lead_c, lagged_c, product))
     cov /= n_obs
     return cov[[distinct.index(kappa) for kappa in kappas]], mean
 

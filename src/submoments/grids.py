@@ -25,6 +25,8 @@ import numpy as np
 from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch, ValidationError
 
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
+#: rows per block of the file readers' finite-sample check
+_CHECK_ROWS = 1 << 16
 
 
 def _as_samples(values, copy: bool = True) -> np.ndarray:
@@ -212,14 +214,16 @@ def subsample_sequence(
 def _check_file_grid(path, samples: np.ndarray, delta: float) -> None:
     """Reject a non-positive or non-finite step and non-finite samples.
 
-    The sample check is one boolean mask; the row scan runs only on failure.
+    The samples are checked ``_CHECK_ROWS`` rows at a time, so the boolean
+    mask is one block long; the row scan runs only in the failing block.
     """
     if not np.isfinite(delta) or delta <= 0.0:
         raise ParameterDomain(f"{path}: grid step must be positive and finite, got {delta}")
-    finite = np.isfinite(samples)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise ValidationError(f"{path}: non-finite sample at row {row}")
+    for lo in range(0, samples.shape[0], _CHECK_ROWS):
+        finite = np.isfinite(samples[lo : lo + _CHECK_ROWS])
+        if not finite.all():
+            row = lo + int(np.argmin(finite.all(axis=1)))
+            raise ValidationError(f"{path}: non-finite sample at row {row}")
 
 
 def write_binary(grid: TrajectoryGrid, path) -> None:

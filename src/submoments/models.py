@@ -117,6 +117,8 @@ def ou_bound_inputs(params: OUParams, horizon_a: float) -> BoundInputs:
 
 
 _SIGTOOLS = "scipy.signal._sigtools"
+#: rows the AR(1) filter runs over per kernel call
+_FILTER_BLOCK = 1 << 16
 _sigtools_lock = threading.Lock()
 
 
@@ -147,11 +149,22 @@ def _linear_filter():
 
 
 def _ar1(phi: float, x: np.ndarray) -> np.ndarray:
-    """``out[0] = x[0]``, then ``out[n] = phi * out[n-1] + x[n]``.
+    """In place: ``x[0]`` stays, then ``x[n] = phi * x[n-1] + x[n]``; returns ``x``.
 
-    The call ``lfilter([1.0], [1.0, -phi], x)`` makes, on the compiled kernel.
+    The call ``lfilter([1.0], [1.0, -phi], x)`` makes, on the compiled
+    kernel, run over ``_FILTER_BLOCK``-row blocks of ``x``: each block starts
+    from the previous block's final filter state and its output is written
+    back over it, so the recursion needs no second ``x``-long array.  The
+    carried state gives the bits of one whole-length call.
     """
-    return _linear_filter()(np.array([1.0]), np.array([1.0, -phi]), x, -1)
+    kernel = _linear_filter()
+    b = np.array([1.0])
+    a = np.array([1.0, -phi])
+    state = np.zeros(1)
+    for lo in range(0, x.shape[0], _FILTER_BLOCK):
+        block = x[lo : lo + _FILTER_BLOCK]
+        block[:], state = kernel(b, a, block, -1, state)
+    return x
 
 
 def simulate_ou(
@@ -161,7 +174,9 @@ def simulate_ou(
 
     The one-step law is Gaussian, so the path is an AR(1) recursion with
     coefficient ``exp(-reversion * delta)`` started from the stationary
-    marginal; no discretization error at any step size.
+    marginal; no discretization error at any step size.  The drawn normals
+    are scaled, filtered and shifted in place, so the path is the one
+    ``length``-long array the draw made, handed to the grid frozen.
     """
     params.validate()
     if length < 1:
@@ -169,13 +184,13 @@ def simulate_ou(
     if delta <= 0 or not np.isfinite(delta):
         raise ParameterDomain(f"delta must be positive, got {delta}")
     rng = stream.generator()
-    shocks = rng.standard_normal(length)
+    path = rng.standard_normal(length)
     phi = math.exp(-params.reversion * delta)
     sig0 = params.stationary_std
     innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
-    shocks[1:] *= innov
-    shocks[0] *= sig0  # stationary start
-    path = _ar1(phi, shocks)
+    path[1:] *= innov
+    path[0] *= sig0  # stationary start
+    _ar1(phi, path)
     path += params.mean
     return TrajectoryGrid._handover(path, delta)
 
@@ -626,8 +641,10 @@ def simulate_slow_fast(
     (process-noise role; the fast coordinate uses the auxiliary role), so
     the pair is coupled pathwise and their distance reflects the scale
     separation rather than independent noise.  Requires
-    ``delta_fine <= scale / 10`` to resolve the fast motion.  Each Euler
-    recursion is one AR(1) pass; the slow one takes ``y**p`` before each step.
+    ``delta_fine <= scale / 10`` to resolve the fast motion, and a slow
+    Euler coefficient ``1 - delta_fine`` inside (-1, 1), which the slow
+    recursion needs to stay bounded.  Each Euler recursion is one in-place
+    AR(1) pass; the slow one takes ``y**p`` before each step.
     """
     params.validate()
     if length < 1:
@@ -639,18 +656,24 @@ def simulate_slow_fast(
             f"delta_fine {delta_fine} too coarse for scale {params.scale}; "
             "need delta_fine <= scale / 10"
         )
+    if abs(1.0 - delta_fine) >= 1.0:
+        raise ParameterDomain(
+            f"delta_fine {delta_fine} too coarse for the slow unit time; "
+            "need |1 - delta_fine| < 1"
+        )
     power, averaged = SLOW_FAST_CATALOG[params.entry]
     rng_slow = stream.role(StreamRole.PROCESS_NOISE).generator()
     rng_fast = stream.role(StreamRole.AUXILIARY_NOISE).generator()
 
     x0 = averaged + params.reduced.stationary_std * rng_slow.standard_normal()
     y0 = float(rng_fast.standard_normal())  # fast stationary marginal is N(0, 1)
-    z_slow = rng_slow.standard_normal(length)
-    z_fast = rng_fast.standard_normal(length)
+    dw = rng_slow.standard_normal(length)
+    fast_in = rng_fast.standard_normal(length)
     sqdt = math.sqrt(delta_fine)
-    dw = sqdt * z_slow
-    fast_in = math.sqrt(2.0 / params.scale) * sqdt * z_fast
+    dw *= sqdt
+    fast_in *= math.sqrt(2.0 / params.scale) * sqdt
     y = _ar1(1.0 - delta_fine / params.scale, np.concatenate(([y0], fast_in)))
+    del fast_in
     # both slow paths start at x0: a coupled comparison
     x = _ar1(1.0 - delta_fine, np.concatenate(([x0], y[:-1] ** power * delta_fine + dw)))
     x_avg = _ar1(1.0 - delta_fine, np.concatenate(([x0], averaged * delta_fine + dw)))

@@ -1,6 +1,8 @@
-"""Reference implementations the tests compare the package against."""
+"""Reference implementations the tests compare the package against, and a memory probe."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -42,6 +44,55 @@ def centered_cross_product(arr: np.ndarray, n_obs: int, kappa: int):
         [[np.sum(lead_c[:, i] * lagged_c[:, j]) for j in range(r)] for i in range(r)]
     ) / n_obs
     return matrix, mean, shifted
+
+
+def traced_memory(fn):
+    """``(current, peak)`` bytes traced while ``fn()`` runs, with the cyclic collector off.
+
+    With the collector off, memory that only a reference cycle holds stays
+    counted in ``current`` after ``fn`` returns, instead of going at a
+    collection that happens to run.
+    """
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def lagged_covariances_whole(samples, n_obs: int, kappas):
+    """The covariance kernel on whole ``n_obs``-long centred blocks.
+
+    Centres the lead block once, then each distinct lagged block into one
+    workspace, and reduces every ``(i, j)`` product with one ``np.sum`` over
+    all ``n_obs`` rows.  ``lagged_covariances`` walks numpy's pairwise tree in
+    leaves instead and must return the same bits.
+    """
+    arr = np.asarray(samples, dtype=float)
+    arr = arr.reshape(arr.shape[0], -1)
+    kappas = [int(k) for k in kappas]
+    distinct = list(dict.fromkeys(kappas))
+    r = arr.shape[1]
+    mean = np.array([np.sum(arr[:n_obs, j]) for j in range(r)]) / n_obs
+    lead_c = arr[:n_obs] - mean
+    lagged_c = np.empty_like(lead_c)
+    product = lagged_c[:, 0] if r == 1 else np.empty(n_obs)
+    cov = np.empty((len(distinct), r, r))
+    for li, kappa in enumerate(distinct):
+        if kappa == 0:
+            block = lead_c
+        else:
+            lagged = arr[kappa : kappa + n_obs]
+            shifted = np.array([np.sum(lagged[:, j]) for j in range(r)]) / n_obs
+            block = np.subtract(lagged, shifted, out=lagged_c)
+        for i in range(r):
+            for j in range(r):
+                cov[li, i, j] = np.sum(np.multiply(lead_c[:, i], block[:, j], out=product))
+    cov /= n_obs
+    return cov[[distinct.index(kappa) for kappa in kappas]], mean
 
 
 def cir_moment_map(theta, u1: float) -> np.ndarray:

@@ -426,6 +426,20 @@ class TestSimulateCommand:
         assert line.startswith("error: ") and message in line
         assert not list(tmp_path.glob("m*"))
 
+    def test_unstable_slow_fast_step_exits_three(self, tmp_path, capsys):
+        # scale 100 admits step 5, but the slow Euler coefficient 1 - 5 diverges:
+        # refused as a parameter (exit 3), not after drawing the path (exit 5)
+        cfg = write_cfg(
+            tmp_path,
+            "[model]\nkind = slow_fast\nentry = linear_coupling\nscale = 100\n"
+            "\n[grid]\nlength = 2000\ndelta = 5\n",
+        )
+        out = tmp_path / "sf.bin"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "need |1 - delta_fine| < 1" in line
+        assert not list(tmp_path.glob("sf*"))
+
     def test_failed_allocation_exits_four(self, tmp_path, capsys, monkeypatch):
         # an allocation no cap foresees, as numpy raises it; nothing is allocated here
         message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from submoments.errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
 from submoments.estimators import (
+    _LEAF,
     covariance_curve,
     empirical_mean,
     estimates_to_csv,
@@ -20,7 +21,12 @@ from submoments.estimators import (
 from submoments.grids import RandomStreamSpec, SubsamplingScheme
 from submoments.models import OUParams, ou_true_covariance, simulate_ou
 
-from oracles import centered_cross_product, lagged_covariance_product_form
+from oracles import (
+    centered_cross_product,
+    lagged_covariance_product_form,
+    lagged_covariances_whole,
+    traced_memory,
+)
 
 
 class TestLagIndex:
@@ -194,6 +200,49 @@ class TestLaggedCovariances:
             lagged_covariances(arr, 1, [])
         cov, mean = lagged_covariances(arr, 20, [])
         assert cov.shape == (0, 1, 1) and mean[0] == empirical_mean(arr[:20])[0]
+
+
+def _strided_rows(rows, r, stride, seed):
+    """``(rows, r)`` samples whose rows sit ``stride`` doubles apart: contiguous at 1."""
+    if stride == 1:
+        return 2.0 + _rand(rows, r, seed)
+    base = 2.0 + _rand(rows * stride, 1, seed).ravel()
+    return np.lib.stride_tricks.as_strided(
+        base, (rows, r), (stride * base.itemsize, base.itemsize), writeable=False
+    )
+
+
+class TestBlockedKernel:
+    """The kernel's leaves follow numpy's pairwise split, so it keeps the whole-block bits."""
+
+    @pytest.mark.parametrize(
+        "n", [127, 128, 129, 1023, _LEAF - 1, _LEAF, _LEAF + 1, 123_457, 999_999]
+    )
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_equals_whole_block_kernel(self, n, r, stride):
+        # a numpy release that moves the pairwise split fails here loudly
+        kappas = [0, 12, 3, 12, 0]
+        arr = _strided_rows(n + 12, r, stride, seed=n)
+        cov, mean = lagged_covariances(arr, n, kappas)
+        want_cov, want_mean = lagged_covariances_whole(arr, n, kappas)
+        assert np.array_equal(cov, want_cov)
+        assert np.array_equal(mean, want_mean)
+
+    def test_peak_memory_is_a_few_leaves(self):
+        # two n-long centred copies, as a whole-block kernel makes, would be 16 MB
+        arr = _rand(10**6, 1, seed=40)
+        _, peak = traced_memory(lambda: lagged_covariances(arr, 10**6 - 100, [0, 50, 100]))
+        assert peak <= 2 * 2**20
+
+    def test_fresh_inputs_are_released(self):
+        # nothing outlives a call: a reference cycle would keep each 8 MB input
+        def calls():
+            for seed in range(20):
+                lagged_covariances(_rand(10**6, 1, seed), 10**6 - 100, [0, 50, 100])
+
+        current, _ = traced_memory(calls)
+        assert current <= 8 * 10**6
 
 
 class TestCovarianceCurve:

@@ -15,6 +15,7 @@ from submoments.errors import (
     ValidationError,
 )
 from submoments.grids import (
+    _CHECK_ROWS,
     RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
@@ -92,6 +93,20 @@ class TestValidateGrid:
         path = tmp_path / "t.bin"
         write_binary(TrajectoryGrid(data, 0.1), path)
         with pytest.raises(ValidationError, match=r"non-finite sample at row 3$"):
+            read_binary(path)
+
+    @pytest.mark.parametrize(
+        "row", [_CHECK_ROWS - 1, _CHECK_ROWS, 2 * _CHECK_ROWS, 2 * _CHECK_ROWS + 4]
+    )
+    def test_nonfinite_row_across_check_blocks(self, tmp_path, row):
+        # the finite check runs block by block: rows on either side of a block
+        # boundary and rows of the short last block report their own index
+        data = np.ones((2 * _CHECK_ROWS + 5, 2))
+        data[row, 1] = np.nan
+        data[row + 1 :, 0] = np.inf
+        path = tmp_path / "t.bin"
+        write_binary(TrajectoryGrid(data, 0.1), path)
+        with pytest.raises(ValidationError, match=rf"non-finite sample at row {row}$"):
             read_binary(path)
 
     def test_csv_inf_names_row(self, tmp_path):

@@ -29,9 +29,9 @@ from submoments.models import (
     OUParams,
     SLOW_FAST_CATALOG,
     SlowFastParams,
+    _FILTER_BLOCK,
     _ar1,
     _heston_core,
-    _linear_filter,
     default_rv_window,
     heston_initial_variance,
     multiplicative_perturbation_observable,
@@ -45,7 +45,12 @@ from submoments.models import (
     smoothing_observable,
 )
 
-from oracles import heston_core_reference, slow_fast_reference, stationary_density_unnormalized
+from oracles import (
+    heston_core_reference,
+    slow_fast_reference,
+    stationary_density_unnormalized,
+    traced_memory,
+)
 
 
 class TestOU:
@@ -88,21 +93,32 @@ class TestOU:
         assert corr == pytest.approx(math.exp(-1.0), abs=0.03)
         assert float(np.mean(x**4)) ** 0.25 == pytest.approx(p.l4_norm, rel=0.05)
 
-    def test_path_is_handed_over_frozen(self, monkeypatch):
-        # the grid holds the filter's own output array: frozen, not copied
-        made = []
-        kernel = _linear_filter()
+    def test_path_is_handed_over_frozen(self):
+        # the path is filtered in the array the draw made: frozen, not copied
+        drawn = []
 
-        def recording_kernel(*args):
-            made.append(kernel(*args))
-            return made[-1]
+        class RecordingStream:
+            def generator(self):
+                return self
 
-        monkeypatch.setattr("submoments.models._linear_filter", lambda: recording_kernel)
-        g = simulate_ou(OUParams(1.0, 1.0, 1.0), 1000, 0.1, RandomStreamSpec(5))
+            def standard_normal(self, size):
+                drawn.append(RandomStreamSpec(5).generator().standard_normal(size))
+                return drawn[-1]
+
+        g = simulate_ou(OUParams(1.0, 1.0, 1.0), 1000, 0.1, RecordingStream())
         assert not g.samples.flags.writeable
-        assert np.shares_memory(g.samples, made[0])
+        assert np.shares_memory(g.samples, drawn[0])
         y = multiplicative_perturbation_observable(g, 0.1)
         assert not y.samples.flags.writeable
+
+    def test_peak_memory_is_the_path(self):
+        # shocks and a separate filter output would be two 8 MB arrays at once
+        grids = []
+        params = OUParams(1.0, 1.0, 1.0)
+        _, peak = traced_memory(
+            lambda: grids.append(simulate_ou(params, 10**6, 0.01, RandomStreamSpec(6)))
+        )
+        assert peak <= 8 * 10**6 + 2 * 2**20
 
     def test_length_and_step_domain(self):
         p = OUParams(0.0, 1.0, 1.0)
@@ -120,7 +136,13 @@ class TestLinearFilterKernel:
 
     @pytest.mark.parametrize("lead", [0.0, -0.0])
     @pytest.mark.parametrize("phi", [0.0, math.exp(-0.01), 0.9999])
-    @pytest.mark.parametrize("length", [1, 2, 1000, 123_457, 10**6])
+    @pytest.mark.parametrize(
+        "length",
+        [
+            1, 2, 1000, _FILTER_BLOCK - 1, _FILTER_BLOCK, _FILTER_BLOCK + 1, 123_457,
+            3 * _FILTER_BLOCK + 7, 10**6,
+        ],
+    )
     def test_equals_lfilter_bitwise(self, length, phi, lead):
         from scipy.signal import lfilter
 
@@ -129,8 +151,10 @@ class TestLinearFilterKernel:
         x[1::5] = -lead
         x[3::5] = 0.0
         x[4::5] = -0.0
-        got = _ar1(phi, x)
-        assert got.tobytes() == lfilter([1.0], [1.0, -phi], x).tobytes()
+        want = lfilter([1.0], [1.0, -phi], x.copy())
+        got = _ar1(phi, x)  # filters x in place, block by block
+        assert got is x
+        assert got.tobytes() == want.tobytes()
 
     def test_concurrent_first_load_registers_one_module(self):
         # eight threads past a barrier race to the first load in a fresh
@@ -468,3 +492,11 @@ class TestSlowFast:
         params = SlowFastParams(entry="linear_coupling", scale=0.1)
         with pytest.raises(ParameterDomain, match="delta_fine"):
             simulate_slow_fast(params, 100, step, _NoDraws())
+
+    @pytest.mark.parametrize("step", [2.0, 5.0])
+    def test_unstable_slow_step_rejected_before_drawing(self, step):
+        # the fast scale allows the step, but the slow Euler coefficient
+        # 1 - step has modulus >= 1, so the slow path would diverge
+        params = SlowFastParams(entry="linear_coupling", scale=100.0)
+        with pytest.raises(ParameterDomain, match=r"\|1 - delta_fine\| < 1"):
+            simulate_slow_fast(params, 2000, step, _NoDraws())
