@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed assertion, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import sys
 from pathlib import Path
@@ -37,10 +38,13 @@ from .config import (
 from .errors import InsufficientData, ResourceLimit, SubmomentsError, UsageError, ValidationError
 from .estimators import covariance_curve, empirical_mean, estimates_to_csv
 from .grids import (
+    BinaryFile,
     RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
     TrajectoryGrid,
+    binary_writer,
+    # not called here: the benchmark tracer wraps it under this module by name
     read_binary,
     read_csv,
     subsample_sequence,
@@ -85,10 +89,17 @@ def _write_grid(grid: TrajectoryGrid, path: Path) -> None:
         write_binary(grid, path)
 
 
-def _read_grid(path: Path) -> TrajectoryGrid:
+def _open_grid(path: Path):
+    """The trajectory in ``path``, as a context manager.
+
+    A ``.csv`` is loaded whole; a ``.bin`` is opened for block reads
+    (:class:`BinaryFile`), which the estimators reduce window by window.
+    """
     if not path.exists():
         raise ValidationError(f"trajectory file not found: {path}")
-    return read_csv(path) if path.suffix.lower() == ".csv" else read_binary(path)
+    if path.suffix.lower() == ".csv":
+        return contextlib.nullcontext(read_csv(path))
+    return BinaryFile(path)
 
 
 def _write_json(payload: dict, path: Path | None) -> None:
@@ -150,8 +161,11 @@ def cmd_simulate(args) -> int:
     out = Path(args.output)
     outputs: list[str] = []
     if isinstance(model, OUParams):
-        grid = simulate_ou(model, length, delta, stream)
-        _write_grid(grid, out)
+        if out.suffix.lower() == ".csv":
+            _write_grid(simulate_ou(model, length, delta, stream), out)
+        else:  # each block goes to the file as it is made: the path is never whole
+            with binary_writer(out, 1, delta, length) as write:
+                simulate_ou(model, length, delta, stream, write)
         outputs.append(str(out))
     elif isinstance(model, GradientDiffusionParams):
         grid = simulate_gradient_diffusion(model, length, delta, stream)
@@ -203,38 +217,38 @@ def cmd_estimate(args) -> int:
         center = _parse_floats(args.ball_center, "--ball-center")
         if len(center) != 3:  # both models have three parameters
             raise UsageError(f"--ball-center expects 3 values, got {len(center)}")
-    grid = _read_grid(Path(args.input))
-    big_delta = grid.delta if args.big_delta is None else args.big_delta
-    # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
-    planned = lags + ([args.u1] if args.model is not None and args.u1 is not None else [])
-    point = plan_point(SubsamplingScheme(1, big_delta), grid.delta, planned, args.offset)
-    curve_lags = list(lags)
-    if args.model is not None:
-        u1 = args.u1
-        if u1 is None:
-            positive = [u for u, kappa in zip(lags, point.kappas) if kappa >= 1]
-            if not positive:
-                raise UsageError("--model needs a lag that is positive on the coarse grid")
-            u1 = positive[0]
-        else:
-            point.require_positive(-1)
-        curve_lags += [0.0, u1]  # the inversion's variance and lag-u1 covariance
-    kmax, stride = max(point.kappas), point.scheme.stride
-    n_obs = args.n_obs
-    if n_obs is None:
-        n_obs = (grid.n_samples - args.offset) // stride - kmax
-    if n_obs < 2:
-        raise InsufficientData(
-            f"trajectory of {grid.n_samples} rows leaves {_count(n_obs)} observations "
-            f"after stride {stride} and lag allowance {_count(kmax)}"
-        )
-    point = plan_point(SubsamplingScheme(n_obs, big_delta), grid.delta, planned, args.offset)
-    scheme = point.scheme
-    seq = subsample_sequence(grid, scheme, n_extra=kmax, offset=args.offset)
-    # one kernel pass: a kappa that --lags already requests costs nothing more
-    curve = covariance_curve(seq, scheme, curve_lags)
-    reported = curve[: len(lags)]
-    mean = empirical_mean(seq[: scheme.n_obs])
+    with _open_grid(Path(args.input)) as grid:
+        big_delta = grid.delta if args.big_delta is None else args.big_delta
+        # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
+        planned = lags + ([args.u1] if args.model is not None and args.u1 is not None else [])
+        point = plan_point(SubsamplingScheme(1, big_delta), grid.delta, planned, args.offset)
+        curve_lags = list(lags)
+        if args.model is not None:
+            u1 = args.u1
+            if u1 is None:
+                positive = [u for u, kappa in zip(lags, point.kappas) if kappa >= 1]
+                if not positive:
+                    raise UsageError("--model needs a lag that is positive on the coarse grid")
+                u1 = positive[0]
+            else:
+                point.require_positive(-1)
+            curve_lags += [0.0, u1]  # the inversion's variance and lag-u1 covariance
+        kmax, stride = max(point.kappas), point.scheme.stride
+        n_obs = args.n_obs
+        if n_obs is None:
+            n_obs = (grid.n_samples - args.offset) // stride - kmax
+        if n_obs < 2:
+            raise InsufficientData(
+                f"trajectory of {grid.n_samples} rows leaves {_count(n_obs)} observations "
+                f"after stride {stride} and lag allowance {_count(kmax)}"
+            )
+        point = plan_point(SubsamplingScheme(n_obs, big_delta), grid.delta, planned, args.offset)
+        scheme = point.scheme
+        seq = subsample_sequence(grid, scheme, n_extra=kmax, offset=args.offset)
+        # one kernel pass: a kappa that --lags already requests costs nothing more
+        curve = covariance_curve(seq, scheme, curve_lags)
+        reported = curve[: len(lags)]
+        mean = empirical_mean(seq[: scheme.n_obs])
     payload: dict = {
         "n_obs": scheme.n_obs,
         "big_delta": scheme.big_delta,

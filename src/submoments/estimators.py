@@ -13,14 +13,18 @@ identical to "average of products minus product of averages" but does not
 cancel two large numbers against each other.
 
 Every covariance, in this module, in the CLI and in the lab, comes from
-one kernel, :func:`lagged_covariances`.  It takes each mean column as one
-``np.sum``, then walks numpy's pairwise split tree over the ``N`` rows
-down to leaves of at most ``_LEAF`` rows.  At a leaf it centres the lead
-rows once and, for each distinct kappa, the lagged rows, into two
-leaf-sized buffers; it multiplies them and sums each product.  The leaf
-sums are added in the tree's order.  So the kernel holds a few leaf
-buffers rather than ``N``-long copies, and its results carry the bits of
-one ``np.sum`` over each full ``N``-long product.
+one kernel, :func:`lagged_covariances`.  It walks numpy's pairwise split
+tree over the ``N`` rows down to leaves of at most ``_LEAF`` rows, twice:
+first summing each column of the lead and lagged blocks, for the means,
+then centring the lead rows once and, for each distinct kappa, the
+lagged rows, into two leaf-sized buffers, multiplying them and summing
+each product.  The leaf sums are added in the tree's order.  Each leaf
+takes one window of rows ``lo .. lo + n + max(kappa) - 1``: a view of an
+array, or one read of a :class:`~submoments.grids.FileSequence` into a
+reused buffer, so a sequence on disk is reduced without being loaded.
+The kernel holds a few leaf buffers rather than ``N``-long copies, and
+its results carry the bits of one ``np.sum`` over each full ``N``-long
+column and product.
 
 Sums are taken with numpy's pairwise reduction (not a BLAS dot), which
 keeps the accumulation error at the square-root-of-log level even for
@@ -32,7 +36,9 @@ and adds the rows one after another otherwise.  A contiguous 1-d
 multiple of 8 while ``n`` exceeds its 128-value block (Higham, *Accuracy
 and Stability of Numerical Algorithms*, section 4.2); the tree depends on
 the length alone, which is what lets a leaf's own ``np.sum`` stand in for
-its subtree.
+its subtree.  numpy sums a strided float64 column along the same tree, in
+one pass rather than in buffered chunks, so a strided leaf has the bits
+of its contiguous copy (``TestBlockedKernel`` pins this).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
-from .grids import SubsamplingScheme
+from .grids import FileSequence, SubsamplingScheme
 
 #: required ratio of sample count to lag shift
 MIN_N_OVER_KAPPA = 10
@@ -76,16 +82,55 @@ def _as_matrix(samples) -> np.ndarray:
     return arr
 
 
-def _pairwise_mean(block: np.ndarray) -> np.ndarray:
-    return np.array([np.sum(block[:, j]) for j in range(block.shape[1])]) / block.shape[0]
+def _source(samples):
+    """``(shape, reader)`` of an ``(N, r)`` sequence held in memory or in a file.
+
+    ``reader(rows)`` returns ``window(lo, n)``, rows ``lo .. lo+n-1`` as an
+    ``(n, r)`` array for ``n <= rows``: a view of an array, or of the one
+    buffer a :class:`FileSequence` reads each window into.
+    """
+    if isinstance(samples, FileSequence):
+        return samples.shape, samples.window_reader
+    arr = _as_matrix(samples)
+    return arr.shape, lambda rows: lambda lo, n: arr[lo : lo + n]
+
+
+def _tree_sums(leaf, lo: int, n: int) -> np.ndarray:
+    """``leaf(lo', n')`` summed over numpy's pairwise split of rows ``lo .. lo+n-1``.
+
+    Splits where numpy's pairwise sum splits until a range fits a leaf,
+    then adds the two halves, as that sum does.  A module-level function
+    rather than a closure: a self-referencing closure is a reference cycle
+    that keeps the input alive until the cyclic collector runs.
+    """
+    if n > _LEAF:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return _tree_sums(leaf, lo, n2) + _tree_sums(leaf, lo + n2, n - n2)
+    return leaf(lo, n)
+
+
+def _means(window, n_obs: int, r: int, starts: list, span: int) -> np.ndarray:
+    """Means of rows ``k .. k+n_obs-1`` for each ``k`` in ``starts``, shape ``(len(starts), r)``.
+
+    Each leaf reads rows ``lo .. lo+n+span-1`` once and sums every column of
+    every shifted block, so each mean carries the bits of one ``np.sum``
+    over its ``n_obs``-long column.
+    """
+
+    def leaf(lo, n):
+        rows = window(lo, n + span)
+        return np.array([[np.sum(rows[k : k + n, j]) for j in range(r)] for k in starts])
+
+    return _tree_sums(leaf, 0, n_obs) / n_obs
 
 
 def empirical_mean(samples) -> np.ndarray:
     """Mean of the coarse samples, one entry per coordinate."""
-    arr = _as_matrix(samples)
-    if arr.shape[0] < 1:
+    (length, r), reader = _source(samples)
+    if length < 1:
         raise InsufficientData("need at least one sample")
-    return _pairwise_mean(arr)
+    return _means(reader(min(length, _LEAF)), length, r, [0], 0)[0]
 
 
 @dataclass(frozen=True)
@@ -100,15 +145,15 @@ class LaggedCovarianceEstimate:
     big_delta: float
 
 
-def _check_lengths(arr: np.ndarray, n_obs: int, kappa: int) -> None:
+def _check_lengths(length: int, n_obs: int, kappa: int) -> None:
     if n_obs < 2:
         raise ParameterDomain(f"n_obs must be >= 2, got {n_obs}")
     if kappa < 0:
         raise ParameterDomain(f"kappa must be >= 0, got {kappa}")
-    if arr.shape[0] < n_obs + kappa:
+    if length < n_obs + kappa:
         raise InsufficientData(
             f"need {n_obs + kappa} samples for n_obs={n_obs} kappa={kappa}, "
-            f"got {arr.shape[0]}"
+            f"got {length}"
         )
     if kappa > 0 and n_obs < MIN_N_OVER_KAPPA * kappa:
         raise SchemeTooShortForLag(
@@ -117,60 +162,49 @@ def _check_lengths(arr: np.ndarray, n_obs: int, kappa: int) -> None:
         )
 
 
-def _tree_sums(arr, lo, n, mean, lags, bufs) -> np.ndarray:
-    """Centred lagged product sums over rows ``lo .. lo+n-1``, one per lag and (i, j).
-
-    ``lags`` holds ``(kappa, mean of the lagged block)`` pairs; ``bufs`` the
-    lead, lagged and product buffers of at least ``min(n, _LEAF)`` rows.
-
-    Splits where numpy's pairwise sum splits until a range fits a leaf,
-    then adds the two halves, as that sum does.  A module-level function
-    rather than a closure: a self-referencing closure is a reference cycle
-    that keeps ``arr`` alive until the cyclic collector runs.
-    """
-    if n > _LEAF:
-        n2 = n // 2
-        n2 -= n2 % 8
-        return _tree_sums(arr, lo, n2, mean, lags, bufs) + _tree_sums(
-            arr, lo + n2, n - n2, mean, lags, bufs
-        )
-    lead_c, lagged_c, product = (buf[:n] for buf in bufs)
-    np.subtract(arr[lo : lo + n], mean, out=lead_c)
-    r = arr.shape[1]
-    sums = np.empty((len(lags), r, r))
-    for li, (kappa, shifted) in enumerate(lags):
-        if kappa == 0:
-            block = lead_c
-        else:
-            block = np.subtract(arr[lo + kappa : lo + kappa + n], shifted, out=lagged_c)
-        for i in range(r):
-            for j in range(r):
-                sums[li, i, j] = np.sum(np.multiply(lead_c[:, i], block[:, j], out=product))
-    return sums
-
-
 def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndarray]:
     """Covariance matrices at several coarse lags, and the lead-block mean.
 
     Returns ``(cov, mean)``: ``cov[l]`` is the ``(r, r)`` estimate at
     ``kappas[l]``, each distinct kappa computed once, and ``mean`` is the
     mean of the first ``n_obs`` samples.  Every kappa is length-checked.
-    Working memory is a few ``_LEAF``-row buffers, whatever ``n_obs``.
+    ``samples`` is an array or a :class:`FileSequence`; the kernel walks its
+    rows twice, for the means and then for the centred products, one window
+    of ``n + max(kappas)`` rows per leaf.  Working memory is a few
+    leaf-sized buffers, whatever ``n_obs``.
     """
-    arr = _as_matrix(samples)
+    (length, r), reader = _source(samples)
     kappas = [int(k) for k in kappas]
     for kappa in kappas or [0]:
-        _check_lengths(arr, n_obs, kappa)
+        _check_lengths(length, n_obs, kappa)
     distinct = list(dict.fromkeys(kappas))
-    r = arr.shape[1]
-    mean = _pairwise_mean(arr[:n_obs])
-    lags = [(k, _pairwise_mean(arr[k : k + n_obs]) if k else mean) for k in distinct]
+    span = max(distinct, default=0)
     rows = min(n_obs, _LEAF)
+    window = reader(rows + span)
+    starts = list(dict.fromkeys([0, *distinct]))
+    means = dict(zip(starts, _means(window, n_obs, r, starts, span)))
+    mean = means[0]
     lead_c = np.empty((rows, r))
     lagged_c = np.empty((rows, r))
     # at r = 1 each lagged column is read once, so its product overwrites it
     product = lagged_c[:, 0] if r == 1 else np.empty(rows)
-    cov = _tree_sums(arr, 0, n_obs, mean, lags, (lead_c, lagged_c, product))
+
+    def leaf(lo, n):
+        """Centred product sums over rows ``lo .. lo+n-1``, one per distinct kappa and (i, j)."""
+        block = window(lo, n + span)
+        lead = np.subtract(block[:n], mean, out=lead_c[:n])
+        sums = np.empty((len(distinct), r, r))
+        for li, kappa in enumerate(distinct):
+            if kappa == 0:
+                lagged = lead
+            else:
+                lagged = np.subtract(block[kappa : kappa + n], means[kappa], out=lagged_c[:n])
+            for i in range(r):
+                for j in range(r):
+                    sums[li, i, j] = np.sum(np.multiply(lead[:, i], lagged[:, j], out=product[:n]))
+        return sums
+
+    cov = _tree_sums(leaf, 0, n_obs)
     cov /= n_obs
     return cov[[distinct.index(kappa) for kappa in kappas]], mean
 

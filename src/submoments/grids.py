@@ -16,7 +16,9 @@ order, so replications can run in any order or in parallel.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,9 +50,10 @@ class TrajectoryGrid:
     samples : array, shape (L, r)
         Row ``n-1`` holds the state at time ``n * delta``.  A 1-d array is
         promoted to shape (L, 1).  The constructor freezes a copy, so the
-        caller keeps its array.  ``simulate_ou``, the multiplicative
-        observable and ``read_binary`` instead hand over the array they
-        built through ``_handover``, which freezes it without a copy.
+        caller keeps its array.  ``simulate_ou``, ``simulate_slow_fast``,
+        the multiplicative observable and ``read_binary`` instead hand over
+        the array they built through ``_handover``, which freezes it without
+        a copy.
     delta : float
         Grid step.  Construction is permissive: it accepts any step and
         non-finite samples.  The file readers reject both.
@@ -211,53 +214,161 @@ def subsample_sequence(
     return grid.samples[offset + stride - 1 : need : stride]
 
 
-def _check_file_grid(path, samples: np.ndarray, delta: float) -> None:
-    """Reject a non-positive or non-finite step and non-finite samples.
+def _check_file_grid(path, delta: float, blocks) -> None:
+    """Reject a non-positive or non-finite step, then the first non-finite sample.
 
-    The samples are checked ``_CHECK_ROWS`` rows at a time, so the boolean
-    mask is one block long; the row scan runs only in the failing block.
+    ``blocks`` yields ``(first row, (rows, dim) block)`` pairs of
+    ``_CHECK_ROWS`` rows, so the boolean mask is one block long; the row
+    scan runs only in the failing block.
     """
     if not np.isfinite(delta) or delta <= 0.0:
         raise ParameterDomain(f"{path}: grid step must be positive and finite, got {delta}")
-    for lo in range(0, samples.shape[0], _CHECK_ROWS):
-        finite = np.isfinite(samples[lo : lo + _CHECK_ROWS])
+    for lo, block in blocks:
+        finite = np.isfinite(block)
         if not finite.all():
             row = lo + int(np.argmin(finite.all(axis=1)))
             raise ValidationError(f"{path}: non-finite sample at row {row}")
 
 
-def write_binary(grid: TrajectoryGrid, path) -> None:
-    """Write the compact binary form: little-endian header then column-major data.
+@contextmanager
+def binary_writer(path, dim: int, delta: float, count: int):
+    """Write the compact binary form piece by piece: yields ``write(values)``.
 
-    Header fields are 64-bit: dim (int), delta (float), sample count (int).
+    The little-endian header goes first, its 64-bit fields dim (int), delta
+    (float) and sample count (int); each ``write`` appends the next run of
+    the column-major data.  A failure inside the block removes the partial
+    file.
+    """
+    with open(path, "wb") as fh:
+        try:
+            fh.write(_HEADER.pack(dim, delta, count))
+            yield lambda values: fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")))
+        except BaseException:
+            os.unlink(path)
+            raise
+
+
+def write_binary(grid: TrajectoryGrid, path) -> None:
+    """Write a grid in the compact binary form of :func:`binary_writer`.
+
     Each column is written from its own buffer; only a column of a
     multi-column grid is copied, to make it contiguous.
     """
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.dim, grid.delta, grid.n_samples))
+    with binary_writer(path, grid.dim, grid.delta, grid.n_samples) as write:
         for column in grid.samples.T:
-            fh.write(memoryview(np.ascontiguousarray(column, dtype="<f8")))
+            write(column)
+
+
+class BinaryFile:
+    """A trajectory file written by :func:`write_binary`, open for block reads.
+
+    Opening reads the header, checks the payload size against the file
+    size, the step, and every sample ``_CHECK_ROWS`` rows at a time, so it
+    raises what :func:`read_binary` raises without holding the samples.
+    ``samples`` is the rows as a :class:`FileSequence`, which the sub-sampling
+    view and the estimators read in windows.  Close it, or use it in a
+    ``with`` statement.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            head = self._fh.read(_HEADER.size)
+            if len(head) != _HEADER.size:
+                raise InsufficientData(f"{path}: truncated header")
+            self.dim, self.delta, self.n_samples = _HEADER.unpack(head)
+            if self.dim < 1 or self.n_samples < 1:
+                raise ParameterDomain(f"{path}: bad header dim={self.dim} count={self.n_samples}")
+            values = (os.fstat(self._fh.fileno()).st_size - _HEADER.size) // 8
+            if values < self.dim * self.n_samples:
+                raise InsufficientData(
+                    f"{path}: expected {self.dim * self.n_samples} values, got {values}"
+                )
+            _check_file_grid(path, self.delta, self._blocks())
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _blocks(self):
+        buf = np.empty((self.dim, min(self.n_samples, _CHECK_ROWS)), dtype="<f8")
+        for lo in range(0, self.n_samples, _CHECK_ROWS):
+            block = buf[:, : min(_CHECK_ROWS, self.n_samples - lo)]
+            self.read_into(block, lo)
+            yield lo, block.T
+
+    def read_into(self, out: np.ndarray, first: int) -> None:
+        """Fill row ``j`` of the C-ordered ``(dim, k)`` array ``out`` from column ``j``.
+
+        Row ``j`` gets fine rows ``first .. first+k-1``, in one read.
+        """
+        for j, column in enumerate(out):
+            self._fh.seek(_HEADER.size + 8 * (j * self.n_samples + first))
+            if self._fh.readinto(memoryview(column).cast("B")) != column.nbytes:
+                raise InsufficientData(f"{self.path}: the file was cut short while open")
+
+    @property
+    def samples(self) -> "FileSequence":
+        return FileSequence(self, 0, 1, self.n_samples)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "BinaryFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class FileSequence:
+    """Rows ``first, first + stride, ...`` of an open :class:`BinaryFile`, read on demand.
+
+    Slicing with a positive step gives another such sequence, as it gives a
+    view of an array, so :func:`subsample_sequence` selects the coarse rows
+    of a file as it does those of a grid.  ``shape`` is ``(rows, dim)``.
+    """
+
+    def __init__(self, file: BinaryFile, first: int, stride: int, count: int):
+        self._file, self._first, self._stride = file, first, stride
+        self.shape = (count, file.dim)
+
+    def __getitem__(self, rows: slice) -> "FileSequence":
+        start, stop, step = rows.indices(self.shape[0])
+        if step < 1:
+            raise ValueError("a file's rows are read forwards only")
+        first = self._first + start * self._stride
+        return FileSequence(self._file, first, self._stride * step, len(range(start, stop, step)))
+
+    def window_reader(self, rows: int):
+        """``window(lo, n)``: rows ``lo .. lo+n-1`` as an ``(n, dim)`` array, for ``n <= rows``.
+
+        Each call reads the fine rows that cover the window, ``stride * (n-1) + 1``
+        per column, into one buffer the calls share, and returns a strided
+        view of it, valid until the next call.
+        """
+        stride = self._stride
+        buf = np.empty((self.shape[1], stride * (rows - 1) + 1), dtype="<f8")
+
+        def window(lo: int, n: int) -> np.ndarray:
+            fine = buf[:, : stride * (n - 1) + 1]
+            self._file.read_into(fine, self._first + lo * stride)
+            return fine[:, ::stride].T
+
+        return window
 
 
 def read_binary(path) -> TrajectoryGrid:
-    """Read a trajectory written by :func:`write_binary`.
+    """Read a trajectory written by :func:`write_binary`: a :class:`BinaryFile` read whole.
 
-    Raises ``ValidationError`` on a non-positive or non-finite step and on a
+    Raises ``InsufficientData`` on a short file, ``ParameterDomain`` on a bad
+    header or a non-positive or non-finite step, and ``ValidationError`` on a
     non-finite sample, naming its row.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise InsufficientData(f"{path}: truncated header")
-        dim, delta, count = _HEADER.unpack(head)
-        if dim < 1 or count < 1:
-            raise ParameterDomain(f"{path}: bad header dim={dim} count={count}")
-        flat = np.fromfile(fh, dtype="<f8", count=dim * count)
-    if flat.size != dim * count:
-        raise InsufficientData(f"{path}: expected {dim * count} values, got {flat.size}")
-    samples = flat.reshape(dim, count).T
-    _check_file_grid(path, samples, delta)
-    return TrajectoryGrid._handover(samples, delta)
+    with BinaryFile(path) as file:
+        flat = np.empty((file.dim, file.n_samples), dtype="<f8")
+        file.read_into(flat, 0)
+    return TrajectoryGrid._handover(flat.T, file.delta)
 
 
 def write_csv(grid: TrajectoryGrid, path) -> None:
@@ -285,7 +396,8 @@ def read_csv(path) -> TrajectoryGrid:
         raise InsufficientData(f"{path}: no samples")
     times, samples = data[:, 0], data[:, 1:]
     delta = float(times[0])
-    _check_file_grid(path, samples, delta)
+    rows = range(0, len(samples), _CHECK_ROWS)
+    _check_file_grid(path, delta, ((lo, samples[lo : lo + _CHECK_ROWS]) for lo in rows))
     grid = TrajectoryGrid(samples, delta)
     if not np.allclose(times, grid.times, rtol=1e-9, atol=1e-12):
         raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")

@@ -148,35 +148,52 @@ def _linear_filter():
     return module._linear_filter
 
 
-def _ar1(phi: float, x: np.ndarray) -> np.ndarray:
-    """In place: ``x[0]`` stays, then ``x[n] = phi * x[n-1] + x[n]``; returns ``x``.
+def _ar1_filter(phi: float):
+    """A function that runs ``x[n] = phi * x[n-1] + x[n]`` in place over successive blocks.
 
-    The call ``lfilter([1.0], [1.0, -phi], x)`` makes, on the compiled
-    kernel, run over ``_FILTER_BLOCK``-row blocks of ``x``: each block starts
-    from the previous block's final filter state and its output is written
-    back over it, so the recursion needs no second ``x``-long array.  The
-    carried state gives the bits of one whole-length call.
+    Each call filters one block of the sequence, in order, on the compiled
+    kernel that ``lfilter([1.0], [1.0, -phi], x)`` calls, starting from the
+    previous block's final filter state; the first block's first row stays.
+    The carried state gives the bits of one whole-length call.
     """
     kernel = _linear_filter()
     b = np.array([1.0])
     a = np.array([1.0, -phi])
     state = np.zeros(1)
-    for lo in range(0, x.shape[0], _FILTER_BLOCK):
-        block = x[lo : lo + _FILTER_BLOCK]
+
+    def step(block: np.ndarray) -> None:
+        nonlocal state
         block[:], state = kernel(b, a, block, -1, state)
+
+    return step
+
+
+def _ar1(phi: float, x: np.ndarray) -> np.ndarray:
+    """In place: ``x[0]`` stays, then ``x[n] = phi * x[n-1] + x[n]``; returns ``x``.
+
+    Runs over ``_FILTER_BLOCK``-row blocks of ``x``, so the recursion needs
+    no second ``x``-long array.
+    """
+    step = _ar1_filter(phi)
+    for lo in range(0, x.shape[0], _FILTER_BLOCK):
+        step(x[lo : lo + _FILTER_BLOCK])
     return x
 
 
 def simulate_ou(
-    params: OUParams, length: int, delta: float, stream: RandomStreamSpec
-) -> TrajectoryGrid:
+    params: OUParams, length: int, delta: float, stream: RandomStreamSpec, sink=None
+) -> TrajectoryGrid | None:
     """Stationary OU path sampled with the exact transition kernel.
 
     The one-step law is Gaussian, so the path is an AR(1) recursion with
     coefficient ``exp(-reversion * delta)`` started from the stationary
-    marginal; no discretization error at any step size.  The drawn normals
-    are scaled, filtered and shifted in place, so the path is the one
-    ``length``-long array the draw made, handed to the grid frozen.
+    marginal; no discretization error at any step size.  The path is made
+    ``_FILTER_BLOCK`` rows at a time: each block's normals are drawn into
+    it, scaled, filtered from the previous block's state and shifted by
+    the mean.  Without ``sink`` every block is a view of the one
+    ``length``-long array, handed to the grid frozen.  With ``sink``, each
+    finished block, a view of one reused block-long buffer, is passed to
+    ``sink(block)`` in order, and nothing is kept or returned.
     """
     params.validate()
     if length < 1:
@@ -184,15 +201,25 @@ def simulate_ou(
     if delta <= 0 or not np.isfinite(delta):
         raise ParameterDomain(f"delta must be positive, got {delta}")
     rng = stream.generator()
-    path = rng.standard_normal(length)
     phi = math.exp(-params.reversion * delta)
     sig0 = params.stationary_std
     innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
-    path[1:] *= innov
-    path[0] *= sig0  # stationary start
-    _ar1(phi, path)
-    path += params.mean
-    return TrajectoryGrid._handover(path, delta)
+    step = _ar1_filter(phi)
+    path = np.empty(length if sink is None else min(length, _FILTER_BLOCK))
+    for lo in range(0, length, _FILTER_BLOCK):
+        start = lo if sink is None else 0
+        block = path[start : start + min(_FILTER_BLOCK, length - lo)]
+        rng.standard_normal(out=block)
+        if lo == 0:
+            block[1:] *= innov
+            block[0] *= sig0  # stationary start
+        else:
+            block *= innov
+        step(block)
+        block += params.mean
+        if sink is not None:
+            sink(block)
+    return None if sink is not None else TrajectoryGrid._handover(path, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -666,17 +693,29 @@ def simulate_slow_fast(
     rng_fast = stream.role(StreamRole.AUXILIARY_NOISE).generator()
 
     x0 = averaged + params.reduced.stationary_std * rng_slow.standard_normal()
-    y0 = float(rng_fast.standard_normal())  # fast stationary marginal is N(0, 1)
+    y = np.empty(length + 1)
+    y[0] = rng_fast.standard_normal()  # fast stationary marginal is N(0, 1)
     dw = rng_slow.standard_normal(length)
-    fast_in = rng_fast.standard_normal(length)
+    rng_fast.standard_normal(out=y[1:])
     sqdt = math.sqrt(delta_fine)
     dw *= sqdt
-    fast_in *= math.sqrt(2.0 / params.scale) * sqdt
-    y = _ar1(1.0 - delta_fine / params.scale, np.concatenate(([y0], fast_in)))
-    del fast_in
-    # both slow paths start at x0: a coupled comparison
-    x = _ar1(1.0 - delta_fine, np.concatenate(([x0], y[:-1] ** power * delta_fine + dw)))
-    x_avg = _ar1(1.0 - delta_fine, np.concatenate(([x0], averaged * delta_fine + dw)))
-    if not (np.isfinite(x[-1]) and np.isfinite(x_avg[-1]) and np.isfinite(y[-1])):
+    y[1:] *= math.sqrt(2.0 / params.scale) * sqdt
+    _ar1(1.0 - delta_fine / params.scale, y)
+    y_last = y[-1]
+    # each slow input is built in its own array; both slow paths start at x0
+    x = np.empty(length + 1)
+    x[0] = x0
+    np.power(y[:-1], power, out=x[1:])
+    del y
+    x[1:] *= delta_fine
+    x[1:] += dw
+    _ar1(1.0 - delta_fine, x)
+    x_avg = np.empty(length + 1)
+    x_avg[0] = x0
+    np.add(dw, averaged * delta_fine, out=x_avg[1:])
+    del dw
+    _ar1(1.0 - delta_fine, x_avg)
+    if not (np.isfinite(x[-1]) and np.isfinite(x_avg[-1]) and np.isfinite(y_last)):
         raise SimulationDiverged("slow-fast state became non-finite")
-    return TrajectoryGrid(x[1:], delta_fine), TrajectoryGrid(x_avg[1:], delta_fine)
+    slow = TrajectoryGrid._handover(x[1:], delta_fine)
+    return slow, TrajectoryGrid._handover(x_avg[1:], delta_fine)

@@ -95,6 +95,21 @@ def lagged_covariances_whole(samples, n_obs: int, kappas):
     return cov[[distinct.index(kappa) for kappa in kappas]], mean
 
 
+def leaf_tree_sum(x: np.ndarray, leaf: int) -> float:
+    """Sum of a 1-d array along numpy's pairwise split, over contiguous copies of its leaves.
+
+    Splits at ``n2 = n // 2`` rounded down to a multiple of 8 down to
+    ranges of at most ``leaf`` values, and adds each leaf's own ``np.sum``
+    of a contiguous copy in the tree's order.
+    """
+    n = x.shape[0]
+    if n > leaf:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return leaf_tree_sum(x[:n2], leaf) + leaf_tree_sum(x[n2:], leaf)
+    return np.sum(np.ascontiguousarray(x))
+
+
 def cir_moment_map(theta, u1: float) -> np.ndarray:
     """Forward map ``theta -> [mean, var, cov(u1)]`` of the square-root variance model.
 

@@ -43,6 +43,7 @@ from submoments.config import (
 from submoments.errors import ParameterDomain, ResourceLimit, ValidationError
 from submoments.estimators import covariance_curve, empirical_mean
 from submoments.grids import (
+    _CHECK_ROWS,
     SubsamplingScheme,
     TrajectoryGrid,
     read_binary,
@@ -55,6 +56,8 @@ from submoments.grids import (
 from submoments.lab import ConvergenceReport, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from submoments.models import HestonParams, OUParams, ou_bound_inputs
 from submoments.schemes import scheme_from_rho
+
+from oracles import traced_memory
 
 OU_CFG = """
 [model]
@@ -457,6 +460,20 @@ class TestSimulateCommand:
         assert captured.err == f"error: out of memory: {message}\n"
         assert not list(tmp_path.glob("big*"))
 
+    def test_ou_binary_memory_does_not_grow_with_the_path(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, OU_CFG)
+        peaks = []
+        for rows in (10**5, 10**6):
+            argv = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.bin")]
+            argv += ["--length", str(rows)]
+            assert main(argv) == 0  # warm: the filter kernel's first load
+            _, peak = traced_memory(lambda: main(argv))
+            peaks.append(peak)
+        # the 1e6-row path alone is 8 MB
+        assert max(peaks) < 4 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**20
+        assert read_binary(tmp_path / "x.bin").n_samples == 10**6
+
     def test_seed_override_changes_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OU_CFG)
         a, b = tmp_path / "s0.bin", tmp_path / "s1.bin"
@@ -670,6 +687,67 @@ class TestEstimateCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "non-finite sample at row 17" in captured.err
+
+    @pytest.mark.parametrize("row", [6, 2 * _CHECK_ROWS + 3])
+    def test_non_finite_row_is_refused_before_output(self, tmp_path, capsys, row):
+        # row 6 is one that stride 4 skips; the other sits in the last check block
+        values = np.random.default_rng(5).standard_normal(2 * _CHECK_ROWS + 5)
+        values[row] = np.inf
+        path, out = tmp_path / "bad.bin", tmp_path / "moments.json"
+        write_binary(TrajectoryGrid(values, 0.25), path)
+        argv = ["estimate", "--input", str(path), "--big-delta", "1", "--lags", "0,1"]
+        assert main([*argv, "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {path}: non-finite sample at row {row}\n"
+
+    def test_short_payload_exits_four_before_the_finite_check(self, tmp_path, capsys):
+        # the size comes from the file's length: a NaN in what is there is never read
+        values = np.ones(100)
+        values[3] = np.nan
+        path = tmp_path / "short.bin"
+        write_binary(TrajectoryGrid(values, 0.25), path)
+        path.write_bytes(path.read_bytes()[:-16])
+        assert main(["estimate", "--input", str(path), "--lags", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: expected 100 values, got 98\n"
+
+    def test_bin_and_csv_inputs_agree(self, ou_trajectory, tmp_path, capsys):
+        # a .bin is reduced window by window, a .csv loaded whole: same JSON and CSV
+        csv_input = tmp_path / "path.csv"
+        write_csv(read_binary(ou_trajectory), csv_input)
+        texts = []
+        for source in (ou_trajectory, csv_input):
+            sidecar = tmp_path / f"curve-{source.suffix[1:]}.csv"
+            argv = [
+                "estimate", "--input", str(source), "--big-delta", "0.75", "--offset", "5",
+                "--n-obs", "900", "--lags", "0,1.5,1.5,3", "--model", "ou", "--csv", str(sidecar),
+            ]
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("csv") == str(sidecar)
+            texts.append((payload, sidecar.read_text()))
+        assert texts[0] == texts[1]
+        assert texts[0][0]["n_obs"] == 900 and texts[0][0]["stride"] == 3
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_estimate_memory_does_not_grow_with_the_file(self, tmp_path, stride):
+        peaks = []
+        for rows in (10**5, 10**6):
+            path = tmp_path / f"{rows}.bin"
+            values = np.random.default_rng(rows).standard_normal(rows)
+            write_binary(TrajectoryGrid(values, 0.01), path)
+            argv = [
+                "estimate", "--input", str(path), f"--big-delta={0.01 * stride!r}",
+                "--lags", "0,0.25,0.5,1,2", "--output", str(tmp_path / "moments.json"),
+            ]
+            assert main(argv) == 0  # warm: the first call's imports and caches
+            _, peak = traced_memory(lambda: main(argv))
+            peaks.append(peak)
+        # the 1e6-row file alone is 8 MB
+        assert max(peaks) < 4 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def preset_variant(tmp_path, replace: dict, preset: str = "smoke"):
@@ -1091,16 +1169,21 @@ class TestLazyImports:
 
 class TestBenchmarkTrace:
     @staticmethod
-    def trace(tmp_path, argv: list) -> list:
-        """Span names of ``submoments argv`` run under perfbench/child.py's tracer."""
+    def child(argv: list) -> str:
+        """Stdout of perfbench/child.py run with ``argv``, which must exit 0."""
         child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
-        spans = tmp_path / "spans.json"
         env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, str(child), "trace", str(spans), *argv],
+            [sys.executable, str(child), *argv],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def trace(self, tmp_path, argv: list) -> list:
+        """Span names of ``submoments argv`` run under perfbench/child.py's tracer."""
+        spans = tmp_path / "spans.json"
+        self.child(["trace", str(spans), *argv])
         return [span[0] for span in json.loads(spans.read_text())["spans"]]
 
     def test_trace_wraps_every_named_function(self, tmp_path):
@@ -1115,6 +1198,16 @@ class TestBenchmarkTrace:
         names = self.trace(tmp_path, argv)
         assert names.count("config.build") == 5
         assert names.count("lab.run") == 1
+
+    def test_ou_files_run_as_the_benchmark_runs_them(self, tmp_path):
+        # cli_files' setup probe stops at cli.simulate_ou; simulate and estimate
+        # run traced, with the names they call bound where the tracer wraps them
+        path = tmp_path / "x.bin"
+        simulate = ["simulate", "--config", str(write_cfg(tmp_path, OU_CFG)), "--output", str(path)]
+        assert "first_simulation" in json.loads(self.child(["setup", *simulate]))
+        assert "models.simulate_ou" in self.trace(tmp_path, simulate)
+        estimate = ["estimate", "--input", str(path), "--lags", "0,1.0", "--model", "ou"]
+        assert "estimators.covariance" in self.trace(tmp_path, estimate)
 
 
 class TestConsoleScript:

@@ -18,13 +18,22 @@ from submoments.estimators import (
     lagged_covariance,
     lagged_covariances,
 )
-from submoments.grids import RandomStreamSpec, SubsamplingScheme
+from submoments.grids import (
+    BinaryFile,
+    RandomStreamSpec,
+    SubsamplingScheme,
+    TrajectoryGrid,
+    read_binary,
+    subsample_sequence,
+    write_binary,
+)
 from submoments.models import OUParams, ou_true_covariance, simulate_ou
 
 from oracles import (
     centered_cross_product,
     lagged_covariance_product_form,
     lagged_covariances_whole,
+    leaf_tree_sum,
     traced_memory,
 )
 
@@ -228,6 +237,35 @@ class TestBlockedKernel:
         want_cov, want_mean = lagged_covariances_whole(arr, n, kappas)
         assert np.array_equal(cov, want_cov)
         assert np.array_equal(mean, want_mean)
+
+    @pytest.mark.parametrize("n", [127, _LEAF - 1, _LEAF + 1, 3 * _LEAF + 7])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_file_rows_equal_array_rows(self, tmp_path, n, r, stride):
+        # a .bin read one leaf window at a time gives the bits of the loaded
+        # file; the column-major file is offset, and holds rows past n_obs + 12
+        kappas = [0, 12, 3, 12, 0]
+        offset = 3
+        path = tmp_path / "t.bin"
+        fine = 2.0 + _rand(offset + (n + 12) * stride + 9, r, seed=n)
+        write_binary(TrajectoryGrid(fine, 0.1), path)
+        scheme = SubsamplingScheme(n, 0.1 * stride, stride)
+        loaded = subsample_sequence(read_binary(path), scheme, n_extra=12, offset=offset)
+        want_cov, want_mean = lagged_covariances(loaded, n, kappas)
+        with BinaryFile(path) as file:
+            seq = subsample_sequence(file, scheme, n_extra=12, offset=offset)
+            cov, mean = lagged_covariances(seq, n, kappas)
+            lead_mean = empirical_mean(seq[:n])
+        assert np.array_equal(cov, want_cov)
+        assert np.array_equal(mean, want_mean) and np.array_equal(lead_mean, want_mean)
+
+    @pytest.mark.parametrize("n", [_LEAF + 1, 999_999])
+    @pytest.mark.parametrize("stride", [5, 7])
+    def test_strided_sum_is_the_leaf_tree(self, n, stride):
+        # numpy sums a strided column in one pairwise pass, not in buffered
+        # chunks, so a leaf of a strided window has the bits of its copy
+        column = _strided_rows(n, 1, stride, seed=n)[:, 0]
+        assert np.sum(column) == leaf_tree_sum(column, _LEAF)
 
     def test_peak_memory_is_a_few_leaves(self):
         # two n-long centred copies, as a whole-block kernel makes, would be 16 MB

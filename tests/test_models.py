@@ -101,8 +101,8 @@ class TestOU:
             def generator(self):
                 return self
 
-            def standard_normal(self, size):
-                drawn.append(RandomStreamSpec(5).generator().standard_normal(size))
+            def standard_normal(self, out):
+                drawn.append(RandomStreamSpec(5).generator().standard_normal(out=out))
                 return drawn[-1]
 
         g = simulate_ou(OUParams(1.0, 1.0, 1.0), 1000, 0.1, RecordingStream())
@@ -119,6 +119,18 @@ class TestOU:
             lambda: grids.append(simulate_ou(params, 10**6, 0.01, RandomStreamSpec(6)))
         )
         assert peak <= 8 * 10**6 + 2 * 2**20
+
+    @pytest.mark.parametrize("length", [1, _FILTER_BLOCK, 3 * _FILTER_BLOCK + 7])
+    def test_blocks_to_a_sink_are_the_path(self, length):
+        # the blocks passed to a sink, each a view of one reused buffer, are
+        # the rows of the path the grid holds, in order
+        params, stream = OUParams(1.0, 1.0, 1.0), RandomStreamSpec(6)
+        blocks = []
+        assert simulate_ou(params, length, 0.01, stream, lambda b: blocks.append(b.copy())) is None
+        sizes = [min(_FILTER_BLOCK, length - lo) for lo in range(0, length, _FILTER_BLOCK)]
+        assert [b.size for b in blocks] == sizes
+        want = simulate_ou(params, length, 0.01, stream).samples[:, 0]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     def test_length_and_step_domain(self):
         p = OUParams(0.0, 1.0, 1.0)
@@ -455,6 +467,16 @@ class TestSlowFast:
         want_x, want_avg = slow_fast_reference(entry, scale, length, dt, RandomStreamSpec(seed))
         assert np.max(np.abs(x.samples[:, 0] - want_x)) < 1e-12
         assert np.max(np.abs(avg.samples[:, 0] - want_avg)) < 1e-12
+
+    def test_peak_memory_is_three_paths(self):
+        # the noise, the fast path and one slow path at a time; an input built
+        # by concatenation or a copied result would add 8 MB arrays
+        grids = []
+        params = SlowFastParams(entry="quadratic_coupling", scale=0.02)
+        _, peak = traced_memory(
+            lambda: grids.append(simulate_slow_fast(params, 10**6, 0.002, RandomStreamSpec(31)))
+        )
+        assert peak <= 3 * 8 * 10**6 + 2 * 2**20
 
     def test_coupled_distance_shrinks_with_scale(self):
         def sup_dist(scale):
