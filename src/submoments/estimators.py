@@ -135,7 +135,7 @@ def empirical_mean(samples) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaggedCovarianceEstimate:
-    """Covariance matrix estimate at one coarse lag."""
+    """Covariance matrix estimate at one coarse lag, with the lead-block mean."""
 
     matrix: np.ndarray
     lag_requested: float
@@ -143,6 +143,7 @@ class LaggedCovarianceEstimate:
     kappa: int
     n_obs: int
     big_delta: float
+    mean: np.ndarray  # of the first n_obs samples, as the kernel centres them
 
 
 def _check_lengths(length: int, n_obs: int, kappa: int) -> None:
@@ -210,37 +211,26 @@ def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndar
 
 
 def lagged_covariance(samples, n_obs: int, kappa: int, big_delta: float) -> LaggedCovarianceEstimate:
-    """Lagged covariance matrix of a coarse sequence.
+    """Lagged covariance matrix of a coarse sequence: one-lag :func:`covariance_curve`.
 
     Entry (i, j) estimates ``Cov(X_t(i), X_{t + kappa*big_delta}(j))``; the
-    estimate reports ``kappa * big_delta`` as both the requested and the
-    used lag.  Extra trailing samples beyond ``n_obs + kappa`` are ignored.
+    requested and the used lag are both ``kappa * big_delta``, which rounds
+    back to ``kappa``.  Extra samples beyond ``n_obs + kappa`` are ignored.
     Requires ``n_obs >= 2`` and, for positive lags, ``n_obs >= 10 * kappa``
     so the average spans many decorrelation windows.
     """
-    if big_delta <= 0 or not np.isfinite(big_delta):
-        raise ParameterDomain(f"big_delta must be positive, got {big_delta}")
-    cov, _ = lagged_covariances(samples, n_obs, [kappa])
-    lag = kappa * big_delta
-    return LaggedCovarianceEstimate(
-        matrix=cov[0],
-        lag_requested=float(lag),
-        lag_used=lag,
-        kappa=kappa,
-        n_obs=n_obs,
-        big_delta=big_delta,
-    )
+    return covariance_curve(samples, SubsamplingScheme(n_obs, big_delta), [kappa * big_delta])[0]
 
 
 def covariance_curve(samples, scheme: SubsamplingScheme, lags) -> list[LaggedCovarianceEstimate]:
     """Covariance estimates at several requested lags on one scheme.
 
     Lags are rounded to the coarse grid first; requests that round to the
-    same ``kappa`` share one computation.
+    same ``kappa`` share one computation.  All carry the kernel's one mean.
     """
     lag_list = [float(u) for u in lags]
     kappas = [lag_index(u, scheme.big_delta) for u in lag_list]
-    cov, _ = lagged_covariances(samples, scheme.n_obs, kappas)
+    cov, mean = lagged_covariances(samples, scheme.n_obs, kappas)
     matrices = dict(zip(kappas, cov))  # one matrix object per distinct kappa
     return [
         LaggedCovarianceEstimate(
@@ -250,6 +240,7 @@ def covariance_curve(samples, scheme: SubsamplingScheme, lags) -> list[LaggedCov
             kappa=kappa,
             n_obs=scheme.n_obs,
             big_delta=scheme.big_delta,
+            mean=mean,
         )
         for u, kappa in zip(lag_list, kappas)
     ]

@@ -50,10 +50,10 @@ class TrajectoryGrid:
     samples : array, shape (L, r)
         Row ``n-1`` holds the state at time ``n * delta``.  A 1-d array is
         promoted to shape (L, 1).  The constructor freezes a copy, so the
-        caller keeps its array.  ``simulate_ou``, ``simulate_slow_fast``,
-        the multiplicative observable and ``read_binary`` instead hand over
-        the array they built through ``_handover``, which freezes it without
-        a copy.
+        caller keeps its array.  ``simulate_ou``, ``simulate_heston``,
+        ``simulate_slow_fast``, the multiplicative observable and
+        ``read_binary`` instead hand over the array they built through
+        ``_handover``, which freezes it without a copy.
     delta : float
         Grid step.  Construction is permissive: it accepts any step and
         non-finite samples.  The file readers reject both.

@@ -242,10 +242,10 @@ def _check_memory(rows: float, paths: int = 1) -> None:
 
     A float ``rows`` that overflowed to infinity is refused too.
     """
-    # four float64 columns a row: a sweep's fine path, observable copy,
-    # centered temporaries and per-lag product; a pilot's two normal
-    # columns and its variance and price paths; the realized-variance
-    # main pass holds one, its coarse samples
+    # four float64 columns a row, the rest headroom: a sweep holds two (fine
+    # path, observable; the kernel works in leaf-sized buffers), the pilot
+    # its price and variance paths and a few eps-grid columns while it
+    # measures rho, the realized-variance main pass one, its coarse samples
     need = rows * 8 * 4 * paths
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
@@ -869,22 +869,64 @@ def _rv_moments(y_coarse: np.ndarray, plan: _RVPlan):
     return np.array([mean[0], var_v, k1])
 
 
+def _heston_chunks(params: HestonParams, seed: int, reps, length: int, dt: float):
+    """The one Heston loop: yield ``(lo, prices, variances)``, rows ``lo, ...`` of every rep.
+
+    Each replication draws ``V(0)`` and its variance normals from its
+    process-noise stream and its price normals from its auxiliary stream, a
+    chunk at a time; ``_heston_core`` steps on from the carried state, so a
+    path is the same bit for bit at any chunk size, beside any replication.
+    It stays in ``lab``, where the benchmark traces both draws and steps.
+    """
+    width = len(reps)
+    v = np.empty(width)
+    streams = []
+    for col, rep in enumerate(reps):
+        stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
+        rng_var = stream.generator()
+        v[col] = heston_initial_variance(params, rng_var)
+        streams.append((rng_var, stream.role(StreamRole.AUXILIARY_NOISE).generator()))
+    r = np.zeros(width)
+    z_var = np.empty((_HESTON_CHUNK, width))
+    z_price = np.empty((_HESTON_CHUNK, width))
+    for lo in range(0, length, _HESTON_CHUNK):
+        rows = min(_HESTON_CHUNK, length - lo)
+        for col, (rng_var, rng_price) in enumerate(streams):
+            z_var[:rows, col] = rng_var.standard_normal(rows)
+            z_price[:rows, col] = rng_price.standard_normal(rows)
+        prices, variances, v = _heston_core(params, rows, dt, z_var[:rows], z_price[:rows], v, r)
+        r = prices[-1]
+        yield lo, prices, variances
+
+
+def simulate_heston(
+    params: HestonParams, length: int, delta_fine: float, stream: RandomStreamSpec
+) -> tuple[TrajectoryGrid, TrajectoryGrid]:
+    """(price path, truncated variance path) of one replication, by full-truncation Euler.
+
+    One column of :func:`_heston_chunks`, which draws the start from the stationary law.
+    """
+    params.validate()
+    if length < 1:
+        raise ParameterDomain(f"length must be >= 1, got {length}")
+    if delta_fine <= 0 or not np.isfinite(delta_fine):
+        raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
+    paths = np.empty((2, length))  # price and variance, each row handed over whole
+    reps = [stream.replication_index]
+    for lo, prices, variances in _heston_chunks(params, stream.master_seed, reps, length, delta_fine):
+        paths[:, lo : lo + len(prices)] = prices[:, 0], variances[:, 0]
+    return tuple(TrajectoryGrid._handover(path, delta_fine) for path in paths)
+
+
 def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:
     """Fourth-moment distance between RV and the true variance on a pilot path."""
     length = int(math.ceil(config.pilot_span / delta_f))
-    stream = RandomStreamSpec(
-        config.master_seed, config.replications, StreamRole.PROCESS_NOISE
-    )
-    rng_var = stream.generator()
-    rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
-    v0 = heston_initial_variance(config.params, rng_var, size=1)
-    z_var = rng_var.standard_normal((length, 1))
-    z_price = rng_price.standard_normal((length, 1))
-    r_path, v_path, _ = _heston_core(config.params, length, delta_f, z_var, z_price, v0)
+    stream = RandomStreamSpec(config.master_seed, config.replications)
+    returns, variance = simulate_heston(config.params, length, delta_f, stream)
     rho = {}
     for eps, s_eps, window in plans_eps:
-        r_eps = r_path[s_eps - 1 :: s_eps, 0]
-        v_eps = v_path[s_eps - 1 :: s_eps, 0]
+        r_eps = returns.samples[s_eps - 1 :: s_eps, 0]
+        v_eps = variance.samples[s_eps - 1 :: s_eps, 0]
         rv = realized_volatility_observable(
             TrajectoryGrid(r_eps, eps), eps, window
         ).samples[:, 0]
@@ -957,25 +999,9 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     coarse_rows = [plan.point.scheme.n_obs + max(plan.point.kappas) for plan in plans]
     _check_memory(sum(coarse_rows), width)
 
-    streams = []
-    v = np.empty(width)
-    for rep in range(width):
-        stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-        rng_var = stream.generator()
-        v[rep] = heston_initial_variance(p, rng_var)
-        streams.append((rng_var, stream.role(StreamRole.AUXILIARY_NOISE).generator()))
     coarse = [np.empty((rows, width)) for rows in coarse_rows]
     states = [(None, 0, 0)] * len(plans)
-    r = np.zeros(width)
-    z_var = np.empty((_HESTON_CHUNK, width))
-    z_price = np.empty((_HESTON_CHUNK, width))
-    for lo in range(0, length, _HESTON_CHUNK):
-        rows = min(_HESTON_CHUNK, length - lo)
-        for col, (rng_var, rng_price) in enumerate(streams):
-            z_var[:rows, col] = rng_var.standard_normal(rows)
-            z_price[:rows, col] = rng_price.standard_normal(rows)
-        r_chunk, _, v = _heston_core(p, rows, delta_f, z_var[:rows], z_price[:rows], v, r)
-        r = r_chunk[-1]
+    for lo, r_chunk, _ in _heston_chunks(p, config.master_seed, range(width), length, delta_f):
         states = [
             _extend_coarse(plan, r_chunk, lo, out, state)
             for plan, out, state in zip(plans, coarse, states)

@@ -375,7 +375,7 @@ def _heston_core(
     ``r = (r + drift * dt) + sqrt(v_plus) * sqrt(dt) * z_price[n]`` with the
     ``v_plus`` of the step before.  Only the variance feeds back on itself,
     so only it is stepped row by row: on Python floats when there is one
-    column (the pilot and ``simulate_heston``), otherwise on whole rows with
+    column (``lab.simulate_heston``), otherwise on whole rows with
     the constants held as 0-d arrays.  The price then follows from the
     stored truncated variance in one ordered pass
     (:func:`_heston_price_pass`).  Every operation is the one the plain
@@ -497,39 +497,6 @@ def heston_initial_variance(
     shape = 2.0 * params.reversion * params.level / params.vol_of_vol**2
     scale = params.vol_of_vol**2 / (2.0 * params.reversion)
     return rng.gamma(shape, scale, size=size)
-
-
-def simulate_heston(
-    params: HestonParams,
-    length: int,
-    delta_fine: float,
-    stream: RandomStreamSpec,
-) -> tuple[TrajectoryGrid, TrajectoryGrid]:
-    """Simulate (returns path, variance path) with full-truncation Euler.
-
-    The variance driver uses the stream's process-noise role and the price
-    driver the auxiliary role, so hidden and observable randomness stay
-    independent within one replication.  The start is drawn from the
-    stationary law, and the stored variance is the truncated non-negative
-    one.
-    """
-    params.validate()
-    if length < 1:
-        raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta_fine <= 0 or not np.isfinite(delta_fine):
-        raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
-    rng_var = stream.role(StreamRole.PROCESS_NOISE).generator()
-    rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
-    v0 = float(heston_initial_variance(params, rng_var))
-    z_var = rng_var.standard_normal((length, 1))
-    z_price = rng_price.standard_normal((length, 1))
-    r_paths, v_paths, _ = _heston_core(
-        params, length, delta_fine, z_var, z_price, np.array([v0])
-    )
-    return (
-        TrajectoryGrid(r_paths[:, 0], delta_fine),
-        TrajectoryGrid(v_paths[:, 0], delta_fine),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ threshold.  Every test prints a single
 
     [ACCEPT] criterion N (name): PASS/FAIL (detail)
 
-line before asserting, so ``scripts/run_acceptance.py`` (pytest with -s)
+line before asserting, so ``python3 -m pytest tests/test_acceptance.py -v -s``
 doubles as a checklist printout.
 
 Criterion 8b is expected to fail.  For this Gaussian model the measured

@@ -547,6 +547,14 @@ class TestEstimateCommand:
         assert main(argv) == 0
         assert len(calls) == 1
 
+    def test_mean_comes_from_the_kernel_pass(self, ou_trajectory, capsys, monkeypatch):
+        # a separate mean would be one more walk over the .bin
+        monkeypatch.setattr(
+            "submoments.cli.empirical_mean", forbidden("estimate took the mean in a second pass")
+        )
+        assert main(["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["mean"]) == 1
+
     def test_model_u1_outside_lags(self, ou_trajectory, capsys):
         # --u1 feeds the inversion only; the report lists just the --lags
         argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--u1", "0.5"]
@@ -1208,6 +1216,26 @@ class TestBenchmarkTrace:
         assert "models.simulate_ou" in self.trace(tmp_path, simulate)
         estimate = ["estimate", "--input", str(path), "--lags", "0,1.0", "--model", "ou"]
         assert "estimators.covariance" in self.trace(tmp_path, estimate)
+
+    def test_heston_runs_as_the_benchmark_runs_them(self, tmp_path):
+        # heston_rv's setup probe stops at lab.heston_initial_variance, and
+        # models.heston_steps counts lab._heston_core calls: both see the
+        # Heston loop only while it draws and steps in lab
+        sections = load_config(_preset_path("heston_rv")).sections
+        small = {
+            "run": {**sections["run"], "replications": 30},
+            "heston": {**sections["heston"], "pilot_span": 50},
+        }
+        cfg = preset_variant(tmp_path, small, "heston_rv")
+        lab = ["lab", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]
+        assert "first_simulation" in json.loads(self.child(["setup", *lab]))
+        spans = tmp_path / "spans.json"
+        cfg = write_cfg(tmp_path, HESTON_CFG)
+        simulate = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "h.bin")]
+        self.child(["trace", str(spans), *simulate, "--length", "10000"])
+        trace = json.loads(spans.read_text())
+        assert "models.heston_core" in [span[0] for span in trace["spans"]]
+        assert trace["counts"]["models.heston_steps"] == 10000
 
 
 class TestConsoleScript:

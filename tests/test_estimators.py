@@ -57,6 +57,12 @@ class TestLagIndex:
         with pytest.raises(ParameterDomain):
             lag_index(math.inf, 0.1)
 
+    @given(kappa=st.integers(0, 10**9), big_delta=st.floats(1e-300, 1e290))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_lag_round_trips(self, kappa, big_delta):
+        # lagged_covariance asks covariance_curve for lag kappa * big_delta
+        assert lag_index(kappa * big_delta, big_delta) == kappa
+
     @pytest.mark.parametrize("lag, big_delta", [(1e308, 0.05), (1e300, 1e-300)])
     def test_overflowing_quotient(self, lag, big_delta):
         with pytest.raises(ParameterDomain, match="overflows"):
@@ -300,6 +306,13 @@ class TestCovarianceCurve:
         (curve,) = covariance_curve(arr, scheme, [0.8])
         direct = lagged_covariance(arr, 100, 8, 0.1)
         assert np.array_equal(curve.matrix, direct.matrix)
+
+    def test_every_estimate_carries_the_lead_mean(self):
+        arr = _rand(120, 2, seed=15)
+        curve = covariance_curve(arr, SubsamplingScheme(100, 0.1), [0.0, 0.8])
+        for est in curve:
+            assert np.array_equal(est.mean, empirical_mean(arr[:100]))
+        assert np.array_equal(lagged_covariance(arr, 100, 8, 0.1).mean, curve[0].mean)
 
 
 class TestCsvExport:

@@ -52,6 +52,7 @@ from submoments.lab import (
     run_heston_rv,
     run_replications,
     save_ensemble,
+    simulate_heston,
 )
 from submoments.models import (
     HestonParams,
@@ -506,6 +507,34 @@ class TestHestonRVPipeline:
         finally:
             tracemalloc.stop()
         assert peak < price_paths_bytes / 2
+
+
+class TestHestonChunks:
+    # vol_of_vol**2 > 2 * reversion * level, so the raw variance goes
+    # negative; at this seed it is negative at replication 5's second chunk
+    # boundary, where it must be carried raw, not truncated
+    PARAMS = HestonParams(reversion=1.3, level=0.045, vol_of_vol=0.45, drift=0.07)
+
+    def test_a_replication_has_one_path(self):
+        seed, rep, dt = 20260305, 5, 0.01
+        length = 2 * _HESTON_CHUNK + 37
+        returns, variance = simulate_heston(self.PARAMS, length, dt, RandomStreamSpec(seed, rep))
+        # the scalar recursion (one column) against the row recursion (three)
+        chunks = list(lab._heston_chunks(self.PARAMS, seed, [rep - 1, rep, rep + 1], length, dt))
+        assert [lo for lo, _, _ in chunks] == [0, _HESTON_CHUNK, 2 * _HESTON_CHUNK]
+        assert np.array_equal(returns.samples[:, 0], np.concatenate([r[:, 1] for _, r, _ in chunks]))
+        assert np.array_equal(variance.samples[:, 0], np.concatenate([v[:, 1] for _, _, v in chunks]))
+        # chunked draws and steps against one whole-length draw per stream
+        stream = RandomStreamSpec(seed, rep)
+        rng_var = stream.generator()
+        rng_price = stream.role(StreamRole.AUXILIARY_NOISE).generator()
+        v0 = heston_initial_variance(self.PARAMS, rng_var, size=1)
+        z_var = rng_var.standard_normal((length, 1))
+        z_price = rng_price.standard_normal((length, 1))
+        r_ref, v_ref, _ = heston_core_reference(self.PARAMS, length, dt, z_var, z_price, v0)
+        assert np.array_equal(returns.samples, r_ref)
+        assert np.array_equal(variance.samples, v_ref)
+        assert variance.samples[2 * _HESTON_CHUNK - 1, 0] == 0.0  # truncated at the boundary
 
 
 class TestConfigHash:

@@ -39,11 +39,11 @@ from submoments.models import (
     realized_variance_chunk,
     realized_volatility_observable,
     simulate_gradient_diffusion,
-    simulate_heston,
     simulate_ou,
     simulate_slow_fast,
     smoothing_observable,
 )
+from submoments.lab import simulate_heston
 
 from oracles import (
     heston_core_reference,

@@ -93,7 +93,7 @@ TEST_ONLY_ALLOWED = {
 
 def unreferenced_names(root: Path) -> list:
     """Functions, classes, methods and properties of ``src/submoments`` named
-    nowhere in ``src``, ``scripts``, ``perfbench`` or ``README.md`` but in
+    nowhere in ``src``, ``perfbench`` or ``README.md`` but in
     their own definitions (dunders excluded), as ``grep -w`` would count them.
     """
     defined: dict = {}
@@ -103,7 +103,7 @@ def unreferenced_names(root: Path) -> list:
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined[node.name] = defined.get(node.name, 0) + 1
     corpus = [root / "README.md"]
-    for top in ("src", "scripts", "perfbench"):
+    for top in ("src", "perfbench"):
         corpus += [p for p in (root / top).rglob("*") if p.suffix in (".py", ".md", ".cfg")]
     words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in corpus)))
     return sorted(name for name, count in defined.items() if words[name] <= count)
