@@ -67,11 +67,9 @@ from .lab import (
     simulate_heston,
 )
 from .models import (
-    GradientDiffusionParams,
     HestonParams,
     OUParams,
     SlowFastParams,
-    simulate_gradient_diffusion,
     simulate_ou,
     simulate_slow_fast,
 )
@@ -168,10 +166,6 @@ def cmd_simulate(args) -> int:
             with binary_writer(out, 1, delta, length) as write:
                 simulate_ou(model, length, delta, stream, write)
         outputs.append(str(out))
-    elif isinstance(model, GradientDiffusionParams):
-        grid = simulate_gradient_diffusion(model, length, delta, stream)
-        _write_grid(grid, out)
-        outputs.append(str(out))
     elif isinstance(model, HestonParams):
         returns, variance = simulate_heston(model, length, delta, stream)
         var_path = _sibling(out, "variance")
@@ -184,7 +178,7 @@ def cmd_simulate(args) -> int:
         _write_grid(slow, out)
         _write_grid(reduced, red_path)
         outputs += [str(out), str(red_path)]
-    else:  # pragma: no cover - build_model only returns the four kinds
+    else:  # pragma: no cover - build_model only returns the three kinds
         raise ValidationError(f"cannot simulate model {type(model).__name__}")
     manifest = {
         "command": "simulate",
@@ -389,12 +383,14 @@ def cmd_lab(args) -> int:
             listing = ", ".join(f"{k}={v:.4f}" for k, v in errs.items())
             print(f"eps {eps:g}: rms rel {listing}")
 
-    manifest = {
+    manifest = {  # the config path as given, or the preset name: the same run on any checkout
         "command": "lab",
         "version": __version__,
-        "config": str(path),
+        "config": args.config,
+        "preset": args.preset,
         "config_sha256": bundle.sha256,
         "pipeline": kind,
+        "master_seed": config.master_seed,
         "outputs": outputs,
     }
     _write_json(manifest, out_dir / "manifest.json")

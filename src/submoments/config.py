@@ -13,15 +13,12 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 from .grids import SubsamplingScheme
 from .lab import THRESHOLDS, EndToEndConfig, ExperimentConfig, HestonRVConfig
-from .models import GradientDiffusionParams, HestonParams, OUParams, SlowFastParams, ou_bound_inputs
+from .models import HestonParams, OUParams, SlowFastParams, ou_bound_inputs
 from .schemes import BoundInputs
 
 _PIPELINES = tuple(THRESHOLDS)
@@ -78,14 +75,6 @@ def _as_bool(section: str, key: str, raw: str) -> bool:
     _fail(section, key, f"expected a boolean, got {raw!r}")
 
 
-def _as_matrix(section: str, key: str, raw: str) -> np.ndarray:
-    flat = _as_float_list(section, key, raw)
-    r = math.isqrt(len(flat))
-    if r * r != len(flat):
-        _fail(section, key, "needs a square number of entries (row-major)")
-    return np.array(flat).reshape(r, r)
-
-
 def _pairs(make, expected: str):
     """Parser of comma-separated ``a:b`` pairs, each turned into ``make(a, b)``."""
 
@@ -122,14 +111,6 @@ _KIND = _same(_as_str, "kind")
 _MODELS = {
     "ou": (OUParams, _same(_as_float, "mean", "reversion", "noise")),
     "heston": (HestonParams, _same(_as_float, "reversion", "level", "vol_of_vol", "drift")),
-    "gradient_diffusion": (
-        GradientDiffusionParams,
-        {
-            "coeffs": (_as_float_list, "potential_coeffs"),
-            "sigma": (_as_matrix, "sigma"),
-            "name": (_as_str, "name"),
-        },
-    ),
     "slow_fast": (SlowFastParams, {"entry": (_as_str, "entry"), "scale": (_as_float, "scale")}),
 }
 

@@ -20,7 +20,7 @@ then centring the lead rows once and, for each distinct kappa, the
 lagged rows, into two leaf-sized buffers, multiplying them and summing
 each product.  The leaf sums are added in the tree's order.  Each leaf
 takes one window of rows ``lo .. lo + n + max(kappa) - 1``: a view of an
-array, or one read of a :class:`~submoments.grids.FileSequence` into a
+array, or the rows of a :class:`~submoments.grids.FileSequence` read into a
 reused buffer, so a sequence on disk is reduced without being loaded.
 The kernel holds a few leaf buffers rather than ``N``-long copies, and
 its results carry the bits of one ``np.sum`` over each full ``N``-long

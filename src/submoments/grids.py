@@ -27,7 +27,8 @@ import numpy as np
 from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch, ValidationError
 
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
-#: rows per block of the file readers' finite-sample check
+#: rows per block of the file readers' finite-sample check, and at most the
+#: fine rows per column of one strided window read
 _CHECK_ROWS = 1 << 16
 
 
@@ -343,17 +344,25 @@ class FileSequence:
     def window_reader(self, rows: int):
         """``window(lo, n)``: rows ``lo .. lo+n-1`` as an ``(n, dim)`` array, for ``n <= rows``.
 
-        Each call reads the fine rows that cover the window, ``stride * (n-1) + 1``
-        per column, into one buffer the calls share, and returns a strided
-        view of it, valid until the next call.
+        Each call reads the fine rows that cover the window in blocks of at
+        most ``_CHECK_ROWS`` per column and keeps every stride-th into one
+        ``(dim, rows)`` buffer the calls share, so memory does not grow with
+        the stride.  It returns a view of that buffer, valid until the next
+        call.  At stride 1 the fine rows are the kept rows, read in place.
         """
         stride = self._stride
-        buf = np.empty((self.shape[1], stride * (rows - 1) + 1), dtype="<f8")
+        kept = np.empty((self.shape[1], rows), dtype="<f8")
+        per = rows if stride == 1 else max(1, min(rows, _CHECK_ROWS // stride))  # kept rows per read
+        fine = kept if stride == 1 else np.empty((self.shape[1], stride * (per - 1) + 1), dtype="<f8")
 
         def window(lo: int, n: int) -> np.ndarray:
-            fine = buf[:, : stride * (n - 1) + 1]
-            self._file.read_into(fine, self._first + lo * stride)
-            return fine[:, ::stride].T
+            for k in range(0, n, per):
+                m = min(per, n - k)
+                block = fine[:, : stride * (m - 1) + 1]
+                self._file.read_into(block, self._first + (lo + k) * stride)
+                if stride > 1:
+                    kept[:, k : k + m] = block[:, ::stride]
+            return kept[:, :n].T
 
         return window
 

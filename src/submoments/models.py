@@ -21,7 +21,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     InsufficientData,
@@ -31,8 +30,6 @@ from .errors import (
 )
 from .grids import RandomStreamSpec, StreamRole, TrajectoryGrid, whole_steps
 from .schemes import BoundInputs, DecorrelationProfile
-
-_DIVERGENCE_CHECK_EVERY = 512
 
 
 # ---------------------------------------------------------------------------
@@ -220,105 +217,6 @@ def simulate_ou(
         if sink is not None:
             sink(block)
     return None if sink is not None else TrajectoryGrid._handover(path, delta)
-
-
-# ---------------------------------------------------------------------------
-# Gradient diffusions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradientDiffusionParams:
-    """Diffusion dX = -grad Q(X) dt + sigma dW with a separable polynomial Q.
-
-    ``potential_coeffs`` are the coefficients (c_0, ..., c_d) of a scalar
-    polynomial ``q(u) = sum c_k u^k`` applied per coordinate, so
-    ``Q(x) = sum_i q(x_i)``.  Confinement requires even degree >= 2 with a
-    positive leading coefficient.  ``sigma`` is a full-rank square matrix;
-    a scalar is a 1 x 1 matrix.
-    """
-
-    potential_coeffs: tuple
-    sigma: np.ndarray = 1.0
-    name: str = "polynomial"
-
-    def __post_init__(self):
-        sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        sig.flags.writeable = False
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "potential_coeffs", tuple(float(c) for c in self.potential_coeffs))
-
-    def validate(self) -> None:
-        coeffs = np.asarray(self.potential_coeffs, dtype=float)
-        if not (np.isfinite(coeffs).all() and np.isfinite(self.sigma).all()):
-            raise ParameterDomain("potential coefficients and sigma must be finite")
-        if coeffs.size < 3:
-            raise ParameterDomain("potential must have degree >= 2")
-        degree = coeffs.size - 1
-        while degree > 0 and coeffs[degree] == 0.0:
-            degree -= 1
-        if degree < 2 or degree % 2 != 0 or coeffs[degree] <= 0:
-            raise ParameterDomain(
-                "potential must have positive leading coefficient of even degree >= 2"
-            )
-        sig = self.sigma
-        if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
-            raise ParameterDomain("sigma must be square")
-        if abs(np.linalg.det(sig)) < 1e-12:
-            raise ParameterDomain("sigma must be full rank")
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
-
-
-def simulate_gradient_diffusion(
-    params: GradientDiffusionParams,
-    length: int,
-    delta_fine: float,
-    stream: RandomStreamSpec,
-) -> TrajectoryGrid:
-    """Euler-Maruyama path of a confining gradient diffusion, after burn-in.
-
-    Starts at the origin and discards the steps of ten unit reversion
-    times.  The drift step is checked against half the state scale before
-    starting; a path that still blows up raises ``SimulationDiverged``.
-    """
-    params.validate()
-    if length < 1:
-        raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta_fine <= 0 or not np.isfinite(delta_fine):
-        raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
-    warm_up = int(math.ceil(10.0 / delta_fine))
-
-    dq = npoly.polyder(np.asarray(params.potential_coeffs, dtype=float))  # q'
-    scale = 1.0
-    drift_step = abs(float(npoly.polyval(np.array(scale), dq))) * delta_fine
-    if drift_step > scale / 2.0:
-        raise ParameterDomain(
-            f"drift step {drift_step:.3g} at unit scale exceeds half the state scale; "
-            "reduce delta_fine"
-        )
-
-    r = params.dim
-    rng = stream.generator()
-    sqdt = math.sqrt(delta_fine)
-    total = warm_up + length
-    out = np.empty((length, r))
-    x = np.zeros(r)
-    sig_t = params.sigma.T
-    for start in range(0, total, _DIVERGENCE_CHECK_EVERY):
-        stop = min(start + _DIVERGENCE_CHECK_EVERY, total)
-        z = rng.standard_normal((stop - start, r))
-        for i in range(start, stop):
-            x = x - npoly.polyval(x, dq) * delta_fine + sqdt * (z[i - start] @ sig_t)
-            if i >= warm_up:
-                out[i - warm_up] = x
-        if not np.isfinite(x).all():
-            raise SimulationDiverged(
-                f"state became non-finite near step {stop} of {total}"
-            )
-    return TrajectoryGrid(out, delta_fine)
 
 
 # ---------------------------------------------------------------------------

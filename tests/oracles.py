@@ -5,7 +5,6 @@ import math
 import tracemalloc
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from submoments.grids import StreamRole
 
@@ -119,16 +118,6 @@ def cir_moment_map(theta, u1: float) -> np.ndarray:
     reversion, level, vol = np.asarray(theta, dtype=float)
     var = vol**2 * level / (2.0 * reversion)
     return np.array([level, var, var * math.exp(-reversion * u1)])
-
-
-def stationary_density_unnormalized(params, u, noise_scale: float) -> np.ndarray:
-    """One-coordinate density ``exp(-2 q(u) / s^2)`` of a gradient diffusion, unnormalized.
-
-    Valid when sigma = s * I; the quadrature oracle for the stationary
-    moments of a separable potential ``q`` with ``params.potential_coeffs``.
-    """
-    q = npoly.polyval(np.asarray(u, dtype=float), np.asarray(params.potential_coeffs))
-    return np.exp(-2.0 * q / noise_scale**2)
 
 
 def heston_core_reference(params, n_steps: int, dt: float, z_var, z_price, v0, r0=None):

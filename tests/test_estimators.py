@@ -1,5 +1,6 @@
 """Mean and lagged covariance estimators against hand-computed oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from submoments.estimators import (
     lagged_covariances,
 )
 from submoments.grids import (
+    _CHECK_ROWS,
     BinaryFile,
     RandomStreamSpec,
     SubsamplingScheme,
@@ -244,12 +246,18 @@ class TestBlockedKernel:
         assert np.array_equal(cov, want_cov)
         assert np.array_equal(mean, want_mean)
 
-    @pytest.mark.parametrize("n", [127, _LEAF - 1, _LEAF + 1, 3 * _LEAF + 7])
-    @pytest.mark.parametrize("r", [1, 2])
-    @pytest.mark.parametrize("stride", [1, 5])
+    @pytest.mark.parametrize(
+        "stride, r, n",
+        [
+            *itertools.product([1, 5], [1, 2], [127, _LEAF - 1, _LEAF + 1, 3 * _LEAF + 7]),
+            # a window of 139 rows spans 139,001 fine rows, read in blocks
+            (1000, 1, 127), (1000, 2, 127),
+        ],
+    )
     def test_file_rows_equal_array_rows(self, tmp_path, n, r, stride):
         # a .bin read one leaf window at a time gives the bits of the loaded
-        # file; the column-major file is offset, and holds rows past n_obs + 12
+        # file; the column-major file is offset, and holds rows past n_obs + 12.
+        # Memory is one block read and a few leaf buffers, whatever the stride
         kappas = [0, 12, 3, 12, 0]
         offset = 3
         path = tmp_path / "t.bin"
@@ -260,8 +268,10 @@ class TestBlockedKernel:
         want_cov, want_mean = lagged_covariances(loaded, n, kappas)
         with BinaryFile(path) as file:
             seq = subsample_sequence(file, scheme, n_extra=12, offset=offset)
+            _, peak = traced_memory(lambda: lagged_covariances(seq, n, kappas))
             cov, mean = lagged_covariances(seq, n, kappas)
             lead_mean = empirical_mean(seq[:n])
+        assert peak <= 8 * r * (_CHECK_ROWS + 4 * (min(n, _LEAF) + 12)) + 2**16
         assert np.array_equal(cov, want_cov)
         assert np.array_equal(mean, want_mean) and np.array_equal(lead_mean, want_mean)
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import submoments
 from submoments.errors import (
@@ -24,7 +23,6 @@ from submoments.errors import (
 )
 from submoments.grids import RandomStreamSpec, TrajectoryGrid
 from submoments.models import (
-    GradientDiffusionParams,
     HestonParams,
     OUParams,
     SLOW_FAST_CATALOG,
@@ -38,7 +36,6 @@ from submoments.models import (
     ou_true_covariance,
     realized_variance_chunk,
     realized_volatility_observable,
-    simulate_gradient_diffusion,
     simulate_ou,
     simulate_slow_fast,
     smoothing_observable,
@@ -48,7 +45,6 @@ from submoments.lab import simulate_heston
 from oracles import (
     heston_core_reference,
     slow_fast_reference,
-    stationary_density_unnormalized,
     traced_memory,
 )
 
@@ -140,9 +136,6 @@ class TestOU:
             simulate_ou(p, 10, 0.0, RandomStreamSpec(1))
 
 
-QUARTIC = GradientDiffusionParams(potential_coeffs=(0, 0, 0, 0, 0.25), sigma=[[1.0]])
-
-
 class TestLinearFilterKernel:
     """The AR(1) helper on the compiled kernel gives the bits of scipy.signal.lfilter."""
 
@@ -194,59 +187,6 @@ class TestLinearFilterKernel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["8", "1"]
-
-
-class TestGradientDiffusion:
-    def test_validation(self):
-        with pytest.raises(ParameterDomain):
-            GradientDiffusionParams((0.0, 1.0), [[1.0]]).validate()  # degree < 2
-        with pytest.raises(ParameterDomain):
-            GradientDiffusionParams((0, 0, 0, 1.0), [[1.0]]).validate()  # odd degree
-        with pytest.raises(ParameterDomain):
-            GradientDiffusionParams((0, 0, -1.0), [[1.0]]).validate()  # not confining
-        with pytest.raises(ParameterDomain):
-            GradientDiffusionParams((0, 0, 0.5), [[1.0, 0.0], [2.0, 0.0]]).validate()
-        with pytest.raises(ParameterDomain):
-            GradientDiffusionParams((0, 0, 0.5), [[1.0, 0.0]]).validate()
-        for coeffs, sigma in [((0, 0, math.nan), 1.0), ((0, 0, math.inf), 1.0), ((0, 0, 0.5), math.inf)]:
-            with pytest.raises(ParameterDomain, match="must be finite"):
-                GradientDiffusionParams(coeffs, sigma).validate()
-
-    def test_quadratic_potential_matches_ou_law(self):
-        # q(u) = u^2 / 2 gives drift -x, i.e. OU with unit reversion
-        params = GradientDiffusionParams((0, 0, 0.5), [[1.0]])
-        g = simulate_gradient_diffusion(params, 100_000, 0.01, RandomStreamSpec(12))
-        x = g.samples[:, 0]
-        assert float(x.mean()) == pytest.approx(0.0, abs=0.06)
-        assert float(x.var()) == pytest.approx(0.5, abs=0.06)
-
-    def test_quartic_second_moment_matches_quadrature(self):
-        density = lambda u: stationary_density_unnormalized(QUARTIC, u, 1.0)
-        num = quad(lambda u: u * u * density(u), -np.inf, np.inf)[0]
-        den = quad(density, -np.inf, np.inf)[0]
-        oracle = num / den
-        assert oracle == pytest.approx(0.478, abs=0.001)
-        g = simulate_gradient_diffusion(QUARTIC, 100_000, 0.01, RandomStreamSpec(11))
-        assert float(np.mean(g.samples[:, 0] ** 2)) == pytest.approx(oracle, abs=0.07)
-
-    def test_two_coordinates_are_independent_ou(self):
-        params = GradientDiffusionParams((0, 0, 0.5), [[1.0, 0.0], [0.0, 2.0]])
-        g = simulate_gradient_diffusion(params, 60_000, 0.01, RandomStreamSpec(13))
-        assert g.dim == 2
-        v = g.samples.var(axis=0)
-        assert v[0] == pytest.approx(0.5, abs=0.15)
-        assert v[1] == pytest.approx(2.0, abs=0.6)
-
-    def test_coarse_step_rejected_up_front(self):
-        steep = GradientDiffusionParams((0, 0, 0, 0, 25.0), [[1.0]])
-        with pytest.raises(ParameterDomain, match="drift step"):
-            simulate_gradient_diffusion(steep, 100, 0.01, RandomStreamSpec(1))
-
-    def test_divergence_detected(self):
-        # step passes the unit-scale precheck but the Euler map is unstable
-        # beyond |x| ~ sqrt(2 / delta); every tested seed reaches it
-        with np.errstate(all="ignore"), pytest.raises(SimulationDiverged):
-            simulate_gradient_diffusion(QUARTIC, 5000, 0.4, RandomStreamSpec(0))
 
 
 HESTON = HestonParams(reversion=1.0, level=0.04, vol_of_vol=0.2)

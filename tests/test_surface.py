@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import submoments
-from submoments.config import READERS
+from submoments.config import _MODELS, READERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,6 +41,15 @@ def readme_config_table() -> dict:
     return table
 
 
+def readme_model_keys() -> dict:
+    """kind -> backticked keys, as README's "`[model] kind` selects the model's keys" sentence
+    lists them."""
+    text = " ".join(README.read_text().split())
+    sentence = text.split("`[model] kind` selects the model's keys:", 1)[1].split(".", 1)[0]
+    clauses = (re.findall(r"`(\w+)`", clause) for clause in sentence.split(";"))
+    return {kind: set(keys) for kind, *keys in clauses}
+
+
 def test_readme_config_table_matches_readers():
     table = readme_config_table()
     assert set(table) == set(READERS)
@@ -49,6 +58,7 @@ def test_readme_config_table_matches_readers():
         for section, keys in sections.items():
             if section not in ("model", "assert"):  # listed by reference to their own tables
                 assert table[reader][section] == set(keys), (reader, section)
+    assert readme_model_keys() == {kind: set(keys) for kind, (_, keys) in _MODELS.items()}
 
 
 def test_every_exported_name_resolves():
