@@ -45,6 +45,7 @@ from .grids import (
     SubsamplingScheme,
     TrajectoryGrid,
     binary_writer,
+    check_grid,
     # not called here: the benchmark tracer wraps it under this module by name
     read_binary,
     read_csv,
@@ -150,10 +151,7 @@ def cmd_simulate(args) -> int:
         req = build_grid_request(bundle)
         length = req.length if args.length is None else args.length
         delta = req.delta if args.delta is None else args.delta
-    if length < 1:
-        raise ValidationError(f"length must be >= 1, got {length}")
-    if delta <= 0 or not np.isfinite(delta):
-        raise ValidationError(f"delta must be positive and finite, got {delta}")
+    check_grid(length, delta)
     if not np.isfinite(length * float(delta)):  # the last grid time, in Python floats
         raise ValidationError(f"grid times overflow: length {length} * delta {delta} is not finite")
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
@@ -207,15 +205,21 @@ def cmd_estimate(args) -> int:
     lags = _parse_floats(args.lags, "--lags")
     if any(u < 0 for u in lags):
         raise ValidationError("lags must be >= 0")
+    inversion = {"--u1": args.u1, "--ball-radius": args.ball_radius, "--ball-center": args.ball_center}
+    unused = [flag for flag, value in inversion.items() if value is not None]
+    if args.model is None and unused:
+        raise UsageError(f"--model is needed for {', '.join(unused)}")
+    if args.ball_center is not None and args.ball_radius is None:
+        raise UsageError("--ball-radius is needed for --ball-center")
     center = [0.0, 0.0, 0.0]
-    if args.model is not None and args.ball_center is not None:
+    if args.ball_center is not None:
         center = _parse_floats(args.ball_center, "--ball-center")
         if len(center) != 3:  # both models have three parameters
             raise UsageError(f"--ball-center expects 3 values, got {len(center)}")
     with _open_grid(Path(args.input)) as grid:
         big_delta = grid.delta if args.big_delta is None else args.big_delta
         # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
-        planned = lags + ([args.u1] if args.model is not None and args.u1 is not None else [])
+        planned = lags + ([] if args.u1 is None else [args.u1])
         point = plan_point(SubsamplingScheme(1, big_delta), grid.delta, planned, args.offset)
         curve_lags = list(lags)
         if args.model is not None:
@@ -289,9 +293,11 @@ def cmd_estimate(args) -> int:
 def cmd_scheme(args) -> int:
     if (args.rho is None) == (args.n_obs is None):
         raise UsageError("give exactly one of --rho or --n-obs")
+    if args.rho is None and args.c_n is not None:
+        raise UsageError("--rho is needed for --c-n")
     inputs = reference_bound_inputs()
     if args.rho is not None:
-        rec = scheme_from_rho(args.rho, args.c_n, args.c_delta)
+        rec = scheme_from_rho(args.rho, 1.0 if args.c_n is None else args.c_n, args.c_delta)
         payload = {
             "rho": rec.rho,
             "n_obs": rec.scheme.n_obs,
@@ -445,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sch = sub.add_parser("scheme", help="recommend a sub-sampling scheme")
     sch.add_argument("--rho", type=float, default=None, help="proxy error level in (0, 1)")
     sch.add_argument("--n-obs", type=int, default=None, help="observation budget (>= 8)")
-    sch.add_argument("--c-n", type=float, default=1.0, help="budget constant for --rho")
+    sch.add_argument("--c-n", type=float, default=None, help="budget constant for --rho (default: 1)")
     sch.add_argument("--c-delta", type=float, default=1.0, help="step constant")
     sch.add_argument("--output", default=None, help="write JSON here instead of stdout")
     sch.set_defaults(func=cmd_scheme)

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .grids import SubsamplingScheme
+from .grids import SubsamplingScheme, check_grid
 from .lab import THRESHOLDS, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from .models import HestonParams, OUParams, SlowFastParams, ou_bound_inputs
 from .schemes import BoundInputs
@@ -169,7 +169,7 @@ READERS = {
         "pipeline": _KIND,
         "heston": {
             "epsilons": (_as_float_list, "epsilon_grid"),
-            **_same(_as_float, "u1", "u2", "c_n", "c_delta", "fine_step", "pilot_span"),
+            **_same(_as_float, "u1", "u2", "c_n", "c_delta", "pilot_span"),
         },
         "assert": _asserts("heston_rv"),
     },
@@ -286,9 +286,7 @@ def build_model(bundle: ConfigBundle):
         raise ValidationError(
             f"config [model] keys {sorted(extra)} do not apply to kind {kind!r}"
         )
-    params = _build(cls, bundle, "model", table)
-    params.validate()
-    return params
+    return _build(cls, bundle, "model", table)
 
 
 @dataclass(frozen=True)
@@ -296,14 +294,12 @@ class GridRequest:
     length: int
     delta: float
 
+    def __post_init__(self):
+        check_grid(self.length, self.delta)
+
 
 def build_grid_request(bundle: ConfigBundle) -> GridRequest:
-    req = _build(GridRequest, bundle, "grid", READERS["simulate"]["grid"])
-    if req.length < 1:
-        _fail("grid", "length", "must be >= 1")
-    if req.delta <= 0:
-        _fail("grid", "delta", "must be > 0")
-    return req
+    return _build(GridRequest, bundle, "grid", READERS["simulate"]["grid"])
 
 
 def build_run_settings(bundle: ConfigBundle) -> dict:
@@ -332,9 +328,7 @@ def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
     fields.pop("save_ensemble", None)  # the lab command's switch, not a sweep setting
     if bundle.has("bounds"):  # the bound holds on [0, horizon] only
         fields.setdefault("horizon_a", _BOUNDS_HORIZON)
-    config = ExperimentConfig(model=model, **fields)
-    config.validate()
-    return config
+    return ExperimentConfig(model=model, **fields)
 
 
 def build_bounds(bundle: ConfigBundle, model: OUParams) -> BoundInputs | None:
@@ -356,21 +350,14 @@ def build_endtoend(bundle: ConfigBundle) -> EndToEndConfig:
     model = build_model(bundle)
     if not isinstance(model, OUParams):
         raise ValidationError("the end-to-end pipeline uses the ou model")
-    config = EndToEndConfig(model=model, **_fields("ou_endtoend", bundle, "run", "endtoend"))
-    config.validate()
-    return config
+    return EndToEndConfig(model=model, **_fields("ou_endtoend", bundle, "run", "endtoend"))
 
 
 def build_heston_rv(bundle: ConfigBundle) -> HestonRVConfig:
     model = build_model(bundle)
     if not isinstance(model, HestonParams):
         raise ValidationError("the realized-variance pipeline uses the heston model")
-    fields = _fields("heston_rv", bundle, "run", "heston")
-    u1, u2 = HestonRVConfig.u_pair
-    fields["u_pair"] = (fields.pop("u1", u1), fields.pop("u2", u2))
-    config = HestonRVConfig(params=model, **fields)
-    config.validate()
-    return config
+    return HestonRVConfig(params=model, **_fields("heston_rv", bundle, "run", "heston"))
 
 
 def assert_thresholds(bundle: ConfigBundle) -> dict:

@@ -173,6 +173,14 @@ def resolve_stride(scheme: SubsamplingScheme, delta: float) -> SubsamplingScheme
     return SubsamplingScheme(n_obs=scheme.n_obs, big_delta=stride * delta, stride=stride)
 
 
+def check_grid(length: int, step: float, name: str = "delta") -> None:
+    """Refuse a grid of no rows, or whose step (called ``name``) is not positive and finite."""
+    if length < 1:
+        raise ParameterDomain(f"length must be >= 1, got {length}")
+    if not 0 < step < math.inf:
+        raise ParameterDomain(f"{name} must be positive and finite, got {step}")
+
+
 def whole_steps(span: float, step: float, what: str) -> int:
     """``span / step`` as a whole number of grid steps, at least one."""
     ratio = span / step

@@ -39,6 +39,7 @@ from .grids import (
     StreamRole,
     SubsamplingScheme,
     TrajectoryGrid,
+    check_grid,
     resolve_stride,
     subsample_sequence,
     whole_steps,
@@ -120,8 +121,7 @@ class ExperimentConfig:
     stride_resolution: int = 1
     workers: int = 1
 
-    def validate(self) -> None:
-        self.model.validate()
+    def __post_init__(self):
         if self.observable not in _OBSERVABLES:
             raise ParameterDomain(f"unknown observable {self.observable!r}")
         if self.rho_kind not in _RHO_KINDS:
@@ -367,7 +367,6 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
     raise cancels the queued ones; its error propagates once the running
     ones finish.
     """
-    config.validate()
     points = _plan_sweep(config)
     _check_memory(max(p.point.rows for p in points), max(1, config.workers))
     plans = [p.point for p in points]
@@ -683,8 +682,7 @@ class EndToEndConfig:
     master_seed: int = 0
     tolerance: float = 0.10
 
-    def validate(self) -> None:
-        self.model.validate()
+    def __post_init__(self):
         if self.model.mean == 0 or self.model.noise == 0:
             raise ParameterDomain(
                 "relative errors need nonzero true mean and noise"
@@ -732,7 +730,6 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     The inversion uses the lag actually representable on the coarse grid,
     so grid rounding does not bias the reversion estimate.
     """
-    config.validate()
     rec = scheme_from_rho(config.rho, config.c_n, config.c_delta)
     point = plan_point(rec.scheme, rec.scheme.big_delta, (0.0, config.u1))  # coarse = fine
     point.require_positive(1)
@@ -776,34 +773,30 @@ class HestonRVConfig:
     on a pilot path as the fourth-moment distance between the realized
     variance and the true variance, and the sub-sampling scheme follows the
     proxy-quality rule at that measured level.  The variance moment fed to
-    the closed-form inversion is extrapolated from two positive lags, since
-    microstructure-style noise concentrates at lag zero.
+    the closed-form inversion is extrapolated from two positive lags
+    ``u1 < u2``, since microstructure-style noise concentrates at lag zero.
     """
 
     params: HestonParams
     epsilon_grid: tuple = (0.01, 0.005)
     replications: int = 100
     master_seed: int = 0
-    u_pair: tuple = (0.25, 0.75)
+    u1: float = 0.25
+    u2: float = 0.75
     c_n: float = 1.0
     c_delta: float = 1.0
-    fine_step: float | None = None
     pilot_span: float = 200.0
 
-    def validate(self) -> None:
-        self.params.validate()
+    def __post_init__(self):
         eps = np.asarray(self.epsilon_grid, dtype=float)
         if eps.size < 2 or (eps <= 0).any() or not (np.diff(eps) < 0).all():
             raise ParameterDomain("epsilon_grid must be positive, strictly decreasing, >= 2 levels")
         if self.replications < 30:
             raise ParameterDomain("need at least 30 replications")
-        u1, u2 = self.u_pair
-        if not (0 < u1 < u2):
+        if not (0 < self.u1 < self.u2):
             raise ParameterDomain("need 0 < u1 < u2")
-        for name in ("fine_step", "pilot_span"):
-            value = getattr(self, name)
-            if value is not None and not (0 < value < math.inf):
-                raise ParameterDomain(f"{name} must be finite and > 0, got {value}")
+        if not (0 < self.pilot_span < math.inf):
+            raise ParameterDomain(f"pilot_span must be finite and > 0, got {self.pilot_span}")
 
 
 @dataclass(frozen=True)
@@ -906,11 +899,7 @@ def simulate_heston(
 
     One column of :func:`_heston_chunks`, which draws the start from the stationary law.
     """
-    params.validate()
-    if length < 1:
-        raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta_fine <= 0 or not np.isfinite(delta_fine):
-        raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
+    check_grid(length, delta_fine, "delta_fine")
     paths = np.empty((2, length))  # price and variance, each row handed over whole
     reps = [stream.replication_index]
     for lo, prices, variances in _heston_chunks(params, stream.master_seed, reps, length, delta_fine):
@@ -936,8 +925,8 @@ def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:
 
 
 def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
-    """Fine step and one plan per eps level, sized from the pilot's rho."""
-    delta_f = config.fine_step if config.fine_step is not None else min(config.epsilon_grid)
+    """The fine step, the smallest eps, and one plan per eps level, sized from the pilot's rho."""
+    delta_f = min(config.epsilon_grid)
     plans_eps = [
         (eps, whole_steps(eps, delta_f, "eps"), default_rv_window(eps))
         for eps in config.epsilon_grid
@@ -949,11 +938,11 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
     plans = []
     for eps, s_eps, window in plans_eps:
         rec = scheme_from_rho(rho_hat[eps], config.c_n, config.c_delta)
-        point = plan_point(rec.scheme, eps, config.u_pair, window)
+        point = plan_point(rec.scheme, eps, (config.u1, config.u2), window)
         point.require_positive(0)
         if point.kappas[1] <= point.kappas[0]:
             raise ParameterDomain(
-                f"lag pair {config.u_pair} rounds to one lag on big_delta {point.scheme.big_delta}"
+                f"lag pair {point.lags} rounds to one lag on big_delta {point.scheme.big_delta}"
             )
         plans.append(_RVPlan(eps, window, s_eps, point, rho_hat[eps]))
     return delta_f, plans
@@ -991,7 +980,6 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     covariances are unusable are counted as failures and excluded from the
     error summary.
     """
-    config.validate()
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
     length = max(plan.point.rows * plan.eps_stride for plan in plans)

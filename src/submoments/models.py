@@ -28,7 +28,7 @@ from .errors import (
     SchemeGridMismatch,
     SimulationDiverged,
 )
-from .grids import RandomStreamSpec, StreamRole, TrajectoryGrid, whole_steps
+from .grids import RandomStreamSpec, StreamRole, TrajectoryGrid, check_grid, whole_steps
 from .schemes import BoundInputs, DecorrelationProfile
 
 
@@ -48,7 +48,7 @@ class OUParams:
     reversion: float = 1.0
     noise: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not np.isfinite([self.mean, self.reversion, self.noise]).all():
             raise ParameterDomain("parameters must be finite")
         if self.reversion <= 0:
@@ -76,7 +76,6 @@ def ou_true_covariance(params: OUParams, lag: float) -> float:
     """Stationary covariance ``var * exp(-reversion * lag)`` for lag >= 0."""
     if lag < 0:
         raise ParameterDomain(f"lag must be >= 0, got {lag}")
-    params.validate()
     return params.stationary_variance * math.exp(-params.reversion * lag)
 
 
@@ -94,7 +93,6 @@ def ou_decorrelation_profile(params: OUParams) -> DecorrelationProfile:
     ``c = max(var, 2|mean| var, 4 mean^2 var + 2 var^2)`` (single-single,
     single-pair, and pair-pair words respectively).
     """
-    params.validate()
     v = params.stationary_variance
     if v == 0.0:
         raise ParameterDomain("degenerate noise has no decorrelation profile")
@@ -192,11 +190,7 @@ def simulate_ou(
     finished block, a view of one reused block-long buffer, is passed to
     ``sink(block)`` in order, and nothing is kept or returned.
     """
-    params.validate()
-    if length < 1:
-        raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta <= 0 or not np.isfinite(delta):
-        raise ParameterDomain(f"delta must be positive, got {delta}")
+    check_grid(length, delta)
     rng = stream.generator()
     phi = math.exp(-params.reversion * delta)
     sig0 = params.stationary_std
@@ -235,7 +229,7 @@ class HestonParams:
     vol_of_vol: float = 0.3
     drift: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.reversion <= 0 or self.level <= 0 or self.vol_of_vol <= 0:
             raise ParameterDomain("reversion, level and vol_of_vol must be > 0")
         if not np.isfinite([self.reversion, self.level, self.vol_of_vol, self.drift]).all():
@@ -508,7 +502,7 @@ class SlowFastParams:
     entry: str = "linear_coupling"
     scale: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.entry not in SLOW_FAST_CATALOG:
             raise ParameterDomain(
                 f"unknown entry {self.entry!r}; choose from {sorted(SLOW_FAST_CATALOG)}"
@@ -538,11 +532,7 @@ def simulate_slow_fast(
     recursion needs to stay bounded.  Each Euler recursion is one in-place
     AR(1) pass; the slow one takes ``y**p`` before each step.
     """
-    params.validate()
-    if length < 1:
-        raise ParameterDomain(f"length must be >= 1, got {length}")
-    if delta_fine <= 0 or not np.isfinite(delta_fine):
-        raise ParameterDomain(f"delta_fine must be positive, got {delta_fine}")
+    check_grid(length, delta_fine, "delta_fine")
     if delta_fine > params.scale / 10.0 * (1.0 + 1e-12):
         raise ParameterDomain(
             f"delta_fine {delta_fine} too coarse for scale {params.scale}; "

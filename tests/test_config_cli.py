@@ -246,7 +246,7 @@ horizon = 2.0
         )
         hv = build_heston_rv(load_config(h))
         assert hv.epsilon_grid == (0.02, 0.01)
-        assert hv.u_pair == (0.25, 0.75)
+        assert (hv.u1, hv.u2) == (0.25, 0.75)
 
     def test_assert_thresholds(self, tmp_path):
         path = write_cfg(
@@ -301,6 +301,8 @@ class TestSchemeCommand:
         assert main(["scheme"]) == 2
         assert main(["scheme", "--rho", "0.1", "--n-obs", "100"]) == 2
         assert "exactly one" in capsys.readouterr().err
+        assert main(["scheme", "--n-obs", "100", "--c-n", "-5"]) == 2
+        assert "--rho is needed for --c-n" in capsys.readouterr().err
 
     def test_rho_out_of_range(self, capsys):
         assert main(["scheme", "--rho", "2.0"]) == 3
@@ -574,16 +576,24 @@ class TestEstimateCommand:
         (cov_u1,) = covariance_curve(seq, scheme, [0.75])
         assert payload["parameters"]["moments"]["cov(0,0)@0.75"] == cov_u1.matrix[0, 0]
 
-    def test_ball_center_count_exits_two(self, ou_trajectory, tmp_path, capsys):
+    def test_ball_center_count_exits_two(self, tmp_path, capsys):
+        # each is refused before the file is read: the input does not exist
         out = tmp_path / "moments.json"
-        argv = [
-            "estimate", "--input", str(ou_trajectory), "--lags", "0,1.0", "--model", "ou",
-            "--ball-radius", "10", "--ball-center", "0,0", "--output", str(out),
-        ]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "--ball-center expects 3 values, got 2" in captured.err
-        assert captured.out == "" and not out.exists()
+        for flags, message in [
+            (["--model", "ou", "--ball-radius", "10", "--ball-center", "0,0"], "--ball-center expects 3 values, got 2"),
+            (["--u1", "1"], "--model is needed for --u1"),
+            (["--ball-radius", "10"], "--model is needed for --ball-radius"),
+            (["--ball-center", "1,2"], "--model is needed for --ball-center"),
+            (["--model", "ou", "--ball-center", "1,2,3"], "--ball-radius is needed for --ball-center"),
+        ]:
+            argv = [
+                "estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,1.0", *flags,
+                "--output", str(out),
+            ]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == "" and not out.exists()
 
     def test_csv_sidecar(self, ou_trajectory, tmp_path, capsys):
         csv = tmp_path / "curve.csv"
@@ -920,19 +930,23 @@ class TestLabCommand:
         assert "lag 0.5 exceeds horizon 0.25" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value",
+        "key, value, message",
         [
-            ("fine_step", "0"), ("fine_step", "nan"), ("fine_step", "inf"),
-            ("pilot_span", "0"), ("pilot_span", "-1"), ("pilot_span", "nan"), ("pilot_span", "inf"),
+            # the fine step is min(epsilons); no key sets it
+            pytest.param("fine_step", "0.005", "unknown key 'fine_step'", id="fine_step-cut"),
+            *(
+                pytest.param("pilot_span", v, "pilot_span must be finite and > 0", id=f"pilot_span-{v}")
+                for v in ("0", "-1", "nan", "inf")
+            ),
         ],
     )
-    def test_bad_heston_step_exits_three(self, tmp_path, capsys, monkeypatch, key, value):
+    def test_bad_heston_step_exits_three(self, tmp_path, capsys, monkeypatch, key, value, message):
         heston = load_config(_preset_path("heston_rv")).sections["heston"]
         cfg = preset_variant(tmp_path, {"heston": {**heston, key: value}}, "heston_rv")
         forbid_simulation(monkeypatch)  # the pilot runs inside run_heston_rv
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
-        assert f"{key} must be finite and > 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
@@ -986,7 +1000,7 @@ class TestLabCommand:
 
     @pytest.mark.parametrize("span, cap", [("1e308", None), ("1000", 10**6)])
     def test_pilot_over_memory_cap_exits_four(self, tmp_path, capsys, monkeypatch, span, cap):
-        # 1e308 / fine_step overflows to inf; 1000 / 0.005 rows is 6.4 MB of
+        # 1e308 / the fine step overflows to inf; 1000 / 0.005 rows is 6.4 MB of
         # pilot, over a lowered cap so that a missed check allocates little
         fail = forbidden("the pilot was stepped before its size was checked")
         monkeypatch.setattr("submoments.lab._heston_core", fail)

@@ -127,7 +127,7 @@ class TestLpError:
 
 class TestConfigValidation:
     def test_defaults_pass(self):
-        small_config().validate()
+        small_config()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -146,27 +146,27 @@ class TestConfigValidation:
     )
     def test_rejects(self, overrides):
         with pytest.raises(ParameterDomain):
-            small_config(**overrides).validate()
+            small_config(**overrides)
 
     def test_lag_past_horizon(self):
         # a lag past the horizon is refused where it enters, by the sweep config
         with pytest.raises(ParameterDomain, match="horizon"):
-            small_config(lags=(3.0,), horizon_a=2.0).validate()
+            small_config(lags=(3.0,), horizon_a=2.0)
 
     def test_from_n_needs_grid(self):
         with pytest.raises(ParameterDomain):
-            small_config(scheme_family="from_n").validate()
+            small_config(scheme_family="from_n")
 
     def test_custom_needs_matching_schemes(self):
         with pytest.raises(ParameterDomain):
-            small_config(scheme_family="custom").validate()
+            small_config(scheme_family="custom")
 
     def test_rho_of(self):
         assert small_config().rho_of(0.3) == 0.3
         cfg = small_config(rho_kind="sqrt", c_rho=2.0)
         assert cfg.rho_of(0.25) == pytest.approx(1.0)
         with pytest.raises(ParameterDomain, match="unknown rho kind 'table'"):
-            small_config(rho_kind="table").validate()  # cut: custom schemes pin explicit points
+            small_config(rho_kind="table")  # cut: custom schemes pin explicit points
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(lab, "_MEMORY_CAP_BYTES", 1000)
@@ -366,9 +366,9 @@ class TestEndToEnd:
 
     def test_validation(self):
         with pytest.raises(ParameterDomain):
-            EndToEndConfig(model=OUParams(0.0, 1.0, 1.0)).validate()  # zero mean
+            EndToEndConfig(model=OUParams(0.0, 1.0, 1.0))  # zero mean
         with pytest.raises(ParameterDomain):
-            EndToEndConfig(model=OUParams(1.0, 1.0, 1.0), rho=1.5).validate()
+            EndToEndConfig(model=OUParams(1.0, 1.0, 1.0), rho=1.5)
         with pytest.raises(ParameterDomain):
             run_endtoend_ou(
                 EndToEndConfig(model=OUParams(1.0, 1.0, 1.0), rho=0.2, u1=0.05)
@@ -398,15 +398,14 @@ class TestEndToEnd:
 class TestHestonRVConfig:
     def test_validation(self):
         good = HestonRVConfig(params=HestonParams(1.0, 0.04, 0.3))
-        good.validate()
         with pytest.raises(ParameterDomain):
             HestonRVConfig(
                 params=good.params, epsilon_grid=(0.005, 0.01)
-            ).validate()  # increasing
+            )  # increasing
         with pytest.raises(ParameterDomain):
-            HestonRVConfig(params=good.params, u_pair=(0.75, 0.25)).validate()
+            HestonRVConfig(params=good.params, u1=0.75, u2=0.25)
         with pytest.raises(ParameterDomain):
-            HestonRVConfig(params=good.params, replications=10).validate()
+            HestonRVConfig(params=good.params, replications=10)
 
 
 def reference_heston_rv(config: HestonRVConfig):
