@@ -75,6 +75,7 @@ from .models import (
     simulate_slow_fast,
 )
 from .schemes import (
+    error_bound_observable,
     error_bound_unobservable,
     reference_bound_inputs,
     scheme_from_n,
@@ -203,8 +204,8 @@ def cmd_simulate(args) -> int:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_estimate(args) -> int:
     lags = _parse_floats(args.lags, "--lags")
-    if any(u < 0 for u in lags):
-        raise ValidationError("lags must be >= 0")
+    if not all(0 <= u < np.inf for u in lags):
+        raise ValidationError(f"lags must be finite and >= 0, got {args.lags}")
     inversion = {"--u1": args.u1, "--ball-radius": args.ball_radius, "--ball-center": args.ball_center}
     unused = [flag for flag, value in inversion.items() if value is not None]
     if args.model is None and unused:
@@ -295,25 +296,20 @@ def cmd_scheme(args) -> int:
         raise UsageError("give exactly one of --rho or --n-obs")
     if args.rho is None and args.c_n is not None:
         raise UsageError("--rho is needed for --c-n")
-    inputs = reference_bound_inputs()
+    inputs = reference_bound_inputs()  # unit constants: the bound's scaling only
     if args.rho is not None:
-        rec = scheme_from_rho(args.rho, 1.0 if args.c_n is None else args.c_n, args.c_delta)
-        payload = {
-            "rho": rec.rho,
-            "n_obs": rec.scheme.n_obs,
-            "big_delta": rec.scheme.big_delta,
-            "span": rec.span,
-            "predicted_error": rec.predicted_error,
-        }
+        scheme = scheme_from_rho(args.rho, 1.0 if args.c_n is None else args.c_n, args.c_delta)
+        predicted = error_bound_observable(inputs, scheme, args.rho)
     else:
         scheme = scheme_from_n(args.n_obs, args.c_delta)
-        payload = {
-            "rho": None,
-            "n_obs": scheme.n_obs,
-            "big_delta": scheme.big_delta,
-            "span": scheme.span,
-            "predicted_error": error_bound_unobservable(inputs, scheme),
-        }
+        predicted = error_bound_unobservable(inputs, scheme)
+    payload = {
+        "rho": args.rho,
+        "n_obs": scheme.n_obs,
+        "big_delta": scheme.big_delta,
+        "span": scheme.span,
+        "predicted_error": predicted,
+    }
     _write_json(payload, None if args.output is None else Path(args.output))
     return 0
 

@@ -30,7 +30,6 @@ class ConfigBundle:
 
     sections: dict
     sha256: str
-    path: str | None = None
 
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -246,7 +245,7 @@ def load_config(path) -> ConfigBundle:
             body[key] = value
         sections[name] = body
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return ConfigBundle(sections=sections, sha256=digest, path=str(path))
+    return ConfigBundle(sections=sections, sha256=digest)
 
 
 def check_keys(reader: str, bundle: ConfigBundle) -> None:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
-from .grids import FileSequence, SubsamplingScheme
+from .grids import FileSequence, SubsamplingScheme, check_positive
 
 #: required ratio of sample count to lag shift
 MIN_N_OVER_KAPPA = 10
@@ -63,8 +63,7 @@ def lag_index(lag_u: float, big_delta: float) -> int:
     ``lag_index(0, d) = 0`` for every step, and the represented lag
     ``kappa * big_delta`` is always within half a step of the request.
     """
-    if big_delta <= 0 or not np.isfinite(big_delta):
-        raise ParameterDomain(f"big_delta must be positive, got {big_delta}")
+    check_positive(big_delta, "big_delta")
     if lag_u < 0 or not np.isfinite(lag_u):
         raise ParameterDomain(f"lag must be a finite value >= 0, got {lag_u}")
     ratio = lag_u / big_delta

@@ -146,8 +146,7 @@ class SubsamplingScheme:
     def __post_init__(self):
         if self.n_obs < 1:
             raise ParameterDomain(f"n_obs must be >= 1, got {self.n_obs}")
-        if not np.isfinite(self.big_delta) or self.big_delta <= 0.0:
-            raise ParameterDomain(f"big_delta must be positive, got {self.big_delta}")
+        check_positive(self.big_delta, "big_delta")
         if self.stride is not None and self.stride < 1:
             raise ParameterDomain(f"stride must be >= 1, got {self.stride}")
 
@@ -164,8 +163,7 @@ def resolve_stride(scheme: SubsamplingScheme, delta: float) -> SubsamplingScheme
     integer and the coarse step is recomputed as ``stride * delta`` so the
     exact commensurability invariant holds afterwards.
     """
-    if delta <= 0.0 or not np.isfinite(delta):
-        raise ParameterDomain(f"grid step must be positive, got {delta}")
+    check_positive(delta, "grid step")
     ratio = scheme.big_delta / delta
     if not np.isfinite(ratio):
         raise ParameterDomain(f"big_delta {scheme.big_delta} / grid step {delta} overflows")
@@ -173,12 +171,17 @@ def resolve_stride(scheme: SubsamplingScheme, delta: float) -> SubsamplingScheme
     return SubsamplingScheme(n_obs=scheme.n_obs, big_delta=stride * delta, stride=stride)
 
 
+def check_positive(value: float, name: str) -> None:
+    """Refuse a ``value`` (called ``name``) that is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ParameterDomain(f"{name} must be positive and finite, got {value}")
+
+
 def check_grid(length: int, step: float, name: str = "delta") -> None:
     """Refuse a grid of no rows, or whose step (called ``name``) is not positive and finite."""
     if length < 1:
         raise ParameterDomain(f"length must be >= 1, got {length}")
-    if not 0 < step < math.inf:
-        raise ParameterDomain(f"{name} must be positive and finite, got {step}")
+    check_positive(step, name)
 
 
 def whole_steps(span: float, step: float, what: str) -> int:
@@ -213,12 +216,11 @@ def subsample_sequence(
         raise SchemeGridMismatch(
             f"big_delta {scheme.big_delta} != stride*delta {expect}"
         )
-    count = scheme.n_obs + n_extra
-    need = offset + count * stride
+    need = offset + (scheme.n_obs + n_extra) * stride
     if need > grid.n_samples:
         raise InsufficientData(
-            f"need {need} samples for n_obs={count} stride={stride} "
-            f"offset={offset}, grid has {grid.n_samples}"
+            f"need {need} samples for n_obs={scheme.n_obs} plus {n_extra} lag rows "
+            f"at stride={stride} offset={offset}, grid has {grid.n_samples}"
         )
     return grid.samples[offset + stride - 1 : need : stride]
 
@@ -230,8 +232,7 @@ def _check_file_grid(path, delta: float, blocks) -> None:
     ``_CHECK_ROWS`` rows, so the boolean mask is one block long; the row
     scan runs only in the failing block.
     """
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise ParameterDomain(f"{path}: grid step must be positive and finite, got {delta}")
+    check_positive(delta, f"{path}: grid step")
     for lo, block in blocks:
         finite = np.isfinite(block)
         if not finite.all():

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import MomentsOutsideModelRange, ParameterDomain
 # empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
 from .estimators import empirical_mean, lagged_covariance
+from .grids import check_positive
 
 # ---------------------------------------------------------------------------
 # Parameter estimates and the truncation ball
@@ -34,8 +35,7 @@ class ParameterBall:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if self.radius <= 0 or not np.isfinite(self.radius):
-            raise ParameterDomain(f"radius must be positive, got {self.radius}")
+        check_positive(self.radius, "radius")
         if not np.isfinite(c).all():
             raise ParameterDomain("center must be finite")
 
@@ -85,11 +85,6 @@ OU_PARAMETER_NAMES = ("mean", "reversion", "noise")
 CIR_PARAMETER_NAMES = ("reversion", "level", "vol_of_vol")
 
 
-def _positive_lag(u1: float) -> None:
-    if u1 <= 0 or not np.isfinite(u1):
-        raise ParameterDomain(f"u1 must be a positive lag, got {u1}")
-
-
 def invert_ou(psi, u1: float) -> ParameterEstimate:
     """Closed-form mean-reverting fit from ``[mean, cov(0), cov(u1)]``.
 
@@ -97,7 +92,7 @@ def invert_ou(psi, u1: float) -> ParameterEstimate:
     The covariances must be positive and strictly decreasing, otherwise the
     moments lie outside the model's range.
     """
-    _positive_lag(u1)
+    check_positive(u1, "u1")
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (3,):
         raise ParameterDomain(f"expected 3 moments, got shape {psi.shape}")
@@ -118,7 +113,7 @@ def invert_ou(psi, u1: float) -> ParameterEstimate:
 
 def ou_moment_map(theta, u1: float) -> np.ndarray:
     """Forward map ``theta -> [mean, cov(0), cov(u1)]`` for the scalar model."""
-    _positive_lag(u1)
+    check_positive(u1, "u1")
     mu, reversion, noise = np.asarray(theta, dtype=float)
     if reversion <= 0 or noise <= 0:
         raise ParameterDomain("reversion and noise must be > 0")
@@ -132,7 +127,7 @@ def invert_cir(psi, u1: float) -> ParameterEstimate:
     level = mean, reversion = log(var / cov_u1) / u1 and
     vol_of_vol^2 = 2 * reversion * var / level.
     """
-    _positive_lag(u1)
+    check_positive(u1, "u1")
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (3,):
         raise ParameterDomain(f"expected 3 moments, got shape {psi.shape}")

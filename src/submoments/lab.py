@@ -40,6 +40,7 @@ from .grids import (
     SubsamplingScheme,
     TrajectoryGrid,
     check_grid,
+    check_positive,
     resolve_stride,
     subsample_sequence,
     whole_steps,
@@ -137,6 +138,8 @@ class ExperimentConfig:
             raise ParameterDomain("stride_resolution must be >= 1")
         if self.workers < 1:
             raise ParameterDomain("workers must be >= 1")
+        check_positive(self.c_n, "c_n")
+        check_positive(self.c_delta, "c_delta")
         if self.scheme_family == "from_n":
             if len(self.n_grid) < 1:
                 raise ParameterDomain("from_n family needs n_grid")
@@ -218,11 +221,8 @@ def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
     if config.scheme_family == "from_n":
         raw = [(float(n), 0.0, 0.0, scheme_from_n(int(n), config.c_delta)) for n in config.n_grid]
     elif config.scheme_family == "from_rho":
-        raw = []
-        for eps in config.epsilon_grid:
-            rho = config.rho_of(eps)
-            rec = scheme_from_rho(rho, config.c_n, config.c_delta)
-            raw.append((float(eps), rho, float(eps), rec.scheme))
+        rhos = [(float(eps), config.rho_of(eps)) for eps in config.epsilon_grid]
+        raw = [(eps, rho, eps, scheme_from_rho(rho, config.c_n, config.c_delta)) for eps, rho in rhos]
     else:
         raw = [
             (float(eps), config.rho_of(eps), float(eps), scheme)
@@ -689,12 +689,10 @@ class EndToEndConfig:
             )
         if not (0 < self.rho < 1):
             raise ParameterDomain(f"rho must lie in (0, 1), got {self.rho}")
-        if self.u1 <= 0:
-            raise ParameterDomain("u1 must be > 0")
         if self.replications < 30:
             raise ParameterDomain("need at least 30 replications")
-        if not (0 < self.tolerance < math.inf):
-            raise ParameterDomain(f"tolerance must be finite and > 0, got {self.tolerance}")
+        for name in ("c_n", "c_delta", "u1", "tolerance"):
+            check_positive(getattr(self, name), name)
 
 
 @dataclass
@@ -730,8 +728,8 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     The inversion uses the lag actually representable on the coarse grid,
     so grid rounding does not bias the reversion estimate.
     """
-    rec = scheme_from_rho(config.rho, config.c_n, config.c_delta)
-    point = plan_point(rec.scheme, rec.scheme.big_delta, (0.0, config.u1))  # coarse = fine
+    planned = scheme_from_rho(config.rho, config.c_n, config.c_delta)
+    point = plan_point(planned, planned.big_delta, (0.0, config.u1))  # coarse = fine
     point.require_positive(1)
     _check_memory(point.rows)
     scheme, sweep = point.scheme, SweepPoint(config.rho, config.rho, 0.0, point)
@@ -795,8 +793,8 @@ class HestonRVConfig:
             raise ParameterDomain("need at least 30 replications")
         if not (0 < self.u1 < self.u2):
             raise ParameterDomain("need 0 < u1 < u2")
-        if not (0 < self.pilot_span < math.inf):
-            raise ParameterDomain(f"pilot_span must be finite and > 0, got {self.pilot_span}")
+        for name in ("c_n", "c_delta", "pilot_span"):
+            check_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -937,8 +935,8 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
 
     plans = []
     for eps, s_eps, window in plans_eps:
-        rec = scheme_from_rho(rho_hat[eps], config.c_n, config.c_delta)
-        point = plan_point(rec.scheme, eps, (config.u1, config.u2), window)
+        scheme = scheme_from_rho(rho_hat[eps], config.c_n, config.c_delta)
+        point = plan_point(scheme, eps, (config.u1, config.u2), window)
         point.require_positive(0)
         if point.kappas[1] <= point.kappas[0]:
             raise ParameterDomain(

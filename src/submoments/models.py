@@ -28,7 +28,14 @@ from .errors import (
     SchemeGridMismatch,
     SimulationDiverged,
 )
-from .grids import RandomStreamSpec, StreamRole, TrajectoryGrid, check_grid, whole_steps
+from .grids import (
+    RandomStreamSpec,
+    StreamRole,
+    TrajectoryGrid,
+    check_grid,
+    check_positive,
+    whole_steps,
+)
 from .schemes import BoundInputs, DecorrelationProfile
 
 
@@ -507,8 +514,7 @@ class SlowFastParams:
             raise ParameterDomain(
                 f"unknown entry {self.entry!r}; choose from {sorted(SLOW_FAST_CATALOG)}"
             )
-        if not (0 < self.scale < math.inf):
-            raise ParameterDomain(f"scale must be finite and > 0, got {self.scale}")
+        check_positive(self.scale, "scale")
 
     @property
     def reduced(self) -> OUParams:

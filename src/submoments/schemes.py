@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomain
-from .grids import SubsamplingScheme
+from .grids import SubsamplingScheme, check_positive
 
 _PROFILE_KINDS = ("exponential", "power", "tabulated")
 
@@ -214,38 +214,23 @@ def scheme_from_n(n_obs: int, c_delta: float = 1.0) -> SubsamplingScheme:
     """
     if n_obs < 8:
         raise ParameterDomain(f"n_obs must be >= 8, got {n_obs}")
-    if c_delta <= 0:
-        raise ParameterDomain(f"c_delta must be > 0, got {c_delta}")
+    check_positive(c_delta, "c_delta")
     return SubsamplingScheme(n_obs=n_obs, big_delta=c_delta * n_obs ** (-1.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class SchemeRecommendation:
-    """Scheme matched to a proxy error level, with its predicted error."""
-
-    scheme: SubsamplingScheme
-    rho: float
-    span: float
-    predicted_error: float
-
-
-def scheme_from_rho(rho: float, c_n: float = 1.0, c_delta: float = 1.0) -> SchemeRecommendation:
+def scheme_from_rho(rho: float, c_n: float = 1.0, c_delta: float = 1.0) -> SubsamplingScheme:
     """Proxy-quality rule: ``N = ceil(c_n * rho**-3)``, ``big_delta = c_delta * rho``.
 
     This balances the proxy and statistical error terms so the total decays
-    linearly in ``rho``.  ``predicted_error`` is evaluated with the unit
-    constants of :func:`reference_bound_inputs`, so it is a scaling guide.
+    linearly in ``rho``.  As with :func:`scheme_from_n`, the stride is left
+    unresolved.
     """
     if not (0.0 < rho < 1.0):
         raise ParameterDomain(f"rho must lie in (0, 1), got {rho}")
-    if not (0 < c_n < math.inf and 0 < c_delta < math.inf):
-        raise ParameterDomain(f"c_n and c_delta must be finite and > 0, got {c_n}, {c_delta}")
+    check_positive(c_n, "c_n")
+    check_positive(c_delta, "c_delta")
     n_obs = max(8, math.ceil(c_n * rho**-3))
-    scheme = SubsamplingScheme(n_obs=n_obs, big_delta=c_delta * rho)
-    predicted = error_bound_observable(reference_bound_inputs(), scheme, rho)
-    return SchemeRecommendation(
-        scheme=scheme, rho=rho, span=scheme.span, predicted_error=predicted
-    )
+    return SubsamplingScheme(n_obs=n_obs, big_delta=c_delta * rho)
 
 
 def decorrelation_sum_bound(

@@ -6,7 +6,6 @@ test covers the installed console script.
 
 import ast
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -55,7 +54,6 @@ from submoments.grids import (
 )
 from submoments.lab import ConvergenceReport, EndToEndConfig, ExperimentConfig, HestonRVConfig
 from submoments.models import HestonParams, OUParams, ou_bound_inputs
-from submoments.schemes import scheme_from_rho
 
 from oracles import traced_memory
 
@@ -402,7 +400,7 @@ class TestSimulateCommand:
         [
             ("kind = ou\nmean = nan", "parameters must be finite"),
             ("kind = heston\nlevel = inf", "parameters must be finite"),
-            ("kind = slow_fast\nentry = linear_coupling\nscale = inf", "scale must be finite"),
+            ("kind = slow_fast\nentry = linear_coupling\nscale = inf", "scale must be positive and finite"),
             # the gradient_diffusion kind is cut: its old configs fail on their first key
             ("kind = gradient_diffusion\ncoeffs = 0, 0, nan\nsigma = 1", "unknown key 'coeffs'"),
         ],
@@ -606,6 +604,10 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(ou_trajectory), "--lags", ""]) == 2
         assert main(["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0"]) == 3
         assert main(["estimate", "--input", str(ou_trajectory), "--lags", "-1"]) == 3
+        capsys.readouterr()
+        # a non-finite lag is refused before the (missing) file is looked for
+        assert main(["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,nan"]) == 3
+        assert "lags must be finite and >= 0, got 0,nan" in capsys.readouterr().err
         tiny = tmp_path / "tiny.csv"
         cfg = tmp_path / "ou.cfg"
         cfg.write_text(OU_CFG)
@@ -639,6 +641,8 @@ class TestEstimateCommand:
             # on the resolved step 0.05 the lag is a finite kappa no file can hold;
             # the message shows that 302-digit allowance in e-notation
             (["--big-delta", "1e-300", "--lags", "0,1e300"], 4, "observations"),
+            # 300,000 observations and lag 1's 20 rows; the message names n_obs alone
+            (["--n-obs", "300000", "--lags", "0,1"], 4, "n_obs=300000 plus 20 lag rows"),
         ],
     )
     def test_huge_ratio_exits_at_the_boundary(self, long_grid, capsys, extra, code, message):
@@ -935,7 +939,9 @@ class TestLabCommand:
             # the fine step is min(epsilons); no key sets it
             pytest.param("fine_step", "0.005", "unknown key 'fine_step'", id="fine_step-cut"),
             *(
-                pytest.param("pilot_span", v, "pilot_span must be finite and > 0", id=f"pilot_span-{v}")
+                pytest.param(
+                    "pilot_span", v, "pilot_span must be positive and finite", id=f"pilot_span-{v}"
+                )
                 for v in ("0", "-1", "nan", "inf")
             ),
         ],
@@ -956,7 +962,7 @@ class TestLabCommand:
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
-        assert "tolerance must be finite and > 0" in capsys.readouterr().err
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -986,7 +992,9 @@ class TestLabCommand:
         "preset, section",
         [(None, None), ("smoke", "sweep"), ("ou_endtoend", "endtoend"), ("heston_rv", "heston")],
     )
-    def test_non_finite_scheme_constant_exits_three(self, tmp_path, capsys, preset, section, value):
+    def test_non_finite_scheme_constant_exits_three(
+        self, tmp_path, capsys, monkeypatch, preset, section, value
+    ):
         out = tmp_path / "run"
         if preset is None:
             argv = ["scheme", "--rho", "0.05", "--c-n", value, "--output", str(out)]
@@ -994,8 +1002,9 @@ class TestLabCommand:
             body = load_config(_preset_path(preset)).sections[section]
             cfg = preset_variant(tmp_path, {section: {**body, "c_n": value}}, preset)
             argv = ["lab", "--config", str(cfg), "--output-dir", str(out)]
+            forbid_simulation(monkeypatch)  # the config refuses it when built
         assert main(argv) == 3
-        assert "c_n and c_delta must be finite and > 0" in capsys.readouterr().err
+        assert f"c_n must be positive and finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("span, cap", [("1e308", None), ("1000", 10**6)])
@@ -1061,10 +1070,7 @@ class TestNonFiniteOutput:
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_scheme_payload_with_nan(self, tmp_path, capsys, monkeypatch, to_file):
-        def nan_error(*args):
-            return dataclasses.replace(scheme_from_rho(*args), predicted_error=math.nan)
-
-        monkeypatch.setattr("submoments.cli.scheme_from_rho", nan_error)
+        monkeypatch.setattr("submoments.cli.error_bound_observable", lambda *args: math.nan)
         out = tmp_path / "scheme.json"
         argv = ["scheme", "--rho", "0.1", *(["--output", str(out)] if to_file else [])]
         assert main(argv) == 5

@@ -1,5 +1,7 @@
 """Grids, sub-sampling views, random streams, and trajectory file formats."""
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from submoments.estimators import lag_index
 from submoments.errors import (
     InsufficientData,
     ParameterDomain,
@@ -20,6 +23,7 @@ from submoments.grids import (
     StreamRole,
     SubsamplingScheme,
     TrajectoryGrid,
+    check_grid,
     read_binary,
     read_csv,
     resolve_stride,
@@ -28,6 +32,10 @@ from submoments.grids import (
     write_binary,
     write_csv,
 )
+from submoments.invert import ParameterBall, invert_cir, invert_ou, ou_moment_map
+from submoments.lab import EndToEndConfig, ExperimentConfig, HestonRVConfig
+from submoments.models import HestonParams, OUParams, SlowFastParams
+from submoments.schemes import scheme_from_n, scheme_from_rho
 
 
 def line_grid(n=12, delta=0.5):
@@ -336,3 +344,50 @@ class TestFileRoundTrips:
         with pytest.raises(ValidationError) as err:
             read(path)
         assert str(err.value).endswith(f"non-finite sample at row {row}")
+
+
+def _read_step(delta, tmp_path):
+    path = tmp_path / "step.bin"
+    path.write_bytes(struct.pack("<qdqd", 1, delta, 1, 1.0))
+    return read_binary(path)
+
+
+_OU = OUParams(mean=1.0, reversion=1.0, noise=1.0)
+_SWEEP = {"model": _OU, "epsilon_grid": (0.3, 0.2, 0.1)}
+_HESTON = HestonParams()
+
+#: every site of the one positivity rule: (name in the message, call with the value)
+POSITIVE_SITES = {
+    "check_grid": ("delta", lambda v, tmp: check_grid(10, v)),
+    "resolve_stride": ("grid step", lambda v, tmp: resolve_stride(SubsamplingScheme(4, 1.0), v)),
+    "file_step": ("grid step", _read_step),
+    "scheme_big_delta": ("big_delta", lambda v, tmp: SubsamplingScheme(4, v)),
+    "lag_index": ("big_delta", lambda v, tmp: lag_index(0.5, v)),
+    "from_n_c_delta": ("c_delta", lambda v, tmp: scheme_from_n(100, c_delta=v)),
+    "from_rho_c_n": ("c_n", lambda v, tmp: scheme_from_rho(0.1, c_n=v)),
+    "from_rho_c_delta": ("c_delta", lambda v, tmp: scheme_from_rho(0.1, c_delta=v)),
+    "sweep_c_n": ("c_n", lambda v, tmp: ExperimentConfig(**_SWEEP, c_n=v)),
+    "sweep_c_delta": ("c_delta", lambda v, tmp: ExperimentConfig(**_SWEEP, c_delta=v)),
+    "endtoend_c_n": ("c_n", lambda v, tmp: EndToEndConfig(_OU, c_n=v)),
+    "endtoend_c_delta": ("c_delta", lambda v, tmp: EndToEndConfig(_OU, c_delta=v)),
+    "endtoend_u1": ("u1", lambda v, tmp: EndToEndConfig(_OU, u1=v)),
+    "endtoend_tolerance": ("tolerance", lambda v, tmp: EndToEndConfig(_OU, tolerance=v)),
+    "heston_c_n": ("c_n", lambda v, tmp: HestonRVConfig(_HESTON, c_n=v)),
+    "heston_c_delta": ("c_delta", lambda v, tmp: HestonRVConfig(_HESTON, c_delta=v)),
+    "heston_pilot_span": ("pilot_span", lambda v, tmp: HestonRVConfig(_HESTON, pilot_span=v)),
+    "slow_fast_scale": ("scale", lambda v, tmp: SlowFastParams(scale=v)),
+    "ball_radius": ("radius", lambda v, tmp: ParameterBall(center=[0.0], radius=v)),
+    "invert_ou_u1": ("u1", lambda v, tmp: invert_ou([0.0, 1.0, 0.5], v)),
+    "ou_moment_map_u1": ("u1", lambda v, tmp: ou_moment_map([0.0, 1.0, 1.0], v)),
+    "invert_cir_u1": ("u1", lambda v, tmp: invert_cir([1.0, 1.0, 0.5], v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("site", list(POSITIVE_SITES))
+def test_positive_and_finite_everywhere(tmp_path, site, value):
+    """Each step, lag and scheme constant is refused by the same rule and message."""
+    name, call = POSITIVE_SITES[site]
+    message = re.escape(f"{name} must be positive and finite, got {value}")
+    with pytest.raises(ParameterDomain, match=message):
+        call(value, tmp_path)

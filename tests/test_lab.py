@@ -214,7 +214,7 @@ class TestSweepEngine:
         )
         ens = run_replications(config)
         for gi, eps in enumerate(config.epsilon_grid):
-            planned = scheme_from_rho(eps, config.c_n, config.c_delta).scheme
+            planned = scheme_from_rho(eps, config.c_n, config.c_delta)
             fine = planned.big_delta / 4
             scheme = resolve_stride(planned, fine)
             offset, kappas = round(eps / fine), tuple(ens.kappas[gi])

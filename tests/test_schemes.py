@@ -117,17 +117,19 @@ class TestSchemeRules:
             scheme_from_n(7)
 
     def test_quality_rule_example(self):
-        rec = scheme_from_rho(0.1)
-        assert rec.scheme.n_obs == 1000
-        assert rec.scheme.big_delta == pytest.approx(0.1, rel=1e-12)
-        assert rec.span == pytest.approx(100.0, rel=1e-12)
+        # both rules return the unresolved scheme itself
+        scheme = scheme_from_rho(0.1)
+        assert type(scheme) is SubsamplingScheme and scheme.stride is None
+        assert scheme.n_obs == 1000
+        assert scheme.big_delta == pytest.approx(0.1, rel=1e-12)
+        assert scheme.span == pytest.approx(100.0, rel=1e-12)
 
     def test_quality_rule_clamps_small_budgets(self):
-        assert scheme_from_rho(0.5).scheme.n_obs == 8
-        assert scheme_from_rho(0.9).scheme.n_obs == 8
+        assert scheme_from_rho(0.5).n_obs == 8
+        assert scheme_from_rho(0.9).n_obs == 8
 
     def test_quality_rule_budget_constant(self):
-        assert scheme_from_rho(0.05, c_n=12.0).scheme.n_obs == 96000
+        assert scheme_from_rho(0.05, c_n=12.0).n_obs == 96000
 
     def test_quality_rule_domain(self):
         for bad in (0.0, 1.0, 2.0, -0.1):
@@ -135,11 +137,12 @@ class TestSchemeRules:
                 scheme_from_rho(bad)
 
     def test_predicted_error_frozen(self):
-        rec = scheme_from_rho(0.1)
+        # the bound at unit constants that `scheme --rho 0.1` reports
+        predicted = error_bound_observable(reference_bound_inputs(), scheme_from_rho(0.1), 0.1)
         gamma = 8.0 + 2.5 * math.sqrt(2.0)
         c_delta = 0.1 * 1000 ** (1.0 / 3.0)
         expect = 0.4 + (gamma / math.sqrt(c_delta) + c_delta) * 1000 ** (-1.0 / 3.0)
-        assert rec.predicted_error == pytest.approx(expect, rel=1e-12)
+        assert predicted == pytest.approx(expect, rel=1e-12)
 
 
 
