@@ -46,6 +46,7 @@ from .grids import (
     TrajectoryGrid,
     binary_writer,
     check_grid,
+    check_positive,
     # not called here: the benchmark tracer wraps it under this module by name
     read_binary,
     read_csv,
@@ -64,7 +65,6 @@ from .lab import (
     run_endtoend_ou,
     run_heston_rv,
     run_replications,
-    save_ensemble,
     simulate_heston,
 )
 from .models import (
@@ -217,6 +217,9 @@ def cmd_estimate(args) -> int:
         center = _parse_floats(args.ball_center, "--ball-center")
         if len(center) != 3:  # both models have three parameters
             raise UsageError(f"--ball-center expects 3 values, got {len(center)}")
+    if args.u1 is not None:  # the inversion flags are refused before the file is read
+        check_positive(args.u1, "u1")
+    ball = None if args.ball_radius is None else ParameterBall(center=center, radius=args.ball_radius)
     with _open_grid(Path(args.input)) as grid:
         big_delta = grid.delta if args.big_delta is None else args.big_delta
         # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
@@ -272,8 +275,8 @@ def cmd_estimate(args) -> int:
         psi = [mean[0], variance.matrix[0, 0], cov_u1.matrix[0, 0]]
         invert = invert_ou if args.model == "ou" else invert_cir
         est = invert(psi, lag_used)
-        if args.ball_radius is not None:
-            est = truncate_to_ball(est, ParameterBall(center=center, radius=args.ball_radius))
+        if ball is not None:
+            est = truncate_to_ball(est, ball)
         keys = ("mean(0)", "cov(0,0)@0", f"cov(0,0)@{lag_used:g}")
         payload["parameters"] = {
             **est.as_dict(),
@@ -346,7 +349,6 @@ def cmd_lab(args) -> int:
     check_keys(kind, bundle)  # --seed and --workers count: they were written into [run] above
     checks = assert_thresholds(bundle) if args.check else {}
     out_dir = Path(args.output_dir)  # made by the first write: a refused run leaves none
-    run = build_run_settings(bundle)
     outputs: list[str] = []
     ensemble = None
 
@@ -358,9 +360,6 @@ def cmd_lab(args) -> int:
         report.write_json(out_dir / "report.json")
         report.write_csv(out_dir / "report.csv")
         outputs += [str(out_dir / "report.json"), str(out_dir / "report.csv")]
-        if run.get("save_ensemble"):
-            save_ensemble(ensemble, out_dir / "ensemble.npz")
-            outputs.append(str(out_dir / "ensemble.npz"))
         for key, fit in sorted(report.slopes.items()):
             print(f"slope {key}: {fit['slope']:.4f} (r2 {fit['r_squared']:.4f})")
         for key, val in sorted(report.bound_fractions.items()):

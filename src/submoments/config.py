@@ -61,7 +61,7 @@ _as_float_list = _scalar(
     lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()), "comma-separated numbers"
 )
 _as_int_list = _scalar(
-    lambda raw: tuple(int(float(v)) for v in raw.split(",") if v.strip()), "comma-separated numbers"
+    lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()), "comma-separated integers"
 )
 
 
@@ -130,7 +130,7 @@ _RUN = _same(_as_int, "master_seed", "replications")
 
 #: reader -> section -> key -> (parser, field it fills).  A reader is the
 #: simulate command or a pipeline kind; a field belongs to the reader's
-#: config class, except ``kind`` and ``save_ensemble``, which the CLI reads.
+#: config class, except ``kind``, which the CLI reads.
 READERS = {
     "simulate": {
         "model": _model(*_MODELS),
@@ -138,7 +138,7 @@ READERS = {
         "run": _same(_as_int, "master_seed"),
     },
     "generic": {
-        "run": {**_RUN, **_same(_as_int, "workers"), **_same(_as_bool, "save_ensemble")},
+        "run": {**_RUN, **_same(_as_int, "workers")},
         "model": _model("ou"),
         "pipeline": _KIND,
         "observable": {"kind": (_as_str, "observable")},
@@ -324,7 +324,6 @@ def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
     if not isinstance(model, OUParams):
         raise ValidationError("the generic sweep pipeline uses the ou model")
     fields = _fields("generic", bundle, "run", "observable", "sweep", "rho", "lags")
-    fields.pop("save_ensemble", None)  # the lab command's switch, not a sweep setting
     if bundle.has("bounds"):  # the bound holds on [0, horizon] only
         fields.setdefault("horizon_a", _BOUNDS_HORIZON)
     return ExperimentConfig(model=model, **fields)

@@ -19,7 +19,7 @@ import json
 import math
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from .errors import (
     NumericalError,
     ParameterDomain,
     ResourceLimit,
-    ValidationError,
 )
 # empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
 from .estimators import empirical_mean, lag_index, lagged_covariance, lagged_covariances
@@ -138,8 +137,8 @@ class ExperimentConfig:
             raise ParameterDomain("stride_resolution must be >= 1")
         if self.workers < 1:
             raise ParameterDomain("workers must be >= 1")
-        check_positive(self.c_n, "c_n")
-        check_positive(self.c_delta, "c_delta")
+        for name in ("c_n", "c_delta", "c_rho"):
+            check_positive(getattr(self, name), name)
         if self.scheme_family == "from_n":
             if len(self.n_grid) < 1:
                 raise ParameterDomain("from_n family needs n_grid")
@@ -261,44 +260,17 @@ def _check_memory(rows: float, paths: int = 1) -> None:
 
 @dataclass
 class Ensemble:
-    """Raw per-replication estimates of one sweep."""
+    """Raw per-replication estimates of one sweep, beside the plan it ran."""
 
-    grid_kind: str  # "epsilon" | "n_obs"
-    labels: np.ndarray  # (G,)
-    rhos: np.ndarray  # (G,)
-    n_obs: np.ndarray  # (G,) int
-    strides: np.ndarray  # (G,) int
-    big_deltas: np.ndarray  # (G,)
-    lags: np.ndarray  # (L,)
-    lags_used: np.ndarray  # (G, L)
-    kappas: np.ndarray  # (G, L) int
+    points: list[SweepPoint]  # (G,)
     khat_y: np.ndarray  # (G, M, L)
     khat_x: np.ndarray  # (G, M, L)
     mean_y: np.ndarray  # (G, M)
     mean_x: np.ndarray  # (G, M)
-    config_hash: str = ""
-
-    @property
-    def spans(self) -> np.ndarray:
-        return self.n_obs * self.big_deltas
 
     @property
     def replications(self) -> int:
         return self.khat_x.shape[1]
-
-
-def save_ensemble(ensemble: Ensemble, path) -> None:
-    """Persist the raw records plus the config hash they came from."""
-    np.savez_compressed(
-        path, **{f.name: np.asarray(getattr(ensemble, f.name)) for f in fields(Ensemble)}
-    )
-
-
-def load_ensemble(path) -> Ensemble:
-    with np.load(path) as data:
-        records = {f.name: data[f.name] for f in fields(Ensemble)}
-    # grid_kind and config_hash come back as 0-d unicode arrays
-    return Ensemble(**{k: str(v) if v.dtype.kind == "U" else v for k, v in records.items()})
 
 
 def _coarse_sequences(model: OUParams, observable: str, sweep: SweepPoint, stream):
@@ -369,23 +341,13 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
     """
     points = _plan_sweep(config)
     _check_memory(max(p.point.rows for p in points), max(1, config.workers))
-    plans = [p.point for p in points]
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
     ens = Ensemble(
-        grid_kind="n_obs" if config.scheme_family == "from_n" else "epsilon",
-        labels=np.array([p.label for p in points]),
-        rhos=np.array([p.rho for p in points]),
-        n_obs=np.array([p.scheme.n_obs for p in plans], dtype=int),
-        strides=np.array([p.scheme.stride for p in plans], dtype=int),
-        big_deltas=np.array([p.scheme.big_delta for p in plans]),
-        lags=np.array(config.lags, dtype=float),
-        lags_used=np.array([p.lags_used for p in plans]),
-        kappas=np.array([p.kappas for p in plans], dtype=int),
+        points=points,
         khat_y=np.empty((n_points, n_reps, n_lags)),
         khat_x=np.empty((n_points, n_reps, n_lags)),
         mean_y=np.empty((n_points, n_reps)),
         mean_x=np.empty((n_points, n_reps)),
-        config_hash=config_hash(config),
     )
 
     def fill(gi: int, rep: int) -> None:
@@ -472,8 +434,8 @@ def perturbation_gap_check(ensemble: Ensemble, nu_of_rho) -> list[GapCheck]:
     gaps = empirical_lp_error(ensemble.khat_y - ensemble.khat_x, 0.0, 2.0)
     mean_gaps = empirical_lp_error(ensemble.mean_y - ensemble.mean_x, 0.0, 4.0)
     out = []
-    for gi in range(ensemble.labels.size):
-        rho = float(ensemble.rhos[gi])
+    for gi, point in enumerate(ensemble.points):
+        rho = point.rho
         nu = float(nu_of_rho(rho))
         mean_gap = float(mean_gaps[gi])
         bound = 4.0 * nu * rho
@@ -481,7 +443,7 @@ def perturbation_gap_check(ensemble: Ensemble, nu_of_rho) -> list[GapCheck]:
         gap = float(gaps[gi].max())
         out.append(
             GapCheck(
-                label=float(ensemble.labels[gi]),
+                label=point.label,
                 rho=rho,
                 nu=nu,
                 gap_by_lag=gaps[gi],
@@ -555,7 +517,9 @@ def build_report(
     inside the bound is reported for both sequences.
     """
     model = config.model
-    lags = ensemble.lags
+    points = ensemble.points
+    schemes = [p.point.scheme for p in points]
+    lags = np.array(config.lags, dtype=float)
     oracle = np.array([ou_true_covariance(model, u) for u in lags])
     err_x = empirical_lp_error(ensemble.khat_x, oracle, 2.0)
     err_y = empirical_lp_error(ensemble.khat_y, oracle, 2.0)
@@ -565,17 +529,17 @@ def build_report(
     mean_l2_y = empirical_lp_error(ensemble.mean_y, model.mean, 2.0)
 
     rows = []
-    for gi in range(ensemble.labels.size):
+    for gi, (p, scheme) in enumerate(zip(points, schemes)):
         for li, u in enumerate(lags):
             rows.append(
                 {
-                    "label": float(ensemble.labels[gi]),
-                    "rho": float(ensemble.rhos[gi]),
-                    "n_obs": int(ensemble.n_obs[gi]),
-                    "big_delta": float(ensemble.big_deltas[gi]),
-                    "span": float(ensemble.spans[gi]),
+                    "label": p.label,
+                    "rho": p.rho,
+                    "n_obs": scheme.n_obs,
+                    "big_delta": scheme.big_delta,
+                    "span": scheme.span,
                     "lag": float(u),
-                    "lag_used": float(ensemble.lags_used[gi, li]),
+                    "lag_used": p.point.lags_used[li],
                     "err_x_l2": float(err_x[gi, li]),
                     "err_y_l2": float(err_y[gi, li]),
                     "gap_l2": float(gap[gi, li]),
@@ -583,31 +547,29 @@ def build_report(
             )
     mean_rows = [
         {
-            "label": float(ensemble.labels[gi]),
-            "span": float(ensemble.spans[gi]),
+            "label": p.label,
+            "span": scheme.span,
             "mean_err_l2_x": float(mean_l2_x[gi]),
             "mean_err_l4_x": float(mean_l4_x[gi]),
             "mean_err_l2_y": float(mean_l2_y[gi]),
         }
-        for gi in range(ensemble.labels.size)
+        for gi, (p, scheme) in enumerate(zip(points, schemes))
     ]
 
     slopes: dict = {}
-    if ensemble.labels.size >= 2:
-        axis = ensemble.n_obs.astype(float) if ensemble.grid_kind == "n_obs" else None
+    by_n = config.scheme_family == "from_n"
+    if len(points) >= 2:
+        n_axis = np.array([s.n_obs for s in schemes], dtype=float)
+        rhos = np.array([p.rho for p in points])
         for li, u in enumerate(lags):
             key = f"lag_{u:g}"
-            if axis is not None:
-                slopes[f"err_x_vs_n/{key}"] = asdict(fit_rate_slope(axis, err_x[:, li]))
-            if ensemble.grid_kind == "epsilon" and (ensemble.rhos > 0).all():
-                slopes[f"err_y_vs_rho/{key}"] = asdict(
-                    fit_rate_slope(ensemble.rhos, err_y[:, li])
-                )
+            if by_n:
+                slopes[f"err_x_vs_n/{key}"] = asdict(fit_rate_slope(n_axis, err_x[:, li]))
+            elif (rhos > 0).all():
+                slopes[f"err_y_vs_rho/{key}"] = asdict(fit_rate_slope(rhos, err_y[:, li]))
                 if (gap[:, li] > 0).all():
-                    slopes[f"gap_vs_rho/{key}"] = asdict(
-                        fit_rate_slope(ensemble.rhos, gap[:, li])
-                    )
-        spans = ensemble.spans
+                    slopes[f"gap_vs_rho/{key}"] = asdict(fit_rate_slope(rhos, gap[:, li]))
+        spans = np.array([s.span for s in schemes])
         if np.unique(spans).size >= 2:
             slopes["mean_l2_vs_span"] = asdict(fit_rate_slope(spans, mean_l2_x))
             slopes["mean_l4_vs_span"] = asdict(fit_rate_slope(spans, mean_l4_x))
@@ -617,18 +579,12 @@ def build_report(
     if inputs is not None:
         inside_x = 0
         inside_y = 0
-        for gi in range(ensemble.labels.size):
-            scheme = SubsamplingScheme(
-                n_obs=int(ensemble.n_obs[gi]),
-                big_delta=float(ensemble.big_deltas[gi]),
-                stride=int(ensemble.strides[gi]),
-            )
+        for gi, (p, scheme) in enumerate(zip(points, schemes)):
             bx = error_bound_unobservable(inputs, scheme)
-            rho = float(ensemble.rhos[gi])
-            by = error_bound_observable(inputs, scheme, rho)
+            by = error_bound_observable(inputs, scheme, p.rho)
             bound_rows.append(
                 {
-                    "label": float(ensemble.labels[gi]),
+                    "label": p.label,
                     "bound_x": bx,
                     "bound_y": by,
                     "worst_err_x": float(err_x[gi].max()),
@@ -637,15 +593,15 @@ def build_report(
             )
             inside_x += int(np.sum(err_x[gi] <= bx))
             inside_y += int(np.sum(err_y[gi] <= by))
-        total = ensemble.labels.size * lags.size
+        total = len(points) * lags.size
         fractions = {
             "contained_x": inside_x / total,
             "contained_y": inside_y / total,
         }
 
     meta = {
-        "config_hash": ensemble.config_hash,
-        "grid_kind": ensemble.grid_kind,
+        "config_hash": config_hash(config),
+        "grid_kind": "n_obs" if by_n else "epsilon",
         "replications": int(ensemble.replications),
         "observable": config.observable,
         "model": asdict(model),
@@ -793,7 +749,7 @@ class HestonRVConfig:
             raise ParameterDomain("need at least 30 replications")
         if not (0 < self.u1 < self.u2):
             raise ParameterDomain("need 0 < u1 < u2")
-        for name in ("c_n", "c_delta", "pilot_span"):
+        for name in ("u2", "c_n", "c_delta", "pilot_span"):
             check_positive(getattr(self, name), name)
 
 
@@ -1154,17 +1110,10 @@ def evaluate_thresholds(kind: str, checks: dict, report, config=None, ensemble=N
     """``(name, ok, detail)`` for each check of pipeline ``kind`` that ``checks`` turns on.
 
     ``checks`` maps ``[assert]`` keys to thresholds, as ``assert_thresholds``
-    parses them; a key that does not apply to ``kind`` raises
-    ``ValidationError``.  The generic bound checks also need the run's
+    parses them; ``config.check_keys`` has already refused a key that does
+    not apply to ``kind``.  The generic bound checks also need the run's
     ``config`` and ``ensemble``.
     """
-    allowed = [key for check in THRESHOLDS[kind] for key in check.keys]
-    extra = sorted(set(checks) - set(allowed))
-    if extra:
-        raise ValidationError(
-            f"config [assert] keys {extra} do not apply to pipeline kind {kind!r}; "
-            f"allowed: {allowed}"
-        )
     rows = []
     for check in THRESHOLDS[kind]:
         values = tuple(checks.get(key) for key in check.keys)

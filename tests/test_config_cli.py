@@ -162,10 +162,10 @@ class TestBuilders:
         # only the keys the file gives: an omitted key takes its field's default
         run = build_run_settings(load_config(write_cfg(tmp_path, "[grid]\nlength = 1\ndelta = 1\n")))
         assert run == {}
-        given = write_cfg(tmp_path, "[run]\nworkers = 2\nsave_ensemble = yes\n", "given.cfg")
-        assert build_run_settings(load_config(given)) == {"workers": 2, "save_ensemble": True}
-        bad = write_cfg(tmp_path, "[run]\nsave_ensemble = maybe\n")
-        with pytest.raises(ValidationError, match="expected a boolean"):
+        given = write_cfg(tmp_path, "[run]\nworkers = 2\nmaster_seed = 7\n", "given.cfg")
+        assert build_run_settings(load_config(given)) == {"workers": 2, "master_seed": 7}
+        bad = write_cfg(tmp_path, "[run]\nworkers = many\n")
+        with pytest.raises(ValidationError, match="expected an integer"):
             build_run_settings(load_config(bad))
 
     def test_pipeline_kind(self, tmp_path):
@@ -357,17 +357,14 @@ class TestSimulateCommand:
         assert manifest["outputs"] == [str(out), str(sibling)]
 
     def test_unread_run_keys_exit_three(self, tmp_path, capsys):
-        # simulate steps one path from the seed; a pool, a replication count
-        # or a saved ensemble would be silently ignored
-        cfg = write_cfg(
-            tmp_path,
-            HESTON_CFG + "\n[run]\nworkers = 2\nreplications = 500\nsave_ensemble = true\n",
-        )
+        # simulate steps one path from the seed; a pool or a replication
+        # count would be silently ignored
+        cfg = write_cfg(tmp_path, HESTON_CFG + "\n[run]\nworkers = 2\nreplications = 500\n")
         out = tmp_path / "h.bin"
         assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert (
-            "config [run] keys ['replications', 'save_ensemble', 'workers'] "
+            "config [run] keys ['replications', 'workers'] "
             "do not apply to the simulate command; allowed: ['master_seed']"
         ) in err
         assert not list(tmp_path.glob("h*"))
@@ -608,6 +605,16 @@ class TestEstimateCommand:
         # a non-finite lag is refused before the (missing) file is looked for
         assert main(["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,nan"]) == 3
         assert "lags must be finite and >= 0, got 0,nan" in capsys.readouterr().err
+        # so are the inversion flags
+        missing = ["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,1", "--model", "ou"]
+        for flags, message in [
+            (["--u1", "nan"], "u1 must be positive and finite, got nan"),
+            (["--u1", "-1"], "u1 must be positive and finite, got -1.0"),
+            (["--ball-radius", "nan"], "radius must be positive and finite, got nan"),
+            (["--ball-radius", "1", "--ball-center", "0,nan,0"], "center must be finite"),
+        ]:
+            assert main([*missing, *flags]) == 3
+            assert message in capsys.readouterr().err
         tiny = tmp_path / "tiny.csv"
         cfg = tmp_path / "ou.cfg"
         cfg.write_text(OU_CFG)
@@ -843,18 +850,12 @@ class TestLabCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("preset", ["ou_endtoend", "heston_rv"])
-    @pytest.mark.parametrize("key", ["workers", "save_ensemble"])
+    @pytest.mark.parametrize("key", ["workers"])  # the one [run] key only generic sweeps read
     def test_inapplicable_run_key_exits_three(self, tmp_path, capsys, monkeypatch, preset, key):
-        # only the generic sweep has a worker pool and an ensemble to save
-        if key == "workers":
-            argv = ["--preset", preset, "--workers", "2"]
-        else:
-            run = load_config(_preset_path(preset)).sections["run"]
-            cfg = preset_variant(tmp_path, {"run": {**run, key: "true"}}, preset)
-            argv = ["--config", str(cfg)]
+        # only the generic sweep has a worker pool
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
-        assert main(["lab", *argv, "--output-dir", str(out)]) == 3
+        assert main(["lab", "--preset", preset, f"--{key}", "2", "--output-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"config [run] keys ['{key}'] do not apply to pipeline kind '{preset}'" in err
         assert "allowed: ['master_seed', 'replications']" in err
@@ -944,6 +945,8 @@ class TestLabCommand:
                 )
                 for v in ("0", "-1", "nan", "inf")
             ),
+            # 0 < u1 < u2 holds at u2 = inf; the pilot would run before the lag is refused
+            pytest.param("u2", "inf", "u2 must be positive and finite, got inf", id="u2-inf"),
         ],
     )
     def test_bad_heston_step_exits_three(self, tmp_path, capsys, monkeypatch, key, value, message):
@@ -1005,6 +1008,35 @@ class TestLabCommand:
             forbid_simulation(monkeypatch)  # the config refuses it when built
         assert main(argv) == 3
         assert f"c_n must be positive and finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, section, given, message",
+        [
+            *(
+                pytest.param(
+                    "perturbation_gap", "rho", {"kind": "sqrt", "c_rho": v},  # c_rho scales sqrt(eps)
+                    f"c_rho must be positive and finite, got {float(v)}", id=f"c_rho-{v}",
+                )
+                for v in ("nan", "inf", "0", "-1")
+            ),
+            *(
+                pytest.param(
+                    "ou_rate", "sweep", {"n_values": v},
+                    f"config [sweep] n_values: expected comma-separated integers, got '{v}'",
+                    id=f"n_values-{bad}",
+                )
+                for bad, v in (("inf", "1000, inf, 100000"), ("2500.9", "1000, 2500.9"))
+            ),
+        ],
+    )
+    def test_bad_sweep_value_exits_three(self, tmp_path, capsys, monkeypatch, preset, section, given, message):
+        body = load_config(_preset_path(preset)).sections[section]
+        cfg = preset_variant(tmp_path, {section: {**body, **given}}, preset)
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("span, cap", [("1e308", None), ("1000", 10**6)])
@@ -1214,11 +1246,11 @@ class TestBenchmarkTrace:
         assert self.trace(tmp_path, ["scheme", "--rho", "0.1"])
 
     def test_lab_calls_the_config_builders_through_cli(self, tmp_path):
-        # the tracer sees load_config, pipeline_kind, build_run_settings,
-        # build_experiment and build_bounds only where cli looks them up
+        # the tracer sees load_config, pipeline_kind, build_experiment and
+        # build_bounds only where cli looks them up
         argv = ["lab", "--preset", "smoke", "--output-dir", str(tmp_path / "run")]
         names = self.trace(tmp_path, argv)
-        assert names.count("config.build") == 5
+        assert names.count("config.build") == 4
         assert names.count("lab.run") == 1
 
     def test_ou_files_run_as_the_benchmark_runs_them(self, tmp_path):

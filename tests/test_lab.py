@@ -18,7 +18,6 @@ from submoments.errors import (
     NumericalError,
     ParameterDomain,
     ResourceLimit,
-    ValidationError,
 )
 from submoments.grids import (
     RandomStreamSpec,
@@ -36,6 +35,7 @@ from submoments.lab import (
     EndToEndReport,
     Ensemble,
     ExperimentConfig,
+    SweepPoint,
     HestonRVConfig,
     HestonRVReport,
     _HESTON_CHUNK,
@@ -46,12 +46,11 @@ from submoments.lab import (
     empirical_lp_error,
     evaluate_thresholds,
     fit_rate_slope,
-    load_ensemble,
     perturbation_gap_check,
+    plan_point,
     run_endtoend_ou,
     run_heston_rv,
     run_replications,
-    save_ensemble,
     simulate_heston,
 )
 from submoments.models import (
@@ -177,14 +176,15 @@ class TestConfigValidation:
 class TestSweepEngine:
     def test_bookkeeping_and_determinism(self):
         ens = run_replications(small_config())
-        assert ens.grid_kind == "epsilon"
-        assert np.array_equal(ens.labels, [0.3, 0.25, 0.2])
-        assert np.array_equal(ens.n_obs, [38, 64, 125])
-        assert np.allclose(ens.big_deltas, [0.3, 0.25, 0.2])
-        assert np.array_equal(ens.strides, [1, 1, 1])
-        assert np.array_equal(ens.kappas, [[0, 3], [0, 4], [0, 5]])
-        assert np.allclose(ens.lags_used, [[0.0, 0.9], [0.0, 1.0], [0.0, 1.0]])
-        assert np.allclose(ens.spans, [38 * 0.3, 64 * 0.25, 125 * 0.2])
+        plans = [p.point for p in ens.points]
+        assert build_report(small_config(), ens).meta["grid_kind"] == "epsilon"
+        assert [p.label for p in ens.points] == [0.3, 0.25, 0.2]
+        assert [p.scheme.n_obs for p in plans] == [38, 64, 125]
+        assert np.allclose([p.scheme.big_delta for p in plans], [0.3, 0.25, 0.2])
+        assert [p.scheme.stride for p in plans] == [1, 1, 1]
+        assert [p.kappas for p in plans] == [(0, 3), (0, 4), (0, 5)]
+        assert np.allclose([p.lags_used for p in plans], [[0.0, 0.9], [0.0, 1.0], [0.0, 1.0]])
+        assert np.allclose([p.scheme.span for p in plans], [38 * 0.3, 64 * 0.25, 125 * 0.2])
         assert ens.replications == 30
         assert ens.khat_x.shape == (3, 30, 2)
         assert ens.mean_x.shape == (3, 30)
@@ -192,7 +192,7 @@ class TestSweepEngine:
         again = run_replications(small_config())
         assert np.array_equal(ens.khat_x, again.khat_x)
         assert np.array_equal(ens.mean_x, again.mean_x)
-        assert ens.config_hash == again.config_hash
+        assert again.points == ens.points
 
     def test_identity_observable_pairs_exactly(self):
         ens = run_replications(small_config())
@@ -201,7 +201,7 @@ class TestSweepEngine:
 
     def test_multiplicative_scaling(self):
         ens = run_replications(small_config(observable="multiplicative"))
-        for gi, rho in enumerate(ens.rhos):
+        for gi, rho in enumerate(p.rho for p in ens.points):
             scale = (1.0 + rho) ** 2
             assert np.allclose(ens.khat_y[gi], scale * ens.khat_x[gi], rtol=1e-10)
             assert np.allclose(ens.mean_y[gi], (1.0 + rho) * ens.mean_x[gi], rtol=1e-12)
@@ -217,7 +217,7 @@ class TestSweepEngine:
             planned = scheme_from_rho(eps, config.c_n, config.c_delta)
             fine = planned.big_delta / 4
             scheme = resolve_stride(planned, fine)
-            offset, kappas = round(eps / fine), tuple(ens.kappas[gi])
+            offset, kappas = round(eps / fine), ens.points[gi].point.kappas
             rows = offset + (scheme.n_obs + max(kappas)) * scheme.stride
             for rep in range(config.replications):
                 stream = RandomStreamSpec(11, rep, StreamRole.PROCESS_NOISE)
@@ -234,11 +234,11 @@ class TestSweepEngine:
     def test_parallel_matches_serial(self):
         for observable in ("identity", "multiplicative"):
             config = small_config(epsilon_grid=(0.3, 0.25, 0.21), observable=observable)
-            serial = run_replications(config)
-            parallel = run_replications(dataclasses.replace(config, workers=2))
+            twin = dataclasses.replace(config, workers=2)
+            serial, parallel = run_replications(config), run_replications(twin)
             for field in ("khat_x", "khat_y", "mean_x", "mean_y"):
                 assert np.array_equal(getattr(serial, field), getattr(parallel, field))
-            assert serial.config_hash == parallel.config_hash
+            assert build_report(config, serial).to_json() == build_report(twin, parallel).to_json()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_pool_per_sweep(self, monkeypatch, workers):
@@ -274,24 +274,10 @@ class TestSweepEngine:
             scheme_family="from_n", n_grid=(27, 64, 125), lags=(0.0,),
             replications=60, epsilon_grid=(),
         )
-        ens = run_replications(cfg)
-        assert ens.grid_kind == "n_obs"
-        report = build_report(cfg, ens)
+        report = build_report(cfg, run_replications(cfg))
+        assert report.meta["grid_kind"] == "n_obs"
         fit = report.slopes["err_x_vs_n/lag_0"]
         assert fit["slope"] < -0.1
-
-
-class TestEnsembleStore:
-    def test_roundtrip(self, tmp_path):
-        cfg = small_config()
-        ens = run_replications(cfg)
-        path = tmp_path / "ens.npz"
-        save_ensemble(ens, path)
-        back = load_ensemble(path)
-        assert back.config_hash == ens.config_hash
-        assert np.array_equal(back.khat_y, ens.khat_y)
-        assert np.array_equal(back.kappas, ens.kappas)
-        assert build_report(cfg, back).to_json() == build_report(cfg, ens).to_json()
 
 
 class TestReport:
@@ -309,14 +295,14 @@ class TestReport:
         assert set(report.bound_fractions) == {"contained_x", "contained_y"}
         assert 0.0 <= report.bound_fractions["contained_x"] <= 1.0
         assert report.meta["replications"] == 30
-        assert report.meta["config_hash"] == ens.config_hash
+        assert report.meta["config_hash"] == config_hash(cfg)
         parsed = json.loads(report.to_json())
         assert parsed == dataclasses.asdict(report)
 
     def test_error_helpers_match_report(self):
         cfg = small_config()
         ens = run_replications(cfg)
-        oracle = np.array([ou_true_covariance(MODEL, u) for u in ens.lags])
+        oracle = np.array([ou_true_covariance(MODEL, u) for u in cfg.lags])
         err = empirical_lp_error(ens.khat_x, oracle, 2.0)
         report = build_report(cfg, ens)
         assert report.rows[0]["err_x_l2"] == pytest.approx(err[0, 0], rel=1e-12)
@@ -599,16 +585,9 @@ def _heston_report(coarse_level):
 def _gap_ensemble(cov_gap, mean_gap):
     """One grid point at rho = 0.1 whose proxy estimates sit a fixed gap away."""
     reps = 4
+    point = plan_point(SubsamplingScheme(100, 0.1), 0.1, (0.0,))
     return Ensemble(
-        grid_kind="epsilon",
-        labels=np.array([0.1]),
-        rhos=np.array([0.1]),
-        n_obs=np.array([100]),
-        strides=np.array([1]),
-        big_deltas=np.array([0.1]),
-        lags=np.array([0.0]),
-        lags_used=np.zeros((1, 1)),
-        kappas=np.zeros((1, 1), dtype=int),
+        points=[SweepPoint(label=0.1, rho=0.1, eps=0.1, point=point)],
         khat_y=np.full((1, reps, 1), cov_gap),
         khat_x=np.zeros((1, reps, 1)),
         mean_y=np.full((1, reps), mean_gap),
@@ -711,7 +690,3 @@ class TestEvaluateThresholds:
         assert [name for name, _, _ in rows] == [
             "level_rms_max", "reversion_rms_max", "vol_rms_max", "nonincreasing",
         ]
-
-    def test_inapplicable_key_rejected(self):
-        with pytest.raises(ValidationError, match=r"\['min_fraction'\] do not apply to pipeline kind 'generic'"):
-            evaluate_thresholds("generic", {"min_fraction": 0.9}, GENERIC_REPORT)

@@ -95,12 +95,6 @@ def test_exports_are_exactly_the_used_names_and_errors():
     assert sorted(used - set(submoments.__all__)) == []
 
 
-#: names the package defines that only tests reach, each with its reason
-TEST_ONLY_ALLOWED = {
-    "load_ensemble": "reads back the ensemble.npz artifact that `lab` writes with save_ensemble",
-}
-
-
 def unreferenced_names(root: Path) -> list:
     """Functions, classes, methods and properties of ``src/submoments`` named
     nowhere in ``src``, ``perfbench`` or ``README.md`` but in
@@ -120,6 +114,4 @@ def unreferenced_names(root: Path) -> list:
 
 
 def test_no_name_only_tests_reach():
-    root = README.parent
-    assert [n for n in unreferenced_names(root) if n not in TEST_ONLY_ALLOWED] == []
-    assert set(TEST_ONLY_ALLOWED) <= set(unreferenced_names(root))  # no stale allowance
+    assert unreferenced_names(README.parent) == []
