@@ -354,7 +354,7 @@ def cmd_lab(args) -> int:
 
     if kind == "generic":
         config = build_experiment(bundle)
-        inputs = build_bounds(bundle, config.model)
+        inputs = build_bounds(bundle, config)
         ensemble = run_replications(config)
         report = build_report(config, ensemble, inputs)
         report.write_json(out_dir / "report.json")

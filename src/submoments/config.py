@@ -2,10 +2,14 @@
 
 ``READERS`` declares, for the ``simulate`` command and for each lab pipeline
 kind, every section and key it takes and the config field each key fills.
-``load_config`` accepts the sections and keys some reader takes and rejects
-the rest by name; ``check_keys`` then rejects what the one reader of a file
-does not take, so a misplaced key fails loudly instead of being ignored.  A
-key the file omits takes the default of the field it fills.
+Where a section's keys hang on one selector key (``[model] kind``, ``[sweep]
+family``, ``[rho] kind``), the table names the values the reader takes and
+the keys each value takes.  ``load_config`` only reads, parses and hashes a
+file.  ``check_keys`` then checks it once, against its one reader's table,
+and rejects by name a section, key or selector value that reader does not
+take, so a misplaced key fails loudly instead of being ignored.  The
+builders parse what it let through; a key the file omits takes the default
+of the field it fills.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ _PIPELINES = tuple(THRESHOLDS)
 
 @dataclass
 class ConfigBundle:
-    """Validated raw sections of one config file."""
+    """Raw sections of one config file."""
 
     sections: dict
     sha256: str
@@ -104,18 +108,34 @@ def _same(parse, *keys) -> dict:
     return {key: (parse, key) for key in keys}
 
 
+class _Choice(dict):
+    """A section whose keys hang on the value of its selector ``key``.
+
+    ``tables[value]`` are the keys ``value`` takes besides ``common``, which
+    every value takes; a file that omits ``key`` selects ``default`` (None:
+    the key is required).  As a dict it holds every key some value takes,
+    which is what the builders parse.
+    """
+
+    def __init__(self, key: str, default, common: dict, tables: dict):
+        super().__init__(common)
+        for table in tables.values():
+            self.update(table)
+        self.key, self.default, self.common, self.tables = key, default, common, tables
+
+    def only(self, *values) -> "_Choice":
+        return _Choice(self.key, self.default, self.common, {v: self.tables[v] for v in values})
+
+
 _KIND = _same(_as_str, "kind")
 
-#: [model] kind -> (parameter class, the keys that kind takes)
+#: [model] kind -> (parameter class, the keys that kind takes besides kind)
 _MODELS = {
     "ou": (OUParams, _same(_as_float, "mean", "reversion", "noise")),
     "heston": (HestonParams, _same(_as_float, "reversion", "level", "vol_of_vol", "drift")),
     "slow_fast": (SlowFastParams, {"entry": (_as_str, "entry"), "scale": (_as_float, "scale")}),
 }
-
-
-def _model(*kinds) -> dict:
-    return {**_KIND, **{k: v for kind in kinds for k, v in _MODELS[kind][1].items()}}
+_MODEL = _Choice("kind", None, _KIND, {kind: keys for kind, (_, keys) in _MODELS.items()})
 
 
 def _asserts(kind: str) -> dict:
@@ -127,64 +147,57 @@ def _asserts(kind: str) -> dict:
 
 
 _RUN = _same(_as_int, "master_seed", "replications")
+_EPSILONS = {"epsilons": (_as_float_list, "epsilon_grid")}
 
 #: reader -> section -> key -> (parser, field it fills).  A reader is the
 #: simulate command or a pipeline kind; a field belongs to the reader's
 #: config class, except ``kind``, which the CLI reads.
 READERS = {
     "simulate": {
-        "model": _model(*_MODELS),
+        "model": _MODEL,
         "grid": {"length": (_as_int, "length"), "delta": (_as_float, "delta")},
         "run": _same(_as_int, "master_seed"),
     },
     "generic": {
         "run": {**_RUN, **_same(_as_int, "workers")},
-        "model": _model("ou"),
+        "model": _MODEL.only("ou"),
         "pipeline": _KIND,
         "observable": {"kind": (_as_str, "observable")},
-        "sweep": {
-            "family": (_as_str, "scheme_family"),
-            "epsilons": (_as_float_list, "epsilon_grid"),
-            "n_values": (_as_int_list, "n_grid"),
-            **_same(_as_float, "c_n", "c_delta"),
-            "stride_resolution": (_as_int, "stride_resolution"),
-            "schemes": (_parse_schemes, "custom_schemes"),
-        },
-        "rho": {"kind": (_as_str, "rho_kind"), "c_rho": (_as_float, "c_rho")},
+        "sweep": _Choice(
+            "family",
+            ExperimentConfig.scheme_family,
+            {"family": (_as_str, "scheme_family"), **_same(_as_int, "stride_resolution")},
+            {
+                "from_n": {"n_values": (_as_int_list, "n_grid"), **_same(_as_float, "c_delta")},
+                "from_rho": {**_EPSILONS, **_same(_as_float, "c_n", "c_delta")},
+                "custom": {**_EPSILONS, "schemes": (_parse_schemes, "custom_schemes")},
+            },
+        ),
+        "rho": _Choice(
+            "kind",
+            ExperimentConfig.rho_kind,
+            {"kind": (_as_str, "rho_kind")},
+            {"identity": {}, "sqrt": _same(_as_float, "c_rho")},
+        ),
         "lags": {"values": (_as_float_list, "lags"), "horizon": (_as_float, "horizon_a")},
         "bounds": _same(_as_str, "source"),
         "assert": _asserts("generic"),
     },
     "ou_endtoend": {
         "run": _RUN,
-        "model": _model("ou"),
+        "model": _MODEL.only("ou"),
         "pipeline": _KIND,
         "endtoend": _same(_as_float, "rho", "c_n", "c_delta", "u1", "tolerance"),
         "assert": _asserts("ou_endtoend"),
     },
     "heston_rv": {
         "run": _RUN,
-        "model": _model("heston"),
+        "model": _MODEL.only("heston"),
         "pipeline": _KIND,
-        "heston": {
-            "epsilons": (_as_float_list, "epsilon_grid"),
-            **_same(_as_float, "u1", "u2", "c_n", "c_delta", "pilot_span"),
-        },
+        "heston": {**_EPSILONS, **_same(_as_float, "u1", "u2", "c_n", "c_delta", "pilot_span")},
         "assert": _asserts("heston_rv"),
     },
 }
-
-
-def _any_reader() -> dict:
-    merged: dict = {}
-    for taken in READERS.values():
-        for section, keys in taken.items():
-            merged.setdefault(section, {}).update(keys)
-    return merged
-
-
-#: section -> key -> (parser, field) over every reader: what a file may hold
-_SECTIONS = _any_reader()
 
 
 def _parse(bundle: ConfigBundle, section: str, table: dict) -> dict:
@@ -217,7 +230,7 @@ def _build(cls, bundle: ConfigBundle, section: str, table: dict):
 
 
 def load_config(path) -> ConfigBundle:
-    """Parse one config file; reject sections and keys that no reader takes."""
+    """Read, parse and hash one config file; ``check_keys`` judges what it holds."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -227,29 +240,13 @@ def load_config(path) -> ConfigBundle:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
-    sections: dict = {}
-    for name in parser.sections():
-        if name not in _SECTIONS:
-            raise ValidationError(
-                f"config section [{name}] is not recognized; "
-                f"known sections: {sorted(_SECTIONS)}"
-            )
-        allowed = _SECTIONS[name]
-        body = {}
-        for key, value in parser.items(name):
-            if key not in allowed:
-                raise ValidationError(
-                    f"config [{name}] has unknown key {key!r}; "
-                    f"allowed: {sorted(allowed)}"
-                )
-            body[key] = value
-        sections[name] = body
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return ConfigBundle(sections=sections, sha256=digest)
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    return ConfigBundle(sections=sections, sha256=hashlib.sha256(text.encode()).hexdigest())
 
 
 def check_keys(reader: str, bundle: ConfigBundle) -> None:
-    """Reject a section or key that ``reader`` (``"simulate"`` or a pipeline kind) does not take."""
+    """Reject a section, key or selector value that ``reader`` (``"simulate"`` or a pipeline
+    kind) does not take: the one check of what a file may hold."""
     taken = READERS[reader]
     name = "the simulate command" if reader == "simulate" else f"pipeline kind {reader!r}"
     for section, body in bundle.sections.items():
@@ -257,16 +254,25 @@ def check_keys(reader: str, bundle: ConfigBundle) -> None:
             raise ValidationError(
                 f"config section [{section}] does not apply to {name}; allowed: {list(taken)}"
             )
-        extra = sorted(set(body) - set(taken[section]))
+        allowed, where = taken[section], name
+        if isinstance(allowed, _Choice):
+            value = body.get(allowed.key, allowed.default)
+            if value not in allowed.tables:
+                raise ValidationError(
+                    f"config [{section}] {allowed.key} must be one of {list(allowed.tables)} "
+                    f"for {name}, got {value!r}"
+                )
+            where = f"{name} with [{section}] {allowed.key} {value!r}"
+            allowed = {**allowed.common, **allowed.tables[value]}
+        extra = sorted(set(body) - set(allowed))
         if extra:
             raise ValidationError(
-                f"config [{section}] keys {extra} do not apply to {name}; "
-                f"allowed: {list(taken[section])}"
+                f"config [{section}] keys {extra} do not apply to {where}; allowed: {list(allowed)}"
             )
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Builders: each parses a file check_keys has let through
 # ---------------------------------------------------------------------------
 
 
@@ -274,17 +280,7 @@ def build_model(bundle: ConfigBundle):
     """Instantiate the [model] section; the kind selects the parameter set."""
     if not bundle.has("model"):
         raise ValidationError("config needs a [model] section")
-    kind = bundle.get("model", "kind")
-    if kind not in _MODELS:
-        raise ValidationError(
-            f"config [model] kind must be one of {sorted(_MODELS)}, got {kind!r}"
-        )
-    cls, table = _MODELS[kind]
-    extra = set(bundle.sections["model"]) - {*_KIND, *table}
-    if extra:
-        raise ValidationError(
-            f"config [model] keys {sorted(extra)} do not apply to kind {kind!r}"
-        )
+    cls, table = _MODELS[bundle.get("model", "kind")]
     return _build(cls, bundle, "model", table)
 
 
@@ -302,8 +298,9 @@ def build_grid_request(bundle: ConfigBundle) -> GridRequest:
 
 
 def build_run_settings(bundle: ConfigBundle) -> dict:
-    """The [run] values the file gives; an omitted key takes its field's default."""
-    return _parse(bundle, "run", _SECTIONS["run"])
+    """The [run] values ``simulate`` reads that the file gives; an omitted key takes its
+    field's default."""
+    return _parse(bundle, "run", READERS["simulate"]["run"])
 
 
 def pipeline_kind(bundle: ConfigBundle) -> str:
@@ -321,43 +318,34 @@ _BOUNDS_HORIZON = 1.0  # the lag window of [bounds] when [lags] gives no horizon
 def build_experiment(bundle: ConfigBundle) -> ExperimentConfig:
     """Assemble the generic sweep configuration."""
     model = build_model(bundle)
-    if not isinstance(model, OUParams):
-        raise ValidationError("the generic sweep pipeline uses the ou model")
     fields = _fields("generic", bundle, "run", "observable", "sweep", "rho", "lags")
     if bundle.has("bounds"):  # the bound holds on [0, horizon] only
         fields.setdefault("horizon_a", _BOUNDS_HORIZON)
     return ExperimentConfig(model=model, **fields)
 
 
-def build_bounds(bundle: ConfigBundle, model: OUParams) -> BoundInputs | None:
+def build_bounds(bundle: ConfigBundle, config: ExperimentConfig) -> BoundInputs | None:
     """Assemble [bounds]: ``source = ou_analytic`` derives them from the model.
 
-    The bound's lag window is ``[0, horizon]`` of ``[lags] horizon``, the one
-    horizon :class:`ExperimentConfig` checks the lags against.
+    The bound's lag window is ``[0, config.horizon_a]``, the one horizon
+    :class:`ExperimentConfig` checks the lags against.
     """
     if not bundle.has("bounds"):
         return None
-    body = _fields("generic", bundle, "bounds", "lags")
-    source = body.get("source")
+    source = bundle.get("bounds", "source")
     if source != "ou_analytic":
         _fail("bounds", "source", f"must be ou_analytic, got {source!r}")
-    return ou_bound_inputs(model, body.get("horizon_a", _BOUNDS_HORIZON))
+    return ou_bound_inputs(config.model, config.horizon_a)
 
 
 def build_endtoend(bundle: ConfigBundle) -> EndToEndConfig:
-    model = build_model(bundle)
-    if not isinstance(model, OUParams):
-        raise ValidationError("the end-to-end pipeline uses the ou model")
-    return EndToEndConfig(model=model, **_fields("ou_endtoend", bundle, "run", "endtoend"))
+    return EndToEndConfig(build_model(bundle), **_fields("ou_endtoend", bundle, "run", "endtoend"))
 
 
 def build_heston_rv(bundle: ConfigBundle) -> HestonRVConfig:
-    model = build_model(bundle)
-    if not isinstance(model, HestonParams):
-        raise ValidationError("the realized-variance pipeline uses the heston model")
-    return HestonRVConfig(params=model, **_fields("heston_rv", bundle, "run", "heston"))
+    return HestonRVConfig(build_model(bundle), **_fields("heston_rv", bundle, "run", "heston"))
 
 
 def assert_thresholds(bundle: ConfigBundle) -> dict:
     """Numeric thresholds from [assert]; booleans stay booleans."""
-    return _parse(bundle, "assert", _SECTIONS["assert"])
+    return _parse(bundle, "assert", READERS[pipeline_kind(bundle)]["assert"])

@@ -142,6 +142,11 @@ class ExperimentConfig:
         if self.scheme_family == "from_n":
             if len(self.n_grid) < 1:
                 raise ParameterDomain("from_n family needs n_grid")
+            if (self.observable, self.rho_kind) != ("identity", "identity"):  # no proxy level
+                raise ParameterDomain(
+                    "from_n family samples the hidden sequence only: observable and rho_kind "
+                    f"must be identity, got {self.observable!r} and {self.rho_kind!r}"
+                )
         else:
             eps = np.asarray(self.epsilon_grid, dtype=float)
             if eps.size < 3:
@@ -755,18 +760,16 @@ class HestonRVConfig:
 
 @dataclass(frozen=True)
 class _RVPlan:
-    eps: float
-    window: int
     eps_stride: int  # fine steps per eps
-    point: CoarsePoint  # on the eps grid, offset by the RV window
+    point: CoarsePoint  # step eps, offset by the RV window
     rho_hat: float
 
     def summary(self) -> dict:
         scheme = self.point.scheme
         lag1, lag2 = self.point.lags_used
         return {
-            "eps": self.eps,
-            "window": self.window,
+            "eps": self.point.step,
+            "window": self.point.offset,
             "rho_hat": self.rho_hat,
             "n_obs": scheme.n_obs,
             "big_delta": scheme.big_delta,
@@ -898,7 +901,7 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
             raise ParameterDomain(
                 f"lag pair {point.lags} rounds to one lag on big_delta {point.scheme.big_delta}"
             )
-        plans.append(_RVPlan(eps, window, s_eps, point, rho_hat[eps]))
+        plans.append(_RVPlan(s_eps, point, rho_hat[eps]))
     return delta_f, plans
 
 
@@ -909,16 +912,17 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, coarse: np.ndarr
     eps-grid prices seen and the coarse rows filled so far; the new state is
     returned.  Fine row ``j`` is on the eps grid when ``(j + 1) % eps_stride
     == 0``, and coarse row ``q`` is the RV at eps point ``window - 1 + (q + 1)
-    * stride``, as ``subsample_sequence`` picks it.
+    * stride``, as ``subsample_sequence`` picks it; the RV window is the
+    point's offset and eps its step.
     """
     carry, seen, filled = state
-    s = plan.eps_stride
-    prices = r_chunk[(seen + 1) * s - 1 - lo : max(plan.point.rows * s - lo, 0) : s]
+    s, point = plan.eps_stride, plan.point
+    prices = r_chunk[(seen + 1) * s - 1 - lo : max(point.rows * s - lo, 0) : s]
     if len(prices) == 0:
         return state
-    rv, carry = realized_variance_chunk(prices, plan.window, plan.eps, carry)
-    stride = plan.point.scheme.stride
-    picked = rv[plan.window - 1 + (filled + 1) * stride - seen :: stride]
+    rv, carry = realized_variance_chunk(prices, point.offset, point.step, carry)
+    stride = point.scheme.stride
+    picked = rv[point.offset - 1 + (filled + 1) * stride - seen :: stride]
     coarse[filled : filled + len(picked)] = picked
     return carry, seen + len(prices), filled + len(picked)
 
@@ -952,28 +956,27 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     truth = {"reversion": p.reversion, "level": p.level, "vol_of_vol": p.vol_of_vol}
     names = ("reversion", "level", "vol_of_vol")
     true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
-    sq_rel = {plan.eps: [] for plan in plans}
-    failures = {plan.eps: 0 for plan in plans}
+    sq_rel = {plan.point.step: [] for plan in plans}
+    failures = {plan.point.step: 0 for plan in plans}
     for col in range(width):
         for plan, samples in zip(plans, coarse):
             try:
                 psi = _rv_moments(samples[:, col : col + 1], plan)
                 est = invert_cir(psi, plan.point.lags_used[0])
             except MomentsOutsideModelRange:
-                failures[plan.eps] += 1
+                failures[plan.point.step] += 1
                 continue
             rel = (est.theta - true_vec) / true_vec
-            sq_rel[plan.eps].append(rel**2)
+            sq_rel[plan.point.step].append(rel**2)
 
     rms_rel = {}
     for plan in plans:
-        block = np.array(sq_rel[plan.eps])
+        eps = plan.point.step
+        block = np.array(sq_rel[eps])
         if block.size == 0:
-            raise MomentsOutsideModelRange(
-                f"every replication failed at eps {plan.eps}"
-            )
+            raise MomentsOutsideModelRange(f"every replication failed at eps {eps}")
         rms = np.sqrt(block.mean(axis=0))
-        rms_rel[plan.eps] = {n: float(v) for n, v in zip(names, rms)}
+        rms_rel[eps] = {n: float(v) for n, v in zip(names, rms)}
 
     return HestonRVReport(
         truth=truth,

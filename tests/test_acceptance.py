@@ -62,7 +62,7 @@ def _generic_run(preset: str, **execution):
     bundle = load_config(_preset_path(preset))
     config = dataclasses.replace(build_experiment(bundle), **execution)
     ensemble = run_replications(config)
-    report = build_report(config, ensemble, build_bounds(bundle, config.model))
+    report = build_report(config, ensemble, build_bounds(bundle, config))
     return config, ensemble, report, assert_thresholds(bundle)
 
 

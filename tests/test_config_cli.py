@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -101,17 +102,20 @@ class TestLoadConfig:
         assert again.sha256 == bundle.sha256
 
     def test_unknown_section(self, tmp_path):
-        path = write_cfg(tmp_path, "[flux]\nx = 1\n")
-        with pytest.raises(ValidationError, match=r"\[flux\] is not recognized"):
-            load_config(path)
+        bundle = load_config(write_cfg(tmp_path, "[flux]\nx = 1\n"))  # parsing judges nothing
+        message = "config section [flux] does not apply to the simulate command; allowed: "
+        with pytest.raises(ValidationError, match=re.escape(message + "['model', 'grid', 'run']")):
+            check_keys("simulate", bundle)
 
     def test_unknown_key_names_section_and_allowed(self, tmp_path):
-        path = write_cfg(tmp_path, "[grid]\nstep = 0.1\n")
-        with pytest.raises(ValidationError, match=r"\[grid\] has unknown key 'step'"):
-            load_config(path)
-        path = write_cfg(tmp_path, "[heston]\nbatch = 24\n")
-        with pytest.raises(ValidationError, match=r"\[heston\] has unknown key 'batch'"):
-            load_config(path)
+        bundle = load_config(write_cfg(tmp_path, "[grid]\nstep = 0.1\n"))
+        message = "config [grid] keys ['step'] do not apply to the simulate command; allowed: "
+        with pytest.raises(ValidationError, match=re.escape(message + "['length', 'delta']")):
+            check_keys("simulate", bundle)
+        bundle = load_config(write_cfg(tmp_path, "[heston]\nbatch = 24\n"))
+        message = "config [heston] keys ['batch'] do not apply to pipeline kind 'heston_rv'"
+        with pytest.raises(ValidationError, match=re.escape(message + "; allowed: ['epsilons', 'u1'")):
+            check_keys("heston_rv", bundle)
 
     def test_malformed_ini(self, tmp_path):
         path = write_cfg(tmp_path, "not an ini file at all\n")
@@ -135,13 +139,21 @@ class TestBuilders:
 
     def test_model_kind_required(self, tmp_path):
         path = write_cfg(tmp_path, "[model]\nmean = 1\n")
-        with pytest.raises(ValidationError, match="kind must be one of"):
-            build_model(load_config(path))
+        message = (
+            "config [model] kind must be one of ['ou', 'heston', 'slow_fast'] "
+            "for the simulate command, got None"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check_keys("simulate", load_config(path))
 
     def test_keys_must_match_kind(self, tmp_path):
         path = write_cfg(tmp_path, "[model]\nkind = ou\nmean = 1\nlevel = 0.04\n")
-        with pytest.raises(ValidationError, match="do not apply to kind 'ou'"):
-            build_model(load_config(path))
+        message = (
+            "config [model] keys ['level'] do not apply to the simulate command with [model] "
+            "kind 'ou'; allowed: ['kind', 'mean', 'reversion', 'noise']"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check_keys("simulate", load_config(path))
 
     def test_bad_number(self, tmp_path):
         path = write_cfg(tmp_path, "[model]\nkind = ou\nmean = fast\n")
@@ -162,9 +174,9 @@ class TestBuilders:
         # only the keys the file gives: an omitted key takes its field's default
         run = build_run_settings(load_config(write_cfg(tmp_path, "[grid]\nlength = 1\ndelta = 1\n")))
         assert run == {}
-        given = write_cfg(tmp_path, "[run]\nworkers = 2\nmaster_seed = 7\n", "given.cfg")
-        assert build_run_settings(load_config(given)) == {"workers": 2, "master_seed": 7}
-        bad = write_cfg(tmp_path, "[run]\nworkers = many\n")
+        given = write_cfg(tmp_path, "[run]\nmaster_seed = 7\n", "given.cfg")
+        assert build_run_settings(load_config(given)) == {"master_seed": 7}
+        bad = write_cfg(tmp_path, "[run]\nmaster_seed = many\n")
         with pytest.raises(ValidationError, match="expected an integer"):
             build_run_settings(load_config(bad))
 
@@ -212,21 +224,25 @@ horizon = 2.0
             build_experiment(load_config(bad))
 
     def test_experiment_needs_ou(self, tmp_path):
-        with pytest.raises(ValidationError, match="uses the ou model"):
-            build_experiment(load_config(write_cfg(tmp_path, HESTON_CFG)))
+        message = "config [model] kind must be one of ['ou'] for pipeline kind 'generic', got 'heston'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check_keys("generic", load_config(write_cfg(tmp_path, HESTON_CFG)))
 
     def test_bounds_modes(self, tmp_path):
-        assert build_bounds(load_config(write_cfg(tmp_path, OU_CFG)), None) is None
-        analytic = write_cfg(
-            tmp_path, OU_CFG + "\n[lags]\nhorizon = 1.5\n[bounds]\nsource = ou_analytic\n", "b1.cfg"
-        )
+        def bounds(text, name):
+            sweep = "[sweep]\nepsilons = 0.3, 0.2, 0.1\n"
+            bundle = load_config(write_cfg(tmp_path, OU_CFG + sweep + text, name))
+            return build_bounds(bundle, build_experiment(bundle))
+
         model = OUParams(1.0, 1.0, 1.0)
-        got = build_bounds(load_config(analytic), model)
-        assert got == ou_bound_inputs(model, 1.5)
+        assert bounds("", "b0.cfg") is None
+        # the bound's lag window is [0, horizon] of [lags], and [0, 1] without one
+        analytic = "[bounds]\nsource = ou_analytic\n"
+        assert bounds("[lags]\nhorizon = 1.5\n" + analytic, "b1.cfg") == ou_bound_inputs(model, 1.5)
+        assert bounds(analytic, "b4.cfg") == ou_bound_inputs(model, 1.0)
         for body, name in (("source = explicit\n", "b2.cfg"), ("", "b3.cfg")):
-            other = write_cfg(tmp_path, "[bounds]\n" + body, name)
             with pytest.raises(ValidationError, match="source: must be ou_analytic"):
-                build_bounds(load_config(other), model)
+                bounds("[bounds]\n" + body, name)
 
     def test_endtoend_and_heston_builders(self, tmp_path):
         e2e = write_cfg(
@@ -249,10 +265,13 @@ horizon = 2.0
     def test_assert_thresholds(self, tmp_path):
         path = write_cfg(
             tmp_path,
-            "[assert]\ngap_within_bound = yes\nnonincreasing = off\nratio_band_max = 2.5\n",
+            "[assert]\ngap_within_bound = yes\nmean_within_bound = off\nratio_band_max = 2.5\n",
         )
         got = assert_thresholds(load_config(path))
-        assert got == {"gap_within_bound": True, "nonincreasing": False, "ratio_band_max": 2.5}
+        assert got == {"gap_within_bound": True, "mean_within_bound": False, "ratio_band_max": 2.5}
+        # each pipeline kind parses its own [assert] keys
+        heston = write_cfg(tmp_path, "[pipeline]\nkind = heston_rv\n[assert]\nnonincreasing = off\n", "h.cfg")
+        assert assert_thresholds(load_config(heston)) == {"nonincreasing": False}
         bad = write_cfg(tmp_path, "[assert]\nratio_band_max = wide\n", "bad.cfg")
         with pytest.raises(ValidationError, match="expected a number"):
             assert_thresholds(load_config(bad))
@@ -398,8 +417,12 @@ class TestSimulateCommand:
             ("kind = ou\nmean = nan", "parameters must be finite"),
             ("kind = heston\nlevel = inf", "parameters must be finite"),
             ("kind = slow_fast\nentry = linear_coupling\nscale = inf", "scale must be positive and finite"),
-            # the gradient_diffusion kind is cut: its old configs fail on their first key
-            ("kind = gradient_diffusion\ncoeffs = 0, 0, nan\nsigma = 1", "unknown key 'coeffs'"),
+            # the gradient_diffusion kind is cut: its old configs fail on their kind
+            (
+                "kind = gradient_diffusion\ncoeffs = 0, 0, nan\nsigma = 1",
+                "config [model] kind must be one of ['ou', 'heston', 'slow_fast'] "
+                "for the simulate command, got 'gradient_diffusion'",
+            ),
         ],
         ids=["nan_mean", "inf_level", "inf_scale", "nan_coeff"],
     )
@@ -899,19 +922,21 @@ class TestLabCommand:
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
-        assert "config [observable] has unknown key 'rho'; allowed: ['kind']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config [observable] keys ['rho'] do not apply to pipeline kind 'generic'; allowed: ['kind']" in err
         assert not out.exists()
 
     def test_rho_table_exits_three(self, tmp_path, capsys, monkeypatch):
         # [rho] kind = table is cut: the custom family pins explicit points
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
+        message = "config [rho] kind must be one of ['identity', 'sqrt'] for pipeline kind 'generic'"
         cfg = preset_variant(tmp_path, {"rho": {"kind": "table"}})
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
-        assert "unknown rho kind 'table'" in capsys.readouterr().err
+        assert f"{message}, got 'table'" in capsys.readouterr().err
         cfg = preset_variant(tmp_path, {"rho": {"kind": "table", "table": "0.3:0.1"}})
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
-        assert "config [rho] has unknown key 'table'" in capsys.readouterr().err
+        assert f"{message}, got 'table'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lag_past_bounds_horizon_exits_three(self, tmp_path, capsys, monkeypatch):
@@ -920,7 +945,8 @@ class TestLabCommand:
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
-        assert "config [bounds] has unknown key 'horizon_a'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config [bounds] keys ['horizon_a'] do not apply to pipeline kind 'generic'" in err
         assert not out.exists()
         # without [lags] horizon the bounds' window [0, 1] still refuses a longer lag
         cfg = preset_variant(tmp_path, {"lags": {"values": "0, 1.5"}})
@@ -938,7 +964,12 @@ class TestLabCommand:
         "key, value, message",
         [
             # the fine step is min(epsilons); no key sets it
-            pytest.param("fine_step", "0.005", "unknown key 'fine_step'", id="fine_step-cut"),
+            pytest.param(
+                "fine_step",
+                "0.005",
+                "config [heston] keys ['fine_step'] do not apply to pipeline kind 'heston_rv'",
+                id="fine_step-cut",
+            ),
             *(
                 pytest.param(
                     "pilot_span", v, "pilot_span must be positive and finite", id=f"pilot_span-{v}"
@@ -986,8 +1017,9 @@ class TestLabCommand:
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
-        key = next(iter(bounds))
-        assert f"config [bounds] has unknown key {key!r}; allowed: ['source']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        message = f"config [bounds] keys {sorted(bounds)} do not apply to pipeline kind 'generic'"
+        assert f"{message}; allowed: ['source']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1028,11 +1060,62 @@ class TestLabCommand:
                 )
                 for bad, v in (("inf", "1000, inf, 100000"), ("2500.9", "1000, 2500.9"))
             ),
+            # the budget family has no proxy level: a multiplicative proxy ran with y = x at rho 0
+            *(
+                pytest.param(
+                    "ou_rate", section, {"kind": kind},
+                    "from_n family samples the hidden sequence only: observable and rho_kind "
+                    f"must be identity, got {got}", id=f"from_n-{kind}",
+                )
+                for section, kind, got in (
+                    ("observable", "multiplicative", "'multiplicative' and 'identity'"),
+                    ("observable", "smoothing", "'smoothing' and 'identity'"),
+                    ("rho", "sqrt", "'identity' and 'sqrt'"),
+                )
+            ),
+            # each family and [rho] kind reads its own keys: the rest were ignored; a
+            # None drops the key, and the omitted family or kind takes the field's default
+            *(
+                pytest.param(
+                    preset, section, given,
+                    f"config [{section}] keys {keys} do not apply to pipeline kind 'generic' "
+                    f"with {selected}; allowed: {allowed}", id=name,
+                )
+                for name, preset, section, given, keys, selected, allowed in (
+                    (
+                        "from_n-epsilons", "ou_rate", "sweep", {"epsilons": "0.3, 0.2, 0.1", "c_n": "2"},
+                        ["c_n", "epsilons"], "[sweep] family 'from_n'",
+                        ["family", "stride_resolution", "n_values", "c_delta"],
+                    ),
+                    (
+                        "from_n-schemes", "ou_rate", "sweep", {"schemes": "1000:0.1"}, ["schemes"],
+                        "[sweep] family 'from_n'", ["family", "stride_resolution", "n_values", "c_delta"],
+                    ),
+                    (
+                        "no_family-n_values", "smoke", "sweep", {"family": None, "n_values": "1000, 10000"},
+                        ["n_values"], "[sweep] family 'from_rho'",
+                        ["family", "stride_resolution", "epsilons", "c_n", "c_delta"],
+                    ),
+                    (
+                        "custom-c_n", "mean_rate", "sweep", {"c_n": "2", "c_delta": "1"}, ["c_delta", "c_n"],
+                        "[sweep] family 'custom'", ["family", "stride_resolution", "epsilons", "schemes"],
+                    ),
+                    (
+                        "identity-c_rho", "perturbation_gap", "rho", {"c_rho": "7"}, ["c_rho"],
+                        "[rho] kind 'identity'", ["kind"],
+                    ),
+                    (
+                        "no_rho_kind-c_rho", "smoke", "rho", {"kind": None, "c_rho": "7"}, ["c_rho"],
+                        "[rho] kind 'identity'", ["kind"],
+                    ),
+                )
+            ),
         ],
     )
     def test_bad_sweep_value_exits_three(self, tmp_path, capsys, monkeypatch, preset, section, given, message):
-        body = load_config(_preset_path(preset)).sections[section]
-        cfg = preset_variant(tmp_path, {section: {**body, **given}}, preset)
+        body = {**load_config(_preset_path(preset)).sections.get(section, {}), **given}
+        body = {k: v for k, v in body.items() if v is not None}
+        cfg = preset_variant(tmp_path, {section: body}, preset)
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
         assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3

@@ -141,6 +141,11 @@ class TestConfigValidation:
             dict(lags=(-1.0,)),
             dict(stride_resolution=0),
             dict(workers=0),
+            # from_n has no proxy level: y would be x at rho 0
+            *(
+                dict(scheme_family="from_n", n_grid=(1000,), **proxy)
+                for proxy in ({"observable": "multiplicative"}, {"observable": "smoothing"}, {"rho_kind": "sqrt"})
+            ),
         ],
     )
     def test_rejects(self, overrides):
@@ -405,8 +410,8 @@ def reference_heston_rv(config: HestonRVConfig):
     delta_f, plans = _plan_heston_rv(config)
     length = max(plan.point.rows * plan.eps_stride for plan in plans)
     true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
-    sq_rel = {plan.eps: [] for plan in plans}
-    failures = {plan.eps: 0 for plan in plans}
+    sq_rel = {plan.point.step: [] for plan in plans}
+    failures = {plan.point.step: 0 for plan in plans}
     for start in range(0, config.replications, 24):
         reps = range(start, min(start + 24, config.replications))
         width = len(reps)
@@ -426,15 +431,15 @@ def reference_heston_rv(config: HestonRVConfig):
                 fine_rows = plan.point.rows * plan.eps_stride
                 r_eps = r_paths[plan.eps_stride - 1 : fine_rows : plan.eps_stride, col]
                 rv = realized_volatility_observable(
-                    TrajectoryGrid(r_eps, plan.eps), plan.eps, plan.window
+                    TrajectoryGrid(r_eps, plan.point.step), plan.point.step, plan.point.offset
                 )
                 coarse = subsample_sequence(rv, plan.point.scheme, n_extra=plan.point.kappas[1])
                 try:
                     est = invert_cir(_rv_moments(coarse, plan), plan.point.lags_used[0])
                 except MomentsOutsideModelRange:
-                    failures[plan.eps] += 1
+                    failures[plan.point.step] += 1
                     continue
-                sq_rel[plan.eps].append(((est.theta - true_vec) / true_vec) ** 2)
+                sq_rel[plan.point.step].append(((est.theta - true_vec) / true_vec) ** 2)
     rms_rel = {
         eps: dict(
             zip(("reversion", "level", "vol_of_vol"), map(float, np.sqrt(np.mean(block, axis=0))))

@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import submoments
-from submoments.config import _MODELS, READERS
+from submoments.config import READERS, _Choice
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,24 +41,30 @@ def readme_config_table() -> dict:
     return table
 
 
-def readme_model_keys() -> dict:
-    """kind -> backticked keys, as README's "`[model] kind` selects the model's keys" sentence
-    lists them."""
+def readme_choices() -> dict:
+    """selector -> (keys every value takes, value -> its other keys), as README's
+    "`[section] key` selects ... besides `...`: `value` takes `...`; ..." sentences list them."""
     text = " ".join(README.read_text().split())
-    sentence = text.split("`[model] kind` selects the model's keys:", 1)[1].split(".", 1)[0]
-    clauses = (re.findall(r"`(\w+)`", clause) for clause in sentence.split(";"))
-    return {kind: set(keys) for kind, *keys in clauses}
+    choices = {}
+    for selector, lead, listing in re.findall(r"`(\[\w+\] \w+)` selects([^:]*):([^.]*)\.", text):
+        clauses = (re.findall(r"`(\w+)`", clause) for clause in listing.split(";"))
+        choices[selector] = (set(re.findall(r"`(\w+)`", lead)), {v: set(keys) for v, *keys in clauses})
+    return choices
 
 
 def test_readme_config_table_matches_readers():
     table = readme_config_table()
     assert set(table) == set(READERS)
+    choices = {}
     for reader, sections in READERS.items():
         assert set(table[reader]) == set(sections), reader
         for section, keys in sections.items():
             if section not in ("model", "assert"):  # listed by reference to their own tables
                 assert table[reader][section] == set(keys), (reader, section)
-    assert readme_model_keys() == {kind: set(keys) for kind, (_, keys) in _MODELS.items()}
+            if isinstance(keys, _Choice):  # every value some reader takes
+                common, values = choices.setdefault(f"[{section}] {keys.key}", (set(keys.common), {}))
+                values.update({value: set(taken) for value, taken in keys.tables.items()})
+    assert readme_choices() == choices
 
 
 def test_every_exported_name_resolves():
