@@ -7,10 +7,10 @@ pick a sub-sampling scheme matched to the proxy quality, estimate means
 and lagged covariances, compare them against theoretical error bounds,
 and invert the mean and two covariances back into model parameters.
 
-The top level carries the library quick start of the README, the bound
-identities the acceptance suite checks, and the error classes; everything
-else is imported from its module (``submoments.lab``, ``submoments.grids``,
-...).
+The top level carries the library quick start of the README, the estimator
+and inversion names the acceptance suite imports, and the error classes;
+everything else is imported from its module (``submoments.lab``,
+``submoments.grids``, ...).
 """
 
 from .errors import (
@@ -30,12 +30,7 @@ from .estimators import lag_index, lagged_covariance, lagged_covariances
 from .grids import RandomStreamSpec, resolve_stride, subsample_sequence
 from .invert import invert_ou, ou_moment_map
 from .models import OUParams, simulate_ou
-from .schemes import (
-    DecorrelationProfile,
-    decorrelation_sum_bound,
-    gaussian_fourth_moment,
-    scheme_from_rho,
-)
+from .schemes import scheme_from_rho
 
 __version__ = "0.1.0"
 
@@ -63,9 +58,6 @@ __all__ = [
     "simulate_ou",
     "subsample_sequence",
     # acceptance criteria 5 and 7
-    "DecorrelationProfile",
-    "decorrelation_sum_bound",
-    "gaussian_fourth_moment",
     "lag_index",
     "lagged_covariance",
     "ou_moment_map",

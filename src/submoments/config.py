@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -67,6 +68,13 @@ _as_float_list = _scalar(
 _as_int_list = _scalar(
     lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()), "comma-separated integers"
 )
+
+
+def _as_finite(section: str, key: str, raw: str) -> float:
+    value = _as_float(section, key, raw)
+    if not math.isfinite(value):
+        _fail(section, key, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_bool(section: str, key: str, raw: str) -> bool:
@@ -140,7 +148,7 @@ _MODEL = _Choice("kind", None, _KIND, {kind: keys for kind, (_, keys) in _MODELS
 
 def _asserts(kind: str) -> dict:
     return {
-        key: (_as_bool if check.flag else _as_float, key)
+        key: (_as_bool if check.flag else _as_finite, key)
         for check in THRESHOLDS[kind]
         for key in check.keys
     }

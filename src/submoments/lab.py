@@ -153,6 +153,9 @@ class ExperimentConfig:
                 raise ParameterDomain("epsilon_grid needs at least three levels")
             if (eps <= 0).any() or not (np.diff(eps) < 0).all():
                 raise ParameterDomain("epsilon_grid must be positive, strictly decreasing")
+            if self.scheme_family == "from_rho":  # an N that overflows fails here, before any draw
+                for e in self.epsilon_grid:
+                    scheme_from_rho(self.rho_of(e), self.c_n, self.c_delta)
         if self.scheme_family == "custom" and len(self.custom_schemes) != len(
             self.epsilon_grid
         ):
@@ -162,6 +165,8 @@ class ExperimentConfig:
         if any(u < 0 for u in self.lags):
             raise ParameterDomain("lags must be >= 0")
         if self.horizon_a is not None:
+            if not 0 <= self.horizon_a < math.inf:
+                raise ParameterDomain(f"horizon_a must be finite and >= 0, got {self.horizon_a}")
             for u in self.lags:
                 if u > self.horizon_a:
                     raise ParameterDomain(f"lag {u} exceeds horizon {self.horizon_a}")
@@ -648,11 +653,10 @@ class EndToEndConfig:
             raise ParameterDomain(
                 "relative errors need nonzero true mean and noise"
             )
-        if not (0 < self.rho < 1):
-            raise ParameterDomain(f"rho must lie in (0, 1), got {self.rho}")
+        scheme_from_rho(self.rho, self.c_n, self.c_delta)  # its domain, before any draw
         if self.replications < 30:
             raise ParameterDomain("need at least 30 replications")
-        for name in ("c_n", "c_delta", "u1", "tolerance"):
+        for name in ("u1", "tolerance"):
             check_positive(getattr(self, name), name)
 
 

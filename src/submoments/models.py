@@ -48,7 +48,8 @@ from .schemes import BoundInputs, DecorrelationProfile
 class OUParams:
     """Scalar mean-reverting diffusion dX = -reversion (X - mean) dt + noise dW.
 
-    ``noise = 0`` is accepted as the degenerate constant-path limit.
+    ``noise = 0`` is accepted as the degenerate constant-path limit.  The
+    stationary variance and fourth-moment norm must be finite floats.
     """
 
     mean: float = 0.0
@@ -62,6 +63,15 @@ class OUParams:
             raise ParameterDomain(f"reversion must be > 0, got {self.reversion}")
         if self.noise < 0:
             raise ParameterDomain(f"noise must be >= 0, got {self.noise}")
+        try:
+            finite = math.isfinite(self.l4_norm)  # and so the variance it is built from
+        except OverflowError:  # a power past the float range
+            finite = False
+        if not finite:
+            raise ParameterDomain(
+                f"stationary moments overflow at mean {self.mean}, reversion "
+                f"{self.reversion}, noise {self.noise}"
+            )
 
     @property
     def stationary_variance(self) -> float:
@@ -104,7 +114,7 @@ def ou_decorrelation_profile(params: OUParams) -> DecorrelationProfile:
     if v == 0.0:
         raise ParameterDomain("degenerate noise has no decorrelation profile")
     c = max(v, 2.0 * abs(params.mean) * v, 4.0 * params.mean**2 * v + 2.0 * v**2)
-    return DecorrelationProfile.exponential(c=c, rate=params.reversion)
+    return DecorrelationProfile(c=c, rate=params.reversion)
 
 
 def ou_bound_inputs(params: OUParams, horizon_a: float) -> BoundInputs:
@@ -112,7 +122,6 @@ def ou_bound_inputs(params: OUParams, horizon_a: float) -> BoundInputs:
     return BoundInputs(
         nu=params.l4_norm,
         horizon_a=horizon_a,
-        dim_r=1,
         profile=ou_decorrelation_profile(params),
         lipschitz_lambda=ou_covariance_lipschitz(params),
     )

@@ -23,9 +23,6 @@ import numpy as np
 import pytest
 
 from submoments import (
-    DecorrelationProfile,
-    decorrelation_sum_bound,
-    gaussian_fourth_moment,
     invert_ou,
     lag_index,
     lagged_covariance,
@@ -235,25 +232,8 @@ def test_criterion_7_exact_invariants():
         ):
             failures.append(f"lag rounding big_delta={bd}")
 
-    profiles = [
-        DecorrelationProfile.exponential(c=math.e, rate=1.0),
-        DecorrelationProfile.exponential(c=2.0, rate=0.7),
-        DecorrelationProfile.power(c=1.5, exponent=2.5),
-        DecorrelationProfile.tabulated([1.0, 3.0], [2.0, 1.0]),
-    ]
-    for profile in profiles:
-        for q in (2, 3, 5, 10, 50, 200):
-            for d in (0.01, 0.1, 0.5, 1.0, 2.0):
-                g, bound = decorrelation_sum_bound(q, d, profile)
-                if not g <= bound:
-                    failures.append(f"decorrelation majorant q={q} d={d}")
-
-    if gaussian_fourth_moment(np.ones((4, 4))) != 3.0:
-        failures.append("standard-normal fourth moment")
-
     detail = (
-        "shift, scaling, form equivalence, brute force, lag rounding, "
-        "decorrelation majorant, Gaussian pairing all hold"
+        "shift, scaling, form equivalence, brute force, lag rounding all hold"
         if not failures
         else "failed: " + "; ".join(failures)
     )

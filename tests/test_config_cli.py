@@ -1043,6 +1043,57 @@ class TestLabCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "preset, section, key, value, message",
+        [
+            # N = c_n * rho**-3 overflows: math.ceil of inf raised OverflowError
+            *(
+                pytest.param(
+                    preset, section, "c_n", "1e308",
+                    "N = c_n * rho**-3 is not finite at c_n 1e+308", id=f"c_n-{section}",
+                )
+                for preset, section in (
+                    ("smoke", "sweep"), ("ou_endtoend", "endtoend"), ("heston_rv", "heston"),
+                )
+            ),
+            # the bounds' nu and envelope read the stationary moments, which overflowed
+            *(
+                pytest.param(
+                    "smoke", "model", key, "1e308", "stationary moments overflow", id=f"{key}-1e308"
+                )
+                for key in ("mean", "noise")
+            ),
+            # a NaN threshold ran the whole sweep, then failed its check against nan
+            pytest.param(
+                "smoke", "assert", "bound_fraction_min", "nan",
+                "config [assert] bound_fraction_min: expected a finite number, got 'nan'",
+                id="threshold-nan",
+            ),
+            # mean_rate has no [bounds]: nothing else read the horizon
+            *(
+                pytest.param(
+                    "mean_rate", "lags", "horizon", v,
+                    f"horizon_a must be finite and >= 0, got {v}", id=f"horizon-{v}",
+                )
+                for v in ("nan", "inf")
+            ),
+        ],
+    )
+    def test_overflowing_or_non_finite_value_exits_three(
+        self, tmp_path, capsys, monkeypatch, preset, section, key, value, message
+    ):
+        body = load_config(_preset_path(preset)).sections[section]
+        cfg = preset_variant(tmp_path, {section: {**body, key: value}}, preset)
+        if preset != "heston_rv":  # the Heston pilot measures rho, so it runs before N is known
+            forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]) == 3
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "preset, section, given, message",
         [
             *(

@@ -167,8 +167,10 @@ class TestConfigValidation:
 
     def test_rho_of(self):
         assert small_config().rho_of(0.3) == 0.3
-        cfg = small_config(rho_kind="sqrt", c_rho=2.0)
+        cfg = small_config(rho_kind="sqrt", c_rho=2.0, epsilon_grid=(0.2, 0.15, 0.1))
         assert cfg.rho_of(0.25) == pytest.approx(1.0)
+        with pytest.raises(ParameterDomain, match="rho must lie in"):  # 2 * sqrt(0.3) > 1
+            small_config(rho_kind="sqrt", c_rho=2.0)
         with pytest.raises(ParameterDomain, match="unknown rho kind 'table'"):
             small_config(rho_kind="table")  # cut: custom schemes pin explicit points
 

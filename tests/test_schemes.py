@@ -1,11 +1,9 @@
-"""Design rules, bound constants, and decorrelation profile algebra."""
+"""Design rules, bound constants, and the decorrelation envelope."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from submoments.errors import ParameterDomain
@@ -15,68 +13,37 @@ from submoments.schemes import (
     BoundInputs,
     DecorrelationProfile,
     covariance_bound_constant,
-    decorrelation_sum_bound,
     error_bound_observable,
     error_bound_unobservable,
-    gaussian_fourth_moment,
     observable_bound_terms,
     reference_bound_inputs,
     scheme_from_n,
     scheme_from_rho,
 )
 
-UNIT_TAIL = DecorrelationProfile.exponential(c=math.e, rate=1.0)  # tail integral 1
+UNIT_TAIL = DecorrelationProfile(c=math.e, rate=1.0)  # tail integral 1
 
 
 class TestProfiles:
     def test_exponential_tail_integral_closed_form(self):
-        prof = DecorrelationProfile.exponential(c=3.0, rate=0.7)
+        prof = DecorrelationProfile(c=3.0, rate=0.7)
         oracle, err = quad(lambda u: 3.0 * math.exp(-0.7 * u), 1.0, np.inf)
         assert prof.integral_tail == pytest.approx(oracle, rel=1e-9)
-        assert prof.integral_full == pytest.approx(3.0 / 0.7, rel=1e-12)
 
     def test_unit_tail_profile(self):
         assert UNIT_TAIL.integral_tail == pytest.approx(1.0, rel=1e-12)
 
-    def test_power_integrals(self):
-        prof = DecorrelationProfile.power(c=2.0, exponent=3.0)
-        assert prof.integral_tail == pytest.approx(1.0, rel=1e-12)
-        assert prof.integral_full == math.inf
-
-    def test_power_needs_integrable_tail(self):
-        with pytest.raises(ParameterDomain):
-            DecorrelationProfile.power(c=1.0, exponent=1.0)
-
-    def test_tabulated_evaluate_and_integrals(self):
-        # flat at 2 before the first knot, linear 2 -> 1 on [1, 3], zero after
-        prof = DecorrelationProfile.tabulated([1.0, 3.0], [2.0, 1.0])
-        assert prof.evaluate(0.0) == 2.0
-        assert prof.evaluate(2.0) == pytest.approx(1.5)
-        assert prof.evaluate(10.0) == 0.0
-        assert prof.integral_full == pytest.approx(2.0 + 3.0, rel=1e-12)
-        assert prof.integral_tail == pytest.approx(3.0, rel=1e-12)
-
-    def test_tabulated_must_decrease(self):
-        with pytest.raises(ParameterDomain):
-            DecorrelationProfile.tabulated([1.0, 2.0], [1.0, 2.0])
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ParameterDomain):
-            UNIT_TAIL.evaluate(-0.5)
-
 
 class TestBoundConstants:
     def test_covariance_constant_worked_example(self):
-        # r=1, tail integral 1, nu=1, horizon 0: 8*sqrt(1) + 2.5*sqrt(1) = 10.5
-        inputs = BoundInputs(
-            nu=1.0, horizon_a=0.0, dim_r=1, profile=UNIT_TAIL, lipschitz_lambda=1.0
-        )
+        # tail integral 1, nu=1, horizon 0: 8*sqrt(1) + 2.5*sqrt(1) = 10.5
+        inputs = BoundInputs(nu=1.0, horizon_a=0.0, profile=UNIT_TAIL, lipschitz_lambda=1.0)
         assert covariance_bound_constant(inputs) == pytest.approx(10.5, rel=1e-12)
 
     @pytest.mark.parametrize("field", ["nu", "horizon_a", "lipschitz_lambda"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_constants_rejected(self, field, value):
-        fields = dict(nu=1.0, horizon_a=1.0, dim_r=1, profile=UNIT_TAIL, lipschitz_lambda=1.0)
+        fields = dict(nu=1.0, horizon_a=1.0, profile=UNIT_TAIL, lipschitz_lambda=1.0)
         with pytest.raises(ParameterDomain, match="must be finite"):
             BoundInputs(**{**fields, field: value})
 
@@ -145,94 +112,6 @@ class TestSchemeRules:
         assert predicted == pytest.approx(expect, rel=1e-12)
 
 
-
-class TestDecorrelationSum:
-    def test_worked_example(self):
-        prof = DecorrelationProfile.exponential(c=1.0, rate=1.0)
-        g, bound = decorrelation_sum_bound(3, 1.0, prof)
-        assert g == pytest.approx(math.exp(-1) + 2 * math.exp(-2), rel=1e-12)
-        assert bound == pytest.approx(2.0, rel=1e-12)
-        assert g <= bound
-
-    def test_bound_holds_even_for_dense_grids(self):
-        # small d with many terms is where a weaker (tail-integral) majorant
-        # would fail; the full-integral one must hold
-        prof = DecorrelationProfile.exponential(c=1.0, rate=1.0)
-        for q in (2, 5, 20, 200):
-            for d in np.logspace(-2, 1, 7):
-                g, bound = decorrelation_sum_bound(q, float(d), prof)
-                assert g <= bound
-
-    def test_bound_holds_for_tabulated(self):
-        prof = DecorrelationProfile.tabulated([0.5, 1.0, 4.0], [3.0, 1.0, 0.2])
-        for q in (2, 10, 100):
-            for d in (0.01, 0.3, 2.0):
-                g, bound = decorrelation_sum_bound(q, d, prof)
-                assert g <= bound
-
-    def test_power_profile_gives_trivial_bound(self):
-        g, bound = decorrelation_sum_bound(10, 0.5, DecorrelationProfile.power(1.0, 2.0))
-        assert math.isfinite(g) and bound == math.inf
-
-    @given(
-        c=st.floats(0.1, 10.0),
-        rate=st.floats(0.1, 5.0),
-        q=st.integers(2, 300),
-        d=st.floats(1e-3, 10.0),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_bound_invariant_exponential(self, c, rate, q, d):
-        prof = DecorrelationProfile.exponential(c=c, rate=rate)
-        g, bound = decorrelation_sum_bound(q, d, prof)
-        assert g <= bound * (1.0 + 1e-12)
-
-    def test_domain(self):
-        prof = DecorrelationProfile.exponential(1.0, 1.0)
-        with pytest.raises(ParameterDomain):
-            decorrelation_sum_bound(1, 1.0, prof)
-        with pytest.raises(ParameterDomain):
-            decorrelation_sum_bound(3, 0.0, prof)
-
-
-class TestGaussianFourthMoment:
-    def test_single_variable_kurtosis(self):
-        assert gaussian_fourth_moment(np.ones((4, 4))) == pytest.approx(3.0)
-
-    def test_independent_pairs(self):
-        c = np.zeros((4, 4))
-        c[0, 0] = c[1, 1] = c[2, 2] = c[3, 3] = 1.0
-        c[0, 1] = c[1, 0] = 1.0  # Z1 = Z2
-        c[2, 3] = c[3, 2] = 1.0  # Z3 = Z4, independent of the first pair
-        assert gaussian_fourth_moment(c) == pytest.approx(1.0)
-
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(2024)
-        a = rng.standard_normal((4, 4))
-        cov = a @ a.T
-        z = rng.multivariate_normal(np.zeros(4), cov, size=2_000_000)
-        mc = float(np.mean(z[:, 0] * z[:, 1] * z[:, 2] * z[:, 3]))
-        se = float(np.std(z[:, 0] * z[:, 1] * z[:, 2] * z[:, 3]) / math.sqrt(z.shape[0]))
-        assert gaussian_fourth_moment(cov) == pytest.approx(mc, abs=4 * se)
-
-    def test_asymmetric_rejected(self):
-        c = np.eye(4)
-        c[0, 1] = 0.5
-        with pytest.raises(ParameterDomain):
-            gaussian_fourth_moment(c)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_relabeling_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 4))
-        cov = a @ a.T
-        perm = rng.permutation(4)
-        permuted = cov[np.ix_(perm, perm)]
-        assert gaussian_fourth_moment(permuted) == pytest.approx(
-            gaussian_fourth_moment(cov), rel=1e-12
-        )
-
-
 class TestOUEnvelope:
     @staticmethod
     def _word_cov_bounds(params: OUParams, gap: float, h: float) -> float:
@@ -264,7 +143,7 @@ class TestOUEnvelope:
                 for gap in (0.25, 0.5, 1.0, 2.0, 4.0):
                     for h in (0.0, 0.5, 1.0):
                         worst = self._word_cov_bounds(params, gap, h)
-                        assert worst <= prof.evaluate(gap) * (1.0 + 1e-12)
+                        assert worst <= prof.c * math.exp(-prof.rate * gap) * (1.0 + 1e-12)
 
     def test_degenerate_noise_has_no_envelope(self):
         with pytest.raises(ParameterDomain):
