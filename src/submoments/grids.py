@@ -149,6 +149,11 @@ class SubsamplingScheme:
         check_positive(self.big_delta, "big_delta")
         if self.stride is not None and self.stride < 1:
             raise ParameterDomain(f"stride must be >= 1, got {self.stride}")
+        if not math.isfinite(self.span):
+            raise ParameterDomain(
+                f"span n_obs * big_delta is not finite at n_obs {self.n_obs}, "
+                f"big_delta {self.big_delta}"
+            )
 
     @property
     def span(self) -> float:

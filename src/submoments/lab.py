@@ -69,7 +69,7 @@ from .schemes import (
 _OBSERVABLES = ("identity", "multiplicative", "smoothing")
 _RHO_KINDS = ("identity", "sqrt")
 _FAMILIES = ("from_rho", "from_n", "custom")
-_HESTON_CHUNK = 4096  # fine rows stepped at once, over all heston_rv replications
+_HESTON_CHUNK = 512  # fine rows stepped at once, over all heston_rv replications: fits L2
 _MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a generic sweep may plan for, else ResourceLimit
 _EXECUTION_FIELDS = ("workers",)
 
@@ -255,6 +255,7 @@ def _check_memory(rows: float, paths: int = 1) -> None:
     # path, observable; the kernel works in leaf-sized buffers), the pilot
     # its price and variance paths and a few eps-grid columns while it
     # measures rho, the realized-variance main pass one, its coarse samples
+    # (beyond them it holds one _HESTON_CHUNK-row chunk of every replication)
     need = rows * 8 * 4 * paths
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
@@ -827,10 +828,13 @@ def _heston_chunks(params: HestonParams, seed: int, reps, length: int, dt: float
     """The one Heston loop: yield ``(lo, prices, variances)``, rows ``lo, ...`` of every rep.
 
     Each replication draws ``V(0)`` and its variance normals from its
-    process-noise stream and its price normals from its auxiliary stream, a
-    chunk at a time; ``_heston_core`` steps on from the carried state, so a
-    path is the same bit for bit at any chunk size, beside any replication.
-    It stays in ``lab``, where the benchmark traces both draws and steps.
+    process-noise stream and its price normals from its auxiliary stream,
+    ``_HESTON_CHUNK`` rows at a time; ``_heston_core`` steps on from the
+    carried raw variance and last price, so a path is the same bit for bit
+    at any chunk size, beside any replication.  A 512-row chunk keeps the
+    normals, paths and the consumer's temporaries of 120 replications in
+    L2 (0.49 MB per buffer).  It stays in ``lab``, where the benchmark
+    traces both draws and steps.
     """
     width = len(reps)
     v = np.empty(width)
@@ -924,9 +928,9 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, coarse: np.ndarr
     prices = r_chunk[(seen + 1) * s - 1 - lo : max(point.rows * s - lo, 0) : s]
     if len(prices) == 0:
         return state
-    rv, carry = realized_variance_chunk(prices, point.offset, point.step, carry)
     stride = point.scheme.stride
-    picked = rv[point.offset - 1 + (filled + 1) * stride - seen :: stride]
+    keep = slice(point.offset - 1 + (filled + 1) * stride - seen, None, stride)
+    picked, carry = realized_variance_chunk(prices, point.offset, point.step, carry, keep)
     coarse[filled : filled + len(picked)] = picked
     return carry, seen + len(prices), filled + len(picked)
 
@@ -937,8 +941,9 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     One fine path per replication serves every eps level (common random
     numbers), so error comparisons across levels are paired.  All
     replications are stepped together, ``_HESTON_CHUNK`` fine rows at a
-    time; each chunk extends every level's coarse RV samples and is then
-    dropped, so no price path is held whole.  Replications whose lagged
+    time; each chunk extends every level's coarse RV samples, computing RV
+    only at the rows the scheme keeps, and is then dropped, so memory is
+    the coarse samples plus one chunk.  Replications whose lagged
     covariances are unusable are counted as failures and excluded from the
     error summary.
     """

@@ -49,7 +49,8 @@ class OUParams:
     """Scalar mean-reverting diffusion dX = -reversion (X - mean) dt + noise dW.
 
     ``noise = 0`` is accepted as the degenerate constant-path limit.  The
-    stationary variance and fourth-moment norm must be finite floats.
+    stationary variance and fourth-moment norm must be finite floats, and
+    the variance must not underflow to 0 when ``noise > 0``.
     """
 
     mean: float = 0.0
@@ -71,6 +72,11 @@ class OUParams:
             raise ParameterDomain(
                 f"stationary moments overflow at mean {self.mean}, reversion "
                 f"{self.reversion}, noise {self.noise}"
+            )
+        if self.noise > 0 and self.stationary_variance == 0.0:
+            raise ParameterDomain(
+                f"stationary variance underflows to 0 at reversion {self.reversion}, "
+                f"noise {self.noise}"
             )
 
     @property
@@ -463,30 +469,39 @@ def realized_volatility_observable(
         raise InsufficientData(
             f"need at least {window + 1} return samples, got {returns.n_samples}"
         )
-    rv, _ = realized_variance_chunk(returns.samples[:, 0], window, eps)
-    return TrajectoryGrid(rv[window:], eps)
+    rv, _ = realized_variance_chunk(returns.samples[:, 0], window, eps, keep=slice(window, None))
+    return TrajectoryGrid._handover(rv, eps)
 
 
-def realized_variance_chunk(prices: np.ndarray, window: int, eps: float, carry=None):
-    """Trailing-window realized variance at every row of ``prices``, resumable.
+def realized_variance_chunk(
+    prices: np.ndarray, window: int, eps: float, carry=None, keep: slice = slice(None)
+):
+    """Trailing-window realized variance at the ``keep`` rows of ``prices``, resumable.
 
-    Row ``m`` of the result is ``(1/(window*eps))`` times the sum of the
-    squared increments over the ``window`` increments that end at row ``m``
-    (one path per column); increments before the path's first row count as
-    zero, so rows before ``window`` are partial windows.  Returns ``(rv,
-    carry)``: passing ``carry`` into the call on the rows that follow gives
-    the same bits as one call over the whole path, since the running sum
-    of squares is one ordered ``np.add.accumulate`` continued from the
-    carried value (``np.cumsum`` adds in the same order).  The carry is the
-    last price row and the last ``window`` running sums; ``None`` starts a
-    path.
+    Row ``m`` of the full result is ``(1/(window*eps))`` times the sum of
+    the squared increments over the ``window`` increments that end at row
+    ``m`` (one path per column); increments before the path's first row
+    count as zero, so rows before ``window`` are partial windows.  Only the
+    rows ``keep`` picks are computed, and they equal the full result sliced
+    by ``keep``.  Returns ``(rv, carry)``: passing ``carry`` into the call
+    on the rows that follow gives the same bits as one call over the whole
+    path, since the running sum of squares is one ordered
+    ``np.add.accumulate`` continued from the carried value (``np.cumsum``
+    adds in the same order).  The carry is the last price row and the last
+    ``window`` running sums; ``None`` starts a path.  The increments, their
+    squares and the running sums share one ``(window + rows, ...)`` buffer.
     """
     if carry is None:
         carry = (prices[:1], np.zeros((window,) + prices.shape[1:]))
     last, tail = carry
-    csum = np.concatenate((tail, np.diff(prices, axis=0, prepend=last) ** 2))
+    csum = np.empty((window + len(prices),) + prices.shape[1:])
+    csum[:window] = tail
+    sq = csum[window:]
+    np.subtract(prices[:1], last, out=sq[:1])
+    np.subtract(prices[1:], prices[:-1], out=sq[1:])
+    np.multiply(sq, sq, out=sq)
     np.add.accumulate(csum[window - 1 :], axis=0, out=csum[window - 1 :])
-    rv = (csum[window:] - csum[:-window]) / (window * eps)
+    rv = (csum[window:][keep] - csum[:-window][keep]) / (window * eps)
     return rv, (prices[-1:].copy(), csum[-window:].copy())
 
 

@@ -1062,6 +1062,17 @@ class TestLabCommand:
                 )
                 for key in ("mean", "noise")
             ),
+            # the variance underflowed to 0 and the envelope blamed a degenerate noise
+            pytest.param(
+                "smoke", "model", "reversion", "1e308",
+                "stationary variance underflows to 0 at reversion 1e+308, noise 1.414",
+                id="reversion-1e308",
+            ),
+            # a 3e307 coarse step: the sweep ran, and only the report writer refused inf
+            pytest.param(
+                "smoke", "sweep", "c_delta", "1e308",
+                "span n_obs * big_delta is not finite", id="c_delta-1e308",
+            ),
             # a NaN threshold ran the whole sweep, then failed its check against nan
             pytest.param(
                 "smoke", "assert", "bound_fraction_min", "nan",

@@ -183,8 +183,14 @@ class TestSubsampling:
 
     @pytest.mark.parametrize("big_delta, delta", [(1e308, 0.05), (1.0, 5e-324)])
     def test_resolve_stride_rejects_an_overflowing_ratio(self, big_delta, delta):
+        # one observation, so the span is the finite big_delta
         with pytest.raises(ParameterDomain, match="overflows"):
-            resolve_stride(SubsamplingScheme(n_obs=4, big_delta=big_delta), delta)
+            resolve_stride(SubsamplingScheme(n_obs=1, big_delta=big_delta), delta)
+
+    def test_span_must_be_finite(self):
+        with pytest.raises(ParameterDomain, match="span n_obs \\* big_delta is not finite"):
+            SubsamplingScheme(n_obs=2, big_delta=1e308)
+        assert SubsamplingScheme(n_obs=1, big_delta=1e308).span == 1e308
 
     def test_whole_steps(self):
         assert whole_steps(0.5, 0.1, "window") == 5

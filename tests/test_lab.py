@@ -500,6 +500,20 @@ class TestHestonRVPipeline:
             tracemalloc.stop()
         assert peak < price_paths_bytes / 2
 
+    def test_working_set_is_one_chunk(self):
+        # at the shipped chunk size, beyond the coarse samples it keeps, the
+        # run holds one chunk of normals, paths and RV sums, and the pilot
+        _, plans = _plan_heston_rv(self.CFG)
+        coarse_rows = sum(plan.point.scheme.n_obs + max(plan.point.kappas) for plan in plans)
+        coarse_bytes = 8 * coarse_rows * self.CFG.replications
+        tracemalloc.start()
+        try:
+            run_heston_rv(self.CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - coarse_bytes < 2_000_000
+
 
 class TestHestonChunks:
     # vol_of_vol**2 > 2 * reversion * level, so the raw variance goes
@@ -507,13 +521,16 @@ class TestHestonChunks:
     # boundary, where it must be carried raw, not truncated
     PARAMS = HestonParams(reversion=1.3, level=0.045, vol_of_vol=0.45, drift=0.07)
 
-    def test_a_replication_has_one_path(self):
+    def test_a_replication_has_one_path(self, monkeypatch):
+        # the seed's negative raw variance falls on a boundary of 4096-row chunks
+        chunk = 4096
+        monkeypatch.setattr(lab, "_HESTON_CHUNK", chunk)
         seed, rep, dt = 20260305, 5, 0.01
-        length = 2 * _HESTON_CHUNK + 37
+        length = 2 * chunk + 37
         returns, variance = simulate_heston(self.PARAMS, length, dt, RandomStreamSpec(seed, rep))
         # the scalar recursion (one column) against the row recursion (three)
         chunks = list(lab._heston_chunks(self.PARAMS, seed, [rep - 1, rep, rep + 1], length, dt))
-        assert [lo for lo, _, _ in chunks] == [0, _HESTON_CHUNK, 2 * _HESTON_CHUNK]
+        assert [lo for lo, _, _ in chunks] == [0, chunk, 2 * chunk]
         assert np.array_equal(returns.samples[:, 0], np.concatenate([r[:, 1] for _, r, _ in chunks]))
         assert np.array_equal(variance.samples[:, 0], np.concatenate([v[:, 1] for _, _, v in chunks]))
         # chunked draws and steps against one whole-length draw per stream
@@ -526,7 +543,7 @@ class TestHestonChunks:
         r_ref, v_ref, _ = heston_core_reference(self.PARAMS, length, dt, z_var, z_price, v0)
         assert np.array_equal(returns.samples, r_ref)
         assert np.array_equal(variance.samples, v_ref)
-        assert variance.samples[2 * _HESTON_CHUNK - 1, 0] == 0.0  # truncated at the boundary
+        assert variance.samples[2 * chunk - 1, 0] == 0.0  # truncated at the boundary
 
 
 class TestConfigHash:

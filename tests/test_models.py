@@ -372,6 +372,14 @@ class TestObservables:
             rv, carry = realized_variance_chunk(paths[lo : lo + chunk], window, eps, carry)
             parts.append(rv)
         assert np.array_equal(np.concatenate(parts)[window:], expected)
+        # only the kept rows, every third from row window + 2, picked chunk by chunk
+        first, step = window + 2, 3
+        carry, parts = None, []
+        for lo in range(0, len(paths), chunk):
+            keep = slice(max(first - lo, (first - lo) % step), None, step)
+            rv, carry = realized_variance_chunk(paths[lo : lo + chunk], window, eps, carry, keep)
+            parts.append(rv)
+        assert np.array_equal(np.concatenate(parts), expected[2::step])
         whole = realized_volatility_observable(ret, eps, window)
         assert np.array_equal(whole.samples[:, 0], expected[:, 0])
 
