@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.resources
+import shutil
 import sys
 from pathlib import Path
 
@@ -45,7 +46,6 @@ from .grids import (
     SubsamplingScheme,
     TrajectoryGrid,
     binary_writer,
-    check_grid,
     check_positive,
     # not called here: the benchmark tracer wraps it under this module by name
     read_binary,
@@ -69,7 +69,6 @@ from .lab import (
 )
 from .models import (
     HestonParams,
-    OUParams,
     SlowFastParams,
     simulate_ou,
     simulate_slow_fast,
@@ -140,45 +139,54 @@ def _parse_floats(raw: str, flag: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _write_flags(bundle, section: str, **flags) -> None:
+    """Write the flags given into ``[section]``, where ``check_keys`` and the builders judge
+    them as they judge the file's own keys."""
+    for key, value in flags.items():
+        if value is not None:
+            bundle.sections.setdefault(section, {})[key] = str(value)
+
+
+def _check_outputs(outputs: list, length: int, whole: bool) -> None:
+    """Refuse ``length``-row outputs that cannot be written, before any is opened: a path
+    built ``whole`` must be an array numpy can address, and a ``.bin`` needs its bytes free."""
+    if whole and 8 * (length + 1) * len(outputs) > np.iinfo(np.intp).max:
+        raise ResourceLimit(f"a path of {_count(length)} rows is larger than numpy can allocate")
+    need, folder = (24 + 8 * length) * len(outputs), outputs[0].parent  # header and float64s
+    if outputs[0].suffix.lower() != ".csv" and need > shutil.disk_usage(folder).free:
+        raise ResourceLimit(
+            f"{len(outputs)} file(s) of {_count(length)} rows need {_count(need)} bytes, "
+            f"more than is free in {folder}"
+        )
+
+
 def cmd_simulate(args) -> int:
     bundle = load_config(args.config)
-    check_keys("simulate", bundle)
+    _write_flags(bundle, "run", master_seed=args.seed)
+    _write_flags(bundle, "grid", length=args.length, delta=args.delta)
+    check_keys("simulate", bundle)  # the flags count: they were written in above
     model = build_model(bundle)
-    run = build_run_settings(bundle)
-    seed = run.get("master_seed", 0) if args.seed is None else args.seed
-    if args.length is not None and args.delta is not None:
-        length, delta = args.length, args.delta
-    else:
-        req = build_grid_request(bundle)
-        length = req.length if args.length is None else args.length
-        delta = req.delta if args.delta is None else args.delta
-    check_grid(length, delta)
+    seed = build_run_settings(bundle).get("master_seed", 0)
+    req = build_grid_request(bundle)
+    length, delta = req.length, req.delta
     if not np.isfinite(length * float(delta)):  # the last grid time, in Python floats
         raise ValidationError(f"grid times overflow: length {length} * delta {delta} is not finite")
-    stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     out = Path(args.output)
-    outputs: list[str] = []
-    if isinstance(model, OUParams):
-        if out.suffix.lower() == ".csv":
-            _write_grid(simulate_ou(model, length, delta, stream), out)
-        else:  # each block goes to the file as it is made: the path is never whole
-            with binary_writer(out, 1, delta, length) as write:
-                simulate_ou(model, length, delta, stream, write)
-        outputs.append(str(out))
-    elif isinstance(model, HestonParams):
-        returns, variance = simulate_heston(model, length, delta, stream)
-        var_path = _sibling(out, "variance")
-        _write_grid(returns, out)
-        _write_grid(variance, var_path)
-        outputs += [str(out), str(var_path)]
-    elif isinstance(model, SlowFastParams):
-        slow, reduced = simulate_slow_fast(model, length, delta, stream)
-        red_path = _sibling(out, "reduced")
-        _write_grid(slow, out)
-        _write_grid(reduced, red_path)
-        outputs += [str(out), str(red_path)]
-    else:  # pragma: no cover - build_model only returns the three kinds
-        raise ValidationError(f"cannot simulate model {type(model).__name__}")
+    simulate, tag = {  # a two-path model writes its second path next to the first
+        HestonParams: (simulate_heston, "variance"),
+        SlowFastParams: (simulate_slow_fast, "reduced"),
+    }.get(type(model), (simulate_ou, None))
+    outputs = [out] if tag is None else [out, _sibling(out, tag)]
+    streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
+    _check_outputs(outputs, length, whole=not streamed)
+    stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
+    if streamed:  # each block goes to the file as it is made: the path is never whole
+        with binary_writer(out, 1, delta, length) as write:
+            simulate_ou(model, length, delta, stream, write)
+    else:
+        paths = simulate(model, length, delta, stream)
+        for grid, path in zip([paths] if tag is None else paths, outputs):
+            _write_grid(grid, path)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -188,10 +196,10 @@ def cmd_simulate(args) -> int:
         "replication": args.replication,
         "length": length,
         "delta": delta,
-        "outputs": outputs,
+        "outputs": list(map(str, outputs)),
     }
     _write_json(manifest, Path(str(out) + ".manifest.json"))
-    print(f"wrote {', '.join(outputs)}")
+    print(f"wrote {', '.join(manifest['outputs'])}")
     return 0
 
 
@@ -341,10 +349,7 @@ def cmd_lab(args) -> int:
         raise UsageError("give exactly one of --config or --preset")
     path = Path(args.config) if args.config else _preset_path(args.preset)
     bundle = load_config(path)
-    if args.seed is not None:
-        bundle.sections.setdefault("run", {})["master_seed"] = str(args.seed)
-    if args.workers is not None:
-        bundle.sections.setdefault("run", {})["workers"] = str(args.workers)
+    _write_flags(bundle, "run", master_seed=args.seed, workers=args.workers)
     kind = pipeline_kind(bundle)
     check_keys(kind, bundle)  # --seed and --workers count: they were written into [run] above
     checks = assert_thresholds(bundle) if args.check else {}

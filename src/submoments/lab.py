@@ -44,7 +44,7 @@ from .grids import (
     subsample_sequence,
     whole_steps,
 )
-from .invert import invert_cir, invert_ou
+from .invert import CIR_PARAMETER_NAMES, invert_cir, invert_ou
 from .models import (
     HestonParams,
     OUParams,
@@ -794,11 +794,11 @@ class HestonRVReport:
 
     def nonincreasing(self) -> bool:
         eps_sorted = sorted(self.rms_rel, reverse=True)  # large -> small
-        for a, b in zip(eps_sorted, eps_sorted[1:]):
-            for name in ("reversion", "level", "vol_of_vol"):
-                if self.rms_rel[b][name] > self.rms_rel[a][name]:
-                    return False
-        return True
+        return not any(
+            self.rms_rel[b][name] > self.rms_rel[a][name]
+            for a, b in zip(eps_sorted, eps_sorted[1:])
+            for name in CIR_PARAMETER_NAMES
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -872,44 +872,34 @@ def simulate_heston(
     return tuple(TrajectoryGrid._handover(path, delta_fine) for path in paths)
 
 
-def _pilot_rho(config: HestonRVConfig, delta_f: float, plans_eps) -> dict:
-    """Fourth-moment distance between RV and the true variance on a pilot path."""
-    length = int(math.ceil(config.pilot_span / delta_f))
-    stream = RandomStreamSpec(config.master_seed, config.replications)
-    returns, variance = simulate_heston(config.params, length, delta_f, stream)
-    rho = {}
-    for eps, s_eps, window in plans_eps:
-        r_eps = returns.samples[s_eps - 1 :: s_eps, 0]
-        v_eps = variance.samples[s_eps - 1 :: s_eps, 0]
-        rv = realized_volatility_observable(
-            TrajectoryGrid(r_eps, eps), eps, window
-        ).samples[:, 0]
-        diff = np.abs(rv - v_eps[window:])
-        rho[eps] = float(np.mean(diff**4) ** 0.25)
-    return rho
-
-
 def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
-    """The fine step, the smallest eps, and one plan per eps level, sized from the pilot's rho."""
+    """The fine step, the smallest eps, and one plan per eps level, sized from the rho a
+    pilot path measures: the fourth-moment distance between RV and the true variance."""
     delta_f = min(config.epsilon_grid)
-    plans_eps = [
+    levels = [
         (eps, whole_steps(eps, delta_f, "eps"), default_rv_window(eps))
         for eps in config.epsilon_grid
     ]
 
     _check_memory(config.pilot_span / delta_f)  # before the pilot sizes or draws anything
-    rho_hat = _pilot_rho(config, delta_f, plans_eps)
+    length = int(math.ceil(config.pilot_span / delta_f))
+    stream = RandomStreamSpec(config.master_seed, config.replications)
+    returns, variance = simulate_heston(config.params, length, delta_f, stream)
 
     plans = []
-    for eps, s_eps, window in plans_eps:
-        scheme = scheme_from_rho(rho_hat[eps], config.c_n, config.c_delta)
+    for eps, s_eps, window in levels:
+        r_eps = returns.samples[s_eps - 1 :: s_eps, 0]
+        v_eps = variance.samples[s_eps - 1 :: s_eps, 0]
+        rv = realized_volatility_observable(TrajectoryGrid(r_eps, eps), eps, window).samples[:, 0]
+        rho_hat = float(np.mean(np.abs(rv - v_eps[window:]) ** 4) ** 0.25)
+        scheme = scheme_from_rho(rho_hat, config.c_n, config.c_delta)
         point = plan_point(scheme, eps, (config.u1, config.u2), window)
         point.require_positive(0)
         if point.kappas[1] <= point.kappas[0]:
             raise ParameterDomain(
                 f"lag pair {point.lags} rounds to one lag on big_delta {point.scheme.big_delta}"
             )
-        plans.append(_RVPlan(s_eps, point, rho_hat[eps]))
+        plans.append(_RVPlan(s_eps, point, rho_hat))
     return delta_f, plans
 
 
@@ -962,30 +952,24 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
             for plan, out, state in zip(plans, coarse, states)
         ]
 
-    truth = {"reversion": p.reversion, "level": p.level, "vol_of_vol": p.vol_of_vol}
-    names = ("reversion", "level", "vol_of_vol")
-    true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
-    sq_rel = {plan.point.step: [] for plan in plans}
-    failures = {plan.point.step: 0 for plan in plans}
-    for col in range(width):
-        for plan, samples in zip(plans, coarse):
+    truth = {name: getattr(p, name) for name in CIR_PARAMETER_NAMES}
+    true_vec = np.array(list(truth.values()))
+    rms_rel, failures = {}, {}
+    for plan, samples in zip(plans, coarse):
+        eps = plan.point.step
+        sq_rel = []
+        for col in range(width):
             try:
                 psi = _rv_moments(samples[:, col : col + 1], plan)
                 est = invert_cir(psi, plan.point.lags_used[0])
             except MomentsOutsideModelRange:
-                failures[plan.point.step] += 1
                 continue
-            rel = (est.theta - true_vec) / true_vec
-            sq_rel[plan.point.step].append(rel**2)
-
-    rms_rel = {}
-    for plan in plans:
-        eps = plan.point.step
-        block = np.array(sq_rel[eps])
-        if block.size == 0:
+            sq_rel.append(((est.theta - true_vec) / true_vec) ** 2)
+        if not sq_rel:
             raise MomentsOutsideModelRange(f"every replication failed at eps {eps}")
-        rms = np.sqrt(block.mean(axis=0))
-        rms_rel[eps] = {n: float(v) for n, v in zip(names, rms)}
+        failures[eps] = width - len(sq_rel)
+        rms = np.sqrt(np.mean(sq_rel, axis=0))
+        rms_rel[eps] = {name: float(v) for name, v in zip(CIR_PARAMETER_NAMES, rms)}
 
     return HestonRVReport(
         truth=truth,

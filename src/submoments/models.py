@@ -244,6 +244,8 @@ def simulate_ou(
 class HestonParams:
     """Price/variance pair: dV = reversion (level - V) dt + vol_of_vol sqrt(V) dW2,
     dR = drift dt + sqrt(V) dW1 with independent Brownian drivers.
+
+    The shape and scale of the stationary Gamma law must be finite floats > 0.
     """
 
     reversion: float = 1.0
@@ -256,9 +258,23 @@ class HestonParams:
             raise ParameterDomain("reversion, level and vol_of_vol must be > 0")
         if not np.isfinite([self.reversion, self.level, self.vol_of_vol, self.drift]).all():
             raise ParameterDomain("parameters must be finite")
+        try:
+            law = (self.stationary_shape, self.stationary_scale)
+        except (OverflowError, ZeroDivisionError):  # vol_of_vol**2 past the float range
+            law = (math.nan,)
+        if not all(0.0 < v < math.inf for v in law):
+            raise ParameterDomain(
+                f"stationary Gamma shape or scale overflows or underflows at reversion "
+                f"{self.reversion}, level {self.level}, vol_of_vol {self.vol_of_vol}"
+            )
 
+    @property
+    def stationary_shape(self) -> float:
+        return 2.0 * self.reversion * self.level / self.vol_of_vol**2
 
-_BLOCK = 256  # steps per block of the price pass and the scalar loop: small buffers
+    @property
+    def stationary_scale(self) -> float:
+        return self.vol_of_vol**2 / (2.0 * self.reversion)
 
 
 def _heston_core(
@@ -275,10 +291,11 @@ def _heston_core(
     Row ``n`` of ``z_var``/``z_price`` drives step ``n + 1``.  ``v0`` is the
     raw (untruncated) variance and ``r0`` the price before the first step
     (zero when omitted).  Returns the price paths, the truncated variance
-    paths and the raw variance after the last step, so a long path can be
-    stepped in chunks: feed the returned raw variance and the last price
-    row into the next call as ``v0`` and ``r0`` and the result equals one
-    call over the whole path, bit for bit.  Carrying the truncated
+    paths and the raw variance after the last step.  The rows given are
+    stepped in one pass, so a long path is stepped in chunks (as
+    ``lab._heston_chunks`` does): feed the returned raw variance and the
+    last price row into the next call as ``v0`` and ``r0`` and the result
+    equals one call over the whole path, bit for bit.  Carrying the truncated
     variance instead would break that whenever the raw variance is
     negative.
 
@@ -324,23 +341,22 @@ def _heston_variance_scalar(params: HestonParams, dt: float, z, v_raw: float, ou
 
     Writes the truncated variance after each step into ``out`` and returns
     the last raw value.  ``0.0 if v <= 0.0 else v`` is ``np.maximum(v, 0.0)``:
-    it keeps NaN and maps -0.0 to 0.0.  The normals are converted a block at
-    a time, so a long path never holds more than a block of Python floats
-    (40,000 at once stayed resident as 2.9 MB after the call).
+    it keeps NaN and maps -0.0 to 0.0.  The normals are converted to Python
+    floats all at once, so the caller bounds the rows of one call
+    (``lab._heston_chunks`` hands over one chunk).
     """
     reversion, level, vol_of_vol = params.reversion, params.level, params.vol_of_vol
     sqdt = math.sqrt(dt)
     sqrt = math.sqrt
     v_plus = 0.0 if v_raw <= 0.0 else v_raw
-    for lo in range(0, len(z), _BLOCK):
-        block = []
-        append = block.append
-        for zn in z[lo : lo + _BLOCK].tolist():
-            v_raw = v_raw + reversion * (level - v_plus) * dt \
-                + vol_of_vol * sqrt(v_plus) * sqdt * zn
-            v_plus = 0.0 if v_raw <= 0.0 else v_raw
-            append(v_plus)
-        out[lo : lo + len(block)] = block
+    steps = []
+    append = steps.append
+    for zn in z.tolist():
+        v_raw = v_raw + reversion * (level - v_plus) * dt \
+            + vol_of_vol * sqrt(v_plus) * sqdt * zn
+        v_plus = 0.0 if v_raw <= 0.0 else v_raw
+        append(v_plus)
+    out[:] = steps
     return v_raw
 
 
@@ -376,41 +392,33 @@ def _heston_variance_rows(
         maximum(v_raw, zero, out=row)
 
 
+@np.errstate(over="ignore")  # an overflow ends as inf, which _heston_core reports
 def _heston_price_pass(drift_dt, sqdt, v_prev, z, r, out) -> np.ndarray:
     """``out[n] = (out[n-1] + drift_dt) + sqrt(v_prev[n]) * sqdt * z[n]``, from ``r``.
 
-    Each block of steps is laid out as ``r, drift_dt, inc_1, drift_dt,
-    inc_2, ...`` and summed by one ``np.add.accumulate`` down the rows,
-    which adds strictly in that order, so every partial sum is the one the
+    The steps are laid out as ``r, drift_dt, inc_1, drift_dt, inc_2, ...``
+    and summed by one ``np.add.accumulate`` down the rows, which adds
+    strictly in that order, so every partial sum is the one the
     step-by-step recursion makes.  Returns the last price (``r`` when there
     are no steps).
     """
-    steps, width = z.shape
-    block = max(min(_BLOCK, steps), 1)
-    work = np.empty((2 * block + 1, width))
-    work[1::2] = drift_dt
-    for lo in range(0, steps, block):
-        rows = min(block, steps - lo)
-        span = work[: 2 * rows + 1]
-        span[0] = r
-        inc = span[2::2]
-        np.sqrt(v_prev[lo : lo + rows], out=inc)
-        np.multiply(inc, sqdt, out=inc)
-        np.multiply(inc, z[lo : lo + rows], out=inc)
-        np.add.accumulate(span, axis=0, out=span)
-        out[lo : lo + rows] = inc
-        r = out[lo + rows - 1]
-        span[1::2] = drift_dt
-    return r
+    span = np.empty((2 * len(z) + 1, z.shape[1]))
+    span[0] = r
+    span[1::2] = drift_dt
+    inc = span[2::2]
+    np.sqrt(v_prev, out=inc)
+    np.multiply(inc, sqdt, out=inc)
+    np.multiply(inc, z, out=inc)
+    np.add.accumulate(span, axis=0, out=span)
+    out[:] = inc
+    return span[-1]
 
 
 def heston_initial_variance(
     params: HestonParams, rng: np.random.Generator, size: int | None = None
 ):
     """Draw V(0) from the stationary Gamma law of the square-root process."""
-    shape = 2.0 * params.reversion * params.level / params.vol_of_vol**2
-    scale = params.vol_of_vol**2 / (2.0 * params.reversion)
-    return rng.gamma(shape, scale, size=size)
+    return rng.gamma(params.stationary_shape, params.stationary_scale, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ test covers the installed console script.
 
 import ast
 import contextlib
+import functools
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from submoments.errors import ParameterDomain, ResourceLimit, ValidationError
 from submoments.estimators import covariance_curve, empirical_mean
 from submoments.grids import (
     _CHECK_ROWS,
+    RandomStreamSpec,
     SubsamplingScheme,
     TrajectoryGrid,
     read_binary,
@@ -53,7 +56,13 @@ from submoments.grids import (
     write_binary,
     write_csv,
 )
-from submoments.lab import ConvergenceReport, EndToEndConfig, ExperimentConfig, HestonRVConfig
+from submoments.lab import (
+    THRESHOLDS,
+    ConvergenceReport,
+    EndToEndConfig,
+    ExperimentConfig,
+    HestonRVConfig,
+)
 from submoments.models import HestonParams, OUParams, ou_bound_inputs
 
 from oracles import traced_memory
@@ -84,6 +93,11 @@ vol_of_vol = 0.3
 length = 200
 delta = 0.01
 """
+
+
+def disk_with_free(free: int):
+    """A stand-in for ``shutil.disk_usage`` that reports ``free`` bytes free on any path."""
+    return lambda path: types.SimpleNamespace(total=free, used=0, free=free)
 
 
 def write_cfg(tmp_path, text, name="cfg.cfg"):
@@ -417,6 +431,8 @@ class TestSimulateCommand:
             ("kind = ou\nmean = nan", "parameters must be finite"),
             ("kind = heston\nlevel = inf", "parameters must be finite"),
             ("kind = slow_fast\nentry = linear_coupling\nscale = inf", "scale must be positive and finite"),
+            # its stationary Gamma shape overflowed: an OverflowError traceback at the first draw
+            ("kind = heston\nvol_of_vol = 1e308", "stationary Gamma shape or scale overflows"),
             # the gradient_diffusion kind is cut: its old configs fail on their kind
             (
                 "kind = gradient_diffusion\ncoeffs = 0, 0, nan\nsigma = 1",
@@ -424,7 +440,7 @@ class TestSimulateCommand:
                 "for the simulate command, got 'gradient_diffusion'",
             ),
         ],
-        ids=["nan_mean", "inf_level", "inf_scale", "nan_coeff"],
+        ids=["nan_mean", "inf_level", "inf_scale", "huge_vol_of_vol", "nan_coeff"],
     )
     def test_non_finite_model_parameter_exits_three(self, tmp_path, capsys, monkeypatch, model, message):
         forbid_simulation(monkeypatch)
@@ -437,6 +453,58 @@ class TestSimulateCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
         assert not list(tmp_path.glob("m*"))
+
+    def test_overflowing_price_exits_five_without_a_warning(self, tmp_path, capsys):
+        # the price pass overflowed to inf, and numpy warned before the exit-5 error
+        text = HESTON_CFG.replace("vol_of_vol = 0.3", "vol_of_vol = 0.3\ndrift = 1e308")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "h.bin"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 5
+        assert caught == []
+        assert capsys.readouterr().err == "error: price or variance became non-finite\n"
+        assert not list(tmp_path.glob("h*"))
+
+    @pytest.mark.parametrize(
+        "model, name, length, message",
+        [
+            # the header's int64 count overflowed: struct.error after the file was opened
+            (OU_CFG, "p.bin", 2**63, "1 file(s) of 9.223e+18 rows need 7.379e+19 bytes"),
+            # each file fits in the 1 MB free, the pair does not; both were written
+            (OU_CFG, "p.bin", 200_000, "1 file(s) of 200000 rows need 1600024 bytes"),
+            (HESTON_CFG, "h.bin", 100_000, "2 file(s) of 100000 rows need 1600048 bytes"),
+            # numpy's "Maximum allowed dimension exceeded" ValueError, a traceback
+            (OU_CFG, "p.csv", 2**63, "a path of 9.223e+18 rows is larger than numpy can allocate"),
+            (HESTON_CFG, "h.bin", 2**62, "a path of 4.612e+18 rows is larger than numpy can allocate"),
+        ],
+        ids=["bin-int64", "bin-disk", "pair-disk", "csv-numpy", "heston-numpy"],
+    )
+    def test_output_that_cannot_be_written_exits_four(
+        self, tmp_path, capsys, monkeypatch, model, name, length, message
+    ):
+        monkeypatch.setattr("shutil.disk_usage", disk_with_free(10**6))
+        forbid_simulation(monkeypatch)
+        cfg = write_cfg(tmp_path, model)
+        out = tmp_path / name
+        argv = ["simulate", "--config", str(cfg), "--output", str(out), "--length", str(length)]
+        assert main(argv) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not list(tmp_path.glob(f"{out.stem}*"))
+
+    def test_flags_are_written_into_the_config(self, tmp_path, capsys):
+        # --seed, --length and --delta fill [run] and [grid] and are checked as their keys are
+        cfg = write_cfg(tmp_path, "[model]\nkind = ou\n")
+        out = tmp_path / "f.bin"
+        argv = ["simulate", "--config", str(cfg), "--output", str(out), "--length", "50"]
+        assert main([*argv, "--delta", "0.1", "--seed", "7"]) == 0
+        manifest = json.loads((tmp_path / "f.bin.manifest.json").read_text())
+        assert (manifest["master_seed"], manifest["length"], manifest["delta"]) == (7, 50, 0.1)
+        assert read_binary(out).n_samples == 50
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: config needs a [grid] section with delta\n"
 
     def test_unstable_slow_fast_step_exits_three(self, tmp_path, capsys):
         # scale 100 admits step 5, but the slow Euler coefficient 1 - 5 diverges:
@@ -460,6 +528,7 @@ class TestSimulateCommand:
             raise MemoryError(message)
 
         monkeypatch.setattr("submoments.cli.simulate_ou", out_of_memory)
+        monkeypatch.setattr("shutil.disk_usage", disk_with_free(2**62))  # the file would fit
         cfg = write_cfg(tmp_path, OU_CFG)
         out = tmp_path / "big.bin"
         argv = ["simulate", "--config", str(cfg), "--output", str(out), "--length", "10000000000000"]
@@ -1073,6 +1142,17 @@ class TestLabCommand:
                 "smoke", "sweep", "c_delta", "1e308",
                 "span n_obs * big_delta is not finite", id="c_delta-1e308",
             ),
+            # the stationary Gamma law of V(0) overflowed, or divided by 0, at the first draw:
+            # a traceback with exit 1, or (reversion 1e-320) exit 5 after stepping an inf start
+            *(
+                pytest.param(
+                    "heston_rv", "model", key, value,
+                    "stationary Gamma shape or scale overflows or underflows at", id=f"{key}-{value}",
+                )
+                for key, value in (
+                    ("vol_of_vol", "1e308"), ("vol_of_vol", "1e-300"), ("reversion", "1e-320"),
+                )
+            ),
             # a NaN threshold ran the whole sweep, then failed its check against nan
             pytest.param(
                 "smoke", "assert", "bound_fraction_min", "nan",
@@ -1240,6 +1320,146 @@ class TestLabCommand:
         out = tmp_path / "run"
         assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == 0
         assert "[CHECK]" not in capsys.readouterr().out
+
+
+_BAD_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "x", "")
+
+# the simulate command's configs, one per [model] kind, beside the shipped lab presets
+_SIMULATE = {
+    kind: {"model": {"kind": kind, **model}, "grid": {"length": "100", "delta": "0.01"},
+           "run": {"master_seed": "1"}}
+    for kind, model in (
+        ("ou", {"mean": "0", "reversion": "1", "noise": "1"}),
+        ("heston", {"reversion": "1", "level": "0.04", "vol_of_vol": "0.3", "drift": "0"}),
+        ("slow_fast", {"entry": "linear_coupling", "scale": "0.1"}),
+    )
+}
+_OU = ("mean_rate", "ou_endtoend", "ou_rate", "perturbation_gap", "rho_sweep", "smoke", "ou")
+_GENERIC = ("mean_rate", "ou_rate", "perturbation_gap", "rho_sweep", "smoke")
+_HESTON = ("heston_rv", "heston")
+_ASSERT_KEYS = {flag: {k for checks in THRESHOLDS.values() for c in checks if c.flag == flag
+                       for k in c.keys} for flag in (False, True)}
+
+# (configs, section, keys, values, why): values a config takes, so its run goes on to draw.
+# A config is a preset or a simulate model kind; None stands for every one.
+_LEGAL = [
+    (None, "run", {"master_seed"}, {"0"}, "a seed is any integer >= 0"),
+    (_OU, "model", {"mean"}, {"-1", "1e-300"}, "any finite mean with finite stationary moments"),
+    (tuple(c for c in _OU if c != "ou_endtoend"), "model", {"mean"}, {"0"},
+     "ou_endtoend alone divides by the mean, to score relative errors"),
+    (("mean_rate", "ou"), "model", {"noise"}, {"0"},
+     "the constant-path limit, where no [bounds] or inversion needs a positive variance"),
+    (_HESTON, "model", {"drift"}, {"-1", "0", "1e308", "1e-300"},
+     "any finite drift; a price path that overflows exits 5 after its draw"),
+    (_HESTON, "model", {"reversion", "level"}, {"1e-300"},
+     "the stationary Gamma shape and scale stay finite and positive"),
+    (("heston_rv",), "heston", {"c_delta"}, {"1e-300"}, "the coarse step floors at one eps step"),
+    (_GENERIC, "lags", {"values"}, {"0", "1e-300"}, "a lag that is, or rounds to, 0 is the variance"),
+    (_GENERIC, "lags", {"horizon"}, {"1e308"}, "a horizon only has to cover the lags"),
+    (("mean_rate",), "lags", {"horizon"}, {"0", "1e-300"}, "its only lag is 0"),
+    (("ou_endtoend",), "endtoend", {"tolerance"}, {"1e308", "1e-300"}, "any positive tolerance"),
+    (None, "assert", _ASSERT_KEYS[False], {"-1", "0", "1e308", "1e-300"}, "any finite bound"),
+    (None, "assert", _ASSERT_KEYS[True], {"0"}, "false turns the check off"),
+    (("ou", "heston"), "grid", {"delta"}, {"1e-300"}, "any positive step whose grid times are finite"),
+    (("slow_fast",), "model", {"scale"}, {"1e308"}, "any scale the step resolves"),
+]
+
+# (config, section, key, value): refused with exit 3 or 4, but only after a draw.  The
+# [heston] bounds depend on the rho the pilot path measures (and a 1e-300 pilot_span is
+# one fine row, too short for a realized-variance window).  A c_n for which N floors at 8
+# is refused by the covariance kernel as too short for the lags, after the first path.
+_AFTER_A_DRAW = {
+    *(("heston_rv", "heston", key, value) for key, value in (
+        ("u1", "1e-300"), ("u2", "1e308"), ("c_n", "1e308"), ("c_n", "1e-300"),
+        ("c_delta", "1e308"), ("pilot_span", "1e-300"),
+    )),
+    *((preset, section, "c_n", "1e-300") for preset, section in (
+        ("smoke", "sweep"), ("rho_sweep", "sweep"), ("ou_endtoend", "endtoend"),
+    )),
+}
+
+
+def _is_legal(config: str, section: str, key: str, value: str) -> bool:
+    return any(
+        (configs is None or config in configs) and where == section
+        and key in keys and value in values
+        for configs, where, keys, values, _ in _LEGAL
+    )
+
+
+def _refused(code, lines: list, wrote: bool) -> bool:
+    """Exit 3 or 4 with one error line, and nothing written."""
+    return code in (3, 4) and len(lines) == 1 and lines[0].startswith("error: ") and not wrote
+
+
+class _Drew(Exception):
+    pass
+
+
+class TestEveryKeyAtTheBoundary:
+    """Every key of every shipped preset, and of a simulate config per model kind, each bad
+    value in turn: refused with exit 3 or 4 and one error line, before any draw or write."""
+
+    @staticmethod
+    def _run(tmp_path, config: str, sections: dict) -> tuple:
+        """``(exit code or "drew", stderr lines, wrote something)`` of one run on ``sections``."""
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for name, body in sections.items()
+        ))
+        out = tmp_path / "out"
+        if config in _SIMULATE:
+            out.mkdir()
+            argv = ["simulate", "--config", str(cfg), "--output", str(out / "path.bin")]
+        else:
+            argv = ["lab", "--config", str(cfg), "--output-dir", str(out), "--assert"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except _Drew:
+                code = "drew"
+            except Exception as exc:  # a traceback: listed with the other wrong outcomes
+                code = repr(exc)
+        wrote = out.exists() and (config not in _SIMULATE or any(out.iterdir()))
+        shutil.rmtree(out, ignore_errors=True)
+        return code, err.getvalue().splitlines(), wrote
+
+    def test_every_bad_value_is_refused_before_any_draw(self, tmp_path, monkeypatch):
+        def drew(self):
+            raise _Drew
+
+        monkeypatch.setattr(RandomStreamSpec, "generator", drew)
+        # the parser is rebuilt on every call otherwise, half the probe's time
+        build_parser = functools.cache(submoments.cli.build_parser)
+        monkeypatch.setattr("submoments.cli.build_parser", build_parser)
+        configs = {p: load_config(_preset_path(p)).sections for p in available_presets()}
+        configs.update(_SIMULATE)
+        wrong, runs = [], 0
+        for config, sections in configs.items():
+            for section, body in sections.items():
+                for key in body:
+                    for value in _BAD_VALUES:
+                        case = (config, section, key, value)
+                        got = self._run(tmp_path, config, {**sections, section: {**body, key: value}})
+                        runs += 1
+                        if _is_legal(*case) or case in _AFTER_A_DRAW:
+                            ok = got == ("drew", [], False)
+                        else:
+                            ok = _refused(*got)
+                        if not ok:
+                            wrong.append(f"{case}: {got}")
+        assert runs > 1000 and not wrong, "\n".join(wrong)
+
+    @pytest.mark.parametrize("case", sorted(_AFTER_A_DRAW), ids="-".join)
+    def test_a_value_refused_after_a_draw_exits_three_or_four(self, tmp_path, case):
+        config, section, key, value = case
+        sections = load_config(_preset_path(config)).sections
+        code, lines, wrote = self._run(
+            tmp_path, config, {**sections, section: {**sections[section], key: value}}
+        )
+        assert _refused(code, lines, wrote), (code, lines, wrote)
 
 
 class TestNonFiniteOutput:

@@ -205,6 +205,24 @@ class TestHeston:
         with pytest.raises(ParameterDomain):
             HestonParams(-1.0, 0.04, 0.2)
 
+    # past the float range: 1e308**2 raised OverflowError, 1e-300**2 divided by 0, and the
+    # rest made an infinite shape or scale that drew an infinite start
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vol_of_vol", 1e308), ("vol_of_vol", 1e-300), ("reversion", 1e308),
+         ("reversion", 1e-320), ("level", 1e308)],
+    )
+    def test_stationary_law_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ParameterDomain, match="stationary Gamma shape or scale overflows"):
+            dataclasses.replace(HESTON, **{field: value})
+
+    def test_initial_variance_draws_from_the_stationary_law(self):
+        shape = 2.0 * HESTON.reversion * HESTON.level / HESTON.vol_of_vol**2
+        scale = HESTON.vol_of_vol**2 / (2.0 * HESTON.reversion)
+        assert (HESTON.stationary_shape, HESTON.stationary_scale) == (shape, scale)
+        got = heston_initial_variance(HESTON, np.random.default_rng(3), size=5)
+        assert np.array_equal(got, np.random.default_rng(3).gamma(shape, scale, size=5))
+
     @pytest.mark.parametrize("step", [math.nan, math.inf])
     def test_non_finite_step_rejected_before_drawing(self, step):
         with pytest.raises(ParameterDomain, match="delta_fine"):
@@ -455,6 +473,24 @@ class TestSlowFast:
                 SlowFastParams(entry="linear_coupling", scale=0.1),
                 100, 0.05, RandomStreamSpec(1),
             )
+
+    # past the float range: 1e308**2 raised OverflowError, 1e-300**2 divided by 0, and the
+    # rest made an infinite shape or scale that drew an infinite start
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vol_of_vol", 1e308), ("vol_of_vol", 1e-300), ("reversion", 1e308),
+         ("reversion", 1e-320), ("level", 1e308)],
+    )
+    def test_stationary_law_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ParameterDomain, match="stationary Gamma shape or scale overflows"):
+            dataclasses.replace(HESTON, **{field: value})
+
+    def test_initial_variance_draws_from_the_stationary_law(self):
+        shape = 2.0 * HESTON.reversion * HESTON.level / HESTON.vol_of_vol**2
+        scale = HESTON.vol_of_vol**2 / (2.0 * HESTON.reversion)
+        assert (HESTON.stationary_shape, HESTON.stationary_scale) == (shape, scale)
+        got = heston_initial_variance(HESTON, np.random.default_rng(3), size=5)
+        assert np.array_equal(got, np.random.default_rng(3).gamma(shape, scale, size=5))
 
     @pytest.mark.parametrize("step", [math.nan, math.inf])
     def test_non_finite_step_rejected_before_drawing(self, step):
