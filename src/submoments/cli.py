@@ -149,10 +149,12 @@ def _write_flags(bundle, section: str, **flags) -> None:
 
 def _check_outputs(outputs: list, length: int, whole: bool) -> None:
     """Refuse ``length``-row outputs that cannot be written, before any is opened: a path
-    built ``whole`` must be an array numpy can address, and a ``.bin`` needs its bytes free."""
+    built ``whole`` must be an array numpy can address, and a ``.bin`` needs its bytes free
+    on the nearest existing folder of its path (``cmd_simulate`` makes the rest)."""
     if whole and 8 * (length + 1) * len(outputs) > np.iinfo(np.intp).max:
         raise ResourceLimit(f"a path of {_count(length)} rows is larger than numpy can allocate")
-    need, folder = (24 + 8 * length) * len(outputs), outputs[0].parent  # header and float64s
+    need = (24 + 8 * length) * len(outputs)  # header and float64s
+    folder = next(p for p in (outputs[0].parent, *outputs[0].parent.parents) if p.exists())
     if outputs[0].suffix.lower() != ".csv" and need > shutil.disk_usage(folder).free:
         raise ResourceLimit(
             f"{len(outputs)} file(s) of {_count(length)} rows need {_count(need)} bytes, "
@@ -179,6 +181,7 @@ def cmd_simulate(args) -> int:
     outputs = [out] if tag is None else [out, _sibling(out, tag)]
     streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
     _check_outputs(outputs, length, whole=not streamed)
+    out.parent.mkdir(parents=True, exist_ok=True)  # after the checks: a refused run makes none
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     if streamed:  # each block goes to the file as it is made: the path is never whole
         with binary_writer(out, 1, delta, length) as write:

@@ -145,6 +145,15 @@ class LaggedCovarianceEstimate:
     mean: np.ndarray  # of the first n_obs samples, as the kernel centres them
 
 
+def check_lag_window(n_obs: int, kappa: int) -> None:
+    """Refuse an average over ``n_obs`` samples as too short for a lag of ``kappa`` > 0."""
+    if kappa > 0 and n_obs < MIN_N_OVER_KAPPA * kappa:
+        raise SchemeTooShortForLag(
+            f"n_obs={n_obs} is below {MIN_N_OVER_KAPPA} * kappa={kappa}; "
+            "the averaging window is too short for this lag"
+        )
+
+
 def _check_lengths(length: int, n_obs: int, kappa: int) -> None:
     if n_obs < 2:
         raise ParameterDomain(f"n_obs must be >= 2, got {n_obs}")
@@ -155,11 +164,7 @@ def _check_lengths(length: int, n_obs: int, kappa: int) -> None:
             f"need {n_obs + kappa} samples for n_obs={n_obs} kappa={kappa}, "
             f"got {length}"
         )
-    if kappa > 0 and n_obs < MIN_N_OVER_KAPPA * kappa:
-        raise SchemeTooShortForLag(
-            f"n_obs={n_obs} is below {MIN_N_OVER_KAPPA} * kappa={kappa}; "
-            "the averaging window is too short for this lag"
-        )
+    check_lag_window(n_obs, kappa)
 
 
 def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndarray]:

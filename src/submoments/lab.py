@@ -26,13 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    InsufficientData,
     MomentsOutsideModelRange,
     NumericalError,
     ParameterDomain,
     ResourceLimit,
 )
 # empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
-from .estimators import empirical_mean, lag_index, lagged_covariance, lagged_covariances
+from .estimators import check_lag_window, empirical_mean, lag_index, lagged_covariance, lagged_covariances
 from .grids import (
     RandomStreamSpec,
     StreamRole,
@@ -70,6 +71,7 @@ _OBSERVABLES = ("identity", "multiplicative", "smoothing")
 _RHO_KINDS = ("identity", "sqrt")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 512  # fine rows stepped at once, over all heston_rv replications: fits L2
+_COARSE_SEGMENT = 4096  # coarse rows a heston_rv level's samples grow by
 _MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a generic sweep may plan for, else ResourceLimit
 _EXECUTION_FIELDS = ("workers",)
 
@@ -198,6 +200,12 @@ class CoarsePoint:
                 f"lag {self.lags[i]} rounds to zero on the coarse step {self.scheme.big_delta}"
             )
 
+    def require_long_window(self) -> None:
+        """Refuse, before any draw, a scheme the covariance kernel would find too short
+        for a lag, as it checks them: in lag order."""
+        for kappa in self.kappas:
+            check_lag_window(self.scheme.n_obs, kappa)
+
 
 def plan_point(scheme: SubsamplingScheme, step: float, lags, offset: int = 0) -> CoarsePoint:
     """Pin ``scheme`` to the fine ``step`` and round every lag on the resolved step.
@@ -242,7 +250,9 @@ def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
         step = scheme.big_delta / config.stride_resolution
         smoothing = config.observable == "smoothing"
         offset = whole_steps(eps, step, "smoothing window") if smoothing else 0
-        points.append(SweepPoint(label, rho, eps, plan_point(scheme, step, config.lags, offset)))
+        point = plan_point(scheme, step, config.lags, offset)
+        point.require_long_window()
+        points.append(SweepPoint(label, rho, eps, point))
     return points
 
 
@@ -254,8 +264,10 @@ def _check_memory(rows: float, paths: int = 1) -> None:
     # four float64 columns a row, the rest headroom: a sweep holds two (fine
     # path, observable; the kernel works in leaf-sized buffers), the pilot
     # its price and variance paths and a few eps-grid columns while it
-    # measures rho, the realized-variance main pass one, its coarse samples
-    # (beyond them it holds one _HESTON_CHUNK-row chunk of every replication)
+    # measures rho, the realized-variance main pass one, its coarse samples,
+    # counted for every level although a finished level is reduced and
+    # dropped (beyond them it holds one _HESTON_CHUNK-row chunk of every
+    # replication)
     need = rows * 8 * 4 * paths
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
@@ -697,6 +709,7 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     planned = scheme_from_rho(config.rho, config.c_n, config.c_delta)
     point = plan_point(planned, planned.big_delta, (0.0, config.u1))  # coarse = fine
     point.require_positive(1)
+    point.require_long_window()
     _check_memory(point.rows)
     scheme, sweep = point.scheme, SweepPoint(config.rho, config.rho, 0.0, point)
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
@@ -768,6 +781,10 @@ class _RVPlan:
     eps_stride: int  # fine steps per eps
     point: CoarsePoint  # step eps, offset by the RV window
     rho_hat: float
+
+    @property
+    def coarse_rows(self) -> int:
+        return self.point.scheme.n_obs + max(self.point.kappas)
 
     def summary(self) -> dict:
         scheme = self.point.scheme
@@ -883,6 +900,12 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
 
     _check_memory(config.pilot_span / delta_f)  # before the pilot sizes or draws anything
     length = int(math.ceil(config.pilot_span / delta_f))
+    for eps, s_eps, window in levels:
+        if length // s_eps < window + 1:  # one realized-variance window of returns at eps
+            raise InsufficientData(
+                f"pilot_span {config.pilot_span} gives {length // s_eps} returns at eps {eps}, "
+                f"need at least {window + 1}"
+            )
     stream = RandomStreamSpec(config.master_seed, config.replications)
     returns, variance = simulate_heston(config.params, length, delta_f, stream)
 
@@ -895,6 +918,7 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
         scheme = scheme_from_rho(rho_hat, config.c_n, config.c_delta)
         point = plan_point(scheme, eps, (config.u1, config.u2), window)
         point.require_positive(0)
+        point.require_long_window()
         if point.kappas[1] <= point.kappas[0]:
             raise ParameterDomain(
                 f"lag pair {point.lags} rounds to one lag on big_delta {point.scheme.big_delta}"
@@ -903,15 +927,17 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
     return delta_f, plans
 
 
-def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, coarse: np.ndarray, state):
-    """Append to ``coarse`` the RV samples that end in fine rows ``lo, lo + 1, ...``.
+def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, segments: list, state):
+    """Append to ``segments`` the RV samples that end in fine rows ``lo, lo + 1, ...``.
 
-    ``state`` is ``(carry, seen, filled)``: the realized-variance carry, the
-    eps-grid prices seen and the coarse rows filled so far; the new state is
-    returned.  Fine row ``j`` is on the eps grid when ``(j + 1) % eps_stride
-    == 0``, and coarse row ``q`` is the RV at eps point ``window - 1 + (q + 1)
-    * stride``, as ``subsample_sequence`` picks it; the RV window is the
-    point's offset and eps its step.
+    A level's coarse samples are stored ``_COARSE_SEGMENT`` rows at a time,
+    one segment allocated when its first row lands, so they take memory as
+    they fill.  ``state`` is ``(carry, seen, filled)``: the realized-variance
+    carry, the eps-grid prices seen and the coarse rows filled so far; the
+    new state is returned.  Fine row ``j`` is on the eps grid when ``(j + 1)
+    % eps_stride == 0``, and coarse row ``q`` is the RV at eps point ``window
+    - 1 + (q + 1) * stride``, as ``subsample_sequence`` picks it; the RV
+    window is the point's offset and eps its step.
     """
     carry, seen, filled = state
     s, point = plan.eps_stride, plan.point
@@ -921,8 +947,39 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, coarse: np.ndarr
     stride = point.scheme.stride
     keep = slice(point.offset - 1 + (filled + 1) * stride - seen, None, stride)
     picked, carry = realized_variance_chunk(prices, point.offset, point.step, carry, keep)
-    coarse[filled : filled + len(picked)] = picked
-    return carry, seen + len(prices), filled + len(picked)
+    q, end = filled, filled + len(picked)
+    while q < end:
+        i, at = divmod(q, _COARSE_SEGMENT)
+        if i == len(segments):  # the segment's first row
+            rows = min(_COARSE_SEGMENT, plan.coarse_rows - q)
+            segments.append(np.empty((rows, picked.shape[1])))
+        n = min(end - q, _COARSE_SEGMENT - at)
+        segments[i][at : at + n] = picked[q - filled : q - filled + n]
+        q += n
+    return carry, seen + len(prices), end
+
+
+def _score_level(plan: _RVPlan, segments: list, truth: np.ndarray) -> tuple[int, dict]:
+    """``(failures, rms_rel)`` of one level, inverting each replication's coarse samples.
+
+    Each replication's column is gathered from ``segments`` into one
+    contiguous row for the moments.  Replications whose lagged covariances
+    are unusable are failures, left out of the RMS relative error of each
+    parameter; a level where every one fails is an error.
+    """
+    width = segments[0].shape[1]
+    sq_rel = []
+    for col in range(width):
+        samples = np.concatenate([segment[:, col] for segment in segments])
+        try:
+            est = invert_cir(_rv_moments(samples, plan), plan.point.lags_used[0])
+        except MomentsOutsideModelRange:
+            continue
+        sq_rel.append(((est.theta - truth) / truth) ** 2)
+    if not sq_rel:
+        raise MomentsOutsideModelRange(f"every replication failed at eps {plan.point.step}")
+    rms = np.sqrt(np.mean(sq_rel, axis=0))
+    return width - len(sq_rel), {name: float(v) for name, v in zip(CIR_PARAMETER_NAMES, rms)}
 
 
 def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
@@ -931,45 +988,34 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     One fine path per replication serves every eps level (common random
     numbers), so error comparisons across levels are paired.  All
     replications are stepped together, ``_HESTON_CHUNK`` fine rows at a
-    time; each chunk extends every level's coarse RV samples, computing RV
-    only at the rows the scheme keeps, and is then dropped, so memory is
-    the coarse samples plus one chunk.  Replications whose lagged
-    covariances are unusable are counted as failures and excluded from the
-    error summary.
+    time; each chunk extends every unfinished level's coarse RV samples,
+    computing RV only at the rows the scheme keeps, and is then dropped.
+    A level is scored as soon as its last coarse sample lands, and its
+    samples are dropped, so memory is the unfinished levels' coarse samples
+    plus one chunk.  Replications whose lagged covariances are unusable are
+    counted as failures and excluded from the error summary.
     """
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
     length = max(plan.point.rows * plan.eps_stride for plan in plans)
     width = config.replications
-    coarse_rows = [plan.point.scheme.n_obs + max(plan.point.kappas) for plan in plans]
-    _check_memory(sum(coarse_rows), width)
-
-    coarse = [np.empty((rows, width)) for rows in coarse_rows]
-    states = [(None, 0, 0)] * len(plans)
-    for lo, r_chunk, _ in _heston_chunks(p, config.master_seed, range(width), length, delta_f):
-        states = [
-            _extend_coarse(plan, r_chunk, lo, out, state)
-            for plan, out, state in zip(plans, coarse, states)
-        ]
+    _check_memory(sum(plan.coarse_rows for plan in plans), width)
 
     truth = {name: getattr(p, name) for name in CIR_PARAMETER_NAMES}
     true_vec = np.array(list(truth.values()))
-    rms_rel, failures = {}, {}
-    for plan, samples in zip(plans, coarse):
-        eps = plan.point.step
-        sq_rel = []
-        for col in range(width):
-            try:
-                psi = _rv_moments(samples[:, col : col + 1], plan)
-                est = invert_cir(psi, plan.point.lags_used[0])
-            except MomentsOutsideModelRange:
+    coarse = [[] for _ in plans]  # None once the level is scored
+    states = [(None, 0, 0)] * len(plans)
+    rms_rel = dict.fromkeys(plan.point.step for plan in plans)  # epsilon_grid order
+    failures = dict.fromkeys(rms_rel)
+    for lo, r_chunk, _ in _heston_chunks(p, config.master_seed, range(width), length, delta_f):
+        for i, plan in enumerate(plans):
+            if coarse[i] is None:
                 continue
-            sq_rel.append(((est.theta - true_vec) / true_vec) ** 2)
-        if not sq_rel:
-            raise MomentsOutsideModelRange(f"every replication failed at eps {eps}")
-        failures[eps] = width - len(sq_rel)
-        rms = np.sqrt(np.mean(sq_rel, axis=0))
-        rms_rel[eps] = {name: float(v) for name, v in zip(CIR_PARAMETER_NAMES, rms)}
+            states[i] = _extend_coarse(plan, r_chunk, lo, coarse[i], states[i])
+            if states[i][2] == plan.coarse_rows:
+                eps = plan.point.step
+                failures[eps], rms_rel[eps] = _score_level(plan, coarse[i], true_vec)
+                coarse[i] = None
 
     return HestonRVReport(
         truth=truth,

@@ -493,6 +493,31 @@ class TestSimulateCommand:
         assert line.startswith("error: ") and message in line
         assert not list(tmp_path.glob(f"{out.stem}*"))
 
+    @pytest.mark.parametrize(
+        "model, name", [(OU_CFG, "p.bin"), (HESTON_CFG, "h.csv")], ids=["ou-bin", "heston-csv"]
+    )
+    def test_output_into_a_new_folder(self, tmp_path, capsys, monkeypatch, model, name):
+        # the free-space check raised FileNotFoundError on the missing folder
+        asked = []
+        free = disk_with_free(2**40)
+        monkeypatch.setattr("shutil.disk_usage", lambda path: asked.append(path) or free(path))
+        cfg = write_cfg(tmp_path, model)
+        out = tmp_path / "new" / "deeper" / name
+        assert main(["simulate", "--config", str(cfg), "--output", str(out), "--length", "50"]) == 0
+        assert asked == ([] if name.endswith(".csv") else [tmp_path])
+        read = read_csv if name.endswith(".csv") else read_binary
+        assert read(out).n_samples == 50
+        assert (out.parent / f"{name}.manifest.json").exists()
+        capsys.readouterr()
+
+    def test_refused_output_makes_no_folder(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("shutil.disk_usage", disk_with_free(10**6))
+        out = tmp_path / "new" / "p.bin"
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, OU_CFG)), "--output", str(out)]
+        assert main([*argv, "--length", "200000"]) == 4
+        assert not (tmp_path / "new").exists()
+        capsys.readouterr()
+
     def test_flags_are_written_into_the_config(self, tmp_path, capsys):
         # --seed, --length and --delta fill [run] and [grid] and are checked as their keys are
         cfg = write_cfg(tmp_path, "[model]\nkind = ou\n")
@@ -1364,18 +1389,13 @@ _LEGAL = [
     (("slow_fast",), "model", {"scale"}, {"1e308"}, "any scale the step resolves"),
 ]
 
-# (config, section, key, value): refused with exit 3 or 4, but only after a draw.  The
-# [heston] bounds depend on the rho the pilot path measures (and a 1e-300 pilot_span is
-# one fine row, too short for a realized-variance window).  A c_n for which N floors at 8
-# is refused by the covariance kernel as too short for the lags, after the first path.
+# (config, section, key, value): refused with exit 3 or 4, but only after a draw: the
+# [heston] bounds depend on the rho the pilot path measures.
 _AFTER_A_DRAW = {
-    *(("heston_rv", "heston", key, value) for key, value in (
+    ("heston_rv", "heston", key, value) for key, value in (
         ("u1", "1e-300"), ("u2", "1e308"), ("c_n", "1e308"), ("c_n", "1e-300"),
-        ("c_delta", "1e308"), ("pilot_span", "1e-300"),
-    )),
-    *((preset, section, "c_n", "1e-300") for preset, section in (
-        ("smoke", "sweep"), ("rho_sweep", "sweep"), ("ou_endtoend", "endtoend"),
-    )),
+        ("c_delta", "1e308"),
+    )
 }
 
 

@@ -14,10 +14,12 @@ import pytest
 
 from submoments import lab
 from submoments.errors import (
+    InsufficientData,
     MomentsOutsideModelRange,
     NumericalError,
     ParameterDomain,
     ResourceLimit,
+    SchemeTooShortForLag,
 )
 from submoments.grids import (
     RandomStreamSpec,
@@ -478,6 +480,8 @@ class TestHestonRVPipeline:
         assert report.plans == plans
         assert report.rms_rel == rms_rel
         assert report.failures == failures
+        # keyed in epsilon_grid order, whichever level finishes first
+        assert list(report.rms_rel) == list(report.failures) == list(config.epsilon_grid)
 
     def test_matches_blocked_reference(self, reference, length):
         self.check_against(reference, self.CFG)
@@ -500,19 +504,93 @@ class TestHestonRVPipeline:
             tracemalloc.stop()
         assert peak < price_paths_bytes / 2
 
+    @pytest.mark.parametrize("segment", [7, 100])
+    def test_segment_boundaries(self, reference, segment, monkeypatch):
+        # each chunk's coarse samples (about 85 rows a level) span several
+        # 7-row segments, and some cross a 100-row segment's end
+        monkeypatch.setattr(lab, "_COARSE_SEGMENT", segment)
+        self.check_against(reference, self.CFG)
+
     def test_working_set_is_one_chunk(self):
-        # at the shipped chunk size, beyond the coarse samples it keeps, the
-        # run holds one chunk of normals, paths and RV sums, and the pilot
+        # at the shipped chunk size, beyond the coarse samples it holds at
+        # once, the run holds one chunk of normals, paths and RV sums, and the pilot
         _, plans = _plan_heston_rv(self.CFG)
-        coarse_rows = sum(plan.point.scheme.n_obs + max(plan.point.kappas) for plan in plans)
-        coarse_bytes = 8 * coarse_rows * self.CFG.replications
         tracemalloc.start()
         try:
             run_heston_rv(self.CFG)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - coarse_bytes < 2_000_000
+        assert peak - coarse_footprint(plans, self.CFG.replications) < 2_000_000
+
+    def test_finished_level_is_dropped(self, monkeypatch):
+        # eps 0.02 has 3,083 coarse rows and finishes at fine row 37,028 of
+        # 79,825, when eps 0.005 has filled about 3,700 of its 7,981; at
+        # 64-row chunks the rest of the working set is small beside them
+        monkeypatch.setattr(lab, "_HESTON_CHUNK", 64)
+        config = dataclasses.replace(self.CFG, epsilon_grid=(0.02, 0.005))
+        _, plans = _plan_heston_rv(config)
+        coarse_bytes = 8 * config.replications * sum(plan.coarse_rows for plan in plans)
+        assert coarse_footprint(plans, config.replications) < 0.8 * coarse_bytes
+        tracemalloc.start()
+        try:
+            run_heston_rv(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < coarse_bytes
+
+
+def coarse_footprint(plans, width: int) -> int:
+    """Most coarse-sample bytes ``run_heston_rv`` holds at once.
+
+    When a level's last coarse row lands, at the end of the chunk that steps
+    its last fine row, the level is whole, the levels that finished before
+    it are dropped, and every other level holds the segments its filled
+    rows reach.
+    """
+
+    def ceil_to(n, unit):
+        return -(-n // unit) * unit
+
+    def held(plan, fine):  # coarse rows allocated once fine rows 0 .. fine-1 are stepped
+        filled = (fine // plan.eps_stride - plan.point.offset) // plan.point.scheme.stride
+        filled = min(max(filled, 0), plan.coarse_rows)
+        return min(ceil_to(filled, lab._COARSE_SEGMENT), plan.coarse_rows)
+
+    ends = [plan.point.rows * plan.eps_stride for plan in plans]
+    most = 0
+    for end in ends:
+        fine = min(ceil_to(end, lab._HESTON_CHUNK), max(ends))
+        most = max(most, sum(held(p, fine) for p, e in zip(plans, ends) if e >= end))
+    return 8 * width * most
+
+
+class TestRefusedBeforeAnyDraw:
+    """What the covariance kernel or the pilot's realized variance would refuse after a
+    draw is refused while the run is planned."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def drew(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(lab, "simulate_ou", drew)
+        monkeypatch.setattr(lab, "simulate_heston", drew)
+
+    def test_sweep_too_short_for_a_lag(self):
+        # a c_n this small floors every N at 8
+        with pytest.raises(SchemeTooShortForLag, match=r"n_obs=8 is below 10 \* kappa=3;"):
+            run_replications(small_config(c_n=1e-300))
+
+    def test_endtoend_too_short_for_a_lag(self):
+        with pytest.raises(SchemeTooShortForLag, match=r"n_obs=8 is below 10 \* kappa=5;"):
+            run_endtoend_ou(dataclasses.replace(TestEndToEnd.CFG, c_n=1e-300))
+
+    def test_pilot_too_short_for_a_window(self):
+        config = dataclasses.replace(TestHestonRVPipeline.CFG, pilot_span=0.1)
+        with pytest.raises(InsufficientData, match="pilot_span 0.1 gives 5 returns at eps 0.02"):
+            run_heston_rv(config)
 
 
 class TestHestonChunks:
