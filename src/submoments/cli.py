@@ -44,9 +44,9 @@ from .grids import (
     RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
-    TrajectoryGrid,
     binary_writer,
     check_positive,
+    make_parent,
     # not called here: the benchmark tracer wraps it under this module by name
     read_binary,
     read_csv,
@@ -82,13 +82,6 @@ from .schemes import (
 )
 
 
-def _write_grid(grid: TrajectoryGrid, path: Path) -> None:
-    if path.suffix.lower() == ".csv":
-        write_csv(grid, path)
-    else:
-        write_binary(grid, path)
-
-
 def _open_grid(path: Path):
     """The trajectory in ``path``, as a context manager.
 
@@ -107,7 +100,7 @@ def _write_json(payload: dict, path: Path | None) -> None:
     if path is None:
         print(text)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_parent(path)
         path.write_text(text + "\n")
 
 
@@ -181,7 +174,7 @@ def cmd_simulate(args) -> int:
     outputs = [out] if tag is None else [out, _sibling(out, tag)]
     streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
     _check_outputs(outputs, length, whole=not streamed)
-    out.parent.mkdir(parents=True, exist_ok=True)  # after the checks: a refused run makes none
+    make_parent(out)  # after the checks: a refused run makes none
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     if streamed:  # each block goes to the file as it is made: the path is never whole
         with binary_writer(out, 1, delta, length) as write:
@@ -189,7 +182,7 @@ def cmd_simulate(args) -> int:
     else:
         paths = simulate(model, length, delta, stream)
         for grid, path in zip([paths] if tag is None else paths, outputs):
-            _write_grid(grid, path)
+            (write_csv if path.suffix.lower() == ".csv" else write_binary)(grid, path)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -293,6 +286,8 @@ def cmd_estimate(args) -> int:
             **est.as_dict(),
             "moments": {key: float(v) for key, v in zip(keys, psi)},
         }
+    if args.csv is not None:  # its folder before the JSON is written: a refused one leaves no file
+        make_parent(args.csv)
     # the JSON goes first: a refused (non-finite) payload leaves no sidecar
     _write_json(payload, None if args.output is None else Path(args.output))
     if args.csv is not None:

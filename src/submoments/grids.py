@@ -21,6 +21,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -243,6 +244,14 @@ def _check_file_grid(path, delta: float, blocks) -> None:
         if not finite.all():
             row = lo + int(np.argmin(finite.all(axis=1)))
             raise ValidationError(f"{path}: non-finite sample at row {row}")
+
+
+def make_parent(path) -> None:
+    """Make the folder ``path`` goes into; ``ValidationError`` naming ``path`` if it cannot be."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot make the folder of {path}: {exc}") from None
 
 
 @contextmanager

@@ -6,10 +6,10 @@ covariance and mean estimates for both sequences.  Errors against the
 known stationary moments then yield empirical convergence rates, gap
 checks against the perturbation bound, and bound-containment fractions.
 
-Two pipelines with their own flow live here as well: an end-to-end
-parameter recovery study for the scalar mean-reverting model, and a
-realized-variance study for the square-root volatility model where the
-proxy quality is itself estimated from a pilot path.
+Two more pipelines live here: an end-to-end parameter recovery study for
+the scalar mean-reverting model, which runs on the sweep's replication
+engine, and a realized-variance study for the square-root volatility model
+where the proxy quality is itself estimated from a pilot path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
 from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -41,11 +40,12 @@ from .grids import (
     TrajectoryGrid,
     check_grid,
     check_positive,
+    make_parent,
     resolve_stride,
     subsample_sequence,
     whole_steps,
 )
-from .invert import CIR_PARAMETER_NAMES, invert_cir, invert_ou
+from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, invert_cir, invert_ou
 from .models import (
     HestonParams,
     OUParams,
@@ -296,14 +296,16 @@ class Ensemble:
         return self.khat_x.shape[1]
 
 
-def _coarse_sequences(model: OUParams, observable: str, sweep: SweepPoint, stream):
+def _one_replication(model: OUParams, observable: str, seed: int, sweep: SweepPoint, rep: int):
     """Coarse observable and hidden sequences of one (grid point, replication) pair.
 
-    The hidden path is read from the observable's warm-up offset on, so both
+    The path is drawn from replication ``rep``'s process-noise stream.  The
+    hidden path is read from the observable's warm-up offset on, so both
     sequences sit on the same times; for the identity observable they are
     one array.
     """
     point = sweep.point
+    stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
     x_grid = simulate_ou(model, point.rows, point.step, stream)
     n_extra = max(point.kappas)
     if observable == "identity":
@@ -318,33 +320,31 @@ def _coarse_sequences(model: OUParams, observable: str, sweep: SweepPoint, strea
     return y_seq, x_seq
 
 
-def _one_replication(config: ExperimentConfig, sweep: SweepPoint, rep: int):
-    """Estimates for one (grid point, replication) pair; pure in its inputs."""
-    stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-    y_seq, x_seq = _coarse_sequences(config.model, config.observable, sweep, stream)
-    n_obs, kappas = sweep.point.scheme.n_obs, sweep.point.kappas
-    kx, mx = lagged_covariances(x_seq, n_obs, kappas)
-    if y_seq is x_seq:
-        return kx, kx, mx, mx
-    ky, my = lagged_covariances(y_seq, n_obs, kappas)
-    return ky, kx, my, mx
+def _replicate(points, model, observable, seed, replications: int, workers: int, reduce) -> None:
+    """The one OU replication loop: ``reduce(gi, rep, y_seq, x_seq)`` for every pair.
 
-
-def _run_jobs(fn, jobs, workers: int) -> None:
-    """Call ``fn(*job)`` for every job on one pool of ``workers`` threads.
-
-    At most ``2 * workers`` jobs are in flight, so the bookkeeping does not
-    grow with the sweep.  The first job to raise cancels the queued ones.
+    Replication ``rep`` draws only from streams keyed by ``rep``, so results
+    do not depend on execution order.  Every (grid point, replication) pair
+    is one job on a single pool of ``workers`` threads, and ``reduce`` writes
+    the pair's own result slot.  At most ``2 * workers`` jobs are in flight;
+    the first job to raise cancels the queued ones, and its error propagates
+    once the running ones finish.
     """
+    _check_memory(max(p.point.rows for p in points), workers)
+
+    def job(gi: int, rep: int) -> None:
+        reduce(gi, rep, *_one_replication(model, observable, seed, points[gi], rep))
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = set()
-        for job in jobs:
-            if len(pending) == 2 * workers:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-            pending.add(pool.submit(fn, *job))
+        for gi in range(len(points)):
+            for rep in range(replications):
+                if len(pending) == 2 * workers:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()
+                pending.add(pool.submit(job, gi, rep))
         for future in as_completed(pending):
             future.result()
     finally:
@@ -352,18 +352,12 @@ def _run_jobs(fn, jobs, workers: int) -> None:
 
 
 def run_replications(config: ExperimentConfig) -> Ensemble:
-    """Run the full sweep and collect paired estimates.
+    """Run the full sweep and collect paired estimates, on ``config.workers`` threads.
 
-    Replication ``m`` draws only from streams keyed by ``m``, so results do
-    not depend on execution order and re-running with the same master seed
-    reproduces the ensemble bit for bit.  Every (grid point, replication)
-    pair is one job on a single pool of ``config.workers`` threads, one
-    thread included, and writes its own ensemble slot.  The first job to
-    raise cancels the queued ones; its error propagates once the running
-    ones finish.
+    Each pair fills its ensemble slots from the covariance kernel on both
+    sequences, or on one when they are the same array.
     """
     points = _plan_sweep(config)
-    _check_memory(max(p.point.rows for p in points), max(1, config.workers))
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
     ens = Ensemble(
         points=points,
@@ -373,13 +367,14 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
         mean_x=np.empty((n_points, n_reps)),
     )
 
-    def fill(gi: int, rep: int) -> None:
-        ky, kx, my, mx = _one_replication(config, points[gi], rep)
+    def fill(gi: int, rep: int, y_seq, x_seq) -> None:
+        n_obs, kappas = points[gi].point.scheme.n_obs, points[gi].point.kappas
+        kx, mx = lagged_covariances(x_seq, n_obs, kappas)
+        ky, my = (kx, mx) if y_seq is x_seq else lagged_covariances(y_seq, n_obs, kappas)
         ens.khat_y[gi, rep], ens.khat_x[gi, rep] = ky[:, 0, 0], kx[:, 0, 0]
         ens.mean_y[gi, rep], ens.mean_x[gi, rep] = my[0], mx[0]
 
-    jobs = [(gi, rep) for gi in range(n_points) for rep in range(n_reps)]
-    _run_jobs(fill, jobs, config.workers)
+    _replicate(points, config.model, config.observable, config.master_seed, n_reps, config.workers, fill)
     return ens
 
 
@@ -512,7 +507,7 @@ class ConvergenceReport:
 
     def write_json(self, path) -> None:
         text = self.to_json()  # a non-finite report raises before the directory exists
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        make_parent(path)
         with open(path, "w") as fh:
             fh.write(text + "\n")
 
@@ -703,27 +698,26 @@ class EndToEndReport:
 def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     """Simulate, distort, sub-sample, estimate moments, invert; per replication.
 
-    The inversion uses the lag actually representable on the coarse grid,
-    so grid rounding does not bias the reversion estimate.
+    A one-point sweep whose reducer runs the kernel on the observable only
+    and inverts at the lag actually representable on the coarse grid, so
+    grid rounding does not bias the reversion estimate.
     """
     planned = scheme_from_rho(config.rho, config.c_n, config.c_delta)
     point = plan_point(planned, planned.big_delta, (0.0, config.u1))  # coarse = fine
     point.require_positive(1)
     point.require_long_window()
-    _check_memory(point.rows)
-    scheme, sweep = point.scheme, SweepPoint(config.rho, config.rho, 0.0, point)
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
     rel = np.empty((config.replications, 3))
-    for rep in range(config.replications):
-        stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
-        seq, _ = _coarse_sequences(config.model, "multiplicative", sweep, stream)
-        cov, mean = lagged_covariances(seq, scheme.n_obs, point.kappas)
+
+    def invert(gi: int, rep: int, seq, _) -> None:
+        cov, mean = lagged_covariances(seq, point.scheme.n_obs, point.kappas)
         est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], point.lags_used[1])
         rel[rep] = np.abs(est.theta - truth) / np.abs(truth)
-    names = ("mean", "reversion", "noise")
-    fraction = {
-        n: float(np.mean(rel[:, i] <= config.tolerance)) for i, n in enumerate(names)
-    }
+
+    sweeps = [SweepPoint(config.rho, config.rho, 0.0, point)]
+    _replicate(sweeps, config.model, "multiplicative", config.master_seed, config.replications, 1, invert)
+    names = OU_PARAMETER_NAMES
+    fraction = {n: float(np.mean(rel[:, i] <= config.tolerance)) for i, n in enumerate(names)}
     rms = {n: float(np.sqrt(np.mean(rel[:, i] ** 2))) for i, n in enumerate(names)}
     return EndToEndReport(
         names=names,
@@ -732,7 +726,7 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
         fraction_within=fraction,
         rms_rel=rms,
         tolerance=config.tolerance,
-        scheme=scheme,
+        scheme=point.scheme,
         config_hash=config_hash(config),
     )
 

@@ -6,7 +6,12 @@ import tracemalloc
 
 import numpy as np
 
-from submoments.grids import StreamRole
+from submoments.estimators import lagged_covariances
+from submoments.grids import RandomStreamSpec, StreamRole, subsample_sequence
+from submoments.invert import invert_ou
+from submoments.lab import plan_point
+from submoments.models import multiplicative_perturbation_observable, simulate_ou
+from submoments.schemes import scheme_from_rho
 
 
 def lagged_covariance_product_form(samples, n_obs: int, kappa: int) -> np.ndarray:
@@ -166,3 +171,30 @@ def slow_fast_reference(entry: str, scale: float, length: int, dt: float, stream
         y = y - (y / scale) * dt + math.sqrt(2.0 / scale) * sqdt * z_fast[n]
         out_x[n], out_avg[n] = x, x_avg
     return out_x, out_avg
+
+
+def reference_endtoend_ou(config):
+    """End-to-end OU recovery as one plain serial loop over replications.
+
+    Draws, distorts, sub-samples, estimates and inverts each replication in
+    turn, as ``run_endtoend_ou`` did before it ran on the replication engine;
+    returns ``(rel_errors, fraction_within, rms_rel)``, which the engine must
+    reproduce bit for bit.
+    """
+    planned = scheme_from_rho(config.rho, config.c_n, config.c_delta)
+    point = plan_point(planned, planned.big_delta, (0.0, config.u1))
+    scheme, n_extra = point.scheme, max(point.kappas)
+    truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
+    rel = np.empty((config.replications, 3))
+    for rep in range(config.replications):
+        stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
+        x = simulate_ou(config.model, point.rows, point.step, stream)
+        y = multiplicative_perturbation_observable(x, config.rho)
+        seq = subsample_sequence(y, scheme, n_extra=n_extra)
+        cov, mean = lagged_covariances(seq, scheme.n_obs, point.kappas)
+        est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], point.lags_used[1])
+        rel[rep] = np.abs(est.theta - truth) / np.abs(truth)
+    names = ("mean", "reversion", "noise")
+    fraction = {n: float(np.mean(rel[:, i] <= config.tolerance)) for i, n in enumerate(names)}
+    rms = {n: float(np.sqrt(np.mean(rel[:, i] ** 2))) for i, n in enumerate(names)}
+    return rel, fraction, rms

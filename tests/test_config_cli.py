@@ -885,6 +885,42 @@ class TestEstimateCommand:
         assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+class TestOutputFolders:
+    """Every output folder is made by one helper: one that cannot be made exits 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{cfg}", "--output", "{afile}/x.bin", "--length", "50"],
+            ["scheme", "--rho", "0.1", "--output", "{afile}/s.json"],
+            ["lab", "--preset", "smoke", "--output-dir", "{afile}/o"],
+            ["estimate", "--input", "{input}", "--lags", "0,1.0", "--csv", "{afile}/x.csv"],
+            # the JSON's folder can be made, the CSV's cannot: neither file is written
+            ["estimate", "--input", "{input}", "--lags", "0,1.0", "--csv", "{afile}/x.csv",
+             "--output", "{tmp}/e.json"],
+        ],
+        ids=["simulate", "scheme", "lab", "estimate", "estimate-json-and-csv"],
+    )
+    def test_folder_through_a_plain_file_exits_three(self, tmp_path, capsys, ou_trajectory, argv):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        fields = dict(cfg=write_cfg(tmp_path, OU_CFG), afile=afile, input=ou_trajectory, tmp=tmp_path)
+        assert main([arg.format(**fields) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot make the folder of {afile}/")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.cfg"]
+
+    def test_estimate_makes_the_csv_folder(self, tmp_path, capsys, ou_trajectory):
+        # a missing CSV folder ended the run after the JSON was written
+        csv, out = tmp_path / "nodir" / "x.csv", tmp_path / "e.json"
+        argv = ["estimate", "--input", str(ou_trajectory), "--lags", "0,1.0"]
+        assert main([*argv, "--csv", str(csv), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["csv"] == str(csv)
+        assert len(csv.read_text().splitlines()) == 3  # header and one row a lag
+
+
 def preset_variant(tmp_path, replace: dict, preset: str = "smoke"):
     """A shipped preset written out with whole sections replaced."""
     sections = {**load_config(_preset_path(preset)).sections, **replace}
@@ -1667,6 +1703,19 @@ class TestBenchmarkTrace:
         trace = json.loads(spans.read_text())
         assert "models.heston_core" in [span[0] for span in trace["spans"]]
         assert trace["counts"]["models.heston_steps"] == 10000
+
+    def test_ou_rate_runs_as_the_benchmark_runs_it(self, tmp_path):
+        # ou_rate's setup probe stops at lab.simulate_ou, which the replication
+        # engine calls on its pool thread, once per (point, replication) job
+        sections = load_config(_preset_path("ou_rate")).sections
+        small = {
+            "run": {**sections["run"], "replications": 30},
+            "sweep": {**sections["sweep"], "n_values": "1000, 10000"},
+        }
+        cfg = preset_variant(tmp_path, small, "ou_rate")
+        lab = ["lab", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]
+        assert "first_simulation" in json.loads(self.child(["setup", *lab]))
+        assert self.trace(tmp_path, lab).count("models.simulate_ou") == 2 * 30
 
 
 class TestConsoleScript:

@@ -67,7 +67,7 @@ from submoments.models import (
 )
 from submoments.schemes import scheme_from_rho
 
-from oracles import heston_core_reference
+from oracles import heston_core_reference, reference_endtoend_ou
 
 MODEL = OUParams(mean=0.5, reversion=1.0, noise=1.0)
 
@@ -182,6 +182,18 @@ class TestConfigValidation:
             run_replications(small_config())
 
 
+def _sweep(workers: int):
+    return run_replications(small_config(workers=workers))
+
+
+# every pipeline on the replication engine, at the worker counts it runs with
+ENGINE_RUNS = [
+    pytest.param(_sweep, 1, id="1"),
+    pytest.param(_sweep, 2, id="2"),
+    pytest.param(lambda workers: run_endtoend_ou(TestEndToEnd.CFG), 1, id="ou_endtoend"),
+]
+
+
 class TestSweepEngine:
     def test_bookkeeping_and_determinism(self):
         ens = run_replications(small_config())
@@ -249,8 +261,8 @@ class TestSweepEngine:
                 assert np.array_equal(getattr(serial, field), getattr(parallel, field))
             assert build_report(config, serial).to_json() == build_report(twin, parallel).to_json()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_pool_per_sweep(self, monkeypatch, workers):
+    @pytest.mark.parametrize("run, workers", ENGINE_RUNS)
+    def test_one_pool_per_sweep(self, monkeypatch, run, workers):
         pools = []
 
         class CountedPool(lab.ThreadPoolExecutor):
@@ -259,23 +271,23 @@ class TestSweepEngine:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(lab, "ThreadPoolExecutor", CountedPool)
-        run_replications(small_config(workers=workers))
+        run(workers)
         assert pools == [workers]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_error_cancels_queued_jobs(self, monkeypatch, workers):
+    @pytest.mark.parametrize("run, workers", ENGINE_RUNS)
+    def test_first_error_cancels_queued_jobs(self, monkeypatch, run, workers):
         calls = []
         replicate = lab._one_replication
 
-        def failing(config, point, rep):
+        def failing(model, observable, seed, sweep, rep):
             calls.append(rep)
             if rep == 0:
                 raise NumericalError("injected")
-            return replicate(config, point, rep)
+            return replicate(model, observable, seed, sweep, rep)
 
         monkeypatch.setattr(lab, "_one_replication", failing)
         with pytest.raises(NumericalError, match="injected"):
-            run_replications(small_config(workers=workers))  # 3 points x 30 reps
+            run(workers)  # 3 points x 30 reps, or 1 point x 30 reps
         assert 1 <= len(calls) <= 2 * workers
 
     def test_budget_family_rate(self):
@@ -388,6 +400,15 @@ class TestEndToEnd:
         b = run_endtoend_ou(self.CFG)
         assert np.array_equal(a.rel_errors, b.rel_errors)
         assert a.config_hash == b.config_hash
+
+    @pytest.mark.parametrize("seed", [CFG.master_seed, 2026], ids=["cfg", "seed-2026"])
+    def test_engine_matches_the_serial_loop(self, seed):
+        config = dataclasses.replace(self.CFG, master_seed=seed)
+        report = run_endtoend_ou(config)
+        rel, fraction, rms = reference_endtoend_ou(config)
+        assert np.array_equal(report.rel_errors, rel)
+        assert report.fraction_within == fraction
+        assert report.rms_rel == rms
 
 
 class TestHestonRVConfig:
