@@ -174,7 +174,9 @@ def cmd_simulate(args) -> int:
     outputs = [out] if tag is None else [out, _sibling(out, tag)]
     streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
     _check_outputs(outputs, length, whole=not streamed)
-    make_parent(out)  # after the checks: a refused run makes none
+    manifest_path = Path(str(out) + ".manifest.json")
+    for path in [*outputs, manifest_path]:  # after the checks: a refused run makes none
+        make_parent(path)
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     if streamed:  # each block goes to the file as it is made: the path is never whole
         with binary_writer(out, 1, delta, length) as write:
@@ -194,7 +196,7 @@ def cmd_simulate(args) -> int:
         "delta": delta,
         "outputs": list(map(str, outputs)),
     }
-    _write_json(manifest, Path(str(out) + ".manifest.json"))
+    _write_json(manifest, manifest_path)
     print(f"wrote {', '.join(manifest['outputs'])}")
     return 0
 

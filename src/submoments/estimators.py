@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
-from .grids import FileSequence, SubsamplingScheme, check_positive
+from .grids import SubsamplingScheme, check_positive
 
 #: required ratio of sample count to lag shift
 MIN_N_OVER_KAPPA = 10
@@ -82,13 +82,17 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def _source(samples):
-    """``(shape, reader)`` of an ``(N, r)`` sequence held in memory or in a file.
+    """``(shape, reader)`` of an ``(N, r)`` sequence held in memory, in a file or in blocks.
 
     ``reader(rows)`` returns ``window(lo, n)``, rows ``lo .. lo+n-1`` as an
     ``(n, r)`` array for ``n <= rows``: a view of an array, or of the one
-    buffer a :class:`FileSequence` reads each window into.
+    buffer a :class:`FileSequence` reads each window into.  Any object with
+    a ``shape`` and a ``window_reader`` of that form is read through it, as
+    the replication engine in :mod:`submoments.lab` reads a path it holds in
+    blocks.  Each kernel call takes one reader and walks its windows from
+    row 0 upwards, twice when it computes covariances.
     """
-    if isinstance(samples, FileSequence):
+    if hasattr(samples, "window_reader"):
         return samples.shape, samples.window_reader
     arr = _as_matrix(samples)
     return arr.shape, lambda rows: lambda lo, n: arr[lo : lo + n]

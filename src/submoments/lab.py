@@ -21,6 +21,7 @@ from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
 from dataclasses import asdict, dataclass
 from functools import partial
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -42,21 +43,25 @@ from .grids import (
     check_positive,
     make_parent,
     resolve_stride,
-    subsample_sequence,
+    subsample_sequence,  # not called here: perfbench/child.py traces it here by name
     whole_steps,
 )
+from . import models
+from .blocks import BlockPath, Lane, PathView
 from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, invert_cir, invert_ou
 from .models import (
     HestonParams,
     OUParams,
     default_rv_window,
     heston_initial_variance,
-    multiplicative_perturbation_observable,
+    multiplicative_perturbation_observable,  # and smoothing_observable: as subsample_sequence
+    ou_filter,
     ou_true_covariance,
     realized_variance_chunk,
     realized_volatility_observable,
     simulate_ou,
     smoothing_observable,
+    smoothing_weights,
     _heston_core,
 )
 from .schemes import (
@@ -72,6 +77,7 @@ _RHO_KINDS = ("identity", "sqrt")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 512  # fine rows stepped at once, over all heston_rv replications: fits L2
 _COARSE_SEGMENT = 4096  # coarse rows a heston_rv level's samples grow by
+_SPARE_BLOCKS = 2  # pool blocks a worker holds beyond one longest path: how far its draws run ahead
 _MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a generic sweep may plan for, else ResourceLimit
 _EXECUTION_FIELDS = ("workers",)
 
@@ -261,8 +267,10 @@ def _check_memory(rows: float, paths: int = 1) -> None:
 
     A float ``rows`` that overflowed to infinity is refused too.
     """
-    # four float64 columns a row, the rest headroom: a sweep holds two (fine
-    # path, observable; the kernel works in leaf-sized buffers), the pilot
+    # four float64 columns a row, the rest headroom: a sweep worker holds one
+    # (its pool of blocks: one path of the longest point and a few spare
+    # blocks, shared by its draw and reducer threads; the observable is made
+    # window by window and the kernel works in leaf-sized buffers), the pilot
     # its price and variance paths and a few eps-grid columns while it
     # measures rho, the realized-variance main pass one, its coarse samples,
     # counted for every level although a finished level is reduced and
@@ -296,46 +304,80 @@ class Ensemble:
         return self.khat_x.shape[1]
 
 
-def _one_replication(model: OUParams, observable: str, seed: int, sweep: SweepPoint, rep: int):
-    """Coarse observable and hidden sequences of one (grid point, replication) pair.
+def _views(path: BlockPath, sweep: SweepPoint, observable: str, hidden: bool) -> list:
+    """The sequences a replication's kernel calls read, hidden first, the observable last.
 
-    The path is drawn from replication ``rep``'s process-noise stream.  The
-    hidden path is read from the observable's warm-up offset on, so both
-    sequences sit on the same times; for the identity observable they are
-    one array.
+    For the identity observable the two are one view; without ``hidden``
+    only the observable is read.
     """
     point = sweep.point
-    stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
-    x_grid = simulate_ou(model, point.rows, point.step, stream)
-    n_extra = max(point.kappas)
     if observable == "identity":
-        x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra)
-        return x_seq, x_seq
+        return [PathView(path, point, 0, last=True)]
     if observable == "multiplicative":
-        y_grid = multiplicative_perturbation_observable(x_grid, sweep.rho)
+        y = PathView(path, point, 0, scale=1.0 + sweep.rho, last=True)
     else:
-        y_grid = smoothing_observable(x_grid, sweep.eps)
-    y_seq = subsample_sequence(y_grid, point.scheme, n_extra=n_extra)
-    x_seq = subsample_sequence(x_grid, point.scheme, n_extra=n_extra, offset=point.offset)
-    return y_seq, x_seq
+        y = PathView(path, point, 0, weights=smoothing_weights(sweep.eps, point.step), last=True)
+    return [PathView(path, point, point.offset), y] if hidden else [y]
 
 
-def _replicate(points, model, observable, seed, replications: int, workers: int, reduce) -> None:
-    """The one OU replication loop: ``reduce(gi, rep, y_seq, x_seq)`` for every pair.
+def _replicate(
+    points, model, observable, seed, replications: int, workers: int, reduce, hidden=True
+) -> None:
+    """The one OU replication loop: ``reduce(gi, rep, y, x)`` for every pair.
 
-    Replication ``rep`` draws only from streams keyed by ``rep``, so results
-    do not depend on execution order.  Every (grid point, replication) pair
-    is one job on a single pool of ``workers`` threads, and ``reduce`` writes
-    the pair's own result slot.  At most ``2 * workers`` jobs are in flight;
-    the first job to raise cancels the queued ones, and its error propagates
-    once the running ones finish.
+    ``y`` and ``x`` are the covariance kernel's ``(cov, mean)`` on the
+    pair's coarse observable and hidden sequences (one result for the
+    identity observable; without ``hidden``, ``y`` twice).  Replication
+    ``rep`` draws only from streams keyed by ``rep``, so results do not
+    depend on execution order.
+
+    Every (grid point, replication) pair is one job on a single pool of
+    ``workers`` threads.  Each worker is two threads sharing a pool of
+    ``_FILTER_BLOCK``-row blocks, one path of the longest point plus
+    ``_SPARE_BLOCKS``: the job thread draws the pair's normals into blocks
+    inside ``simulate_ou`` and moves on to the next job, while the lane's
+    reducer thread finishes the path block by block, runs the kernel over
+    the blocks and calls ``reduce``.  The draws stay on the job thread so
+    that a tracer wrapping ``simulate_ou`` and the stream's generator sees
+    every draw on one thread, nested in ``simulate_ou``; the reducer calls
+    none of the names the tracer wraps.  At most ``2 * workers`` jobs are
+    in flight; the first error, of a draw or of a reduction, cancels the
+    queued jobs and propagates once the running ones finish, and every
+    thread has ended when this returns.
     """
-    _check_memory(max(p.point.rows for p in points), workers)
+    longest = max(p.point.rows for p in points)
+    _check_memory(longest, workers)
+    rows = models._FILTER_BLOCK
+
+    def reduce_path(path: BlockPath) -> None:
+        sweep = points[path.gi]
+        point = sweep.point
+        views = _views(path, sweep, observable, hidden)
+        results = [lagged_covariances(view, point.scheme.n_obs, point.kappas) for view in views]
+        reduce(path.gi, path.rep, results[-1], results[0])
+
+    lanes = [Lane(-(-longest // rows) + _SPARE_BLOCKS, rows, reduce_path) for _ in range(workers)]
+    idle = SimpleQueue()
+    for lane in lanes:
+        idle.put(lane)
 
     def job(gi: int, rep: int) -> None:
-        reduce(gi, rep, *_one_replication(model, observable, seed, points[gi], rep))
+        point = points[gi].point
+        stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
+        lane = idle.get()
+        try:
+            path = BlockPath(lane, gi, rep, partial(ou_filter, model, point.step))
+            lane.queue(path)
+            try:
+                simulate_ou(model, point.rows, point.step, stream, path.land, path.take)
+            except BaseException:
+                path.abandon()
+                raise
+        finally:
+            idle.put(lane)
 
     pool = ThreadPoolExecutor(max_workers=workers)
+    finished = False
     try:
         pending = set()
         for gi in range(len(points)):
@@ -347,8 +389,14 @@ def _replicate(points, model, observable, seed, replications: int, workers: int,
                 pending.add(pool.submit(job, gi, rep))
         for future in as_completed(pending):
             future.result()
+        finished = True
     finally:
         pool.shutdown(cancel_futures=True)
+        for lane in lanes:
+            lane.close(drop=not finished)
+    for lane in lanes:
+        if lane.error is not None:
+            raise lane.error
 
 
 def run_replications(config: ExperimentConfig) -> Ensemble:
@@ -367,10 +415,8 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
         mean_x=np.empty((n_points, n_reps)),
     )
 
-    def fill(gi: int, rep: int, y_seq, x_seq) -> None:
-        n_obs, kappas = points[gi].point.scheme.n_obs, points[gi].point.kappas
-        kx, mx = lagged_covariances(x_seq, n_obs, kappas)
-        ky, my = (kx, mx) if y_seq is x_seq else lagged_covariances(y_seq, n_obs, kappas)
+    def fill(gi: int, rep: int, y, x) -> None:
+        (ky, my), (kx, mx) = y, x
         ens.khat_y[gi, rep], ens.khat_x[gi, rep] = ky[:, 0, 0], kx[:, 0, 0]
         ens.mean_y[gi, rep], ens.mean_x[gi, rep] = my[0], mx[0]
 
@@ -698,24 +744,27 @@ class EndToEndReport:
 def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     """Simulate, distort, sub-sample, estimate moments, invert; per replication.
 
-    A one-point sweep whose reducer runs the kernel on the observable only
-    and inverts at the lag actually representable on the coarse grid, so
-    grid rounding does not bias the reversion estimate.
+    A one-point sweep that runs the kernel on the observable only; each
+    replication's moments are inverted at the lag actually representable on
+    the coarse grid, so grid rounding does not bias the reversion estimate.
     """
     planned = scheme_from_rho(config.rho, config.c_n, config.c_delta)
     point = plan_point(planned, planned.big_delta, (0.0, config.u1))  # coarse = fine
     point.require_positive(1)
     point.require_long_window()
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
-    rel = np.empty((config.replications, 3))
+    moments = [None] * config.replications
 
-    def invert(gi: int, rep: int, seq, _) -> None:
-        cov, mean = lagged_covariances(seq, point.scheme.n_obs, point.kappas)
-        est = invert_ou([mean[0], cov[0, 0, 0], cov[1, 0, 0]], point.lags_used[1])
-        rel[rep] = np.abs(est.theta - truth) / np.abs(truth)
+    def keep(gi: int, rep: int, y, _) -> None:
+        cov, mean = y
+        moments[rep] = [mean[0], cov[0, 0, 0], cov[1, 0, 0]]
 
     sweeps = [SweepPoint(config.rho, config.rho, 0.0, point)]
-    _replicate(sweeps, config.model, "multiplicative", config.master_seed, config.replications, 1, invert)
+    seed, reps = config.master_seed, config.replications
+    _replicate(sweeps, config.model, "multiplicative", seed, reps, 1, keep, hidden=False)
+    rel = np.empty((reps, 3))
+    for rep, psi in enumerate(moments):  # on this thread: perfbench traces invert_ou here
+        rel[rep] = np.abs(invert_ou(psi, point.lags_used[1]).theta - truth) / np.abs(truth)
     names = OU_PARAMETER_NAMES
     fraction = {n: float(np.mean(rel[:, i] <= config.tolerance)) for i, n in enumerate(names)}
     rms = {n: float(np.sqrt(np.mean(rel[:, i] ** 2))) for i, n in enumerate(names)}

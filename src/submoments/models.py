@@ -148,7 +148,7 @@ def _linear_filter():
     module is loaded from its file under its full name, so the package's
     ``__init__`` never runs, and registered in ``sys.modules``, which both
     caches it and lets a later ``import scipy.signal`` reuse it.  The lock
-    keeps two pool threads from loading it twice.
+    keeps two threads from loading it twice.
     """
     with _sigtools_lock:
         module = sys.modules.get(_SIGTOOLS)
@@ -197,8 +197,36 @@ def _ar1(phi: float, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def ou_filter(params: OUParams, delta: float):
+    """A function that turns successive blocks of standard normals into the OU path, in place.
+
+    Called on one path's blocks in order, it scales the normals (the first
+    row to the stationary marginal, the rest to the transition noise),
+    filters them from the previous block's state and adds the mean, so the
+    blocks carry the bits of one whole-path pass.
+    """
+    phi = math.exp(-params.reversion * delta)
+    sig0 = params.stationary_std
+    innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
+    step = _ar1_filter(phi)
+    first = True
+
+    def finish(block: np.ndarray) -> None:
+        nonlocal first
+        if first:
+            block[1:] *= innov
+            block[0] *= sig0  # stationary start
+            first = False
+        else:
+            block *= innov
+        step(block)
+        block += params.mean
+
+    return finish
+
+
 def simulate_ou(
-    params: OUParams, length: int, delta: float, stream: RandomStreamSpec, sink=None
+    params: OUParams, length: int, delta: float, stream: RandomStreamSpec, sink=None, take=None
 ) -> TrajectoryGrid | None:
     """Stationary OU path sampled with the exact transition kernel.
 
@@ -206,30 +234,30 @@ def simulate_ou(
     coefficient ``exp(-reversion * delta)`` started from the stationary
     marginal; no discretization error at any step size.  The path is made
     ``_FILTER_BLOCK`` rows at a time: each block's normals are drawn into
-    it, scaled, filtered from the previous block's state and shifted by
-    the mean.  Without ``sink`` every block is a view of the one
-    ``length``-long array, handed to the grid frozen.  With ``sink``, each
-    finished block, a view of one reused block-long buffer, is passed to
-    ``sink(block)`` in order, and nothing is kept or returned.
+    it and finished by :func:`ou_filter`.  Without ``sink`` every block is
+    a view of the one ``length``-long array, handed to the grid frozen.
+    With ``sink``, each finished block, a view of one reused block-long
+    buffer, is passed to ``sink(block)`` in order, and nothing is kept or
+    returned.  With ``sink`` and ``take``, each block's normals are drawn
+    into the array ``take(rows)`` returns and passed to ``sink`` as drawn,
+    for the caller to finish in order with :func:`ou_filter`, on any thread.
     """
     check_grid(length, delta)
     rng = stream.generator()
-    phi = math.exp(-params.reversion * delta)
-    sig0 = params.stationary_std
-    innov = sig0 * math.sqrt(max(0.0, 1.0 - phi * phi))
-    step = _ar1_filter(phi)
-    path = np.empty(length if sink is None else min(length, _FILTER_BLOCK))
+    finish = None
+    if take is None:
+        finish = ou_filter(params, delta)
+        path = np.empty(length if sink is None else min(length, _FILTER_BLOCK))
     for lo in range(0, length, _FILTER_BLOCK):
-        start = lo if sink is None else 0
-        block = path[start : start + min(_FILTER_BLOCK, length - lo)]
-        rng.standard_normal(out=block)
-        if lo == 0:
-            block[1:] *= innov
-            block[0] *= sig0  # stationary start
+        rows = min(_FILTER_BLOCK, length - lo)
+        if take is not None:
+            block = take(rows)
         else:
-            block *= innov
-        step(block)
-        block += params.mean
+            start = lo if sink is None else 0
+            block = path[start : start + rows]
+        rng.standard_normal(out=block)
+        if finish is not None:
+            finish(block)
         if sink is not None:
             sink(block)
     return None if sink is not None else TrajectoryGrid._handover(path, delta)
@@ -441,18 +469,28 @@ def smoothing_observable(x: TrajectoryGrid, eps: float) -> TrajectoryGrid:
     row ``i`` corresponds to source row ``m + i`` (the first ``m`` rows have
     no full window), on the same step.
     """
+    w = smoothing_weights(eps, x.delta)
+    if x.n_samples < w.size:
+        raise InsufficientData(
+            f"need at least {w.size} samples for a window of {w.size - 1} steps, got {x.n_samples}"
+        )
+    return TrajectoryGrid(moving_average(x.samples, w), x.delta)
+
+
+def smoothing_weights(eps: float, delta: float) -> np.ndarray:
+    """Trapezoid weights of a trailing ``eps`` window on a grid of step ``delta``, oldest first."""
     if eps <= 0:
         raise ParameterDomain(f"eps must be > 0, got {eps}")
-    m = whole_steps(eps, x.delta, "window")
-    if x.n_samples < m + 1:
-        raise InsufficientData(
-            f"need at least {m + 1} samples for a window of {m} steps, got {x.n_samples}"
-        )
-    w = np.full(m + 1, x.delta / eps)
+    m = whole_steps(eps, delta, "window")
+    w = np.full(m + 1, delta / eps)
     w[0] *= 0.5
     w[-1] *= 0.5
-    windows = np.lib.stride_tricks.sliding_window_view(x.samples, m + 1, axis=0)
-    return TrajectoryGrid(windows @ w, x.delta)
+    return w
+
+
+def moving_average(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``weights`` dotted with rows ``i .. i + len(weights) - 1`` of ``samples``."""
+    return np.lib.stride_tricks.sliding_window_view(samples, weights.size, axis=0) @ weights
 
 
 def realized_volatility_observable(

@@ -9,8 +9,12 @@ import numpy as np
 from submoments.estimators import lagged_covariances
 from submoments.grids import RandomStreamSpec, StreamRole, subsample_sequence
 from submoments.invert import invert_ou
-from submoments.lab import plan_point
-from submoments.models import multiplicative_perturbation_observable, simulate_ou
+from submoments.lab import _plan_sweep, plan_point
+from submoments.models import (
+    multiplicative_perturbation_observable,
+    simulate_ou,
+    smoothing_observable,
+)
 from submoments.schemes import scheme_from_rho
 
 
@@ -171,6 +175,38 @@ def slow_fast_reference(entry: str, scale: float, length: int, dt: float, stream
         y = y - (y / scale) * dt + math.sqrt(2.0 / scale) * sqdt * z_fast[n]
         out_x[n], out_avg[n] = x, x_avg
     return out_x, out_avg
+
+
+def reference_ensemble(config):
+    """A generic sweep's ``(khat_y, khat_x, mean_y, mean_x)`` as one plain serial loop.
+
+    Draws each replication's whole path, builds the whole observable,
+    sub-samples both and runs the covariance kernel on each array, as the
+    replication engine did before it held paths in blocks on two threads;
+    ``run_replications`` must reproduce every array bit for bit.
+    """
+    points = _plan_sweep(config)
+    shape = (len(points), config.replications)
+    khat_y, khat_x = np.empty((*shape, len(config.lags))), np.empty((*shape, len(config.lags)))
+    mean_y, mean_x = np.empty(shape), np.empty(shape)
+    for gi, sweep in enumerate(points):
+        point = sweep.point
+        n_obs, kappas, n_extra = point.scheme.n_obs, point.kappas, max(point.kappas)
+        for rep in range(config.replications):
+            stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
+            x = simulate_ou(config.model, point.rows, point.step, stream)
+            y = {
+                "identity": lambda: x,
+                "multiplicative": lambda: multiplicative_perturbation_observable(x, sweep.rho),
+                "smoothing": lambda: smoothing_observable(x, sweep.eps),
+            }[config.observable]()
+            y_seq = subsample_sequence(y, point.scheme, n_extra=n_extra)
+            x_seq = subsample_sequence(x, point.scheme, n_extra=n_extra, offset=point.offset)
+            ky, my = lagged_covariances(y_seq, n_obs, kappas)
+            kx, mx = lagged_covariances(x_seq, n_obs, kappas)
+            khat_y[gi, rep], khat_x[gi, rep] = ky[:, 0, 0], kx[:, 0, 0]
+            mean_y[gi, rep], mean_x[gi, rep] = my[0], mx[0]
+    return khat_y, khat_x, mean_y, mean_x
 
 
 def reference_endtoend_ou(config):

@@ -7,6 +7,7 @@ test covers the installed console script.
 import ast
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -62,6 +63,7 @@ from submoments.lab import (
     EndToEndConfig,
     ExperimentConfig,
     HestonRVConfig,
+    _plan_sweep,
 )
 from submoments.models import HestonParams, OUParams, ou_bound_inputs
 
@@ -912,6 +914,28 @@ class TestOutputFolders:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.cfg"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scheme", "--rho", "0.1", "--output", "{adir}"],
+            ["simulate", "--config", "{cfg}", "--output", "{adir}", "--length", "50"],
+            ["estimate", "--input", "{input}", "--lags", "0,1.0", "--output", "{adir}"],
+            ["estimate", "--input", "{input}", "--lags", "0,1.0", "--csv", "{adir}"],
+        ],
+        ids=["scheme", "simulate", "estimate-output", "estimate-csv"],
+    )
+    def test_output_that_is_a_folder_exits_three(self, tmp_path, capsys, ou_trajectory, argv):
+        # opening the folder as a file ended in an IsADirectoryError traceback
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        fields = dict(cfg=write_cfg(tmp_path, OU_CFG), adir=adir, input=ou_trajectory)
+        assert main([arg.format(**fields) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write {adir}: it is a folder"]
+        assert captured.out == ""
+        assert not any(adir.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "cfg.cfg"]
+
     def test_estimate_makes_the_csv_folder(self, tmp_path, capsys, ou_trajectory):
         # a missing CSV folder ended the run after the JSON was written
         csv, out = tmp_path / "nodir" / "x.csv", tmp_path / "e.json"
@@ -1637,7 +1661,7 @@ class TestLazyImports:
         assert self.scipy_modules(argv, then) == ["scipy.signal._sigtools"]
 
     def test_parallel_ou_lab_loads_only_the_filter_kernel(self, tmp_path):
-        # two pool threads reach the first OU simulation together
+        # the two reducer threads reach the first OU filter together
         argv = ["lab", "--preset", "smoke", "--workers", "2", "--output-dir", str(tmp_path / "run")]
         assert self.scipy_modules(argv) == ["scipy.signal._sigtools"]
 
@@ -1706,7 +1730,10 @@ class TestBenchmarkTrace:
 
     def test_ou_rate_runs_as_the_benchmark_runs_it(self, tmp_path):
         # ou_rate's setup probe stops at lab.simulate_ou, which the replication
-        # engine calls on its pool thread, once per (point, replication) job
+        # engine calls on its job thread, once per (point, replication) job.
+        # Every draw is made there, inside simulate_ou, through the stream's
+        # generator: the spans nest in the tracer's one stack, and the normals
+        # it counts are the planned ones
         sections = load_config(_preset_path("ou_rate")).sections
         small = {
             "run": {**sections["run"], "replications": 30},
@@ -1716,6 +1743,14 @@ class TestBenchmarkTrace:
         lab = ["lab", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]
         assert "first_simulation" in json.loads(self.child(["setup", *lab]))
         assert self.trace(tmp_path, lab).count("models.simulate_ou") == 2 * 30
+        trace = json.loads((tmp_path / "spans.json").read_text())
+        layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        spec = importlib.util.spec_from_file_location("perfbench_layers", layers)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.nesting_errors(trace["spans"]) == []
+        planned = sum(p.point.rows for p in _plan_sweep(build_experiment(load_config(cfg))))
+        assert trace["counts"]["grids.normals_count"] == planned * 30
 
 
 class TestConsoleScript:

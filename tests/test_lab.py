@@ -5,14 +5,18 @@ master seeds), so observed values are reproducible run to run.
 """
 
 import dataclasses
+import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from submoments import lab
+from submoments import estimators, lab, models
+from submoments.cli import main
 from submoments.errors import (
     InsufficientData,
     MomentsOutsideModelRange,
@@ -67,7 +71,7 @@ from submoments.models import (
 )
 from submoments.schemes import scheme_from_rho
 
-from oracles import heston_core_reference, reference_endtoend_ou
+from oracles import heston_core_reference, reference_endtoend_ou, reference_ensemble
 
 MODEL = OUParams(mean=0.5, reversion=1.0, noise=1.0)
 
@@ -276,19 +280,49 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("run, workers", ENGINE_RUNS)
     def test_first_error_cancels_queued_jobs(self, monkeypatch, run, workers):
-        calls = []
-        replicate = lab._one_replication
+        # an error on either thread of a worker, the draw (simulate_ou, on the
+        # job thread) or the reduction (the kernel, on the reducer thread),
+        # reaches the caller with its own type, cancels the queued jobs and
+        # leaves no thread running; a deadlock fails instead of hanging
+        simulate, kernel = lab.simulate_ou, lab.lagged_covariances
+        threads = threading.active_count()
+        # a lane's drawer runs at most a pool of one-block paths ahead of its reducer
+        ahead = workers * (1 + lab._SPARE_BLOCKS)
+        for side, error, bound in [("draw", NumericalError, 2 * workers), ("reduce", InsufficientData, ahead + 2 * workers)]:
+            draws, kernels = [], itertools.count()
 
-        def failing(model, observable, seed, sweep, rep):
-            calls.append(rep)
-            if rep == 0:
-                raise NumericalError("injected")
-            return replicate(model, observable, seed, sweep, rep)
+            def drawing(model, rows, step, stream, *sinks):
+                draws.append(stream.replication_index)
+                if side == "draw" and stream.replication_index == 0:
+                    raise error("injected")
+                return simulate(model, rows, step, stream, *sinks)
 
-        monkeypatch.setattr(lab, "_one_replication", failing)
-        with pytest.raises(NumericalError, match="injected"):
-            run(workers)  # 3 points x 30 reps, or 1 point x 30 reps
-        assert 1 <= len(calls) <= 2 * workers
+            def reducing(*args):
+                if side == "reduce" and next(kernels) == 0:
+                    raise error("injected")
+                return kernel(*args)
+
+            monkeypatch.setattr(lab, "simulate_ou", drawing)
+            monkeypatch.setattr(lab, "lagged_covariances", reducing)
+            raised = _within(60, lambda: run(workers))  # 3 points x 30 reps, or 1 point x 30 reps
+            assert isinstance(raised, error) and str(raised) == "injected", (side, raised)
+            assert 1 <= len(draws) <= bound, (side, len(draws))
+            assert threading.active_count() == threads, side
+
+    @pytest.mark.parametrize(
+        "target, error, code",
+        [("simulate_ou", NumericalError, 5), ("lagged_covariances", InsufficientData, 4)],
+        ids=["draw", "reduce"],
+    )
+    def test_an_error_on_either_thread_exits_with_its_code(self, tmp_path, capsys, monkeypatch, target, error, code):
+        def fail(*args):
+            raise error("injected")
+
+        monkeypatch.setattr(lab, target, fail)
+        for workers in ("1", "2"):
+            argv = ["lab", "--preset", "smoke", "--output-dir", str(tmp_path), "--workers", workers]
+            assert main(argv) == code
+            assert capsys.readouterr().err.splitlines() == ["error: injected"]
 
     def test_budget_family_rate(self):
         cfg = small_config(
@@ -299,6 +333,104 @@ class TestSweepEngine:
         assert report.meta["grid_kind"] == "n_obs"
         fit = report.slopes["err_x_vs_n/lag_0"]
         assert fit["slope"] < -0.1
+
+
+def _within(seconds: float, fn):
+    """What ``fn()`` raised, or None, run on a thread joined with a timeout, so that a
+    deadlocked engine fails the test instead of hanging the suite."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+        else:
+            raised.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result after {seconds} s: deadlocked"
+    return raised[0]
+
+
+class TestBlockEngine:
+    """Each worker draws a path into pool blocks on its job thread and reduces it on its
+    reducer thread, bit for bit as the whole-path serial loops of tests/oracles.py."""
+
+    FIELDS = ("khat_y", "khat_x", "mean_y", "mean_x")
+
+    @pytest.mark.parametrize("block", [7, 100, 4096])
+    @pytest.mark.parametrize("observable", ["identity", "multiplicative", "smoothing"])
+    def test_sweep_matches_the_serial_loop(self, monkeypatch, observable, block):
+        # 48-row leaves give a walk up to three windows, so 7- and 100-row blocks
+        # put window edges inside blocks and block edges inside windows; stride 3
+        # reads every third row
+        monkeypatch.setattr(estimators, "_LEAF", 48)
+        config = small_config(observable=observable, stride_resolution=3)
+        want = reference_ensemble(config)
+        monkeypatch.setattr(models, "_FILTER_BLOCK", block)
+        threads = threading.active_count()
+        for workers in (1, 2):
+            ens = run_replications(dataclasses.replace(config, workers=workers))
+            for field, ref in zip(self.FIELDS, want):
+                assert np.array_equal(getattr(ens, field), ref), (workers, field)
+        assert threading.active_count() == threads
+
+    def test_paths_longer_than_a_block_and_a_leaf(self):
+        # the shipped block and leaf sizes: each path spans two blocks and two leaves
+        config = small_config(scheme_family="from_n", n_grid=(70000,), epsilon_grid=(), lags=(0.0, 1.0))
+        want = reference_ensemble(config)
+        for workers in (1, 2):
+            ens = run_replications(dataclasses.replace(config, workers=workers))
+            for field, ref in zip(self.FIELDS, want):
+                assert np.array_equal(getattr(ens, field), ref), (workers, field)
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_a_pool_of_one_path_waits_for_the_reducer(self, monkeypatch, spare):
+        # with no spare block the drawer starts a path only once the last walk
+        # over the one before has given blocks back
+        config = small_config(observable="multiplicative")
+        want = reference_ensemble(config)
+        monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
+        monkeypatch.setattr(lab, "_SPARE_BLOCKS", spare)
+        for workers in (1, 2):
+            got = []
+            twin = dataclasses.replace(config, workers=workers)
+            assert _within(60, lambda: got.append(run_replications(twin))) is None
+            for field, ref in zip(self.FIELDS, want):
+                assert np.array_equal(getattr(got[0], field), ref), (workers, field)
+
+    def test_more_workers_than_cores_switching_often(self, monkeypatch):
+        # three workers, six threads, on 7-row blocks, with the interpreter
+        # switching threads every 10 microseconds: a lost update to a pool,
+        # a path or an ensemble slot would change a result or hang the run
+        config = small_config(observable="multiplicative", stride_resolution=2, workers=3)
+        want = reference_ensemble(config)
+        monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
+        monkeypatch.setattr(lab, "_SPARE_BLOCKS", 0)
+        got, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert _within(120, lambda: got.append(run_replications(config))) is None
+        finally:
+            sys.setswitchinterval(interval)
+        for field, ref in zip(self.FIELDS, want):
+            assert np.array_equal(getattr(got[0], field), ref), field
+
+    @pytest.mark.parametrize("block", [7, 100, 4096])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_endtoend_matches_the_serial_loop(self, monkeypatch, workers, block):
+        rel, _, _ = reference_endtoend_ou(TestEndToEnd.CFG)
+        monkeypatch.setattr(models, "_FILTER_BLOCK", block)
+        replicate = lab._replicate
+
+        def at_workers(*args, **kwargs):
+            return replicate(*args[:5], workers, *args[6:], **kwargs)
+
+        monkeypatch.setattr(lab, "_replicate", at_workers)  # ou_endtoend runs at one worker
+        assert np.array_equal(run_endtoend_ou(TestEndToEnd.CFG).rel_errors, rel)
 
 
 class TestReport:

@@ -33,6 +33,7 @@ from submoments.models import (
     default_rv_window,
     heston_initial_variance,
     multiplicative_perturbation_observable,
+    ou_filter,
     ou_true_covariance,
     realized_variance_chunk,
     realized_volatility_observable,
@@ -125,6 +126,20 @@ class TestOU:
         assert simulate_ou(params, length, 0.01, stream, lambda b: blocks.append(b.copy())) is None
         sizes = [min(_FILTER_BLOCK, length - lo) for lo in range(0, length, _FILTER_BLOCK)]
         assert [b.size for b in blocks] == sizes
+        want = simulate_ou(params, length, 0.01, stream).samples[:, 0]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length", [1, _FILTER_BLOCK, 3 * _FILTER_BLOCK + 7])
+    def test_drawn_blocks_finished_later_are_the_path(self, length):
+        # with take, the blocks go to the sink as normals, each in its own
+        # array; ou_filter finishes them in order, after the draws, into the path
+        params, stream = OUParams(1.0, 1.0, 1.0), RandomStreamSpec(6)
+        blocks = []
+        assert simulate_ou(params, length, 0.01, stream, blocks.append, np.empty) is None
+        assert len({id(b) for b in blocks}) == len(blocks)
+        finish = ou_filter(params, 0.01)
+        for block in blocks:
+            finish(block)
         want = simulate_ou(params, length, 0.01, stream).samples[:, 0]
         assert np.concatenate(blocks).tobytes() == want.tobytes()
 
