@@ -1,7 +1,7 @@
 """Paths held in pooled blocks: drawn on one thread, finished and read on another.
 
-The OU replication engine in :mod:`submoments.lab` runs each worker as two
-threads around a :class:`Lane`: the job thread draws a replication's
+The OU replication engine in :mod:`submoments.lab` runs two threads
+around one :class:`Lane`: the calling thread draws each replication's
 normals into the lane's blocks, and the lane's reducer thread finishes
 each block into the path and runs the covariance kernel over the blocks
 through a :class:`PathView`, which gives the kernel the window-reader
@@ -23,15 +23,15 @@ class Abandoned(Exception):
 
 
 class Lane:
-    """One worker of the replication engine: a pool of path blocks and its reducer thread.
+    """The replication engine's pool of path blocks and its reducer thread.
 
-    A job thread queues a replication's :class:`BlockPath` and draws its
+    The drawing thread queues a replication's :class:`BlockPath` and draws its
     normals into blocks taken from the pool.  The reducer thread takes the paths in
     that order and calls ``reduce_path(path)``, which finishes and reads the
     blocks; they come back to the pool as the path's last walk passes them,
     and when its reduction ends.  The first error a reduction raises is kept
-    in ``error``: the paths queued after it are dropped, and the job thread
-    raises it at its next :meth:`take` or :meth:`queue`.
+    in ``error``: the paths queued after it are dropped, and the drawing
+    thread raises it at its next :meth:`take` or :meth:`queue`.
     """
 
     def __init__(self, blocks: int, rows: int, reduce_path):
@@ -92,7 +92,7 @@ class Lane:
                     self._reduce_path(path)
             except Abandoned:
                 pass
-            except BaseException as exc:  # raised again on the job thread and by _replicate
+            except BaseException as exc:  # raised again on the drawing thread and by _replicate
                 with self.cond:
                     self.error = exc
                     self.cond.notify_all()
@@ -103,7 +103,7 @@ class Lane:
 class BlockPath:
     """One replication's fine path in a lane's blocks, ``lane.rows`` rows each.
 
-    The job thread draws the normals into blocks (:meth:`take`, :meth:`land`);
+    The drawing thread draws the normals into blocks (:meth:`take`, :meth:`land`);
     the reducer thread turns each into the path with the function
     ``make_finish()`` returns, in order, when a read first reaches it, and
     gives the leading blocks back with :meth:`release`.

@@ -349,9 +349,9 @@ def cmd_lab(args) -> int:
         raise UsageError("give exactly one of --config or --preset")
     path = Path(args.config) if args.config else _preset_path(args.preset)
     bundle = load_config(path)
-    _write_flags(bundle, "run", master_seed=args.seed, workers=args.workers)
+    _write_flags(bundle, "run", master_seed=args.seed)
     kind = pipeline_kind(bundle)
-    check_keys(kind, bundle)  # --seed and --workers count: they were written into [run] above
+    check_keys(kind, bundle)  # --seed counts: it was written into [run] above
     checks = assert_thresholds(bundle) if args.check else {}
     out_dir = Path(args.output_dir)  # made by the first write: a refused run leaves none
     outputs: list[str] = []
@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--preset", default=None, help="named built-in config")
     lab.add_argument("--output-dir", default=".", help="where to write reports")
     lab.add_argument("--seed", type=int, default=None, help="override master seed")
-    lab.add_argument("--workers", type=int, default=None, help="override worker count")
     lab.add_argument(
         "--assert",
         dest="check",
@@ -481,7 +480,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except MemoryError as exc:  # an allocation no resource cap foresaw
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return ResourceLimit.exit_code
 
 

@@ -167,7 +167,7 @@ READERS = {
         "run": _same(_as_int, "master_seed"),
     },
     "generic": {
-        "run": {**_RUN, **_same(_as_int, "workers")},
+        "run": _RUN,
         "model": _MODEL.only("ou"),
         "pipeline": _KIND,
         "observable": {"kind": (_as_str, "observable")},

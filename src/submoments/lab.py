@@ -18,10 +18,8 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, as_completed, wait
 from dataclasses import asdict, dataclass
 from functools import partial
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -77,9 +75,8 @@ _RHO_KINDS = ("identity", "sqrt")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 512  # fine rows stepped at once, over all heston_rv replications: fits L2
 _COARSE_SEGMENT = 4096  # coarse rows a heston_rv level's samples grow by
-_SPARE_BLOCKS = 2  # pool blocks a worker holds beyond one longest path: how far its draws run ahead
-_MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a generic sweep may plan for, else ResourceLimit
-_EXECUTION_FIELDS = ("workers",)
+_SPARE_BLOCKS = 2  # pool blocks beyond one longest path: how far the draws run ahead of the reducer
+_MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a run may plan for, else ResourceLimit
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +85,8 @@ _EXECUTION_FIELDS = ("workers",)
 
 
 def config_hash(config) -> str:
-    """sha256 run identity of a pipeline config, without its execution fields.
-
-    ``workers`` is left out: runs that differ only in it produce
-    bitwise-equal results and share one identity.
-    """
-    kept = {k: v for k, v in asdict(config).items() if k not in _EXECUTION_FIELDS}
-    blob = json.dumps(kept, sort_keys=True, default=str)
+    """sha256 run identity of a pipeline config: every field of it."""
+    blob = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -127,7 +119,6 @@ class ExperimentConfig:
     replications: int = 100
     master_seed: int = 0
     stride_resolution: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.observable not in _OBSERVABLES:
@@ -143,8 +134,6 @@ class ExperimentConfig:
             )
         if self.stride_resolution < 1:
             raise ParameterDomain("stride_resolution must be >= 1")
-        if self.workers < 1:
-            raise ParameterDomain("workers must be >= 1")
         for name in ("c_n", "c_delta", "c_rho"):
             check_positive(getattr(self, name), name)
         if self.scheme_family == "from_n":
@@ -262,21 +251,22 @@ def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
     return points
 
 
-def _check_memory(rows: float, paths: int = 1) -> None:
-    """Refuse a plan of ``paths`` paths of ``rows`` rows each over the cap.
+def _check_memory(rows: float, paths: int = 1, values: int = 0) -> None:
+    """Refuse a plan of ``paths`` paths of ``rows`` rows each and ``values`` more float64s
+    over the cap, before any of them is allocated.
 
     A float ``rows`` that overflowed to infinity is refused too.
     """
-    # four float64 columns a row, the rest headroom: a sweep worker holds one
+    # four float64 columns a row, the rest headroom: an OU sweep holds one
     # (its pool of blocks: one path of the longest point and a few spare
-    # blocks, shared by its draw and reducer threads; the observable is made
-    # window by window and the kernel works in leaf-sized buffers), the pilot
-    # its price and variance paths and a few eps-grid columns while it
-    # measures rho, the realized-variance main pass one, its coarse samples,
-    # counted for every level although a finished level is reduced and
-    # dropped (beyond them it holds one _HESTON_CHUNK-row chunk of every
-    # replication)
-    need = rows * 8 * 4 * paths
+    # blocks, which the calling thread draws into and the reducer thread
+    # reads; the observable is made window by window and the kernel works in
+    # leaf-sized buffers), the pilot its price and variance paths and a few
+    # eps-grid columns while it measures rho, the realized-variance main pass
+    # one, its coarse samples, counted for every level although a finished
+    # level is reduced and dropped (beyond them it holds one
+    # _HESTON_CHUNK-row chunk of every replication)
+    need = rows * 8 * 4 * paths + 8 * values
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
             f"run needs about {need / 1e9:.2f} GB of workspace, cap is "
@@ -320,9 +310,7 @@ def _views(path: BlockPath, sweep: SweepPoint, observable: str, hidden: bool) ->
     return [PathView(path, point, point.offset), y] if hidden else [y]
 
 
-def _replicate(
-    points, model, observable, seed, replications: int, workers: int, reduce, hidden=True
-) -> None:
+def _replicate(points, model, observable, seed, replications: int, reduce, hidden=True) -> None:
     """The one OU replication loop: ``reduce(gi, rep, y, x)`` for every pair.
 
     ``y`` and ``x`` are the covariance kernel's ``(cov, mean)`` on the
@@ -331,22 +319,20 @@ def _replicate(
     ``rep`` draws only from streams keyed by ``rep``, so results do not
     depend on execution order.
 
-    Every (grid point, replication) pair is one job on a single pool of
-    ``workers`` threads.  Each worker is two threads sharing a pool of
-    ``_FILTER_BLOCK``-row blocks, one path of the longest point plus
-    ``_SPARE_BLOCKS``: the job thread draws the pair's normals into blocks
-    inside ``simulate_ou`` and moves on to the next job, while the lane's
-    reducer thread finishes the path block by block, runs the kernel over
-    the blocks and calls ``reduce``.  The draws stay on the job thread so
-    that a tracer wrapping ``simulate_ou`` and the stream's generator sees
-    every draw on one thread, nested in ``simulate_ou``; the reducer calls
-    none of the names the tracer wraps.  At most ``2 * workers`` jobs are
-    in flight; the first error, of a draw or of a reduction, cancels the
-    queued jobs and propagates once the running ones finish, and every
-    thread has ended when this returns.
+    Two threads share one :class:`Lane`, a pool of ``_FILTER_BLOCK``-row
+    blocks: one path of the longest point plus ``_SPARE_BLOCKS``.  The
+    calling thread draws each (grid point, replication) pair's normals into
+    blocks inside ``simulate_ou`` and moves on to the next pair, while the
+    lane's reducer thread finishes the path block by block, runs the kernel
+    over the blocks and calls ``reduce``.  The draws stay on the calling
+    thread so that a tracer wrapping ``simulate_ou`` and the stream's
+    generator sees every draw on one thread, nested in ``simulate_ou``; the
+    reducer calls none of the names the tracer wraps.  The first error, of a
+    draw or of a reduction, stops the loop and drops the queued paths, and
+    the reducer thread has ended when this returns.  The caller has checked
+    the memory the plan needs.
     """
     longest = max(p.point.rows for p in points)
-    _check_memory(longest, workers)
     rows = models._FILTER_BLOCK
 
     def reduce_path(path: BlockPath) -> None:
@@ -356,57 +342,37 @@ def _replicate(
         results = [lagged_covariances(view, point.scheme.n_obs, point.kappas) for view in views]
         reduce(path.gi, path.rep, results[-1], results[0])
 
-    lanes = [Lane(-(-longest // rows) + _SPARE_BLOCKS, rows, reduce_path) for _ in range(workers)]
-    idle = SimpleQueue()
-    for lane in lanes:
-        idle.put(lane)
-
-    def job(gi: int, rep: int) -> None:
-        point = points[gi].point
-        stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
-        lane = idle.get()
-        try:
-            path = BlockPath(lane, gi, rep, partial(ou_filter, model, point.step))
-            lane.queue(path)
-            try:
-                simulate_ou(model, point.rows, point.step, stream, path.land, path.take)
-            except BaseException:
-                path.abandon()
-                raise
-        finally:
-            idle.put(lane)
-
-    pool = ThreadPoolExecutor(max_workers=workers)
+    lane = Lane(-(-longest // rows) + _SPARE_BLOCKS, rows, reduce_path)
     finished = False
     try:
-        pending = set()
-        for gi in range(len(points)):
+        for gi, sweep in enumerate(points):
+            point = sweep.point
+            make_finish = partial(ou_filter, model, point.step)
             for rep in range(replications):
-                if len(pending) == 2 * workers:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        future.result()
-                pending.add(pool.submit(job, gi, rep))
-        for future in as_completed(pending):
-            future.result()
+                stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
+                path = BlockPath(lane, gi, rep, make_finish)
+                lane.queue(path)
+                try:
+                    simulate_ou(model, point.rows, point.step, stream, path.land, path.take)
+                except BaseException:
+                    path.abandon()
+                    raise
         finished = True
     finally:
-        pool.shutdown(cancel_futures=True)
-        for lane in lanes:
-            lane.close(drop=not finished)
-    for lane in lanes:
-        if lane.error is not None:
-            raise lane.error
+        lane.close(drop=not finished)
+    if lane.error is not None:
+        raise lane.error
 
 
 def run_replications(config: ExperimentConfig) -> Ensemble:
-    """Run the full sweep and collect paired estimates, on ``config.workers`` threads.
+    """Run the full sweep and collect paired estimates.
 
     Each pair fills its ensemble slots from the covariance kernel on both
     sequences, or on one when they are the same array.
     """
     points = _plan_sweep(config)
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
+    _check_memory(max(p.point.rows for p in points), values=2 * n_points * n_reps * (n_lags + 1))
     ens = Ensemble(
         points=points,
         khat_y=np.empty((n_points, n_reps, n_lags)),
@@ -420,7 +386,7 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
         ens.khat_y[gi, rep], ens.khat_x[gi, rep] = ky[:, 0, 0], kx[:, 0, 0]
         ens.mean_y[gi, rep], ens.mean_x[gi, rep] = my[0], mx[0]
 
-    _replicate(points, config.model, config.observable, config.master_seed, n_reps, config.workers, fill)
+    _replicate(points, config.model, config.observable, config.master_seed, n_reps, fill)
     return ens
 
 
@@ -753,15 +719,16 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     point.require_positive(1)
     point.require_long_window()
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
-    moments = [None] * config.replications
+    seed, reps = config.master_seed, config.replications
+    _check_memory(point.rows, values=6 * reps)  # the moments and the relative errors
+    moments = np.empty((reps, 3))
 
     def keep(gi: int, rep: int, y, _) -> None:
         cov, mean = y
-        moments[rep] = [mean[0], cov[0, 0, 0], cov[1, 0, 0]]
+        moments[rep] = mean[0], cov[0, 0, 0], cov[1, 0, 0]
 
     sweeps = [SweepPoint(config.rho, config.rho, 0.0, point)]
-    seed, reps = config.master_seed, config.replications
-    _replicate(sweeps, config.model, "multiplicative", seed, reps, 1, keep, hidden=False)
+    _replicate(sweeps, config.model, "multiplicative", seed, reps, keep, hidden=False)
     rel = np.empty((reps, 3))
     for rep, psi in enumerate(moments):  # on this thread: perfbench traces invert_ou here
         rel[rep] = np.abs(invert_ou(psi, point.lags_used[1]).theta - truth) / np.abs(truth)
@@ -941,7 +908,9 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
         for eps in config.epsilon_grid
     ]
 
-    _check_memory(config.pilot_span / delta_f)  # before the pilot sizes or draws anything
+    # before the pilot sizes or draws anything: its path, and the chunk of
+    # normals and paths the main pass steps for every replication
+    _check_memory(config.pilot_span / delta_f, values=4 * _HESTON_CHUNK * config.replications)
     length = int(math.ceil(config.pilot_span / delta_f))
     for eps, s_eps, window in levels:
         if length // s_eps < window + 1:  # one realized-variance window of returns at eps

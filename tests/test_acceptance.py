@@ -16,7 +16,6 @@ so the stated slope band cannot be met by any correct estimator.  The
 check is kept honest rather than widened; see README.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -54,10 +53,10 @@ def _verdict(num: str, name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _generic_run(preset: str, **execution):
-    """The preset's sweep, with ``execution`` settings (``workers``) replaced."""
+def _generic_run(preset: str):
+    """The preset's sweep, its report and its ``[assert]`` thresholds."""
     bundle = load_config(_preset_path(preset))
-    config = dataclasses.replace(build_experiment(bundle), **execution)
+    config = build_experiment(bundle)
     ensemble = run_replications(config)
     report = build_report(config, ensemble, build_bounds(bundle, config))
     return config, ensemble, report, assert_thresholds(bundle)
@@ -73,9 +72,7 @@ def _lag_slopes(report, prefix: str) -> dict:
 
 @pytest.fixture(scope="module")
 def ou_rate_run():
-    # the report is bitwise the same at any worker count (its config_hash
-    # leaves workers out), so the longest sweep runs on the 2-worker pool
-    return _generic_run("ou_rate", workers=2)
+    return _generic_run("ou_rate")
 
 
 @pytest.fixture(scope="module")

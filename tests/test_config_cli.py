@@ -182,7 +182,7 @@ class TestBuilders:
         with pytest.raises(ValidationError, match="length"):
             build_grid_request(load_config(write_cfg(tmp_path, "[grid]\nlength = 0\ndelta = 1\n")))
         with pytest.raises(ValidationError, match="needs a \\[grid\\]"):
-            build_grid_request(load_config(write_cfg(tmp_path, "[run]\nworkers = 1\n")))
+            build_grid_request(load_config(write_cfg(tmp_path, "[run]\nmaster_seed = 1\n")))
         with pytest.raises(ValidationError, match=r"needs a \[grid\] section with delta"):
             build_grid_request(load_config(write_cfg(tmp_path, "[grid]\nlength = 5\n")))
 
@@ -392,8 +392,8 @@ class TestSimulateCommand:
         assert manifest["outputs"] == [str(out), str(sibling)]
 
     def test_unread_run_keys_exit_three(self, tmp_path, capsys):
-        # simulate steps one path from the seed; a pool or a replication
-        # count would be silently ignored
+        # simulate steps one path from the seed; a replication count would be
+        # silently ignored, and no reader takes workers
         cfg = write_cfg(tmp_path, HESTON_CFG + "\n[run]\nworkers = 2\nreplications = 500\n")
         out = tmp_path / "h.bin"
         assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 3
@@ -564,6 +564,16 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"error: out of memory: {message}\n"
         assert not list(tmp_path.glob("big*"))
+
+    def test_failed_allocation_without_text_exits_four(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError with no message, as [None] * n raises it: no dangling colon
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("submoments.cli.simulate_ou", out_of_memory)
+        cfg = write_cfg(tmp_path, OU_CFG)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.bin")]) == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_ou_binary_memory_does_not_grow_with_the_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, OU_CFG)
@@ -1026,16 +1036,27 @@ class TestLabCommand:
         assert "allowed: ['err_x_slope_min'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("preset", ["ou_endtoend", "heston_rv"])
-    @pytest.mark.parametrize("key", ["workers"])  # the one [run] key only generic sweeps read
+    @pytest.mark.parametrize("preset", ["ou_endtoend", "heston_rv", "smoke"])
+    @pytest.mark.parametrize("key", ["workers"])  # every pipeline draws on the calling thread
     def test_inapplicable_run_key_exits_three(self, tmp_path, capsys, monkeypatch, preset, key):
-        # only the generic sweep has a worker pool
+        bundle = load_config(_preset_path(preset))
+        cfg = preset_variant(tmp_path, {"run": {**bundle.sections["run"], key: "2"}}, preset)
+        kind = pipeline_kind(bundle)
         forbid_simulation(monkeypatch)
         out = tmp_path / "run"
-        assert main(["lab", "--preset", preset, f"--{key}", "2", "--output-dir", str(out)]) == 3
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"config [run] keys ['{key}'] do not apply to pipeline kind '{preset}'" in err
+        assert f"config [run] keys ['{key}'] do not apply to pipeline kind '{kind}'" in err
         assert "allowed: ['master_seed', 'replications']" in err
+        assert not out.exists()
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        forbid_simulation(monkeypatch)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["lab", "--preset", "smoke", "--workers", "2", "--output-dir", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shipped_presets_pass_check_keys(self):
@@ -1661,9 +1682,16 @@ class TestLazyImports:
         assert self.scipy_modules(argv, then) == ["scipy.signal._sigtools"]
 
     def test_parallel_ou_lab_loads_only_the_filter_kernel(self, tmp_path):
-        # the two reducer threads reach the first OU filter together
-        argv = ["lab", "--preset", "smoke", "--workers", "2", "--output-dir", str(tmp_path / "run")]
+        # the reducer thread loads the OU filter while the calling thread draws
+        argv = ["lab", "--preset", "smoke", "--output-dir", str(tmp_path / "run")]
         assert self.scipy_modules(argv) == ["scipy.signal._sigtools"]
+
+    def test_ou_lab_skips_the_thread_pool_modules(self, tmp_path):
+        # the sweep draws on the calling thread: no concurrent.futures, and so
+        # no logging, even after a whole run
+        argv = ["lab", "--preset", "smoke", "--output-dir", str(tmp_path / "run")]
+        then = "assert not {'concurrent.futures', 'logging'} & set(sys.modules)\n"
+        self.scipy_modules(argv, then)
 
 
 class TestBenchmarkTrace:

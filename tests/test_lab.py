@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -15,8 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from submoments import estimators, lab, models
-from submoments.cli import main
+from submoments import config as config_module, estimators, lab, models
+from submoments.cli import _preset_path, available_presets, main
 from submoments.errors import (
     InsufficientData,
     MomentsOutsideModelRange,
@@ -146,7 +147,7 @@ class TestConfigValidation:
             dict(lags=()),
             dict(lags=(-1.0,)),
             dict(stride_resolution=0),
-            dict(workers=0),
+            dict(c_delta=0.0),
             # from_n has no proxy level: y would be x at rho 0
             *(
                 dict(scheme_family="from_n", n_grid=(1000,), **proxy)
@@ -186,15 +187,13 @@ class TestConfigValidation:
             run_replications(small_config())
 
 
-def _sweep(workers: int):
-    return run_replications(small_config(workers=workers))
-
-
-# every pipeline on the replication engine, at the worker counts it runs with
+# every pipeline on the replication engine, with the spare blocks that set how
+# far its draws run ahead of its reductions: the sweep at 1 and 2, ou_endtoend
+# at the shipped count
 ENGINE_RUNS = [
-    pytest.param(_sweep, 1, id="1"),
-    pytest.param(_sweep, 2, id="2"),
-    pytest.param(lambda workers: run_endtoend_ou(TestEndToEnd.CFG), 1, id="ou_endtoend"),
+    pytest.param(lambda: run_replications(small_config()), 1, id="1"),
+    pytest.param(lambda: run_replications(small_config()), 2, id="2"),
+    pytest.param(lambda: run_endtoend_ou(TestEndToEnd.CFG), lab._SPARE_BLOCKS, id="ou_endtoend"),
 ]
 
 
@@ -256,39 +255,18 @@ class TestSweepEngine:
                     assert np.array_equal(khat[gi, rep], cov[:, 0, 0])
                     assert mean[gi, rep] == m[0]
 
-    def test_parallel_matches_serial(self):
-        for observable in ("identity", "multiplicative"):
-            config = small_config(epsilon_grid=(0.3, 0.25, 0.21), observable=observable)
-            twin = dataclasses.replace(config, workers=2)
-            serial, parallel = run_replications(config), run_replications(twin)
-            for field in ("khat_x", "khat_y", "mean_x", "mean_y"):
-                assert np.array_equal(getattr(serial, field), getattr(parallel, field))
-            assert build_report(config, serial).to_json() == build_report(twin, parallel).to_json()
-
-    @pytest.mark.parametrize("run, workers", ENGINE_RUNS)
-    def test_one_pool_per_sweep(self, monkeypatch, run, workers):
-        pools = []
-
-        class CountedPool(lab.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(lab, "ThreadPoolExecutor", CountedPool)
-        run(workers)
-        assert pools == [workers]
-
-    @pytest.mark.parametrize("run, workers", ENGINE_RUNS)
-    def test_first_error_cancels_queued_jobs(self, monkeypatch, run, workers):
-        # an error on either thread of a worker, the draw (simulate_ou, on the
-        # job thread) or the reduction (the kernel, on the reducer thread),
-        # reaches the caller with its own type, cancels the queued jobs and
-        # leaves no thread running; a deadlock fails instead of hanging
+    @pytest.mark.parametrize("run, spare", ENGINE_RUNS)
+    def test_first_error_cancels_queued_jobs(self, monkeypatch, run, spare):
+        # an error on either thread, the draw (simulate_ou, on the calling
+        # thread) or the reduction (the kernel, on the reducer thread), reaches
+        # the caller with its own type, stops the loop and leaves no thread
+        # running; a deadlock fails instead of hanging
         simulate, kernel = lab.simulate_ou, lab.lagged_covariances
+        monkeypatch.setattr(lab, "_SPARE_BLOCKS", spare)
         threads = threading.active_count()
-        # a lane's drawer runs at most a pool of one-block paths ahead of its reducer
-        ahead = workers * (1 + lab._SPARE_BLOCKS)
-        for side, error, bound in [("draw", NumericalError, 2 * workers), ("reduce", InsufficientData, ahead + 2 * workers)]:
+        # the drawer fills a pool of one-block paths, then waits in the next
+        # draw until the failed reduction gives its blocks back
+        for side, error, bound in [("draw", NumericalError, 1), ("reduce", InsufficientData, 2 + spare)]:
             draws, kernels = [], itertools.count()
 
             def drawing(model, rows, step, stream, *sinks):
@@ -304,7 +282,7 @@ class TestSweepEngine:
 
             monkeypatch.setattr(lab, "simulate_ou", drawing)
             monkeypatch.setattr(lab, "lagged_covariances", reducing)
-            raised = _within(60, lambda: run(workers))  # 3 points x 30 reps, or 1 point x 30 reps
+            raised = _within(60, run)  # 3 points x 30 reps, or 1 point x 30 reps
             assert isinstance(raised, error) and str(raised) == "injected", (side, raised)
             assert 1 <= len(draws) <= bound, (side, len(draws))
             assert threading.active_count() == threads, side
@@ -319,10 +297,8 @@ class TestSweepEngine:
             raise error("injected")
 
         monkeypatch.setattr(lab, target, fail)
-        for workers in ("1", "2"):
-            argv = ["lab", "--preset", "smoke", "--output-dir", str(tmp_path), "--workers", workers]
-            assert main(argv) == code
-            assert capsys.readouterr().err.splitlines() == ["error: injected"]
+        assert main(["lab", "--preset", "smoke", "--output-dir", str(tmp_path)]) == code
+        assert capsys.readouterr().err.splitlines() == ["error: injected"]
 
     def test_budget_family_rate(self):
         cfg = small_config(
@@ -356,8 +332,8 @@ def _within(seconds: float, fn):
 
 
 class TestBlockEngine:
-    """Each worker draws a path into pool blocks on its job thread and reduces it on its
-    reducer thread, bit for bit as the whole-path serial loops of tests/oracles.py."""
+    """The calling thread draws each path into the lane's pool blocks and the lane's reducer
+    thread reduces it, bit for bit as the whole-path serial loops of tests/oracles.py."""
 
     FIELDS = ("khat_y", "khat_x", "mean_y", "mean_x")
 
@@ -372,20 +348,18 @@ class TestBlockEngine:
         want = reference_ensemble(config)
         monkeypatch.setattr(models, "_FILTER_BLOCK", block)
         threads = threading.active_count()
-        for workers in (1, 2):
-            ens = run_replications(dataclasses.replace(config, workers=workers))
-            for field, ref in zip(self.FIELDS, want):
-                assert np.array_equal(getattr(ens, field), ref), (workers, field)
+        ens = run_replications(config)
+        for field, ref in zip(self.FIELDS, want):
+            assert np.array_equal(getattr(ens, field), ref), field
         assert threading.active_count() == threads
 
     def test_paths_longer_than_a_block_and_a_leaf(self):
         # the shipped block and leaf sizes: each path spans two blocks and two leaves
         config = small_config(scheme_family="from_n", n_grid=(70000,), epsilon_grid=(), lags=(0.0, 1.0))
         want = reference_ensemble(config)
-        for workers in (1, 2):
-            ens = run_replications(dataclasses.replace(config, workers=workers))
-            for field, ref in zip(self.FIELDS, want):
-                assert np.array_equal(getattr(ens, field), ref), (workers, field)
+        ens = run_replications(config)
+        for field, ref in zip(self.FIELDS, want):
+            assert np.array_equal(getattr(ens, field), ref), field
 
     @pytest.mark.parametrize("spare", [0, 1])
     def test_a_pool_of_one_path_waits_for_the_reducer(self, monkeypatch, spare):
@@ -395,41 +369,43 @@ class TestBlockEngine:
         want = reference_ensemble(config)
         monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
         monkeypatch.setattr(lab, "_SPARE_BLOCKS", spare)
-        for workers in (1, 2):
-            got = []
-            twin = dataclasses.replace(config, workers=workers)
-            assert _within(60, lambda: got.append(run_replications(twin))) is None
-            for field, ref in zip(self.FIELDS, want):
-                assert np.array_equal(getattr(got[0], field), ref), (workers, field)
+        got = []
+        assert _within(60, lambda: got.append(run_replications(config))) is None
+        for field, ref in zip(self.FIELDS, want):
+            assert np.array_equal(getattr(got[0], field), ref), field
 
     def test_more_workers_than_cores_switching_often(self, monkeypatch):
-        # three workers, six threads, on 7-row blocks, with the interpreter
-        # switching threads every 10 microseconds: a lost update to a pool,
-        # a path or an ensemble slot would change a result or hang the run
-        config = small_config(observable="multiplicative", stride_resolution=2, workers=3)
+        # three sweeps at once, each drawing on its own thread into its own
+        # lane: six threads on 7-row blocks, with the interpreter switching
+        # threads every 10 microseconds; a lost update to a pool, a path or an
+        # ensemble slot would change a result or hang the run
+        config = small_config(observable="multiplicative", stride_resolution=2)
         want = reference_ensemble(config)
         monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
         monkeypatch.setattr(lab, "_SPARE_BLOCKS", 0)
         got, interval = [], sys.getswitchinterval()
+        sweeps = [
+            threading.Thread(target=lambda: got.append(run_replications(config)), daemon=True)
+            for _ in range(3)
+        ]
         sys.setswitchinterval(1e-5)
         try:
-            assert _within(120, lambda: got.append(run_replications(config))) is None
+            for sweep in sweeps:
+                sweep.start()
+            assert _within(120, lambda: [sweep.join() for sweep in sweeps]) is None
         finally:
             sys.setswitchinterval(interval)
-        for field, ref in zip(self.FIELDS, want):
-            assert np.array_equal(getattr(got[0], field), ref), field
+        assert len(got) == 3
+        for ens in got:
+            for field, ref in zip(self.FIELDS, want):
+                assert np.array_equal(getattr(ens, field), ref), field
 
     @pytest.mark.parametrize("block", [7, 100, 4096])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_endtoend_matches_the_serial_loop(self, monkeypatch, workers, block):
+    @pytest.mark.parametrize("spare", [1, 2])
+    def test_endtoend_matches_the_serial_loop(self, monkeypatch, spare, block):
         rel, _, _ = reference_endtoend_ou(TestEndToEnd.CFG)
         monkeypatch.setattr(models, "_FILTER_BLOCK", block)
-        replicate = lab._replicate
-
-        def at_workers(*args, **kwargs):
-            return replicate(*args[:5], workers, *args[6:], **kwargs)
-
-        monkeypatch.setattr(lab, "_replicate", at_workers)  # ou_endtoend runs at one worker
+        monkeypatch.setattr(lab, "_SPARE_BLOCKS", spare)
         assert np.array_equal(run_endtoend_ou(TestEndToEnd.CFG).rel_errors, rel)
 
 
@@ -745,6 +721,20 @@ class TestRefusedBeforeAnyDraw:
         with pytest.raises(InsufficientData, match="pilot_span 0.1 gives 5 returns at eps 0.02"):
             run_heston_rv(config)
 
+    @pytest.mark.parametrize("replications", ["1000000000000000000", "99999999999999999999"])
+    @pytest.mark.parametrize("preset", ["smoke", "ou_endtoend", "heston_rv"])
+    def test_results_too_many_to_hold(self, tmp_path, capsys, preset, replications):
+        # each pipeline counts its per-replication results in the memory
+        # check, before it allocates them: exit 4 with one line, no traceback
+        text = re.sub(r"(?m)^replications = .*$", f"replications = {replications}", _preset_path(preset).read_text())
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert main(["lab", "--config", str(cfg), "--output-dir", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run needs about "), err
+        assert not out.exists()
+
 
 class TestHestonChunks:
     # vol_of_vol**2 > 2 * reversion * level, so the raw variance goes
@@ -778,18 +768,35 @@ class TestHestonChunks:
 
 
 class TestConfigHash:
-    @pytest.mark.parametrize(
-        "config",
-        [small_config(), TestHestonRVPipeline.CFG],
-        ids=["experiment", "heston_rv"],
-    )
+    @pytest.mark.parametrize("config", [TestHestonRVPipeline.CFG], ids=["heston_rv"])
     def test_identity_ignores_execution_settings(self, config):
         base = config_hash(config)
         assert len(base) == 64
-        if isinstance(config, ExperimentConfig):
-            assert config_hash(dataclasses.replace(config, workers=2)) == base
-            assert config_hash(dataclasses.replace(config, workers=1)) == base
         assert config_hash(dataclasses.replace(config, master_seed=config.master_seed + 1)) != base
+
+    # each shipped preset's run identity, as its report.json records it
+    PRESET_HASHES = {
+        "heston_rv": "e867818c9857cc5b39b28115968d2f48faa3d4b02deca33278326dda85fdeaff",
+        "mean_rate": "68a7de93b60306fa9f060dc912f970d1da00bbff3766af39fae7d25e53c494bd",
+        "ou_endtoend": "530cd25cbd478748b70f9dedf109f8d77b8162917e78b21755c941386fccd5f9",
+        "ou_rate": "7d26a657de5ed993ee1374a92ca097ea6ce42a2ca79dc0af0985fcc0c2806bc2",
+        "perturbation_gap": "db806ad8e6c89cd44c8a5dc9a0f12f18f4effba96d4a0cf4729ddfb5e0014ce4",
+        "rho_sweep": "fd68bd5ab5a3420ca17085705f5857ce3cb9558d75d71e1c51a9ed963390936c",
+        "smoke": "0a004a80840768b65e3b01d793b6892725fce867feb9f918d64a224991c414fb",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_HASHES))
+    def test_presets_keep_their_identity(self, preset):
+        bundle = config_module.load_config(_preset_path(preset))
+        build = {
+            "generic": config_module.build_experiment,
+            "ou_endtoend": config_module.build_endtoend,
+            "heston_rv": config_module.build_heston_rv,
+        }[config_module.pipeline_kind(bundle)]
+        assert config_hash(build(bundle)) == self.PRESET_HASHES[preset]
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(self.PRESET_HASHES) == available_presets()
 
 
 def _slope(value):
