@@ -1,17 +1,17 @@
 """Paths held in pooled blocks: drawn on one thread, finished and read on another.
 
-The OU replication engine in :mod:`submoments.lab` runs two threads
-around one :class:`Lane`: the calling thread draws each replication's
-normals into the lane's blocks, and the lane's reducer thread finishes
-each block into the path and runs the covariance kernel over the blocks
-through a :class:`PathView`, which gives the kernel the window-reader
-protocol a :class:`~submoments.grids.FileSequence` gives it.
+The OU replication engine in :mod:`submoments.lab` runs two threads over
+two queues of blocks.  The calling thread takes each block from ``free``,
+draws its normals into it and puts it on ``drawn``.  The reducer thread
+walks the same (grid point, replication) order: each pair's
+:class:`BlockPath` pulls the pair's blocks off ``drawn`` as the covariance
+kernel's reads reach them, finishes each into the path, and puts them back
+on ``free`` behind the kernel's last walk.  The kernel reads the blocks
+through a :class:`PathView`, which gives it the window-reader protocol a
+:class:`~submoments.grids.FileSequence` gives it.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import deque
 
 import numpy as np
 
@@ -19,125 +19,31 @@ from .models import moving_average
 
 
 class Abandoned(Exception):
-    """Raised on a reducer thread when the path it reads will never be drawn."""
-
-
-class Lane:
-    """The replication engine's pool of path blocks and its reducer thread.
-
-    The drawing thread queues a replication's :class:`BlockPath` and draws its
-    normals into blocks taken from the pool.  The reducer thread takes the paths in
-    that order and calls ``reduce_path(path)``, which finishes and reads the
-    blocks; they come back to the pool as the path's last walk passes them,
-    and when its reduction ends.  The first error a reduction raises is kept
-    in ``error``: the paths queued after it are dropped, and the drawing
-    thread raises it at its next :meth:`take` or :meth:`queue`.
-    """
-
-    def __init__(self, blocks: int, rows: int, reduce_path):
-        self.error = None
-        self.cond = threading.Condition()
-        self.rows = rows  # a block's
-        self._free: list = []
-        self._room = blocks  # blocks the pool may still allocate
-        self._paths: deque = deque()
-        self._drop = False
-        self._reduce_path = reduce_path
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def take(self) -> np.ndarray:
-        """A free block, waiting while every block the pool may hold is in use."""
-        with self.cond:
-            while self.error is None and not self._free and not self._room:
-                self.cond.wait()
-            if self.error is not None:
-                raise self.error
-            if self._free:
-                return self._free.pop()
-            self._room -= 1
-        return np.empty(self.rows)
-
-    def give(self, blocks) -> None:
-        with self.cond:
-            self._free.extend(blocks)
-            self.cond.notify_all()
-
-    def queue(self, path) -> None:
-        with self.cond:
-            if self.error is not None:
-                raise self.error
-            self._paths.append(path)
-            self.cond.notify_all()
-
-    def close(self, drop: bool) -> None:
-        """End the reducer thread once it has reduced the queued paths, or dropped them."""
-        with self.cond:
-            self._drop = drop
-            self._paths.append(None)
-            self.cond.notify_all()
-        self._thread.join()
-
-    def _run(self) -> None:
-        while True:
-            with self.cond:
-                while not self._paths:
-                    self.cond.wait()
-                path = self._paths.popleft()
-                skip = self.error is not None or self._drop
-            if path is None:
-                return
-            try:
-                if not skip:
-                    self._reduce_path(path)
-            except Abandoned:
-                pass
-            except BaseException as exc:  # raised again on the drawing thread and by _replicate
-                with self.cond:
-                    self.error = exc
-                    self.cond.notify_all()
-            finally:
-                path.release()
+    """Raised on the reducer thread when the path it reads will never be drawn."""
 
 
 class BlockPath:
-    """One replication's fine path in a lane's blocks, ``lane.rows`` rows each.
+    """One replication's fine path in pooled blocks of ``size`` rows each.
 
-    The drawing thread draws the normals into blocks (:meth:`take`, :meth:`land`);
-    the reducer thread turns each into the path with the function
-    ``make_finish()`` returns, in order, when a read first reaches it, and
-    gives the leading blocks back with :meth:`release`.
+    Its blocks come off the ``drawn`` queue in row order; a read that first
+    reaches one turns it into the path with the function ``make_finish()``
+    returns, and :meth:`release` puts the leading blocks back on ``free``.
+    A ``None`` on ``drawn`` means the draw failed: the read raises
+    :class:`Abandoned`.
     """
 
-    def __init__(self, lane: Lane, gi: int, rep: int, make_finish):
-        self.lane, self.gi, self.rep = lane, gi, rep
-        self.blocks: list = []  # the rows of each block taken, in row order
+    def __init__(self, drawn, free, size: int, make_finish):
+        self.drawn, self.free, self.size = drawn, free, size
+        self.blocks: list = []  # the rows of each block pulled so far, finished, in row order
         self._make_finish, self._finish = make_finish, None
-        self._landed = self._finished = self._released = 0
-        self._abandoned = False
-
-    def take(self, rows: int) -> np.ndarray:
-        block = self.lane.take()[:rows]
-        with self.lane.cond:
-            self.blocks.append(block)
-        return block
-
-    def land(self, _block) -> None:
-        with self.lane.cond:
-            self._landed += 1
-            self.lane.cond.notify_all()
-
-    def abandon(self) -> None:
-        with self.lane.cond:
-            self._abandoned = True
-            self.lane.cond.notify_all()
+        self._released = 0
 
     def release(self, k: int | None = None) -> None:
-        """Give the blocks before block ``k``, or all taken so far, back to the pool."""
-        with self.lane.cond:
-            k = len(self.blocks) if k is None else k
-            given, self._released = self.blocks[self._released : k], max(k, self._released)
-        self.lane.give([block.base for block in given])
+        """Put the blocks before block ``k``, or all pulled so far, back on ``free``."""
+        k = len(self.blocks) if k is None else k
+        for block in self.blocks[self._released : k]:
+            self.free.put(block.base)
+        self._released = max(k, self._released)
 
     def gather(self, first: int, count: int, step: int, out: np.ndarray) -> np.ndarray:
         """Fine rows ``first, first + step, ...``, ``count`` of them, as a 1-d array.
@@ -145,23 +51,21 @@ class BlockPath:
         Rows in one block are a view of it; rows across a block edge are
         copied into ``out``.
         """
-        size = self.lane.rows
+        size = self.size
         last = first + (count - 1) * step
         k0, k1 = first // size, last // size
         if k0 < self._released:
             raise RuntimeError(f"block {k0} of a path was read after it went back to the pool")
-        while self._finished <= k1:
-            with self.lane.cond:
-                while self._landed <= self._finished:
-                    if self._abandoned:
-                        raise Abandoned
-                    self.lane.cond.wait()
+        while len(self.blocks) <= k1:
+            block = self.drawn.get()
+            if block is None:
+                raise Abandoned
             if self._finish is None:
                 # not before a block has landed: a process's first filter
                 # set-up loads a module, holding the lock its first draw needs
                 self._finish = self._make_finish()
-            self._finish(self.blocks[self._finished])
-            self._finished += 1
+            self._finish(block)
+            self.blocks.append(block)
         if k0 == k1:
             return self.blocks[k0][first - k0 * size : last - k0 * size + 1 : step]
         out, row, filled = out[:count], first, 0
@@ -201,7 +105,7 @@ class PathView:
             walks += lo == 0
             first = self._offset + stride - 1 + lo * stride
             if self._last and walks == 2:
-                path.release(first // path.lane.rows)
+                path.release(first // path.size)
             if w is not None:
                 fine = path.gather(first, (n - 1) * stride + w.size, 1, out)
                 return moving_average(fine[:, None], w)[::stride]

@@ -174,10 +174,10 @@ def cmd_simulate(args) -> int:
     outputs = [out] if tag is None else [out, _sibling(out, tag)]
     streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
     _check_outputs(outputs, length, whole=not streamed)
+    stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     manifest_path = Path(str(out) + ".manifest.json")
     for path in [*outputs, manifest_path]:  # after the checks: a refused run makes none
         make_parent(path)
-    stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
     if streamed:  # each block goes to the file as it is made: the path is never whole
         with binary_writer(out, 1, delta, length) as write:
             simulate_ou(model, length, delta, stream, write)
@@ -212,6 +212,8 @@ def cmd_estimate(args) -> int:
     lags = _parse_floats(args.lags, "--lags")
     if not all(0 <= u < np.inf for u in lags):
         raise ValidationError(f"lags must be finite and >= 0, got {args.lags}")
+    if args.n_obs is not None and args.n_obs < 2:
+        raise ValidationError(f"--n-obs must be >= 2, got {args.n_obs}")
     inversion = {"--u1": args.u1, "--ball-radius": args.ball_radius, "--ball-center": args.ball_center}
     unused = [flag for flag, value in inversion.items() if value is not None]
     if args.model is None and unused:

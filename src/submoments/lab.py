@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import queue
+import threading
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -45,7 +47,7 @@ from .grids import (
     whole_steps,
 )
 from . import models
-from .blocks import BlockPath, Lane, PathView
+from .blocks import Abandoned, BlockPath, PathView
 from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, invert_cir, invert_ou
 from .models import (
     HestonParams,
@@ -259,13 +261,13 @@ def _check_memory(rows: float, paths: int = 1, values: int = 0) -> None:
     """
     # four float64 columns a row, the rest headroom: an OU sweep holds one
     # (its pool of blocks: one path of the longest point and a few spare
-    # blocks, which the calling thread draws into and the reducer thread
-    # reads; the observable is made window by window and the kernel works in
-    # leaf-sized buffers), the pilot its price and variance paths and a few
-    # eps-grid columns while it measures rho, the realized-variance main pass
-    # one, its coarse samples, counted for every level although a finished
-    # level is reduced and dropped (beyond them it holds one
-    # _HESTON_CHUNK-row chunk of every replication)
+    # blocks, which the calling thread draws into and the one reducer thread
+    # reads, over two queues; the observable is made window by window and the
+    # kernel works in leaf-sized buffers), the pilot its price and variance
+    # paths and a few eps-grid columns while it measures rho, the
+    # realized-variance main pass one, its coarse samples, counted for every
+    # level although a finished level is reduced and dropped (beyond them it
+    # holds one _HESTON_CHUNK-row chunk of every replication)
     need = rows * 8 * 4 * paths + 8 * values
     if need > _MEMORY_CAP_BYTES:
         raise ResourceLimit(
@@ -319,49 +321,67 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
     ``rep`` draws only from streams keyed by ``rep``, so results do not
     depend on execution order.
 
-    Two threads share one :class:`Lane`, a pool of ``_FILTER_BLOCK``-row
-    blocks: one path of the longest point plus ``_SPARE_BLOCKS``.  The
-    calling thread draws each (grid point, replication) pair's normals into
-    blocks inside ``simulate_ou`` and moves on to the next pair, while the
-    lane's reducer thread finishes the path block by block, runs the kernel
-    over the blocks and calls ``reduce``.  The draws stay on the calling
-    thread so that a tracer wrapping ``simulate_ou`` and the stream's
-    generator sees every draw on one thread, nested in ``simulate_ou``; the
-    reducer calls none of the names the tracer wraps.  The first error, of a
-    draw or of a reduction, stops the loop and drops the queued paths, and
-    the reducer thread has ended when this returns.  The caller has checked
-    the memory the plan needs.
+    The calling thread draws each (grid point, replication) pair's normals,
+    inside ``simulate_ou``, into blocks it takes from the ``free`` queue and
+    puts on ``drawn``: a pool of one path of the longest point plus
+    ``_SPARE_BLOCKS`` blocks of ``_FILTER_BLOCK`` rows.  One reducer thread
+    walks the same pairs, reads each path's blocks off ``drawn`` as
+    :mod:`.blocks` describes and calls ``reduce``.  The draws stay on the
+    calling thread so that a tracer wrapping ``simulate_ou`` and the
+    stream's generator sees every draw on one thread, nested in
+    ``simulate_ou``; the reducer calls none of the names the tracer wraps.
+    A failed draw puts ``None`` on ``drawn`` and a failed reduction puts it
+    on ``free``: the first error ends both threads, and the reducer thread
+    has ended when this returns.  The caller has checked the memory the plan
+    needs.
     """
-    longest = max(p.point.rows for p in points)
-    rows = models._FILTER_BLOCK
+    size = models._FILTER_BLOCK
+    room = -(-max(p.point.rows for p in points) // size) + _SPARE_BLOCKS  # blocks still to allocate
+    free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    failed = []  # the reduction's error
 
-    def reduce_path(path: BlockPath) -> None:
-        sweep = points[path.gi]
-        point = sweep.point
-        views = _views(path, sweep, observable, hidden)
-        results = [lagged_covariances(view, point.scheme.n_obs, point.kappas) for view in views]
-        reduce(path.gi, path.rep, results[-1], results[0])
+    def take(rows: int) -> np.ndarray:
+        nonlocal room
+        if room and free.empty():
+            room -= 1
+            return np.empty(size)[:rows]
+        block = free.get()
+        if block is None:
+            raise failed[0]
+        return block[:rows]
 
-    lane = Lane(-(-longest // rows) + _SPARE_BLOCKS, rows, reduce_path)
-    finished = False
+    def reduce_all() -> None:
+        try:
+            for gi, sweep in enumerate(points):
+                point = sweep.point
+                make_finish = partial(ou_filter, model, point.step)
+                for rep in range(replications):
+                    path = BlockPath(drawn, free, size, make_finish)
+                    views = _views(path, sweep, observable, hidden)
+                    results = [lagged_covariances(view, point.scheme.n_obs, point.kappas) for view in views]
+                    reduce(gi, rep, results[-1], results[0])
+                    path.release()
+        except Abandoned:
+            pass
+        except BaseException as exc:  # raised again on the drawing thread and by _replicate
+            failed.append(exc)
+            free.put(None)
+
+    reducer = threading.Thread(target=reduce_all, daemon=True)
+    reducer.start()
     try:
-        for gi, sweep in enumerate(points):
+        for sweep in points:
             point = sweep.point
-            make_finish = partial(ou_filter, model, point.step)
             for rep in range(replications):
                 stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
-                path = BlockPath(lane, gi, rep, make_finish)
-                lane.queue(path)
-                try:
-                    simulate_ou(model, point.rows, point.step, stream, path.land, path.take)
-                except BaseException:
-                    path.abandon()
-                    raise
-        finished = True
+                simulate_ou(model, point.rows, point.step, stream, drawn.put, take)
+    except BaseException:
+        drawn.put(None)
+        raise
     finally:
-        lane.close(drop=not finished)
-    if lane.error is not None:
-        raise lane.error
+        reducer.join()
+    if failed:
+        raise failed[0]
 
 
 def run_replications(config: ExperimentConfig) -> Ensemble:

@@ -516,8 +516,13 @@ class TestSimulateCommand:
         monkeypatch.setattr("shutil.disk_usage", disk_with_free(10**6))
         out = tmp_path / "new" / "p.bin"
         argv = ["simulate", "--config", str(write_cfg(tmp_path, OU_CFG)), "--output", str(out)]
-        assert main([*argv, "--length", "200000"]) == 4
-        assert not (tmp_path / "new").exists()
+        for flags, code in [
+            (["--length", "200000"], 4),  # past the free disk
+            (["--replication", "-1"], 3),  # refused by the stream
+            (["--seed", "-3"], 3),
+        ]:
+            assert main([*argv, *flags]) == code, flags
+            assert not (tmp_path / "new").exists(), flags
         capsys.readouterr()
 
     def test_flags_are_written_into_the_config(self, tmp_path, capsys):
@@ -734,6 +739,9 @@ class TestEstimateCommand:
         # a non-finite lag is refused before the (missing) file is looked for
         assert main(["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,nan"]) == 3
         assert "lags must be finite and >= 0, got 0,nan" in capsys.readouterr().err
+        # and so is an explicit --n-obs below 2
+        assert main(["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0", "--n-obs", "-5"]) == 3
+        assert "--n-obs must be >= 2, got -5" in capsys.readouterr().err
         # so are the inversion flags
         missing = ["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,1", "--model", "ou"]
         for flags, message in [
@@ -779,6 +787,9 @@ class TestEstimateCommand:
             (["--big-delta", "1e-300", "--lags", "0,1e300"], 4, "observations"),
             # 300,000 observations and lag 1's 20 rows; the message names n_obs alone
             (["--n-obs", "300000", "--lags", "0,1"], 4, "n_obs=300000 plus 20 lag rows"),
+            # an explicit --n-obs below 2 is the flag's fault, not the file's
+            (["--n-obs", "-5", "--lags", "0,1"], 3, "--n-obs must be >= 2, got -5"),
+            (["--n-obs", "1", "--lags", "0,1"], 3, "--n-obs must be >= 2, got 1"),
         ],
     )
     def test_huge_ratio_exits_at_the_boundary(self, long_grid, capsys, extra, code, message):
@@ -1758,7 +1769,7 @@ class TestBenchmarkTrace:
 
     def test_ou_rate_runs_as_the_benchmark_runs_it(self, tmp_path):
         # ou_rate's setup probe stops at lab.simulate_ou, which the replication
-        # engine calls on its job thread, once per (point, replication) job.
+        # engine calls on the calling thread, once per (point, replication) pair.
         # Every draw is made there, inside simulate_ou, through the stream's
         # generator: the spans nest in the tracer's one stack, and the normals
         # it counts are the planned ones

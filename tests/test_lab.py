@@ -287,6 +287,31 @@ class TestSweepEngine:
             assert 1 <= len(draws) <= bound, (side, len(draws))
             assert threading.active_count() == threads, side
 
+    def test_a_draw_failing_partway_through_a_path_ends_the_reducer(self, monkeypatch):
+        # replication 4 fails at its 3rd 7-row block: the reducer, waiting on
+        # the rest of a path it has begun to read, ends, and the error reaches
+        # the caller; a deadlock fails instead of hanging
+        simulate = lab.simulate_ou
+        monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
+        threads = threading.active_count()
+
+        def drawing(model, rows, step, stream, sink, take):
+            if stream.replication_index == 4:
+                takes = itertools.count(1)
+
+                def failing(n):
+                    if next(takes) == 3:
+                        raise NumericalError("injected")
+                    return take(n)
+
+                return simulate(model, rows, step, stream, sink, failing)
+            return simulate(model, rows, step, stream, sink, take)
+
+        monkeypatch.setattr(lab, "simulate_ou", drawing)
+        raised = _within(60, lambda: run_replications(small_config()))
+        assert isinstance(raised, NumericalError) and str(raised) == "injected", raised
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize(
         "target, error, code",
         [("simulate_ou", NumericalError, 5), ("lagged_covariances", InsufficientData, 4)],
@@ -332,8 +357,8 @@ def _within(seconds: float, fn):
 
 
 class TestBlockEngine:
-    """The calling thread draws each path into the lane's pool blocks and the lane's reducer
-    thread reduces it, bit for bit as the whole-path serial loops of tests/oracles.py."""
+    """The calling thread draws each path into pooled blocks, queued in row order, and the one
+    reducer thread reduces it, bit for bit as the whole-path serial loops of tests/oracles.py."""
 
     FIELDS = ("khat_y", "khat_x", "mean_y", "mean_x")
 
@@ -376,7 +401,7 @@ class TestBlockEngine:
 
     def test_more_workers_than_cores_switching_often(self, monkeypatch):
         # three sweeps at once, each drawing on its own thread into its own
-        # lane: six threads on 7-row blocks, with the interpreter switching
+        # pool: six threads on 7-row blocks, with the interpreter switching
         # threads every 10 microseconds; a lost update to a pool, a path or an
         # ensemble slot would change a result or hang the run
         config = small_config(observable="multiplicative", stride_resolution=2)
@@ -768,8 +793,13 @@ class TestHestonChunks:
 
 
 class TestConfigHash:
-    @pytest.mark.parametrize("config", [TestHestonRVPipeline.CFG], ids=["heston_rv"])
-    def test_identity_ignores_execution_settings(self, config):
+    # one config of each pipeline kind
+    @pytest.mark.parametrize(
+        "config",
+        [small_config(), TestEndToEnd.CFG, TestHestonRVPipeline.CFG],
+        ids=["generic", "ou_endtoend", "heston_rv"],
+    )
+    def test_seed_changes_the_identity(self, config):
         base = config_hash(config)
         assert len(base) == 64
         assert config_hash(dataclasses.replace(config, master_seed=config.master_seed + 1)) != base
