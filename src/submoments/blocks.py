@@ -8,7 +8,9 @@ walks the same (grid point, replication) order: each pair's
 kernel's reads reach them, finishes each into the path, and puts them back
 on ``free`` behind the kernel's last walk.  The kernel reads the blocks
 through a :class:`PathView`, which gives it the window-reader protocol a
-:class:`~submoments.grids.FileSequence` gives it.
+:class:`~submoments.grids.FileSequence` gives it.  A ``None`` on ``drawn``
+means the draw failed: the read raises, and the reducer ends on that error
+as on any other.
 """
 
 from __future__ import annotations
@@ -18,24 +20,19 @@ import numpy as np
 from .models import moving_average
 
 
-class Abandoned(Exception):
-    """Raised on the reducer thread when the path it reads will never be drawn."""
-
-
 class BlockPath:
     """One replication's fine path in pooled blocks of ``size`` rows each.
 
     Its blocks come off the ``drawn`` queue in row order; a read that first
-    reaches one turns it into the path with the function ``make_finish()``
-    returns, and :meth:`release` puts the leading blocks back on ``free``.
-    A ``None`` on ``drawn`` means the draw failed: the read raises
-    :class:`Abandoned`.
+    reaches one turns it into the path with ``finish(block)``, and
+    :meth:`release` puts the leading blocks back on ``free``.  A ``None`` on
+    ``drawn`` means the draw failed: the read raises ``RuntimeError``.
     """
 
-    def __init__(self, drawn, free, size: int, make_finish):
+    def __init__(self, drawn, free, size: int, finish):
         self.drawn, self.free, self.size = drawn, free, size
         self.blocks: list = []  # the rows of each block pulled so far, finished, in row order
-        self._make_finish, self._finish = make_finish, None
+        self._finish = finish
         self._released = 0
 
     def release(self, k: int | None = None) -> None:
@@ -59,11 +56,7 @@ class BlockPath:
         while len(self.blocks) <= k1:
             block = self.drawn.get()
             if block is None:
-                raise Abandoned
-            if self._finish is None:
-                # not before a block has landed: a process's first filter
-                # set-up loads a module, holding the lock its first draw needs
-                self._finish = self._make_finish()
+                raise RuntimeError("the draw of a path being read failed")
             self._finish(block)
             self.blocks.append(block)
         if k0 == k1:

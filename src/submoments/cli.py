@@ -58,7 +58,6 @@ from .invert import ParameterBall, invert_cir, invert_ou, truncate_to_ball
 from .lab import (
     build_report,
     evaluate_thresholds,
-    finite_json,
     # not called here: the benchmark tracer wraps it under this module by name
     perturbation_gap_check,
     plan_point,
@@ -66,6 +65,7 @@ from .lab import (
     run_heston_rv,
     run_replications,
     simulate_heston,
+    write_json,
 )
 from .models import (
     HestonParams,
@@ -95,13 +95,21 @@ def _open_grid(path: Path):
     return BinaryFile(path)
 
 
-def _write_json(payload: dict, path: Path | None) -> None:
-    text = finite_json(payload)
-    if path is None:
-        print(text)
-    else:
-        make_parent(path)
-        path.write_text(text + "\n")
+def _check_own_files(inputs: list, outputs: list) -> None:
+    """Refuse, before anything is made or written, an output that is a folder, cannot be looked
+    up, or resolves to the same file as one of the call's ``inputs`` or another of its
+    ``outputs`` (``None`` is stdout)."""
+    seen = {Path(path).resolve() for path in inputs}
+    for path in [Path(path) for path in outputs if path is not None]:
+        try:
+            folder, resolved = path.is_dir(), path.resolve()
+        except OSError as exc:  # such as a name too long for the file system
+            raise ValidationError(f"cannot write {path}: {exc}") from None
+        if folder:
+            raise ValidationError(f"cannot write {path}: it is a folder")
+        if resolved in seen:
+            raise ValidationError(f"cannot write {path}: this call already reads or writes that file")
+        seen.add(resolved)
 
 
 def _sibling(path: Path, tag: str) -> Path:
@@ -172,12 +180,12 @@ def cmd_simulate(args) -> int:
         SlowFastParams: (simulate_slow_fast, "reduced"),
     }.get(type(model), (simulate_ou, None))
     outputs = [out] if tag is None else [out, _sibling(out, tag)]
+    manifest_path = Path(str(out) + ".manifest.json")
+    _check_own_files([args.config], [*outputs, manifest_path])
     streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
     _check_outputs(outputs, length, whole=not streamed)
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
-    manifest_path = Path(str(out) + ".manifest.json")
-    for path in [*outputs, manifest_path]:  # after the checks: a refused run makes none
-        make_parent(path)
+    make_parent(out)  # after the checks, so a refused run makes none; the other files share it
     if streamed:  # each block goes to the file as it is made: the path is never whole
         with binary_writer(out, 1, delta, length) as write:
             simulate_ou(model, length, delta, stream, write)
@@ -196,7 +204,7 @@ def cmd_simulate(args) -> int:
         "delta": delta,
         "outputs": list(map(str, outputs)),
     }
-    _write_json(manifest, manifest_path)
+    write_json(manifest, manifest_path)
     print(f"wrote {', '.join(manifest['outputs'])}")
     return 0
 
@@ -206,7 +214,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# an overflow ends as a non-finite value, which _write_json refuses with exit 5
+# an overflow ends as a non-finite value, which write_json refuses with exit 5
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_estimate(args) -> int:
     lags = _parse_floats(args.lags, "--lags")
@@ -228,6 +236,7 @@ def cmd_estimate(args) -> int:
     if args.u1 is not None:  # the inversion flags are refused before the file is read
         check_positive(args.u1, "u1")
     ball = None if args.ball_radius is None else ParameterBall(center=center, radius=args.ball_radius)
+    _check_own_files([args.input], [args.output, args.csv])
     with _open_grid(Path(args.input)) as grid:
         big_delta = grid.delta if args.big_delta is None else args.big_delta
         # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
@@ -293,7 +302,7 @@ def cmd_estimate(args) -> int:
     if args.csv is not None:  # its folder before the JSON is written: a refused one leaves no file
         make_parent(args.csv)
     # the JSON goes first: a refused (non-finite) payload leaves no sidecar
-    _write_json(payload, None if args.output is None else Path(args.output))
+    write_json(payload, args.output)
     if args.csv is not None:
         estimates_to_csv(reported, args.csv)
     return 0
@@ -309,6 +318,7 @@ def cmd_scheme(args) -> int:
         raise UsageError("give exactly one of --rho or --n-obs")
     if args.rho is None and args.c_n is not None:
         raise UsageError("--rho is needed for --c-n")
+    _check_own_files([], [args.output])
     inputs = reference_bound_inputs()  # unit constants: the bound's scaling only
     if args.rho is not None:
         scheme = scheme_from_rho(args.rho, 1.0 if args.c_n is None else args.c_n, args.c_delta)
@@ -323,7 +333,7 @@ def cmd_scheme(args) -> int:
         "span": scheme.span,
         "predicted_error": predicted,
     }
-    _write_json(payload, None if args.output is None else Path(args.output))
+    write_json(payload, args.output)
     return 0
 
 
@@ -356,7 +366,11 @@ def cmd_lab(args) -> int:
     check_keys(kind, bundle)  # --seed counts: it was written into [run] above
     checks = assert_thresholds(bundle) if args.check else {}
     out_dir = Path(args.output_dir)  # made by the first write: a refused run leaves none
-    outputs: list[str] = []
+    names = {
+        "generic": ["report.json", "report.csv"], "ou_endtoend": ["endtoend.json"], "heston_rv": ["heston_rv.json"],
+    }[kind]
+    files = [out_dir / name for name in [*names, "manifest.json"]]
+    _check_own_files([path], files)  # before the run: a file that cannot be written costs no draw
     ensemble = None
 
     if kind == "generic":
@@ -364,9 +378,8 @@ def cmd_lab(args) -> int:
         inputs = build_bounds(bundle, config)
         ensemble = run_replications(config)
         report = build_report(config, ensemble, inputs)
-        report.write_json(out_dir / "report.json")
-        report.write_csv(out_dir / "report.csv")
-        outputs += [str(out_dir / "report.json"), str(out_dir / "report.csv")]
+        report.write_json(files[0])
+        report.write_csv(files[1])
         for key, fit in sorted(report.slopes.items()):
             print(f"slope {key}: {fit['slope']:.4f} (r2 {fit['r_squared']:.4f})")
         for key, val in sorted(report.bound_fractions.items()):
@@ -374,8 +387,7 @@ def cmd_lab(args) -> int:
     elif kind == "ou_endtoend":
         config = build_endtoend(bundle)
         report = run_endtoend_ou(config)
-        _write_json(report.to_json_dict(), out_dir / "endtoend.json")
-        outputs.append(str(out_dir / "endtoend.json"))
+        write_json(report.to_json_dict(), files[0])
         for name in report.names:
             print(
                 f"{name}: fraction within {report.tolerance:g} = "
@@ -384,8 +396,7 @@ def cmd_lab(args) -> int:
     else:
         config = build_heston_rv(bundle)
         report = run_heston_rv(config)
-        _write_json(report.to_json_dict(), out_dir / "heston_rv.json")
-        outputs.append(str(out_dir / "heston_rv.json"))
+        write_json(report.to_json_dict(), files[0])
         for eps in config.epsilon_grid:
             errs = report.rms_rel[eps]
             listing = ", ".join(f"{k}={v:.4f}" for k, v in errs.items())
@@ -399,9 +410,9 @@ def cmd_lab(args) -> int:
         "config_sha256": bundle.sha256,
         "pipeline": kind,
         "master_seed": config.master_seed,
-        "outputs": outputs,
+        "outputs": list(map(str, files[:-1])),
     }
-    _write_json(manifest, out_dir / "manifest.json")
+    write_json(manifest, files[-1])
     if checks:
         failed = False
         for name, ok, detail in evaluate_thresholds(kind, checks, report, config, ensemble):

@@ -247,14 +247,11 @@ def _check_file_grid(path, delta: float, blocks) -> None:
 
 
 def make_parent(path) -> None:
-    """Make the folder ``path`` goes into; ``ValidationError`` naming ``path`` if it cannot
-    be, or if ``path`` is a folder itself."""
+    """Make the folder ``path`` goes into; ``ValidationError`` naming ``path`` if it cannot be."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot make the folder of {path}: {exc}") from None
-    if Path(path).is_dir():
-        raise ValidationError(f"cannot write {path}: it is a folder")
 
 
 @contextmanager

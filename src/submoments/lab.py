@@ -47,7 +47,7 @@ from .grids import (
     whole_steps,
 )
 from . import models
-from .blocks import Abandoned, BlockPath, PathView
+from .blocks import BlockPath, PathView
 from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, invert_cir, invert_ou
 from .models import (
     HestonParams,
@@ -330,10 +330,11 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
     calling thread so that a tracer wrapping ``simulate_ou`` and the
     stream's generator sees every draw on one thread, nested in
     ``simulate_ou``; the reducer calls none of the names the tracer wraps.
-    A failed draw puts ``None`` on ``drawn`` and a failed reduction puts it
-    on ``free``: the first error ends both threads, and the reducer thread
-    has ended when this returns.  The caller has checked the memory the plan
-    needs.
+    A failed draw puts ``None`` on ``drawn``, where the reducer's read
+    raises; the reducer records whatever it raises and puts ``None`` on
+    ``free``, where the drawer raises it at its next ``take``.  The reducer
+    thread has ended when this returns; a failed draw raises its own error.
+    The caller has checked the memory the plan needs.
     """
     size = models._FILTER_BLOCK
     room = -(-max(p.point.rows for p in points) // size) + _SPARE_BLOCKS  # blocks still to allocate
@@ -354,15 +355,12 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
         try:
             for gi, sweep in enumerate(points):
                 point = sweep.point
-                make_finish = partial(ou_filter, model, point.step)
                 for rep in range(replications):
-                    path = BlockPath(drawn, free, size, make_finish)
+                    path = BlockPath(drawn, free, size, ou_filter(model, point.step))
                     views = _views(path, sweep, observable, hidden)
                     results = [lagged_covariances(view, point.scheme.n_obs, point.kappas) for view in views]
                     reduce(gi, rep, results[-1], results[0])
                     path.release()
-        except Abandoned:
-            pass
         except BaseException as exc:  # raised again on the drawing thread and by _replicate
             failed.append(exc)
             free.put(None)
@@ -513,16 +511,22 @@ def perturbation_gap_check(ensemble: Ensemble, nu_of_rho) -> list[GapCheck]:
 # ---------------------------------------------------------------------------
 
 
-def finite_json(payload) -> str:
-    """Indented, key-sorted JSON; ``NumericalError`` on a NaN or infinity.
+def write_json(payload, path=None) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and a newline to ``path``, or print it.
 
-    Callers serialise before opening any output, so a refused payload leaves
-    no partial file behind.
+    A NaN or infinity raises ``NumericalError`` before anything is opened or
+    made, so a refused payload leaves no file or folder behind.
     """
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"refusing to write non-finite JSON: {exc}") from None
+    if path is None:
+        print(text)
+        return
+    make_parent(path)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 @dataclass
@@ -534,14 +538,8 @@ class ConvergenceReport:
     bound_rows: list
     bound_fractions: dict
 
-    def to_json(self) -> str:
-        return finite_json(asdict(self))
-
     def write_json(self, path) -> None:
-        text = self.to_json()  # a non-finite report raises before the directory exists
-        make_parent(path)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        write_json(asdict(self), path)
 
     def write_csv(self, path) -> None:
         cols = [

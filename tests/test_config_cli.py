@@ -966,6 +966,86 @@ class TestOutputFolders:
         assert len(csv.read_text().splitlines()) == 3  # header and one row a lag
 
 
+class TestRefusedBeforeTheRun:
+    """An output that is a folder, that cannot be looked up, or that names a file the call
+    reads or writes already, exits 3 with one error line before anything is read, drawn or
+    written."""
+
+    @pytest.mark.parametrize(
+        "preset, name",
+        [
+            ("smoke", "report.json"), ("smoke", "report.csv"), ("smoke", "manifest.json"),
+            ("ou_endtoend", "endtoend.json"), ("ou_endtoend", "manifest.json"),
+            ("heston_rv", "heston_rv.json"), ("heston_rv", "manifest.json"),
+        ],
+    )
+    def test_lab_output_that_is_a_folder(self, tmp_path, capsys, monkeypatch, preset, name):
+        # each ended, after every draw, in exit 3 or an IsADirectoryError traceback
+        monkeypatch.setattr(RandomStreamSpec, "generator", forbidden("drew before refusing the output"))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["lab", "--preset", preset, "--output-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write {out / name}: it is a folder"]
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == [name] and not any((out / name).iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scheme", "--rho", "0.1", "--output", "{tmp}/{long}"],
+            ["lab", "--preset", "smoke", "--output-dir", "{tmp}/{long}"],
+        ],
+        ids=["scheme", "lab"],
+    )
+    def test_output_name_too_long_exits_three(self, tmp_path, capsys, monkeypatch, argv):
+        # scheme ended in an OSError traceback, and lab exited 3 only after every draw
+        monkeypatch.setattr(RandomStreamSpec, "generator", forbidden("drew before refusing the output"))
+        assert main([arg.format(tmp=tmp_path, long="a" * 300) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot write ") and "too long" in line
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--input", "{tmp}/q.bin", "--lags", "0,1.0", "--output", "{tmp}/q.bin"],
+            ["estimate", "--input", "{tmp}/q.bin", "--lags", "0,1.0", "--csv", "{tmp}/q.bin"],
+            ["estimate", "--input", "{tmp}/q.bin", "--lags", "0,1.0", "--output", "{tmp}/x", "--csv", "{tmp}/x"],
+            ["estimate", "--input", "q.bin", "--lags", "0,1.0", "--output", "{tmp}/q.bin"],
+            ["estimate", "--input", "{tmp}/q.bin", "--lags", "0,1.0", "--output", "{tmp}/alias.bin"],
+            ["simulate", "--config", "{tmp}/c.cfg", "--output", "{tmp}/c.cfg"],
+            ["simulate", "--config", "{tmp}/p-variance.cfg", "--output", "{tmp}/p.cfg"],
+            ["simulate", "--config", "{tmp}/p.bin.manifest.json", "--output", "{tmp}/p.bin"],
+            ["lab", "--config", "{tmp}/manifest.json", "--output-dir", "{tmp}"],
+        ],
+        ids=[
+            "estimate-output-is-input", "estimate-csv-is-input", "estimate-output-is-csv",
+            "estimate-relative-input", "estimate-output-links-to-input", "simulate-output-is-config",
+            "simulate-sibling-is-config", "simulate-manifest-is-config", "lab-manifest-is-config",
+        ],
+    )
+    def test_output_that_names_one_of_the_calls_files(self, tmp_path, capsys, monkeypatch, ou_trajectory, argv):
+        # each exited 0, writing over the file it read or over its other output
+        shutil.copy(ou_trajectory, tmp_path / "q.bin")
+        (tmp_path / "alias.bin").symlink_to(tmp_path / "q.bin")
+        write_cfg(tmp_path, OU_CFG, "c.cfg")
+        write_cfg(tmp_path, HESTON_CFG, "p-variance.cfg")
+        write_cfg(tmp_path, OU_CFG, "p.bin.manifest.json")
+        write_cfg(tmp_path, _preset_path("smoke").read_text(), "manifest.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(RandomStreamSpec, "generator", forbidden("drew before refusing the output"))
+        monkeypatch.setattr("submoments.cli._open_grid", forbidden("read before refusing the output"))
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot write ") and line.endswith("reads or writes that file")
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def preset_variant(tmp_path, replace: dict, preset: str = "smoke"):
     """A shipped preset written out with whole sections replaced."""
     sections = {**load_config(_preset_path(preset)).sections, **replace}

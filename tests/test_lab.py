@@ -435,7 +435,7 @@ class TestBlockEngine:
 
 
 class TestReport:
-    def test_identity_report(self):
+    def test_identity_report(self, tmp_path):
         cfg = small_config()
         ens = run_replications(cfg)
         report = build_report(cfg, ens, inputs=ou_bound_inputs(MODEL, horizon_a=1.0))
@@ -450,7 +450,8 @@ class TestReport:
         assert 0.0 <= report.bound_fractions["contained_x"] <= 1.0
         assert report.meta["replications"] == 30
         assert report.meta["config_hash"] == config_hash(cfg)
-        parsed = json.loads(report.to_json())
+        report.write_json(tmp_path / "report.json")
+        parsed = json.loads((tmp_path / "report.json").read_text())
         assert parsed == dataclasses.asdict(report)
 
     def test_error_helpers_match_report(self):
