@@ -97,16 +97,20 @@ def _open_grid(path: Path):
 
 def _check_own_files(inputs: list, outputs: list) -> None:
     """Refuse, before anything is made or written, an output that is a folder, cannot be looked
-    up, or resolves to the same file as one of the call's ``inputs`` or another of its
-    ``outputs`` (``None`` is stdout)."""
+    up, sits under a plain file, or resolves to the same file as one of the call's ``inputs``
+    or another of its ``outputs`` (``None`` is stdout)."""
     seen = {Path(path).resolve() for path in inputs}
     for path in [Path(path) for path in outputs if path is not None]:
         try:
             folder, resolved = path.is_dir(), path.resolve()
+            # where make_parent would start; a dangling link stops it too
+            above = next(p for p in path.parents if p.exists() or p.is_symlink())
         except OSError as exc:  # such as a name too long for the file system
             raise ValidationError(f"cannot write {path}: {exc}") from None
         if folder:
             raise ValidationError(f"cannot write {path}: it is a folder")
+        if not above.is_dir():
+            raise ValidationError(f"cannot make the folder of {path}: {above} is not a folder")
         if resolved in seen:
             raise ValidationError(f"cannot write {path}: this call already reads or writes that file")
         seen.add(resolved)
@@ -155,7 +159,7 @@ def _check_outputs(outputs: list, length: int, whole: bool) -> None:
     if whole and 8 * (length + 1) * len(outputs) > np.iinfo(np.intp).max:
         raise ResourceLimit(f"a path of {_count(length)} rows is larger than numpy can allocate")
     need = (24 + 8 * length) * len(outputs)  # header and float64s
-    folder = next(p for p in (outputs[0].parent, *outputs[0].parent.parents) if p.exists())
+    folder = next(p for p in outputs[0].parents if p.exists())
     if outputs[0].suffix.lower() != ".csv" and need > shutil.disk_usage(folder).free:
         raise ResourceLimit(
             f"{len(outputs)} file(s) of {_count(length)} rows need {_count(need)} bytes, "
@@ -222,6 +226,10 @@ def cmd_estimate(args) -> int:
         raise ValidationError(f"lags must be finite and >= 0, got {args.lags}")
     if args.n_obs is not None and args.n_obs < 2:
         raise ValidationError(f"--n-obs must be >= 2, got {args.n_obs}")
+    if args.offset < 0:
+        raise ValidationError(f"offset must be >= 0, got {args.offset}")
+    if args.big_delta is not None:
+        check_positive(args.big_delta, "big_delta")
     inversion = {"--u1": args.u1, "--ball-radius": args.ball_radius, "--ball-center": args.ball_center}
     unused = [flag for flag, value in inversion.items() if value is not None]
     if args.model is None and unused:

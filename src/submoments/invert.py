@@ -4,7 +4,8 @@ Each inversion takes three numbers of one coordinate: its mean, its
 variance and its covariance at one positive lag ``u1``, read off the
 arrays that :func:`submoments.estimators.lagged_covariances` returns.
 Closed forms invert the scalar mean-reverting model and the square-root
-variance model.
+variance model.  Both have an exponential covariance, so each inversion is
+one rate fit, :func:`decay_rate`.
 """
 
 from __future__ import annotations
@@ -85,30 +86,34 @@ OU_PARAMETER_NAMES = ("mean", "reversion", "noise")
 CIR_PARAMETER_NAMES = ("reversion", "level", "vol_of_vol")
 
 
-def invert_ou(psi, u1: float) -> ParameterEstimate:
-    """Closed-form mean-reverting fit from ``[mean, cov(0), cov(u1)]``.
+def decay_rate(k_a, k_b, a, b) -> float:
+    """``theta`` of ``K(u) = K(0) e^{-theta u}`` through ``K(a) = k_a`` and ``K(b) = k_b``, a < b.
 
-    reversion = log(cov0 / cov_u1) / u1 and noise^2 = 2 * reversion * cov0.
-    The covariances must be positive and strictly decreasing, otherwise the
-    moments lie outside the model's range.
+    Covariances that are not positive and decreasing lie outside the model's range.
     """
+    if not (k_a > 0 and k_b > 0 and k_b < k_a):
+        raise MomentsOutsideModelRange(f"cov at lag {b} ({k_b}) must be positive and below cov at lag {a} ({k_a})")
+    return math.log(k_a / k_b) / (b - a)
+
+
+def _moments(psi, u1: float) -> np.ndarray:
+    """``psi`` as three floats, for an inversion at the positive lag ``u1``."""
     check_positive(u1, "u1")
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (3,):
         raise ParameterDomain(f"expected 3 moments, got shape {psi.shape}")
-    mu, k0, k1 = psi
-    if not (k0 > 0 and k1 > 0):
-        raise MomentsOutsideModelRange(f"covariances must be positive, got {k0}, {k1}")
-    if not k1 < k0:
-        raise MomentsOutsideModelRange(
-            f"cov at lag {u1} ({k1}) must be below cov at lag 0 ({k0})"
-        )
-    reversion = math.log(k0 / k1) / u1
+    return psi
+
+
+def invert_ou(psi, u1: float) -> ParameterEstimate:
+    """Closed-form mean-reverting fit from ``[mean, cov(0), cov(u1)]``.
+
+    reversion = log(cov0 / cov_u1) / u1 and noise^2 = 2 * reversion * cov0.
+    """
+    mu, k0, k1 = _moments(psi, u1)
+    reversion = decay_rate(k0, k1, 0.0, u1)
     noise = math.sqrt(2.0 * reversion * k0)
-    return ParameterEstimate(
-        theta=np.array([mu, reversion, noise]),
-        names=OU_PARAMETER_NAMES,
-    )
+    return ParameterEstimate(np.array([mu, reversion, noise]), OU_PARAMETER_NAMES)
 
 
 def ou_moment_map(theta, u1: float) -> np.ndarray:
@@ -127,22 +132,9 @@ def invert_cir(psi, u1: float) -> ParameterEstimate:
     level = mean, reversion = log(var / cov_u1) / u1 and
     vol_of_vol^2 = 2 * reversion * var / level.
     """
-    check_positive(u1, "u1")
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (3,):
-        raise ParameterDomain(f"expected 3 moments, got shape {psi.shape}")
-    mean_v, var_v, k1 = psi
-    if not (mean_v > 0 and var_v > 0 and k1 > 0):
-        raise MomentsOutsideModelRange(
-            f"moments must be positive, got {mean_v}, {var_v}, {k1}"
-        )
-    if not k1 < var_v:
-        raise MomentsOutsideModelRange(
-            f"cov at lag {u1} ({k1}) must be below the variance ({var_v})"
-        )
-    reversion = math.log(var_v / k1) / u1
+    mean_v, var_v, k1 = _moments(psi, u1)
+    if not mean_v > 0:
+        raise MomentsOutsideModelRange(f"the mean must be positive, got {mean_v}")
+    reversion = decay_rate(var_v, k1, 0.0, u1)
     vol = math.sqrt(2.0 * reversion * var_v / mean_v)
-    return ParameterEstimate(
-        theta=np.array([reversion, mean_v, vol]),
-        names=CIR_PARAMETER_NAMES,
-    )
+    return ParameterEstimate(np.array([reversion, mean_v, vol]), CIR_PARAMETER_NAMES)

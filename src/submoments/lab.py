@@ -48,7 +48,7 @@ from .grids import (
 )
 from . import models
 from .blocks import BlockPath, PathView
-from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, invert_cir, invert_ou
+from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, decay_rate, invert_cir, invert_ou
 from .models import (
     HestonParams,
     OUParams,
@@ -859,13 +859,8 @@ def _rv_moments(y_coarse: np.ndarray, plan: _RVPlan):
     """Moment vector [mean, extrapolated variance, cov(lag1)] from RV samples."""
     cov, mean = lagged_covariances(y_coarse, plan.point.scheme.n_obs, plan.point.kappas)
     k1, k2 = cov[:, 0, 0]
-    if not (k1 > 0 and k2 > 0 and k2 < k1):
-        raise MomentsOutsideModelRange(
-            f"lagged covariances not usable: k1={k1}, k2={k2}"
-        )
     lag1, lag2 = plan.point.lags_used
-    rev = math.log(k1 / k2) / (lag2 - lag1)
-    var_v = k1 * math.exp(rev * lag1)
+    var_v = k1 * math.exp(decay_rate(k1, k2, lag1, lag2) * lag1)
     return np.array([mean[0], var_v, k1])
 
 

@@ -742,9 +742,14 @@ class TestEstimateCommand:
         # and so is an explicit --n-obs below 2
         assert main(["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0", "--n-obs", "-5"]) == 3
         assert "--n-obs must be >= 2, got -5" in capsys.readouterr().err
-        # so are the inversion flags
+        # so are the inversion flags, --offset and --big-delta
         missing = ["estimate", "--input", str(tmp_path / "none.bin"), "--lags", "0,1", "--model", "ou"]
         for flags, message in [
+            (["--offset", "-1"], "offset must be >= 0, got -1"),
+            (["--big-delta", "-1"], "big_delta must be positive and finite, got -1.0"),
+            (["--big-delta", "0"], "big_delta must be positive and finite, got 0.0"),
+            (["--big-delta", "nan"], "big_delta must be positive and finite, got nan"),
+            (["--big-delta", "inf"], "big_delta must be positive and finite, got inf"),
             (["--u1", "nan"], "u1 must be positive and finite, got nan"),
             (["--u1", "-1"], "u1 must be positive and finite, got -1.0"),
             (["--ball-radius", "nan"], "radius must be positive and finite, got nan"),
@@ -917,23 +922,41 @@ class TestOutputFolders:
             ["simulate", "--config", "{cfg}", "--output", "{afile}/x.bin", "--length", "50"],
             ["scheme", "--rho", "0.1", "--output", "{afile}/s.json"],
             ["lab", "--preset", "smoke", "--output-dir", "{afile}/o"],
+            ["lab", "--preset", "heston_rv", "--output-dir", "{afile}"],
             ["estimate", "--input", "{input}", "--lags", "0,1.0", "--csv", "{afile}/x.csv"],
+            ["estimate", "--input", "{input}", "--lags", "0,1.0", "--output", "{afile}/x/e.json"],
             # the JSON's folder can be made, the CSV's cannot: neither file is written
             ["estimate", "--input", "{input}", "--lags", "0,1.0", "--csv", "{afile}/x.csv",
              "--output", "{tmp}/e.json"],
         ],
-        ids=["simulate", "scheme", "lab", "estimate", "estimate-json-and-csv"],
+        ids=["simulate", "scheme", "lab", "lab-heston", "estimate", "estimate-output", "estimate-json-and-csv"],
     )
-    def test_folder_through_a_plain_file_exits_three(self, tmp_path, capsys, ou_trajectory, argv):
+    def test_folder_through_a_plain_file_exits_three(self, tmp_path, capsys, monkeypatch, ou_trajectory, argv):
+        # lab exited 3 only after every draw, and estimate only after reading the whole trajectory
         afile = tmp_path / "afile"
         afile.write_text("")
         fields = dict(cfg=write_cfg(tmp_path, OU_CFG), afile=afile, input=ou_trajectory, tmp=tmp_path)
+        monkeypatch.setattr(RandomStreamSpec, "generator", forbidden("drew before refusing the output"))
+        monkeypatch.setattr("submoments.cli._open_grid", forbidden("read before refusing the output"))
         assert main([arg.format(**fields) for arg in argv]) == 3
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: cannot make the folder of {afile}/")
+        assert line.endswith(f": {afile} is not a folder")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.cfg"]
+
+    def test_folder_through_a_dangling_link_exits_three(self, tmp_path, capsys, monkeypatch):
+        # make_parent met the link only after every draw
+        link, out = tmp_path / "link", tmp_path / "link" / "o"
+        link.symlink_to(tmp_path / "nowhere")
+        monkeypatch.setattr(RandomStreamSpec, "generator", forbidden("drew before refusing the output"))
+        assert main(["lab", "--preset", "smoke", "--output-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot make the folder of {out / 'report.json'}: {link} is not a folder"
+        ]
+        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["link"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 """Closed-form inversions and safeguard truncation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from submoments.invert import (
     OU_PARAMETER_NAMES,
     ParameterBall,
     ParameterEstimate,
+    decay_rate,
     invert_cir,
     invert_ou,
     ou_moment_map,
@@ -63,7 +65,8 @@ class TestClosedForms:
                     assert back == pytest.approx(theta, rel=1e-9)
 
     def test_ou_range_guards(self):
-        with pytest.raises(MomentsOutsideModelRange):
+        fit = re.escape("cov at lag 1.0 (1.0) must be positive and below cov at lag 0.0 (1.0)")
+        with pytest.raises(MomentsOutsideModelRange, match=fit):
             invert_ou([0.0, 1.0, 1.0], 1.0)  # not decreasing
         with pytest.raises(MomentsOutsideModelRange):
             invert_ou([0.0, 1.0, -0.5], 1.0)
@@ -89,14 +92,34 @@ class TestClosedForms:
                     assert back == pytest.approx(theta, rel=1e-9)
 
     def test_cir_range_guards(self):
-        with pytest.raises(MomentsOutsideModelRange):
+        with pytest.raises(MomentsOutsideModelRange, match="the mean must be positive, got -0.04"):
             invert_cir([-0.04, 0.002, 0.001], 1.0)
-        with pytest.raises(MomentsOutsideModelRange):
+        fit = re.escape("cov at lag 1.0 (0.002) must be positive and below cov at lag 0.0 (0.002)")
+        with pytest.raises(MomentsOutsideModelRange, match=fit):
             invert_cir([0.04, 0.002, 0.002], 1.0)
 
     def test_forward_map_domain(self):
         with pytest.raises(ParameterDomain):
             ou_moment_map([0.0, -1.0, 1.0], 1.0)
+
+
+class TestDecayRate:
+    """The one rate fit behind both inversions and the realized-variance extrapolation."""
+
+    def test_log_ratio_over_the_lag_gap(self):
+        assert decay_rate(2.0, 2.0 * math.exp(-1.5), 0.5, 2.0) == pytest.approx(1.0, rel=1e-12)
+        # from lag 0 the gap is the lag itself, bit for bit
+        assert decay_rate(0.3, 0.1, 0.0, 0.7) == math.log(0.3 / 0.1) / 0.7
+        assert decay_rate(np.float64(0.3), np.float64(0.1), 0.0, 3) == math.log(0.3 / 0.1) / 3
+
+    @pytest.mark.parametrize(
+        "k_a, k_b", [(1.0, 1.0), (1.0, 2.0), (1.0, 0.0), (-1.0, -2.0), (math.nan, 0.5), (1.0, math.nan)]
+    )
+    def test_outside_the_range_names_both_lags_and_values(self, k_a, k_b):
+        message = f"cov at lag 2.0 ({k_b}) must be positive and below cov at lag 0.5 ({k_a})"
+        with pytest.raises(MomentsOutsideModelRange, match=re.escape(message)):
+            decay_rate(k_a, k_b, 0.5, 2.0)
+
 
 
 class TestBallAndTruncation:

@@ -762,6 +762,77 @@ class TestRefusedBeforeAnyDraw:
         assert not out.exists()
 
 
+class TestInvariances:
+    """Results depend on neither the replication count, the other grid points, how the seed is
+    given, nor where the reports go."""
+
+    FIELDS = TestBlockEngine.FIELDS
+
+    def test_generic_replication_prefix(self):
+        # replication rep draws only from its own stream: one more leaves the first M alone
+        small, large = (run_replications(small_config(replications=m)) for m in (30, 31))
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(large, field)[:, :30], getattr(small, field)), field
+
+    def test_endtoend_replication_prefix(self):
+        small, large = (
+            run_endtoend_ou(dataclasses.replace(TestEndToEnd.CFG, replications=m)) for m in (30, 31)
+        )
+        assert np.array_equal(large.rel_errors[:30], small.rel_errors)
+
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="the pilot is drawn from the stream of replication `replications`",
+    )
+    def test_heston_plans_replication_prefix(self):
+        small, large = (
+            _plan_heston_rv(dataclasses.replace(TestHestonRVPipeline.CFG, replications=m))
+            for m in (30, 31)
+        )
+        assert small == large
+
+    @pytest.mark.parametrize(
+        "grid, subset",
+        [
+            (dict(epsilon_grid=(0.3, 0.25, 0.2, 0.15)), dict(epsilon_grid=(0.3, 0.2, 0.15))),
+            (
+                dict(scheme_family="from_n", epsilon_grid=(), n_grid=(40, 80, 160)),
+                dict(scheme_family="from_n", epsilon_grid=(), n_grid=(160, 40)),
+            ),
+        ],
+        ids=["from_rho", "from_n"],
+    )
+    def test_generic_grid_subset(self, grid, subset):
+        whole = run_replications(small_config(observable="identity", **grid))
+        part = run_replications(small_config(observable="identity", **subset))
+        at = [whole.points.index(point) for point in part.points]
+        assert len(at) == len(part.points) and at != list(range(len(at)))
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(whole, field)[at], getattr(part, field)), field
+
+    @staticmethod
+    def lab_reports(argv: list, out, capsys) -> tuple:
+        """Stdout and report bytes, manifest left out, of ``lab argv`` writing to ``out``."""
+        assert main(["lab", *argv, "--output-dir", str(out)]) == 0
+        reports = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        return capsys.readouterr().out, reports
+
+    def test_seed_flag_is_the_config_key(self, tmp_path, capsys):
+        text = _preset_path("smoke").read_text()
+        assert "master_seed = 7\n" in text
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(text.replace("master_seed = 7\n", "master_seed = 11\n"))
+        flag = self.lab_reports(["--preset", "smoke", "--seed", "11"], tmp_path / "flag", capsys)
+        key = self.lab_reports(["--config", str(cfg)], tmp_path / "key", capsys)
+        shipped = self.lab_reports(["--preset", "smoke"], tmp_path / "shipped", capsys)
+        assert flag == key and flag[1] != shipped[1]
+
+    def test_output_place(self, tmp_path, capsys):
+        a = self.lab_reports(["--preset", "smoke"], tmp_path / "a", capsys)
+        b = self.lab_reports(["--preset", "smoke"], tmp_path / "elsewhere" / "b", capsys)
+        assert a == b and sorted(a[1]) == ["report.csv", "report.json"]
+
+
 class TestHestonChunks:
     # vol_of_vol**2 > 2 * reversion * level, so the raw variance goes
     # negative; at this seed it is negative at replication 5's second chunk

@@ -2,6 +2,7 @@
 name only tests reach."""
 
 import ast
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -121,3 +122,34 @@ def unreferenced_names(root: Path) -> list:
 
 def test_no_name_only_tests_reach():
     assert unreferenced_names(README.parent) == []
+
+
+def unread_imports(path: Path) -> set:
+    """Names the module at ``path`` imports, anywhere in it, but never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_unread_import_is_one_the_benchmark_wraps(monkeypatch):
+    # perfbench/child.py wraps names where callers look them up, so a module keeps
+    # a few imports only for it; any other unread import is dead
+    bench = README.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # child.py imports its sibling layers.py
+    spec = importlib.util.spec_from_file_location("perfbench_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    wrapped = {(module, name) for module, name, *_ in child.WRAPPED}
+    unread = {
+        (path.stem, name)
+        for path in (README.parent / "src" / "submoments").glob("*.py")
+        if path.name != "__init__.py"
+        for name in unread_imports(path)
+    }
+    assert sorted(unread - wrapped) == []
