@@ -7,8 +7,8 @@ Subcommands::
     scheme     recommend a sub-sampling scheme from rho or from a budget
     lab        run a convergence/recovery pipeline from a config or preset
 
-Exit codes: 0 success, 1 failed assertion, 2 usage, 3 validation,
-4 insufficient data or resources, 5 numerical failure.
+Exit codes: 0 success, 1 failed assertion or closed stdout, 2 usage,
+3 validation, 4 insufficient data or resources, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.resources
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -496,7 +497,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout has gone: what is left to flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SubmomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

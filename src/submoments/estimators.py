@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
-from .grids import SubsamplingScheme, check_positive
+from .grids import SubsamplingScheme, check_positive, write_table
 
 #: required ratio of sample count to lag shift
 MIN_N_OVER_KAPPA = 10
@@ -255,27 +255,19 @@ def covariance_curve(samples, scheme: SubsamplingScheme, lags) -> list[LaggedCov
 
 
 def estimates_to_csv(estimates, path) -> None:
-    """Write covariance estimates as CSV rows.
+    """Write covariance estimates as CSV rows with :func:`~submoments.grids.write_table`.
 
     Columns: lag_requested, lag_used, n_obs, big_delta, then the matrix
-    entries row-major (``k_i_j``).
+    entries row-major (``k_i_j``).  Every matrix size is checked before the
+    file is opened.
     """
     estimates = list(estimates)
     if not estimates:
         raise ParameterDomain("no estimates to write")
     r = estimates[0].matrix.shape[0]
-    header = ["lag_requested", "lag_used", "n_obs", "big_delta"]
-    header += [f"k_{i}_{j}" for i in range(r) for j in range(r)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for est in estimates:
-            if est.matrix.shape != (r, r):
-                raise ParameterDomain("estimates mix matrix sizes")
-            row = [
-                repr(float(est.lag_requested)),
-                repr(float(est.lag_used)),
-                str(est.n_obs),
-                repr(float(est.big_delta)),
-            ]
-            row += [repr(float(v)) for v in est.matrix.ravel()]
-            fh.write(",".join(row) + "\n")
+    if any(est.matrix.shape != (r, r) for est in estimates):
+        raise ParameterDomain("estimates mix matrix sizes")
+    header = ["lag_requested", "lag_used", "n_obs", "big_delta", *(f"k_{i}_{j}" for i in range(r) for j in range(r))]
+    rows = [[est.lag_requested, est.lag_used, est.big_delta, *est.matrix.ravel()] for est in estimates]
+    lag_requested, lag_used, big_delta, *entries = np.array(rows, dtype=float).T
+    write_table(path, header, [lag_requested, lag_used, [est.n_obs for est in estimates], big_delta, *entries])

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch, ValidationError
 
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
-#: rows per block of the file readers' finite-sample check, and at most the
-#: fine rows per column of one strided window read
+#: rows per block of the file readers' finite-sample check and of the table
+#: writer, and at most the fine rows per column of one strided window read
 _CHECK_ROWS = 1 << 16
 
 
@@ -87,8 +87,9 @@ class TrajectoryGrid:
     @property
     def times(self) -> np.ndarray:
         """Grid times ``delta, 2*delta, ..., L*delta``; past the float range, ``inf``."""
+        times = np.arange(1.0, self.n_samples + 1)  # scaled in place: one array, not two
         with np.errstate(over="ignore"):  # inf is the written form (see read_csv)
-            return self.delta * np.arange(1, self.n_samples + 1)
+            return np.multiply(times, self.delta, out=times)
 
 
 class StreamRole(str, Enum):
@@ -231,16 +232,16 @@ def subsample_sequence(
     return grid.samples[offset + stride - 1 : need : stride]
 
 
-def _check_file_grid(path, delta: float, blocks) -> None:
+def _check_file_grid(path, delta: float, n_rows: int, window) -> None:
     """Reject a non-positive or non-finite step, then the first non-finite sample.
 
-    ``blocks`` yields ``(first row, (rows, dim) block)`` pairs of
-    ``_CHECK_ROWS`` rows, so the boolean mask is one block long; the row
-    scan runs only in the failing block.
+    ``window(lo, n)`` returns rows ``lo .. lo+n-1`` as an ``(n, dim)`` array;
+    the rows are checked ``_CHECK_ROWS`` at a time, so the boolean mask is
+    one block long and the row scan runs only in the failing block.
     """
     check_positive(delta, f"{path}: grid step")
-    for lo, block in blocks:
-        finite = np.isfinite(block)
+    for lo in range(0, n_rows, _CHECK_ROWS):
+        finite = np.isfinite(window(lo, min(_CHECK_ROWS, n_rows - lo)))
         if not finite.all():
             row = lo + int(np.argmin(finite.all(axis=1)))
             raise ValidationError(f"{path}: non-finite sample at row {row}")
@@ -309,17 +310,11 @@ class BinaryFile:
                 raise InsufficientData(
                     f"{path}: expected {self.dim * self.n_samples} values, got {values}"
                 )
-            _check_file_grid(path, self.delta, self._blocks())
+            window = self.samples.window_reader(min(self.n_samples, _CHECK_ROWS))
+            _check_file_grid(path, self.delta, self.n_samples, window)
         except BaseException:
             self._fh.close()
             raise
-
-    def _blocks(self):
-        buf = np.empty((self.dim, min(self.n_samples, _CHECK_ROWS)), dtype="<f8")
-        for lo in range(0, self.n_samples, _CHECK_ROWS):
-            block = buf[:, : min(_CHECK_ROWS, self.n_samples - lo)]
-            self.read_into(block, lo)
-            yield lo, block.T
 
     def read_into(self, out: np.ndarray, first: int) -> None:
         """Fill row ``j`` of the C-ordered ``(dim, k)`` array ``out`` from column ``j``.
@@ -403,15 +398,27 @@ def read_binary(path) -> TrajectoryGrid:
     return TrajectoryGrid._handover(flat.T, file.delta)
 
 
-def write_csv(grid: TrajectoryGrid, path) -> None:
-    """Write the text form: header row, then one row per time point."""
-    cols = ",".join(f"x{i}" for i in range(grid.dim))
-    times = grid.times
+def write_table(path, header, columns) -> None:
+    """Write a CSV table: the ``header`` row, then row ``i`` of every column (array or list).
+
+    Each value is the ``repr`` of the Python int or float ``tolist()`` makes of
+    it, ``_CHECK_ROWS`` rows at a time, so it reads back exactly.  A failure
+    removes the partial file.
+    """
     with open(path, "w") as fh:
-        fh.write(f"time,{cols}\n")
-        for t, row in zip(times, grid.samples):
-            vals = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{float(t)!r},{vals}\n")
+        try:
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, len(columns[0]), _CHECK_ROWS):
+                block = [np.asarray(column[lo : lo + _CHECK_ROWS]).tolist() for column in columns]
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
+        except BaseException:
+            os.unlink(path)
+            raise
+
+
+def write_csv(grid: TrajectoryGrid, path) -> None:
+    """Write the text form with :func:`write_table`: header row, then one row per time point."""
+    write_table(path, ["time", *(f"x{i}" for i in range(grid.dim))], [grid.times, *grid.samples.T])
 
 
 def read_csv(path) -> TrajectoryGrid:
@@ -428,8 +435,7 @@ def read_csv(path) -> TrajectoryGrid:
         raise InsufficientData(f"{path}: no samples")
     times, samples = data[:, 0], data[:, 1:]
     delta = float(times[0])
-    rows = range(0, len(samples), _CHECK_ROWS)
-    _check_file_grid(path, delta, ((lo, samples[lo : lo + _CHECK_ROWS]) for lo in rows))
+    _check_file_grid(path, delta, len(samples), lambda lo, n: samples[lo : lo + n])
     grid = TrajectoryGrid(samples, delta)
     if not np.allclose(times, grid.times, rtol=1e-9, atol=1e-12):
         raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")

@@ -45,6 +45,7 @@ from .grids import (
     resolve_stride,
     subsample_sequence,  # not called here: perfbench/child.py traces it here by name
     whole_steps,
+    write_table,
 )
 from . import models
 from .blocks import BlockPath, PathView
@@ -542,14 +543,8 @@ class ConvergenceReport:
         write_json(asdict(self), path)
 
     def write_csv(self, path) -> None:
-        cols = [
-            "label", "rho", "n_obs", "big_delta", "span", "lag", "lag_used",
-            "err_x_l2", "err_y_l2", "gap_l2",
-        ]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
+        cols = "label rho n_obs big_delta span lag lag_used err_x_l2 err_y_l2 gap_l2".split()
+        write_table(path, cols, [[row[c] for row in self.rows] for c in cols])
 
 
 def build_report(

@@ -1895,6 +1895,26 @@ class TestBenchmarkTrace:
         assert trace["counts"]["grids.normals_count"] == planned * 30
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("argv", [["scheme", "--rho", "0.1"], ["lab", "--preset", "smoke"]])
+    def test_exits_1_without_a_traceback(self, tmp_path, argv, buffered):
+        # as `submoments scheme --rho 0.1 | head -0`: the reader of stdout has gone
+        env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]), PYTHONUNBUFFERED="1")
+        if buffered:  # stdout fails at the last flush rather than at the first print
+            del env["PYTHONUNBUFFERED"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "submoments.cli", *argv], cwd=tmp_path, env=env,
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
 class TestConsoleScript:
     def test_version_via_entry_point(self):
         exe = shutil.which("submoments")

@@ -339,6 +339,20 @@ class TestCsvExport:
         assert float(fields[0]) == 0.5
         assert int(fields[2]) == 100
         assert float(fields[4]) == ests[1].matrix[0, 0]
+        # two columns: every entry, row-major, reads back as its matrix entry exactly
+        ests = covariance_curve(_rand(120, 2, seed=17), scheme, [0.0, 0.3])
+        estimates_to_csv(ests, path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header[4:] == ["k_0_0", "k_0_1", "k_1_0", "k_1_1"]
+        assert [[float(v) for v in fields[4:]] for fields in rows] == [est.matrix.ravel().tolist() for est in ests]
+
+    def test_mixed_sizes_leave_no_file(self, tmp_path):
+        scheme = SubsamplingScheme(100, 0.1)
+        ests = covariance_curve(_rand(120, 1), scheme, [0.0]) + covariance_curve(_rand(120, 2), scheme, [0.0])
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ParameterDomain, match="mix matrix sizes"):
+            estimates_to_csv(ests, path)
+        assert not path.exists()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ParameterDomain):

@@ -23,6 +23,7 @@ from submoments.grids import (
     StreamRole,
     SubsamplingScheme,
     TrajectoryGrid,
+    binary_writer,
     check_grid,
     read_binary,
     read_csv,
@@ -31,6 +32,7 @@ from submoments.grids import (
     whole_steps,
     write_binary,
     write_csv,
+    write_table,
 )
 from submoments.invert import ParameterBall, invert_cir, invert_ou, ou_moment_map
 from submoments.lab import EndToEndConfig, ExperimentConfig, HestonRVConfig
@@ -304,6 +306,26 @@ class TestFileFormats:
         path.write_text("time,x0\n0.1,1.0\n0.2,2.0\n0.35,3.0\n")
         with pytest.raises(SchemeGridMismatch):
             read_csv(path)
+
+    def test_table_failing_partway_leaves_no_file(self, tmp_path):
+        class Column(list):  # its second block of rows cannot be read
+            def __getitem__(self, rows):
+                if rows.start:
+                    raise RuntimeError("the column broke")
+                return super().__getitem__(rows)
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="the column broke"):
+            write_table(path, ["x"], [Column([0.5] * (_CHECK_ROWS + 1))])
+        assert not path.exists()
+
+    def test_binary_failing_partway_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.bin"
+        with pytest.raises(ValueError):
+            with binary_writer(path, 1, 0.5, 4) as write:
+                write(np.ones(2))
+                write(np.array(["not a number"]))
+        assert not path.exists()
 
 
 @st.composite

@@ -474,6 +474,12 @@ class TestReport:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("label,rho,n_obs,big_delta,span,lag")
         assert len(lines) == 1 + len(report.rows)
+        report.write_json(tmp_path / "report.json")
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        header = lines[0].split(",")
+        for line, row in zip(lines[1:], rows):
+            parsed = {c: (int if c == "n_obs" else float)(v) for c, v in zip(header, line.split(","))}
+            assert parsed == row
 
 
 class TestGapCheck:

@@ -153,3 +153,29 @@ def test_every_unread_import_is_one_the_benchmark_wraps(monkeypatch):
         for name in unread_imports(path)
     }
     assert sorted(unread - wrapped) == []
+
+
+def writing_opens(root: Path) -> set:
+    """``(module, function)`` around every ``open(...)`` in ``src/submoments`` whose mode
+    may write: a mode with ``w``, ``a``, ``x`` or ``+``, or one not written out."""
+    found = set()
+    for path in sorted((root / "src" / "submoments").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+                    continue
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+"):
+                    found.add((path.stem, func.name))
+    return found
+
+
+def test_only_the_writers_open_files_to_write():
+    # one table writer, one trajectory writer, one JSON writer: each removes or
+    # never leaves a partial file, and a fourth hand-written loop stays out
+    writers = {("grids", "write_table"), ("grids", "binary_writer"), ("lab", "write_json")}
+    assert sorted(writing_opens(README.parent) - writers) == []
