@@ -91,9 +91,12 @@ def _open_grid(path: Path):
     """
     if not path.exists():
         raise ValidationError(f"trajectory file not found: {path}")
-    if path.suffix.lower() == ".csv":
-        return contextlib.nullcontext(read_csv(path))
-    return BinaryFile(path)
+    try:
+        if path.suffix.lower() == ".csv":
+            return contextlib.nullcontext(read_csv(path))
+        return BinaryFile(path)
+    except OSError as exc:  # such as a folder
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _check_own_files(inputs: list, outputs: list) -> None:
@@ -115,6 +118,13 @@ def _check_own_files(inputs: list, outputs: list) -> None:
         if resolved in seen:
             raise ValidationError(f"cannot write {path}: this call already reads or writes that file")
         seen.add(resolved)
+
+
+def _write_manifest(path: Path, args, bundle, seed: int, outputs: list, **own) -> None:
+    """Write a run's manifest: the keys every command shares, then the command's ``own``."""
+    write_json(dict(  # config as given, or None for a preset: the same run on any checkout
+        command=args.command, version=__version__, config=args.config, config_sha256=bundle.sha256,
+        master_seed=seed, outputs=list(map(str, outputs)), **own), path)
 
 
 def _sibling(path: Path, tag: str) -> Path:
@@ -190,7 +200,6 @@ def cmd_simulate(args) -> int:
     streamed = tag is None and out.suffix.lower() != ".csv"  # an ou path to .bin
     _check_outputs(outputs, length, whole=not streamed)
     stream = RandomStreamSpec(seed, args.replication, StreamRole.PROCESS_NOISE)
-    make_parent(out)  # after the checks, so a refused run makes none; the other files share it
     if streamed:  # each block goes to the file as it is made: the path is never whole
         with binary_writer(out, 1, delta, length) as write:
             simulate_ou(model, length, delta, stream, write)
@@ -198,19 +207,8 @@ def cmd_simulate(args) -> int:
         paths = simulate(model, length, delta, stream)
         for grid, path in zip([paths] if tag is None else paths, outputs):
             (write_csv if path.suffix.lower() == ".csv" else write_binary)(grid, path)
-    manifest = {
-        "command": "simulate",
-        "version": __version__,
-        "config": str(args.config),
-        "config_sha256": bundle.sha256,
-        "master_seed": seed,
-        "replication": args.replication,
-        "length": length,
-        "delta": delta,
-        "outputs": list(map(str, outputs)),
-    }
-    write_json(manifest, manifest_path)
-    print(f"wrote {', '.join(manifest['outputs'])}")
+    _write_manifest(manifest_path, args, bundle, seed, outputs, replication=args.replication, length=length, delta=delta)
+    print(f"wrote {', '.join(map(str, outputs))}")
     return 0
 
 
@@ -293,8 +291,6 @@ def cmd_estimate(args) -> int:
             for est in reported
         ],
     }
-    if args.csv is not None:
-        payload["csv"] = str(args.csv)
     if args.model is not None:
         variance, cov_u1 = curve[len(lags) :]
         lag_used = cov_u1.lag_used
@@ -309,6 +305,7 @@ def cmd_estimate(args) -> int:
             "moments": {key: float(v) for key, v in zip(keys, psi)},
         }
     if args.csv is not None:  # its folder before the JSON is written: a refused one leaves no file
+        payload["csv"] = str(args.csv)
         make_parent(args.csv)
     # the JSON goes first: a refused (non-finite) payload leaves no sidecar
     write_json(payload, args.output)
@@ -389,39 +386,30 @@ def cmd_lab(args) -> int:
         report = build_report(config, ensemble, inputs)
         report.write_json(files[0])
         report.write_csv(files[1])
-        for key, fit in sorted(report.slopes.items()):
-            print(f"slope {key}: {fit['slope']:.4f} (r2 {fit['r_squared']:.4f})")
-        for key, val in sorted(report.bound_fractions.items()):
-            print(f"bound fraction {key}: {val:.4f}")
+        lines = [f"slope {key}: {fit['slope']:.4f} (r2 {fit['r_squared']:.4f})"
+                 for key, fit in sorted(report.slopes.items())]
+        lines += [f"bound fraction {key}: {val:.4f}" for key, val in sorted(report.bound_fractions.items())]
     elif kind == "ou_endtoend":
         config = build_endtoend(bundle)
         report = run_endtoend_ou(config)
         write_json(report.to_json_dict(), files[0])
-        for name in report.names:
-            print(
-                f"{name}: fraction within {report.tolerance:g} = "
-                f"{report.fraction_within[name]:.3f}, rms rel = {report.rms_rel[name]:.4f}"
-            )
+        lines = [
+            f"{name}: fraction within {report.tolerance:g} = "
+            f"{report.fraction_within[name]:.3f}, rms rel = {report.rms_rel[name]:.4f}"
+            for name in report.names
+        ]
     else:
         config = build_heston_rv(bundle)
         report = run_heston_rv(config)
         write_json(report.to_json_dict(), files[0])
-        for eps in config.epsilon_grid:
-            errs = report.rms_rel[eps]
-            listing = ", ".join(f"{k}={v:.4f}" for k, v in errs.items())
-            print(f"eps {eps:g}: rms rel {listing}")
-
-    manifest = {  # the config path as given, or the preset name: the same run on any checkout
-        "command": "lab",
-        "version": __version__,
-        "config": args.config,
-        "preset": args.preset,
-        "config_sha256": bundle.sha256,
-        "pipeline": kind,
-        "master_seed": config.master_seed,
-        "outputs": list(map(str, files[:-1])),
-    }
-    write_json(manifest, files[-1])
+        lines = [
+            f"eps {eps:g}: rms rel {', '.join(f'{k}={v:.4f}' for k, v in report.rms_rel[eps].items())}"
+            for eps in config.epsilon_grid
+        ]
+    # every file before the first line: a stdout whose reader has gone stops the run at a print
+    _write_manifest(files[-1], args, bundle, config.master_seed, files[:-1], preset=args.preset, pipeline=kind)
+    for line in lines:
+        print(line)
     if checks:
         failed = False
         for name, ok, detail in evaluate_thresholds(kind, checks, report, config, ensemble):

@@ -42,7 +42,7 @@ class SchemeTooShortForLag(InsufficientData):
 
 
 class ResourceLimit(SubmomentsError):
-    """Estimated memory footprint of a run exceeds the configured cap."""
+    """A run needs more memory or disk than it can have, or the file system refuses a write."""
 
     exit_code = 4
 

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientData, ParameterDomain, SchemeGridMismatch, ValidationError
+from .errors import InsufficientData, ParameterDomain, ResourceLimit, SchemeGridMismatch, ValidationError
 
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
 #: rows per block of the file readers' finite-sample check and of the table
@@ -53,9 +55,10 @@ class TrajectoryGrid:
         Row ``n-1`` holds the state at time ``n * delta``.  A 1-d array is
         promoted to shape (L, 1).  The constructor freezes a copy, so the
         caller keeps its array.  ``simulate_ou``, ``simulate_heston``,
-        ``simulate_slow_fast``, the multiplicative observable and
-        ``read_binary`` instead hand over the array they built through
-        ``_handover``, which freezes it without a copy.
+        ``simulate_slow_fast``, the multiplicative observable and the file
+        readers instead hand over the array they built through
+        ``_handover``, which freezes it without a copy (``read_csv`` copies
+        its sample columns out of the parsed table once, to make them contiguous).
     delta : float
         Grid step.  Construction is permissive: it accepts any step and
         non-finite samples.  The file readers reject both.
@@ -87,9 +90,14 @@ class TrajectoryGrid:
     @property
     def times(self) -> np.ndarray:
         """Grid times ``delta, 2*delta, ..., L*delta``; past the float range, ``inf``."""
-        times = np.arange(1.0, self.n_samples + 1)  # scaled in place: one array, not two
-        with np.errstate(over="ignore"):  # inf is the written form (see read_csv)
-            return np.multiply(times, self.delta, out=times)
+        return _times(0, self.n_samples, self.delta)
+
+
+def _times(lo: int, n: int, delta: float) -> np.ndarray:
+    """Times ``(lo+1)*delta .. (lo+n)*delta`` of grid rows ``lo .. lo+n-1``; past the float range, ``inf``."""
+    times = np.arange(lo + 1.0, lo + n + 1)  # scaled in place: one array, not two
+    with np.errstate(over="ignore"):  # inf is the written form (see read_csv)
+        return np.multiply(times, delta, out=times)
 
 
 class StreamRole(str, Enum):
@@ -256,21 +264,41 @@ def make_parent(path) -> None:
 
 
 @contextmanager
+def open_output(path, mode: str = "w"):
+    """Make the folder of ``path`` and yield it open to write: every file the package writes.
+
+    A failure after the open, in the body or in the flush at close, removes
+    ``path`` only if ``lstat`` shows a regular file, never a link, pipe or
+    device.  An ``OSError`` but ``BrokenPipeError`` ends as ``ResourceLimit``.
+    """
+    make_parent(path)
+    try:
+        fh = open(path, mode)
+        try:
+            with fh:
+                yield fh
+        except BaseException:
+            with suppress(OSError):  # a path already gone stays gone
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
+            raise
+    except BrokenPipeError:  # the reader of a pipe has gone, as with a closed stdout
+        raise
+    except OSError as exc:
+        raise ResourceLimit(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
 def binary_writer(path, dim: int, delta: float, count: int):
     """Write the compact binary form piece by piece: yields ``write(values)``.
 
     The little-endian header goes first, its 64-bit fields dim (int), delta
     (float) and sample count (int); each ``write`` appends the next run of
-    the column-major data.  A failure inside the block removes the partial
-    file.
+    the column-major data, through :func:`open_output`.
     """
-    with open(path, "wb") as fh:
-        try:
-            fh.write(_HEADER.pack(dim, delta, count))
-            yield lambda values: fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")))
-        except BaseException:
-            os.unlink(path)
-            raise
+    with open_output(path, "wb") as fh:
+        fh.write(_HEADER.pack(dim, delta, count))
+        yield lambda values: fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")))
 
 
 def write_binary(grid: TrajectoryGrid, path) -> None:
@@ -402,18 +430,14 @@ def write_table(path, header, columns) -> None:
     """Write a CSV table: the ``header`` row, then row ``i`` of every column (array or list).
 
     Each value is the ``repr`` of the Python int or float ``tolist()`` makes of
-    it, ``_CHECK_ROWS`` rows at a time, so it reads back exactly.  A failure
-    removes the partial file.
+    it, ``_CHECK_ROWS`` rows at a time, so it reads back exactly.  It writes
+    through :func:`open_output`, so a failure removes the partial file.
     """
-    with open(path, "w") as fh:
-        try:
-            fh.write(",".join(header) + "\n")
-            for lo in range(0, len(columns[0]), _CHECK_ROWS):
-                block = [np.asarray(column[lo : lo + _CHECK_ROWS]).tolist() for column in columns]
-                fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
-        except BaseException:
-            os.unlink(path)
-            raise
+    with open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CHECK_ROWS):
+            block = [np.asarray(column[lo : lo + _CHECK_ROWS]).tolist() for column in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
 
 
 def write_csv(grid: TrajectoryGrid, path) -> None:
@@ -428,15 +452,23 @@ def read_csv(path) -> TrajectoryGrid:
     1-based convention) and every time is checked against ``n * delta``,
     the times the writer computed, so rounding in long files and overflow
     to ``inf`` at huge steps read back as written.  Raises
-    ``ValidationError`` as :func:`read_binary` does.
+    ``ValidationError`` as :func:`read_binary` does, and on a cell that is
+    not a number or a row of another length.  The times are checked
+    ``_CHECK_ROWS`` at a time and the samples copied out once.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():  # a file of no rows is refused below, as no samples
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # numpy's reason, without its hint about `usecols`
+        raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
     if data.shape[0] < 1 or data.shape[1] < 2:
         raise InsufficientData(f"{path}: no samples")
     times, samples = data[:, 0], data[:, 1:]
     delta = float(times[0])
     _check_file_grid(path, delta, len(samples), lambda lo, n: samples[lo : lo + n])
-    grid = TrajectoryGrid(samples, delta)
-    if not np.allclose(times, grid.times, rtol=1e-9, atol=1e-12):
-        raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")
-    return grid
+    for lo in range(0, len(times), _CHECK_ROWS):
+        block = times[lo : lo + _CHECK_ROWS]
+        if not np.allclose(block, _times(lo, len(block), delta), rtol=1e-9, atol=1e-12):
+            raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")
+    return TrajectoryGrid._handover(samples, delta)

@@ -41,7 +41,7 @@ from .grids import (
     TrajectoryGrid,
     check_grid,
     check_positive,
-    make_parent,
+    open_output,
     resolve_stride,
     subsample_sequence,  # not called here: perfbench/child.py traces it here by name
     whole_steps,
@@ -525,8 +525,7 @@ def write_json(payload, path=None) -> None:
     if path is None:
         print(text)
         return
-    make_parent(path)
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(text + "\n")
 
 

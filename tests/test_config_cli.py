@@ -13,7 +13,9 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -106,6 +108,21 @@ def write_cfg(tmp_path, text, name="cfg.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def run_cli(argv, cwd, file_size=None):
+    """``submoments argv`` in a child Python, in ``cwd``; ``file_size`` caps the size of any file it
+    writes (``RLIMIT_FSIZE``, with ``SIGXFSZ`` ignored so that a write past it fails)."""
+
+    def limit():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "submoments.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=300, preexec_fn=None if file_size is None else limit,
+    )
 
 
 class TestLoadConfig:
@@ -894,6 +911,28 @@ class TestEstimateCommand:
         assert texts[0] == texts[1]
         assert texts[0][0]["n_obs"] == 900 and texts[0][0]["stride"] == 3
 
+    @pytest.mark.parametrize(
+        ("name", "text", "code"),
+        [
+            ("abc.csv", "time,x0\n0.5,1.0\n1.0,abc\n", 3),
+            ("ragged.csv", "time,x0\n0.5,1.0\n1.0,2.0,3.0\n", 3),
+            ("folder.csv", None, 3),
+            ("folder.bin", None, 3),
+            ("empty.csv", "", 4),
+            ("header.csv", "time,x0\n", 4),
+        ],
+    )
+    def test_unreadable_input_exits_with_one_line(self, tmp_path, name, text, code):
+        # the first four ended in a traceback and exit 1, the last two in numpy's
+        # two-line warning before their error line
+        path = tmp_path / name
+        path.mkdir() if text is None else path.write_text(text)
+        proc = run_cli(["estimate", "--input", name, "--lags", "0"], tmp_path)
+        assert proc.returncode == code
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {name}: ")
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("stride", [1, 5])
     def test_estimate_memory_does_not_grow_with_the_file(self, tmp_path, stride):
         peaks = []
@@ -911,6 +950,43 @@ class TestEstimateCommand:
         # the 1e6-row file alone is 8 MB
         assert max(peaks) < 4 * 2**20
         assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+class TestRefusedWrites:
+    """A write the file system refuses exits 4 with one line and leaves no file behind."""
+
+    @pytest.mark.parametrize(
+        ("argv", "file_size", "refused"),
+        [
+            (["simulate", "--config", "ou.cfg", "--output", "p.bin", "--length", "20000"], 10**5, "p.bin"),
+            (["simulate", "--config", "ou.cfg", "--output", "p.csv", "--length", "20000"], 10**5, "p.csv"),
+            # a table under the write buffer's size fails only in the flush at close
+            (["estimate", "--input", "in.bin", "--lags", "0,0.5,1", "--csv", "t.csv"], 100, "t.csv"),
+            (["lab", "--preset", "smoke", "--output-dir", "o"], 1500, "o/report.json"),
+        ],
+        ids=["simulate-bin", "simulate-csv", "estimate-csv", "lab"],
+    )
+    def test_exits_4_and_leaves_no_file(self, tmp_path, argv, file_size, refused):
+        # each ended in a traceback and exit 1; the JSON and the table were left partial
+        write_cfg(tmp_path, OU_CFG, "ou.cfg")
+        write_binary(TrajectoryGrid(np.random.default_rng(3).standard_normal(400), 0.25), tmp_path / "in.bin")
+        proc = run_cli(argv, tmp_path, file_size)
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot write {refused}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*") if not p.is_dir()) == ["in.bin", "ou.cfg"]
+
+    def test_a_link_stays_and_its_target_keeps_what_was_written(self, tmp_path):
+        # the link was removed, and its target left partial
+        write_cfg(tmp_path, OU_CFG, "ou.cfg")
+        (tmp_path / "link.bin").symlink_to("target.bin")
+        argv = ["simulate", "--config", "ou.cfg", "--output", "link.bin", "--length", "20000"]
+        proc = run_cli(argv, tmp_path, 10**5)
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write link.bin: ")
+        assert os.readlink(tmp_path / "link.bin") == "target.bin"
+        assert (tmp_path / "target.bin").stat().st_size == 10**5
 
 
 class TestOutputFolders:
@@ -1913,6 +1989,8 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")
+        if argv[0] == "lab":  # every file is written before the first line is printed
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "report.csv", "report.json"]
 
 
 class TestConsoleScript:

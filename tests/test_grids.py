@@ -1,7 +1,10 @@
 """Grids, sub-sampling views, random streams, and trajectory file formats."""
 
+import errno
 import math
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -14,6 +17,7 @@ from submoments.estimators import lag_index
 from submoments.errors import (
     InsufficientData,
     ParameterDomain,
+    ResourceLimit,
     SchemeGridMismatch,
     ValidationError,
 )
@@ -25,6 +29,7 @@ from submoments.grids import (
     TrajectoryGrid,
     binary_writer,
     check_grid,
+    open_output,
     read_binary,
     read_csv,
     resolve_stride,
@@ -38,6 +43,8 @@ from submoments.invert import ParameterBall, invert_cir, invert_ou, ou_moment_ma
 from submoments.lab import EndToEndConfig, ExperimentConfig, HestonRVConfig
 from submoments.models import HestonParams, OUParams, SlowFastParams
 from submoments.schemes import scheme_from_n, scheme_from_rho
+
+from oracles import traced_memory
 
 
 def line_grid(n=12, delta=0.5):
@@ -307,6 +314,27 @@ class TestFileFormats:
         with pytest.raises(SchemeGridMismatch):
             read_csv(path)
 
+    def test_csv_spacing_is_checked_in_every_block(self, tmp_path):
+        # the times are compared a block at a time: a long file reads back, a bad last time is found
+        g = TrajectoryGrid(np.arange(2.0 * _CHECK_ROWS + 5), 0.1)
+        path = tmp_path / "t.csv"
+        write_csv(g, path)
+        assert np.array_equal(read_csv(path).samples, g.samples)
+        lines = path.read_text().splitlines()
+        lines[-1] = f"{float(g.times[-1]) * 1.01!r},0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemeGridMismatch, match="rows are not uniformly spaced"):
+            read_csv(path)
+
+    def test_csv_read_holds_the_samples_once(self, tmp_path):
+        # the parsed table and one copy of its samples; the whole-file grid times and the
+        # spacing check's whole-file temporaries took about twice as much
+        rows = 4 * 10**5
+        path = tmp_path / "t.csv"
+        write_csv(TrajectoryGrid(np.random.default_rng(2).standard_normal(rows), 0.01), path)
+        _, peak = traced_memory(lambda: read_csv(path))
+        assert peak < 3.5 * 8 * rows  # the table is 16 bytes a row, the samples 8
+
     def test_table_failing_partway_leaves_no_file(self, tmp_path):
         class Column(list):  # its second block of rows cannot be read
             def __getitem__(self, rows):
@@ -326,6 +354,49 @@ class TestFileFormats:
                 write(np.ones(2))
                 write(np.array(["not a number"]))
         assert not path.exists()
+
+
+class TestOpenOutput:
+    """Every file the package writes is opened by ``open_output``, which decides what a failed
+    write leaves behind."""
+
+    def test_failed_open_leaves_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ResourceLimit, match=f"^cannot write {path}: File exists$"):
+            with open_output(path, "x"):
+                pass
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        ("error", "raised", "message"),
+        [
+            (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ResourceLimit, "cannot write {path}: No space left"),
+            (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), BrokenPipeError, "Broken pipe"),
+        ],
+        ids=["no-space", "broken-pipe"],
+    )
+    def test_failure_removes_the_file(self, tmp_path, error, raised, message):
+        path = tmp_path / "out" / "t.csv"
+        with pytest.raises(raised, match=re.escape(message.format(path=path))):
+            with open_output(path) as fh:
+                fh.write("partial\n")
+                raise error
+        assert path.parent.is_dir() and not path.exists()
+
+    def test_a_pipe_stays(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the open to write does not wait
+        try:
+            with pytest.raises(RuntimeError, match="broke"):
+                with open_output(fifo) as fh:
+                    fh.write("partial\n")
+                    raise RuntimeError("broke")
+            assert os.read(reader, 100) == b"partial\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 @st.composite

@@ -155,27 +155,41 @@ def test_every_unread_import_is_one_the_benchmark_wraps(monkeypatch):
     assert sorted(unread - wrapped) == []
 
 
-def writing_opens(root: Path) -> set:
-    """``(module, function)`` around every ``open(...)`` in ``src/submoments`` whose mode
-    may write: a mode with ``w``, ``a``, ``x`` or ``+``, or one not written out."""
+def functions_calling(root: Path, matches) -> set:
+    """``(module, function)`` around every call in ``src/submoments`` that ``matches``."""
     found = set()
     for path in sorted((root / "src" / "submoments").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(func):
-                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
-                    continue
-                modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
-                mode = modes[0] if modes else ast.Constant("r")
-                if not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+"):
-                    found.add((path.stem, func.name))
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (node for node in ast.walk(func) if isinstance(node, ast.Call))
+                found |= {(path.stem, func.name) for call in calls if matches(call)}
     return found
 
 
+def opens_to_write(call: ast.Call) -> bool:
+    """An ``open(...)`` whose mode may write: a mode with ``w``, ``a``, ``x`` or ``+``, or one not
+    written out."""
+    if getattr(call.func, "id", None) != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    mode = modes[0] if modes else ast.Constant("r")
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def removes_a_file(call: ast.Call) -> bool:
+    """An ``os.unlink(...)``, ``os.remove(...)`` or any ``.unlink(...)``."""
+    func = call.func
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "unlink" or (func.attr == "remove" and getattr(func.value, "id", None) == "os")
+    )
+
+
 def test_only_the_writers_open_files_to_write():
-    # one table writer, one trajectory writer, one JSON writer: each removes or
-    # never leaves a partial file, and a fourth hand-written loop stays out
-    writers = {("grids", "write_table"), ("grids", "binary_writer"), ("lab", "write_json")}
-    assert sorted(writing_opens(README.parent) - writers) == []
+    # one opener for every file the package writes: it alone decides what a failed write
+    # leaves behind, so no writer opens a file on its own
+    assert sorted(functions_calling(README.parent, opens_to_write)) == [("grids", "open_output")]
+
+
+def test_only_the_opener_removes_files():
+    # a failed write removes the partial file in the opener only, which never removes a link
+    assert sorted(functions_calling(README.parent, removes_a_file)) == [("grids", "open_output")]
