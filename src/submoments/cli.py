@@ -47,7 +47,6 @@ from .grids import (
     SubsamplingScheme,
     binary_writer,
     check_positive,
-    make_parent,
     # not called here: the benchmark tracer wraps it under this module by name
     read_binary,
     read_csv,
@@ -59,6 +58,7 @@ from .invert import ParameterBall, invert_cir, invert_ou, truncate_to_ball
 from .lab import (
     build_report,
     evaluate_thresholds,
+    json_text,
     # not called here: the benchmark tracer wraps it under this module by name
     perturbation_gap_check,
     plan_point,
@@ -304,13 +304,11 @@ def cmd_estimate(args) -> int:
             **est.as_dict(),
             "moments": {key: float(v) for key, v in zip(keys, psi)},
         }
-    if args.csv is not None:  # its folder before the JSON is written: a refused one leaves no file
+    if args.csv is not None:  # the table before the JSON that names it
         payload["csv"] = str(args.csv)
-        make_parent(args.csv)
-    # the JSON goes first: a refused (non-finite) payload leaves no sidecar
-    write_json(payload, args.output)
-    if args.csv is not None:
+        json_text(payload)  # a non-finite payload exits 5 before either file is opened
         estimates_to_csv(reported, args.csv)
+    write_json(payload, args.output)
     return 0
 
 

@@ -269,7 +269,7 @@ def open_output(path, mode: str = "w"):
 
     A failure after the open, in the body or in the flush at close, removes
     ``path`` only if ``lstat`` shows a regular file, never a link, pipe or
-    device.  An ``OSError`` but ``BrokenPipeError`` ends as ``ResourceLimit``.
+    device.  An ``OSError``, a pipe whose reader has gone too, ends as ``ResourceLimit``.
     """
     make_parent(path)
     try:
@@ -282,8 +282,6 @@ def open_output(path, mode: str = "w"):
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.unlink(path)
             raise
-    except BrokenPipeError:  # the reader of a pipe has gone, as with a closed stdout
-        raise
     except OSError as exc:
         raise ResourceLimit(f"cannot write {path}: {exc.strerror or exc}") from None
 

@@ -512,16 +512,17 @@ def perturbation_gap_check(ensemble: Ensemble, nu_of_rho) -> list[GapCheck]:
 # ---------------------------------------------------------------------------
 
 
-def write_json(payload, path=None) -> None:
-    """Write ``payload`` as indented, key-sorted JSON and a newline to ``path``, or print it.
-
-    A NaN or infinity raises ``NumericalError`` before anything is opened or
-    made, so a refused payload leaves no file or folder behind.
-    """
+def json_text(payload) -> str:
+    """``payload`` as indented, key-sorted JSON; a NaN or infinity raises ``NumericalError``."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"refusing to write non-finite JSON: {exc}") from None
+
+
+def write_json(payload, path=None) -> None:
+    """Write :func:`json_text` of ``payload`` and a newline to ``path``, or print it."""
+    text = json_text(payload)
     if path is None:
         print(text)
         return
@@ -703,9 +704,6 @@ class EndToEndReport:
     scheme: SubsamplingScheme
     config_hash: str
 
-    def passed(self, min_fraction: float = 0.9) -> bool:
-        return all(f >= min_fraction for f in self.fraction_within.values())
-
     def to_json_dict(self) -> dict:
         return {
             "truth": {n: float(v) for n, v in zip(self.names, self.truth)},
@@ -831,14 +829,6 @@ class HestonRVReport:
     failures: dict  # eps -> count of degenerate-moment replications
     config_hash: str
 
-    def nonincreasing(self) -> bool:
-        eps_sorted = sorted(self.rms_rel, reverse=True)  # large -> small
-        return not any(
-            self.rms_rel[b][name] > self.rms_rel[a][name]
-            for a, b in zip(eps_sorted, eps_sorted[1:])
-            for name in CIR_PARAMETER_NAMES
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "truth": self.truth,
@@ -899,6 +889,8 @@ def simulate_heston(
     One column of :func:`_heston_chunks`, which draws the start from the stationary law.
     """
     check_grid(length, delta_fine, "delta_fine")
+    if stream.stream_role is not StreamRole.PROCESS_NOISE:  # it draws both roles of the replication itself
+        raise ParameterDomain(f"simulate_heston takes the process_noise stream, not {stream.stream_role.value}")
     paths = np.empty((2, length))  # price and variance, each row handed over whole
     reps = [stream.replication_index]
     for lo, prices, variances in _heston_chunks(params, stream.master_seed, reps, length, delta_fine):
@@ -1107,7 +1099,8 @@ def _gap_levels(field: str, passing: str, values, report, config, ensemble):
 def _recovery_fraction(values, report, config, ensemble):
     (need,) = values
     listing = ", ".join(f"{k}={v:.3f}" for k, v in report.fraction_within.items())
-    return report.passed(need), f"{listing}, need >= {need:g}"
+    ok = all(f >= need for f in report.fraction_within.values())
+    return ok, f"{listing}, need >= {need:g}"
 
 
 def _rms_cap(param: str, values, report, config, ensemble):
@@ -1118,7 +1111,13 @@ def _rms_cap(param: str, values, report, config, ensemble):
 
 
 def _nonincreasing(values, report, config, ensemble):
-    return report.nonincreasing(), "rms errors do not grow as eps shrinks"
+    eps_sorted = sorted(report.rms_rel, reverse=True)  # large -> small
+    ok = not any(
+        report.rms_rel[b][name] > report.rms_rel[a][name]
+        for a, b in zip(eps_sorted, eps_sorted[1:])
+        for name in CIR_PARAMETER_NAMES
+    )
+    return ok, "rms errors do not grow as eps shrinks"
 
 
 # check name -> key prefix of the fitted slopes its band bounds

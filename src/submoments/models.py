@@ -619,6 +619,8 @@ def simulate_slow_fast(
             f"delta_fine {delta_fine} too coarse for the slow unit time; "
             "need |1 - delta_fine| < 1"
         )
+    if stream.stream_role is not StreamRole.PROCESS_NOISE:  # it draws both roles of the replication itself
+        raise ParameterDomain(f"simulate_slow_fast takes the process_noise stream, not {stream.stream_role.value}")
     power, averaged = SLOW_FAST_CATALOG[params.entry]
     rng_slow = stream.role(StreamRole.PROCESS_NOISE).generator()
     rng_fast = stream.role(StreamRole.AUXILIARY_NOISE).generator()

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -987,6 +988,53 @@ class TestRefusedWrites:
         assert line.startswith("error: cannot write link.bin: ")
         assert os.readlink(tmp_path / "link.bin") == "target.bin"
         assert (tmp_path / "target.bin").stat().st_size == 10**5
+
+    def test_a_broken_pipe_on_a_named_output_exits_4(self, tmp_path):
+        # it exited 1 with an empty stderr, as for a closed stdout, and pointed stdout at /dev/null
+        write_cfg(tmp_path, OU_CFG, "ou.cfg")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        (tmp_path / "link.bin").symlink_to("fifo")
+
+        def read_1000_bytes():
+            with open(fifo, "rb") as fh:
+                fh.read(1000)
+
+        reader = threading.Thread(target=read_1000_bytes, daemon=True)
+        reader.start()
+        try:  # 800 kB of rows: more than the pipe holds, so the writer meets the reader's close
+            proc = run_cli(["simulate", "--config", "ou.cfg", "--output", "link.bin", "--length", "100000"], tmp_path)
+        finally:  # a reader still waiting for a writer is let go
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.splitlines() == ["error: cannot write link.bin: Broken pipe"]
+        assert os.readlink(tmp_path / "link.bin") == "fifo"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.bin", "ou.cfg"]
+
+    @pytest.mark.parametrize(
+        ("argv", "refused", "naming"),
+        [
+            (["estimate", "--input", "in.bin", "--lags", "0,1", "--output", "e.json", "--csv", "t.csv"],
+             "t.csv", "e.json"),
+            (["lab", "--preset", "smoke", "--output-dir", "o"], "o/report.csv", "o/manifest.json"),
+            (["simulate", "--config", "heston.cfg", "--output", "h.bin"], "h-variance.bin", "h.bin.manifest.json"),
+        ],
+        ids=["estimate", "lab", "simulate"],
+    )
+    def test_a_file_that_names_another_is_written_after_it(self, tmp_path, capsys, monkeypatch, argv, refused, naming):
+        # estimate wrote its JSON first: a refused table left a JSON that named it
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, HESTON_CFG, "heston.cfg")
+        write_binary(TrajectoryGrid(np.random.default_rng(3).standard_normal(400), 0.25), tmp_path / "in.bin")
+        Path(refused).parent.mkdir(exist_ok=True)
+        Path(refused).symlink_to("/dev/full")
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: cannot write {refused}: No space left on device"]
+        assert captured.out == "" and not Path(naming).exists()
+        assert os.readlink(refused) == "/dev/full"
 
 
 class TestOutputFolders:
@@ -1991,6 +2039,21 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (1, "")
         if argv[0] == "lab":  # every file is written before the first line is printed
             assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "report.csv", "report.json"]
+
+    def test_a_named_output_into_it_exits_4(self, tmp_path):
+        # as `submoments scheme --rho 0.1 --output /dev/stdout | head -0`: a file was named, so the
+        # broken pipe is a refused write; it exited 1 with an empty stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(submoments.__file__).parents[1]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "submoments.cli", "scheme", "--rho", "0.1", "--output", "/dev/stdout"],
+                cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (4, "error: cannot write /dev/stdout: Broken pipe\n")
 
 
 class TestConsoleScript:

@@ -369,16 +369,14 @@ class TestOpenOutput:
         assert path.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
-        ("error", "raised", "message"),
-        [
-            (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ResourceLimit, "cannot write {path}: No space left"),
-            (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), BrokenPipeError, "Broken pipe"),
-        ],
+        "error",
+        [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
         ids=["no-space", "broken-pipe"],
     )
-    def test_failure_removes_the_file(self, tmp_path, error, raised, message):
+    def test_failure_removes_the_file(self, tmp_path, error):
+        # a broken pipe is one more refused write: only stdout itself ends quietly, in main
         path = tmp_path / "out" / "t.csv"
-        with pytest.raises(raised, match=re.escape(message.format(path=path))):
+        with pytest.raises(ResourceLimit, match=re.escape(f"cannot write {path}: {error.strerror}")):
             with open_output(path) as fh:
                 fh.write("partial\n")
                 raise error

@@ -21,7 +21,7 @@ from submoments.errors import (
     SchemeGridMismatch,
     SimulationDiverged,
 )
-from submoments.grids import RandomStreamSpec, TrajectoryGrid
+from submoments.grids import RandomStreamSpec, StreamRole, TrajectoryGrid
 from submoments.models import (
     HestonParams,
     OUParams,
@@ -213,6 +213,21 @@ class _NoDraws:
 
     def __getattr__(self, name):
         raise AssertionError(f"stream.{name} used before the step was checked")
+
+
+class _AuxiliaryNoDraws(_NoDraws):
+    stream_role = StreamRole.AUXILIARY_NOISE
+
+
+@pytest.mark.parametrize(
+    "simulate, params",
+    [(simulate_heston, HESTON), (simulate_slow_fast, SlowFastParams(entry="linear_coupling", scale=0.1))],
+    ids=["heston", "slow_fast"],
+)
+def test_two_path_simulator_refuses_an_auxiliary_stream(simulate, params):
+    # each drew from both roles whatever role it was given: the same paths as process noise
+    with pytest.raises(ParameterDomain, match="takes the process_noise stream, not auxiliary_noise"):
+        simulate(params, 100, 0.01, _AuxiliaryNoDraws())
 
 
 class TestHeston:
