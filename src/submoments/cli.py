@@ -245,6 +245,8 @@ def cmd_estimate(args) -> int:
     ball = None if args.ball_radius is None else ParameterBall(center=center, radius=args.ball_radius)
     _check_own_files([args.input], [args.output, args.csv])
     with _open_grid(Path(args.input)) as grid:
+        if args.model is not None and grid.dim != 1:  # the inversions take one scalar path
+            raise ValidationError(f"{args.input}: --model needs 1 column, the file has {grid.dim}")
         big_delta = grid.delta if args.big_delta is None else args.big_delta
         # an explicit --u1 joins the lag allowance: the rows past n_obs serve it too
         planned = lags + ([] if args.u1 is None else [args.u1])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -239,6 +238,8 @@ def _build(cls, bundle: ConfigBundle, section: str, table: dict):
 
 def load_config(path) -> ConfigBundle:
     """Read, parse and hash one config file; ``check_keys`` judges what it holds."""
+    import hashlib  # here, not at the top: it loads libcrypto, which estimate and scheme never need
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:

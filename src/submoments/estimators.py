@@ -14,9 +14,9 @@ cancel two large numbers against each other.
 
 Every covariance, in this module, in the CLI and in the lab, comes from
 one kernel, :func:`lagged_covariances`.  It walks numpy's pairwise split
-tree over the ``N`` rows down to leaves of at most ``_LEAF`` rows, twice:
-first summing each column of the lead and lagged blocks, for the means,
-then centring the lead rows once and, for each distinct kappa, the
+tree over the ``N`` rows down to leaves of at most ``_BLOCK_ROWS`` rows,
+twice: first summing each column of the lead and lagged blocks, for the
+means, then centring the lead rows once and, for each distinct kappa, the
 lagged rows, into two leaf-sized buffers, multiplying them and summing
 each product.  The leaf sums are added in the tree's order.  Each leaf
 takes one window of rows ``lo .. lo + n + max(kappa) - 1``: a view of an
@@ -48,13 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
-from .grids import SubsamplingScheme, check_positive, write_table
+from .grids import _BLOCK_ROWS, SubsamplingScheme, check_positive, write_table
 
 #: required ratio of sample count to lag shift
 MIN_N_OVER_KAPPA = 10
-
-#: largest row range the covariance kernel centres and sums in one piece
-_LEAF = 1 << 15
 
 
 def lag_index(lag_u: float, big_delta: float) -> int:
@@ -106,7 +103,7 @@ def _tree_sums(leaf, lo: int, n: int) -> np.ndarray:
     rather than a closure: a self-referencing closure is a reference cycle
     that keeps the input alive until the cyclic collector runs.
     """
-    if n > _LEAF:
+    if n > _BLOCK_ROWS:
         n2 = n // 2
         n2 -= n2 % 8
         return _tree_sums(leaf, lo, n2) + _tree_sums(leaf, lo + n2, n - n2)
@@ -133,7 +130,7 @@ def empirical_mean(samples) -> np.ndarray:
     (length, r), reader = _source(samples)
     if length < 1:
         raise InsufficientData("need at least one sample")
-    return _means(reader(min(length, _LEAF)), length, r, [0], 0)[0]
+    return _means(reader(min(length, _BLOCK_ROWS)), length, r, [0], 0)[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def lagged_covariances(samples, n_obs: int, kappas) -> tuple[np.ndarray, np.ndar
         _check_lengths(length, n_obs, kappa)
     distinct = list(dict.fromkeys(kappas))
     span = max(distinct, default=0)
-    rows = min(n_obs, _LEAF)
+    rows = min(n_obs, _BLOCK_ROWS)
     window = reader(rows + span)
     starts = list(dict.fromkeys([0, *distinct]))
     means = dict(zip(starts, _means(window, n_obs, r, starts, span)))

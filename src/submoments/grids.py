@@ -30,9 +30,10 @@ import numpy as np
 from .errors import InsufficientData, ParameterDomain, ResourceLimit, SchemeGridMismatch, ValidationError
 
 _HEADER = struct.Struct("<qdq")  # dim, delta, n_samples
-#: rows per block of the file readers' finite-sample check and of the table
-#: writer, and at most the fine rows per column of one strided window read
-_CHECK_ROWS = 1 << 16
+#: rows per block of every blocked loop: the OU draws and AR(1) filter, the
+#: covariance kernel's leaves, the file readers' finite-sample check, the
+#: fine rows per column of one strided window read, and the table writer
+_BLOCK_ROWS = 1 << 15
 
 
 def _as_samples(values, copy: bool = True) -> np.ndarray:
@@ -244,12 +245,12 @@ def _check_file_grid(path, delta: float, n_rows: int, window) -> None:
     """Reject a non-positive or non-finite step, then the first non-finite sample.
 
     ``window(lo, n)`` returns rows ``lo .. lo+n-1`` as an ``(n, dim)`` array;
-    the rows are checked ``_CHECK_ROWS`` at a time, so the boolean mask is
+    the rows are checked ``_BLOCK_ROWS`` at a time, so the boolean mask is
     one block long and the row scan runs only in the failing block.
     """
     check_positive(delta, f"{path}: grid step")
-    for lo in range(0, n_rows, _CHECK_ROWS):
-        finite = np.isfinite(window(lo, min(_CHECK_ROWS, n_rows - lo)))
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        finite = np.isfinite(window(lo, min(_BLOCK_ROWS, n_rows - lo)))
         if not finite.all():
             row = lo + int(np.argmin(finite.all(axis=1)))
             raise ValidationError(f"{path}: non-finite sample at row {row}")
@@ -314,7 +315,7 @@ class BinaryFile:
     """A trajectory file written by :func:`write_binary`, open for block reads.
 
     Opening reads the header, checks the payload size against the file
-    size, the step, and every sample ``_CHECK_ROWS`` rows at a time, so it
+    size, the step, and every sample ``_BLOCK_ROWS`` rows at a time, so it
     raises what :func:`read_binary` raises without holding the samples.
     ``samples`` is the rows as a :class:`FileSequence`, which the sub-sampling
     view and the estimators read in windows.  Close it, or use it in a
@@ -336,7 +337,7 @@ class BinaryFile:
                 raise InsufficientData(
                     f"{path}: expected {self.dim * self.n_samples} values, got {values}"
                 )
-            window = self.samples.window_reader(min(self.n_samples, _CHECK_ROWS))
+            window = self.samples.window_reader(min(self.n_samples, _BLOCK_ROWS))
             _check_file_grid(path, self.delta, self.n_samples, window)
         except BaseException:
             self._fh.close()
@@ -389,14 +390,14 @@ class FileSequence:
         """``window(lo, n)``: rows ``lo .. lo+n-1`` as an ``(n, dim)`` array, for ``n <= rows``.
 
         Each call reads the fine rows that cover the window in blocks of at
-        most ``_CHECK_ROWS`` per column and keeps every stride-th into one
+        most ``_BLOCK_ROWS`` per column and keeps every stride-th into one
         ``(dim, rows)`` buffer the calls share, so memory does not grow with
         the stride.  It returns a view of that buffer, valid until the next
         call.  At stride 1 the fine rows are the kept rows, read in place.
         """
         stride = self._stride
         kept = np.empty((self.shape[1], rows), dtype="<f8")
-        per = rows if stride == 1 else max(1, min(rows, _CHECK_ROWS // stride))  # kept rows per read
+        per = rows if stride == 1 else max(1, min(rows, _BLOCK_ROWS // stride))  # kept rows per read
         fine = kept if stride == 1 else np.empty((self.shape[1], stride * (per - 1) + 1), dtype="<f8")
 
         def window(lo: int, n: int) -> np.ndarray:
@@ -428,13 +429,13 @@ def write_table(path, header, columns) -> None:
     """Write a CSV table: the ``header`` row, then row ``i`` of every column (array or list).
 
     Each value is the ``repr`` of the Python int or float ``tolist()`` makes of
-    it, ``_CHECK_ROWS`` rows at a time, so it reads back exactly.  It writes
+    it, ``_BLOCK_ROWS`` rows at a time, so it reads back exactly.  It writes
     through :func:`open_output`, so a failure removes the partial file.
     """
     with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CHECK_ROWS):
-            block = [np.asarray(column[lo : lo + _CHECK_ROWS]).tolist() for column in columns]
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [np.asarray(column[lo : lo + _BLOCK_ROWS]).tolist() for column in columns]
             fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
 
 
@@ -452,7 +453,7 @@ def read_csv(path) -> TrajectoryGrid:
     to ``inf`` at huge steps read back as written.  Raises
     ``ValidationError`` as :func:`read_binary` does, and on a cell that is
     not a number or a row of another length.  The times are checked
-    ``_CHECK_ROWS`` at a time and the samples copied out once.
+    ``_BLOCK_ROWS`` at a time and the samples copied out once.
     """
     try:
         with warnings.catch_warnings():  # a file of no rows is refused below, as no samples
@@ -465,8 +466,8 @@ def read_csv(path) -> TrajectoryGrid:
     times, samples = data[:, 0], data[:, 1:]
     delta = float(times[0])
     _check_file_grid(path, delta, len(samples), lambda lo, n: samples[lo : lo + n])
-    for lo in range(0, len(times), _CHECK_ROWS):
-        block = times[lo : lo + _CHECK_ROWS]
+    for lo in range(0, len(times), _BLOCK_ROWS):
+        block = times[lo : lo + _BLOCK_ROWS]
         if not np.allclose(block, _times(lo, len(block), delta), rtol=1e-9, atol=1e-12):
             raise SchemeGridMismatch(f"{path}: rows are not uniformly spaced")
     return TrajectoryGrid._handover(samples, delta)

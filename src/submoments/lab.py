@@ -14,7 +14,6 @@ where the proxy quality is itself estimated from a pilot path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import queue
@@ -35,6 +34,7 @@ from .errors import (
 # empirical_mean and lagged_covariance stay bound: perfbench/child.py traces them here
 from .estimators import check_lag_window, empirical_mean, lag_index, lagged_covariance, lagged_covariances
 from .grids import (
+    _BLOCK_ROWS,
     RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
@@ -47,7 +47,6 @@ from .grids import (
     whole_steps,
     write_table,
 )
-from . import models
 from .blocks import BlockPath, PathView
 from .invert import CIR_PARAMETER_NAMES, OU_PARAMETER_NAMES, decay_rate, invert_cir, invert_ou
 from .models import (
@@ -78,7 +77,7 @@ _RHO_KINDS = ("identity", "sqrt")
 _FAMILIES = ("from_rho", "from_n", "custom")
 _HESTON_CHUNK = 512  # fine rows stepped at once, over all heston_rv replications: fits L2
 _COARSE_SEGMENT = 4096  # coarse rows a heston_rv level's samples grow by
-_SPARE_BLOCKS = 2  # pool blocks beyond one longest path: how far the draws run ahead of the reducer
+_SPARE_BLOCKS = 1  # pool blocks beyond one longest path: how far the draws run ahead of the reducer
 _MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a run may plan for, else ResourceLimit
 
 
@@ -89,6 +88,8 @@ _MEMORY_CAP_BYTES = 2 * 1024**3  # workspace a run may plan for, else ResourceLi
 
 def config_hash(config) -> str:
     """sha256 run identity of a pipeline config: every field of it."""
+    import hashlib  # as in config.load_config: only where a digest is taken
+
     blob = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -261,8 +262,8 @@ def _check_memory(rows: float, paths: int = 1, values: int = 0) -> None:
     A float ``rows`` that overflowed to infinity is refused too.
     """
     # four float64 columns a row, the rest headroom: an OU sweep holds one
-    # (its pool of blocks: one path of the longest point and a few spare
-    # blocks, which the calling thread draws into and the one reducer thread
+    # (its pool of blocks: one path of the longest point and one spare
+    # block, which the calling thread draws into and the one reducer thread
     # reads, over two queues; the observable is made window by window and the
     # kernel works in leaf-sized buffers), the pilot its price and variance
     # paths and a few eps-grid columns while it measures rho, the
@@ -325,28 +326,26 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
     The calling thread draws each (grid point, replication) pair's normals,
     inside ``simulate_ou``, into blocks it takes from the ``free`` queue and
     puts on ``drawn``: a pool of one path of the longest point plus
-    ``_SPARE_BLOCKS`` blocks of ``_FILTER_BLOCK`` rows.  One reducer thread
-    walks the same pairs, reads each path's blocks off ``drawn`` as
-    :mod:`.blocks` describes and calls ``reduce``.  The draws stay on the
-    calling thread so that a tracer wrapping ``simulate_ou`` and the
-    stream's generator sees every draw on one thread, nested in
-    ``simulate_ou``; the reducer calls none of the names the tracer wraps.
-    A failed draw puts ``None`` on ``drawn``, where the reducer's read
-    raises; the reducer records whatever it raises and puts ``None`` on
-    ``free``, where the drawer raises it at its next ``take``.  The reducer
-    thread has ended when this returns; a failed draw raises its own error.
-    The caller has checked the memory the plan needs.
+    ``_SPARE_BLOCKS`` blocks of ``_BLOCK_ROWS`` rows, all allocated before
+    the first draw.  One reducer thread walks the same pairs, reads each
+    path's blocks off ``drawn`` as :mod:`.blocks` describes and calls
+    ``reduce``.  The draws stay on the calling thread so that a tracer
+    wrapping ``simulate_ou`` and the stream's generator sees every draw on
+    one thread, nested in ``simulate_ou``; the reducer calls none of the
+    names the tracer wraps.  A failed draw puts ``None`` on ``drawn``,
+    where the reducer's read raises; the reducer records whatever it raises
+    and puts ``None`` on ``free``, where the drawer raises it at its next
+    ``take``.  The reducer thread has ended when this returns; a failed
+    draw raises its own error.  The caller has checked the memory the plan
+    needs.
     """
-    size = models._FILTER_BLOCK
-    room = -(-max(p.point.rows for p in points) // size) + _SPARE_BLOCKS  # blocks still to allocate
+    size = _BLOCK_ROWS
     free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(-(-max(p.point.rows for p in points) // size) + _SPARE_BLOCKS):
+        free.put(np.empty(size))
     failed = []  # the reduction's error
 
     def take(rows: int) -> np.ndarray:
-        nonlocal room
-        if room and free.empty():
-            room -= 1
-            return np.empty(size)[:rows]
         block = free.get()
         if block is None:
             raise failed[0]
@@ -1085,7 +1084,8 @@ def _ratio_band(values, report, config, ensemble):
     if not ratios:
         return False, "no positive-rho grid points"
     spread = max(ratios) / min(ratios)
-    return spread <= cap, f"spread {spread:.3f} <= {cap:g}"
+    ok = spread <= cap
+    return ok, f"spread {spread:.3f} {'<=' if ok else '>'} {cap:g}"
 
 
 def _gap_levels(field: str, passing: str, values, report, config, ensemble):
@@ -1107,17 +1107,20 @@ def _rms_cap(param: str, values, report, config, ensemble):
     (cap,) = values
     finest = min(report.rms_rel)
     val = report.rms_rel[finest][param]
-    return val <= cap, f"rms {val:.4f} <= {cap:g} at eps {finest:g}"
+    ok = val <= cap
+    return ok, f"rms {val:.4f} {'<=' if ok else '>'} {cap:g} at eps {finest:g}"
 
 
 def _nonincreasing(values, report, config, ensemble):
-    eps_sorted = sorted(report.rms_rel, reverse=True)  # large -> small
-    ok = not any(
-        report.rms_rel[b][name] > report.rms_rel[a][name]
-        for a, b in zip(eps_sorted, eps_sorted[1:])
-        for name in CIR_PARAMETER_NAMES
-    )
-    return ok, "rms errors do not grow as eps shrinks"
+    """Each parameter's rms from the coarsest eps to the finest, and its largest rise if it has one."""
+    listing, ok = [], True
+    for name in CIR_PARAMETER_NAMES:
+        rms = [report.rms_rel[eps][name] for eps in sorted(report.rms_rel, reverse=True)]
+        rises = [b - a for a, b in zip(rms, rms[1:]) if b > a]
+        ok = ok and not rises
+        text = f"{name} " + " -> ".join(f"{v:.4f}" for v in rms)
+        listing.append(text + (f" (+{max(rises):.4f})" if rises else ""))
+    return ok, ", ".join(listing)
 
 
 # check name -> key prefix of the fitted slopes its band bounds

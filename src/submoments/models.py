@@ -29,6 +29,7 @@ from .errors import (
     SimulationDiverged,
 )
 from .grids import (
+    _BLOCK_ROWS,
     RandomStreamSpec,
     StreamRole,
     TrajectoryGrid,
@@ -134,8 +135,6 @@ def ou_bound_inputs(params: OUParams, horizon_a: float) -> BoundInputs:
 
 
 _SIGTOOLS = "scipy.signal._sigtools"
-#: rows the AR(1) filter runs over per kernel call
-_FILTER_BLOCK = 1 << 16
 _sigtools_lock = threading.Lock()
 
 
@@ -188,12 +187,12 @@ def _ar1_filter(phi: float):
 def _ar1(phi: float, x: np.ndarray) -> np.ndarray:
     """In place: ``x[0]`` stays, then ``x[n] = phi * x[n-1] + x[n]``; returns ``x``.
 
-    Runs over ``_FILTER_BLOCK``-row blocks of ``x``, so the recursion needs
+    Runs over ``_BLOCK_ROWS``-row blocks of ``x``, so the recursion needs
     no second ``x``-long array.
     """
     step = _ar1_filter(phi)
-    for lo in range(0, x.shape[0], _FILTER_BLOCK):
-        step(x[lo : lo + _FILTER_BLOCK])
+    for lo in range(0, x.shape[0], _BLOCK_ROWS):
+        step(x[lo : lo + _BLOCK_ROWS])
     return x
 
 
@@ -233,7 +232,7 @@ def simulate_ou(
     The one-step law is Gaussian, so the path is an AR(1) recursion with
     coefficient ``exp(-reversion * delta)`` started from the stationary
     marginal; no discretization error at any step size.  The path is made
-    ``_FILTER_BLOCK`` rows at a time: each block's normals are drawn into
+    ``_BLOCK_ROWS`` rows at a time: each block's normals are drawn into
     it and finished by :func:`ou_filter`.  Without ``sink`` every block is
     a view of the one ``length``-long array, handed to the grid frozen.
     With ``sink``, each finished block, a view of one reused block-long
@@ -247,9 +246,9 @@ def simulate_ou(
     finish = None
     if take is None:
         finish = ou_filter(params, delta)
-        path = np.empty(length if sink is None else min(length, _FILTER_BLOCK))
-    for lo in range(0, length, _FILTER_BLOCK):
-        rows = min(_FILTER_BLOCK, length - lo)
+        path = np.empty(length if sink is None else min(length, _BLOCK_ROWS))
+    for lo in range(0, length, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, length - lo)
         if take is not None:
             block = take(rows)
         else:

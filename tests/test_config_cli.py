@@ -49,7 +49,7 @@ from submoments.config import (
 from submoments.errors import ParameterDomain, ResourceLimit, ValidationError
 from submoments.estimators import covariance_curve, empirical_mean
 from submoments.grids import (
-    _CHECK_ROWS,
+    _BLOCK_ROWS,
     RandomStreamSpec,
     SubsamplingScheme,
     TrajectoryGrid,
@@ -68,7 +68,7 @@ from submoments.lab import (
     HestonRVConfig,
     _plan_sweep,
 )
-from submoments.models import HestonParams, OUParams, ou_bound_inputs
+from submoments.models import HestonParams, OUParams, ou_bound_inputs, simulate_ou
 
 from oracles import traced_memory
 
@@ -710,6 +710,36 @@ class TestEstimateCommand:
             assert moments["cov(0,0)@0"] == payload["covariances"][0]["matrix"][0][0]
             assert moments["mean(0)"] == payload["mean"][0]
 
+    @pytest.fixture(scope="class")
+    def two_columns(self, tmp_path_factory):
+        """One 2-column path, a mix of two independent OU paths plus a shift, as .bin and .csv."""
+        tmp = tmp_path_factory.mktemp("two")
+        model = OUParams(mean=0.0, reversion=1.5, noise=2.0)
+        u, v = (simulate_ou(model, 4000, 0.01, RandomStreamSpec(1, rep)).samples[:, 0] for rep in (0, 1))
+        grid = TrajectoryGrid((np.array([[1.0, 0.5], [0.3, 1.0]]) @ [u, v]).T + [2.0, -1.0], 0.01)
+        write_binary(grid, tmp / "two.bin")
+        write_csv(grid, tmp / "two.csv")
+        return tmp
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    @pytest.mark.parametrize("model", ["ou", "cir"])
+    def test_model_refuses_more_than_one_column(self, two_columns, capsys, monkeypatch, suffix, model):
+        # the inversions take one scalar path: a 2-column file exits 3 before
+        # any window is reduced and before any output is written, not with
+        # the parameters of its first column
+        path, out = two_columns / f"two{suffix}", two_columns / "moments.json"
+        argv = ["estimate", "--input", str(path), "--lags", "0,0.25", "--big-delta", "0.05"]
+        monkeypatch.setattr(submoments.estimators, "lagged_covariances", forbidden("reduced a window"))
+        assert main([*argv, "--model", model, "--output", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: --model needs 1 column, the file has 2"
+        ]
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(argv) == 0  # without --model the file gives its 2 x 2 matrices
+        payload = json.loads(capsys.readouterr().out)
+        assert [np.shape(c["matrix"]) for c in payload["covariances"]] == [(2, 2), (2, 2)]
+
     def test_u1_past_lags_sizes_the_sequence(self, ou_trajectory, capsys):
         # --u1 0.75 needs kappa 3 on the 0.25 grid while --lags needs only 1:
         # the lag allowance covers both
@@ -869,10 +899,10 @@ class TestEstimateCommand:
             assert captured.out == ""
             assert "non-finite sample at row 17" in captured.err
 
-    @pytest.mark.parametrize("row", [6, 2 * _CHECK_ROWS + 3])
+    @pytest.mark.parametrize("row", [6, 2 * _BLOCK_ROWS + 3])
     def test_non_finite_row_is_refused_before_output(self, tmp_path, capsys, row):
         # row 6 is one that stride 4 skips; the other sits in the last check block
-        values = np.random.default_rng(5).standard_normal(2 * _CHECK_ROWS + 5)
+        values = np.random.default_rng(5).standard_normal(2 * _BLOCK_ROWS + 5)
         values[row] = np.inf
         path, out = tmp_path / "bad.bin", tmp_path / "moments.json"
         write_binary(TrajectoryGrid(values, 0.25), path)
@@ -1906,6 +1936,15 @@ class TestLazyImports:
 
     def test_cli_without_ou_simulation_skips_scipy(self):
         assert self.scipy_modules(["scheme", "--rho", "0.1"]) == []
+
+    def test_scheme_and_estimate_skip_libcrypto(self, tmp_path):
+        # hashlib loads OpenSSL's libcrypto; only a config's or a run's digest needs it
+        path = tmp_path / "x.bin"
+        write_binary(TrajectoryGrid(np.sin(np.arange(500.0)), 0.1), path)
+        then = "assert '_hashlib' not in sys.modules\n"
+        estimate = ["estimate", "--input", str(path), "--lags", "0,0.2", "--output", str(tmp_path / "m.json")]
+        for argv in (["scheme", "--rho", "0.1"], estimate):
+            self.scipy_modules(argv, then)
 
     def test_ou_simulate_loads_only_the_filter_kernel(self, tmp_path):
         cfg = write_cfg(tmp_path, OU_CFG)

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from submoments.errors import InsufficientData, ParameterDomain, SchemeTooShortForLag
 from submoments.estimators import (
-    _LEAF,
     covariance_curve,
     empirical_mean,
     estimates_to_csv,
@@ -20,7 +19,7 @@ from submoments.estimators import (
     lagged_covariances,
 )
 from submoments.grids import (
-    _CHECK_ROWS,
+    _BLOCK_ROWS,
     BinaryFile,
     RandomStreamSpec,
     SubsamplingScheme,
@@ -233,7 +232,7 @@ class TestBlockedKernel:
     """The kernel's leaves follow numpy's pairwise split, so it keeps the whole-block bits."""
 
     @pytest.mark.parametrize(
-        "n", [127, 128, 129, 1023, _LEAF - 1, _LEAF, _LEAF + 1, 123_457, 999_999]
+        "n", [127, 128, 129, 1023, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 123_457, 999_999]
     )
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("stride", [1, 5])
@@ -249,7 +248,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize(
         "stride, r, n",
         [
-            *itertools.product([1, 5], [1, 2], [127, _LEAF - 1, _LEAF + 1, 3 * _LEAF + 7]),
+            *itertools.product([1, 5], [1, 2], [127, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]),
             # a window of 139 rows spans 139,001 fine rows, read in blocks
             (1000, 1, 127), (1000, 2, 127),
         ],
@@ -271,17 +270,17 @@ class TestBlockedKernel:
             _, peak = traced_memory(lambda: lagged_covariances(seq, n, kappas))
             cov, mean = lagged_covariances(seq, n, kappas)
             lead_mean = empirical_mean(seq[:n])
-        assert peak <= 8 * r * (_CHECK_ROWS + 4 * (min(n, _LEAF) + 12)) + 2**16
+        assert peak <= 8 * r * (_BLOCK_ROWS + 4 * (min(n, _BLOCK_ROWS) + 12)) + 2**16
         assert np.array_equal(cov, want_cov)
         assert np.array_equal(mean, want_mean) and np.array_equal(lead_mean, want_mean)
 
-    @pytest.mark.parametrize("n", [_LEAF + 1, 999_999])
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS + 1, 999_999])
     @pytest.mark.parametrize("stride", [5, 7])
     def test_strided_sum_is_the_leaf_tree(self, n, stride):
         # numpy sums a strided column in one pairwise pass, not in buffered
         # chunks, so a leaf of a strided window has the bits of its copy
         column = _strided_rows(n, 1, stride, seed=n)[:, 0]
-        assert np.sum(column) == leaf_tree_sum(column, _LEAF)
+        assert np.sum(column) == leaf_tree_sum(column, _BLOCK_ROWS)
 
     def test_peak_memory_is_a_few_leaves(self):
         # two n-long centred copies, as a whole-block kernel makes, would be 16 MB

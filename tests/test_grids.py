@@ -22,7 +22,7 @@ from submoments.errors import (
     ValidationError,
 )
 from submoments.grids import (
-    _CHECK_ROWS,
+    _BLOCK_ROWS,
     RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
@@ -113,12 +113,12 @@ class TestValidateGrid:
             read_binary(path)
 
     @pytest.mark.parametrize(
-        "row", [_CHECK_ROWS - 1, _CHECK_ROWS, 2 * _CHECK_ROWS, 2 * _CHECK_ROWS + 4]
+        "row", [_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 4]
     )
     def test_nonfinite_row_across_check_blocks(self, tmp_path, row):
         # the finite check runs block by block: rows on either side of a block
         # boundary and rows of the short last block report their own index
-        data = np.ones((2 * _CHECK_ROWS + 5, 2))
+        data = np.ones((2 * _BLOCK_ROWS + 5, 2))
         data[row, 1] = np.nan
         data[row + 1 :, 0] = np.inf
         path = tmp_path / "t.bin"
@@ -316,7 +316,7 @@ class TestFileFormats:
 
     def test_csv_spacing_is_checked_in_every_block(self, tmp_path):
         # the times are compared a block at a time: a long file reads back, a bad last time is found
-        g = TrajectoryGrid(np.arange(2.0 * _CHECK_ROWS + 5), 0.1)
+        g = TrajectoryGrid(np.arange(2.0 * _BLOCK_ROWS + 5), 0.1)
         path = tmp_path / "t.csv"
         write_csv(g, path)
         assert np.array_equal(read_csv(path).samples, g.samples)
@@ -344,7 +344,7 @@ class TestFileFormats:
 
         path = tmp_path / "t.csv"
         with pytest.raises(RuntimeError, match="the column broke"):
-            write_table(path, ["x"], [Column([0.5] * (_CHECK_ROWS + 1))])
+            write_table(path, ["x"], [Column([0.5] * (_BLOCK_ROWS + 1))])
         assert not path.exists()
 
     def test_binary_failing_partway_leaves_no_file(self, tmp_path):

@@ -27,6 +27,7 @@ from submoments.errors import (
     SchemeTooShortForLag,
 )
 from submoments.grids import (
+    _BLOCK_ROWS,
     RandomStreamSpec,
     StreamRole,
     SubsamplingScheme,
@@ -72,7 +73,7 @@ from submoments.models import (
 )
 from submoments.schemes import scheme_from_rho
 
-from oracles import heston_core_reference, reference_endtoend_ou, reference_ensemble
+from oracles import heston_core_reference, reference_endtoend_ou, reference_ensemble, traced_memory
 
 MODEL = OUParams(mean=0.5, reversion=1.0, noise=1.0)
 
@@ -292,7 +293,7 @@ class TestSweepEngine:
         # the rest of a path it has begun to read, ends, and the error reaches
         # the caller; a deadlock fails instead of hanging
         simulate = lab.simulate_ou
-        monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
+        _block_rows(monkeypatch, 7)
         threads = threading.active_count()
 
         def drawing(model, rows, step, stream, sink, take):
@@ -336,6 +337,13 @@ class TestSweepEngine:
         assert fit["slope"] < -0.1
 
 
+def _block_rows(monkeypatch, rows: int) -> None:
+    """Draw OU paths and pool them in ``rows``-row blocks: simulate_ou and the engine's pool
+    read the one block size each from their own module."""
+    monkeypatch.setattr(models, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(lab, "_BLOCK_ROWS", rows)
+
+
 def _within(seconds: float, fn):
     """What ``fn()`` raised, or None, run on a thread joined with a timeout, so that a
     deadlocked engine fails the test instead of hanging the suite."""
@@ -368,10 +376,10 @@ class TestBlockEngine:
         # 48-row leaves give a walk up to three windows, so 7- and 100-row blocks
         # put window edges inside blocks and block edges inside windows; stride 3
         # reads every third row
-        monkeypatch.setattr(estimators, "_LEAF", 48)
+        monkeypatch.setattr(estimators, "_BLOCK_ROWS", 48)
         config = small_config(observable=observable, stride_resolution=3)
         want = reference_ensemble(config)
-        monkeypatch.setattr(models, "_FILTER_BLOCK", block)
+        _block_rows(monkeypatch, block)
         threads = threading.active_count()
         ens = run_replications(config)
         for field, ref in zip(self.FIELDS, want):
@@ -379,7 +387,7 @@ class TestBlockEngine:
         assert threading.active_count() == threads
 
     def test_paths_longer_than_a_block_and_a_leaf(self):
-        # the shipped block and leaf sizes: each path spans two blocks and two leaves
+        # the shipped block size: each path spans three blocks and four leaves
         config = small_config(scheme_family="from_n", n_grid=(70000,), epsilon_grid=(), lags=(0.0, 1.0))
         want = reference_ensemble(config)
         ens = run_replications(config)
@@ -392,7 +400,7 @@ class TestBlockEngine:
         # over the one before has given blocks back
         config = small_config(observable="multiplicative")
         want = reference_ensemble(config)
-        monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
+        _block_rows(monkeypatch, 7)
         monkeypatch.setattr(lab, "_SPARE_BLOCKS", spare)
         got = []
         assert _within(60, lambda: got.append(run_replications(config))) is None
@@ -406,7 +414,7 @@ class TestBlockEngine:
         # ensemble slot would change a result or hang the run
         config = small_config(observable="multiplicative", stride_resolution=2)
         want = reference_ensemble(config)
-        monkeypatch.setattr(models, "_FILTER_BLOCK", 7)
+        _block_rows(monkeypatch, 7)
         monkeypatch.setattr(lab, "_SPARE_BLOCKS", 0)
         got, interval = [], sys.getswitchinterval()
         sweeps = [
@@ -429,9 +437,24 @@ class TestBlockEngine:
     @pytest.mark.parametrize("spare", [1, 2])
     def test_endtoend_matches_the_serial_loop(self, monkeypatch, spare, block):
         rel, _, _ = reference_endtoend_ou(TestEndToEnd.CFG)
-        monkeypatch.setattr(models, "_FILTER_BLOCK", block)
+        _block_rows(monkeypatch, block)
         monkeypatch.setattr(lab, "_SPARE_BLOCKS", spare)
         assert np.array_equal(run_endtoend_ou(TestEndToEnd.CFG).rel_errors, rel)
+
+
+    def test_the_pool_is_one_path_and_one_block(self):
+        # the whole pool is allocated before the first draw: one path of the
+        # longest point (200,058 rows, 7 blocks of 32,768) and one spare
+        # block, 2 MiB.  The allowance, 1 MiB, covers the kernel's leaf
+        # buffers (a 32,768-row window and two centred columns, 256 KiB each)
+        # and the ensemble; a first small sweep loads the filter kernel
+        # outside the trace
+        config = small_config(scheme_family="from_n", n_grid=(200_000,), epsilon_grid=(), lags=(0.0, 1.0))
+        rows = max(p.point.rows for p in lab._plan_sweep(config))
+        pool = (-(-rows // _BLOCK_ROWS) + 1) * _BLOCK_ROWS * 8
+        run_replications(small_config())
+        _, peak = traced_memory(lambda: run_replications(config))
+        assert peak <= pool + 2**20, (rows, pool, peak)
 
 
 class TestReport:
@@ -1048,6 +1071,33 @@ class TestEvaluateThresholds:
     def test_nonincreasing(self, coarse_level, expected):
         rows = evaluate_thresholds("heston_rv", {"nonincreasing": True}, _heston_report(coarse_level))
         assert [(name, ok) for name, ok, _ in rows] == [("nonincreasing", expected)]
+
+    @pytest.mark.parametrize(
+        "kind, checks, report, want",
+        [
+            ("generic", {"ratio_band_max": 2.5}, GENERIC_REPORT, (True, "spread 2.000 <= 2.5")),
+            ("generic", {"ratio_band_max": 1.5}, GENERIC_REPORT, (False, "spread 2.000 > 1.5")),
+            ("heston_rv", {"vol_rms_max": 0.15}, _heston_report(0.05), (True, "rms 0.1000 <= 0.15 at eps 0.005")),
+            ("heston_rv", {"vol_rms_max": 0.05}, _heston_report(0.05), (False, "rms 0.1000 > 0.05 at eps 0.005")),
+            (
+                "heston_rv", {"nonincreasing": True}, _heston_report(0.05),
+                (True, "reversion 0.3000 -> 0.2000, level 0.0500 -> 0.0300, vol_of_vol 0.2000 -> 0.1000"),
+            ),
+            (
+                "heston_rv", {"nonincreasing": True}, _heston_report(0.02),
+                (False, "reversion 0.3000 -> 0.2000, level 0.0200 -> 0.0300 (+0.0100), vol_of_vol 0.2000 -> 0.1000"),
+            ),
+        ],
+        ids=["band-pass", "band-fail", "rms-pass", "rms-fail", "nonincreasing-pass", "nonincreasing-fail"],
+    )
+    def test_detail_follows_the_verdict(self, kind, checks, report, want):
+        # a FAIL states the relation that failed, and nonincreasing names each
+        # parameter's rms from coarse to fine eps, with the rise that failed it;
+        # a detail ending in a parenthesis still reads back whole from its line
+        ((_, ok, detail),) = evaluate_thresholds(kind, checks, report)
+        assert (ok, detail) == want
+        line = f"[CHECK] x: {'PASS' if ok else 'FAIL'} ({detail})"
+        assert re.fullmatch(r"\[CHECK\] (\S+): (PASS|FAIL) \((.*)\)", line).group(3) == detail
 
     def test_rows_follow_table_order(self):
         checks = {

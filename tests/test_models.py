@@ -21,13 +21,12 @@ from submoments.errors import (
     SchemeGridMismatch,
     SimulationDiverged,
 )
-from submoments.grids import RandomStreamSpec, StreamRole, TrajectoryGrid
+from submoments.grids import _BLOCK_ROWS, RandomStreamSpec, StreamRole, TrajectoryGrid
 from submoments.models import (
     HestonParams,
     OUParams,
     SLOW_FAST_CATALOG,
     SlowFastParams,
-    _FILTER_BLOCK,
     _ar1,
     _heston_core,
     default_rv_window,
@@ -117,19 +116,19 @@ class TestOU:
         )
         assert peak <= 8 * 10**6 + 2 * 2**20
 
-    @pytest.mark.parametrize("length", [1, _FILTER_BLOCK, 3 * _FILTER_BLOCK + 7])
+    @pytest.mark.parametrize("length", [1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7])
     def test_blocks_to_a_sink_are_the_path(self, length):
         # the blocks passed to a sink, each a view of one reused buffer, are
         # the rows of the path the grid holds, in order
         params, stream = OUParams(1.0, 1.0, 1.0), RandomStreamSpec(6)
         blocks = []
         assert simulate_ou(params, length, 0.01, stream, lambda b: blocks.append(b.copy())) is None
-        sizes = [min(_FILTER_BLOCK, length - lo) for lo in range(0, length, _FILTER_BLOCK)]
+        sizes = [min(_BLOCK_ROWS, length - lo) for lo in range(0, length, _BLOCK_ROWS)]
         assert [b.size for b in blocks] == sizes
         want = simulate_ou(params, length, 0.01, stream).samples[:, 0]
         assert np.concatenate(blocks).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("length", [1, _FILTER_BLOCK, 3 * _FILTER_BLOCK + 7])
+    @pytest.mark.parametrize("length", [1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7])
     def test_drawn_blocks_finished_later_are_the_path(self, length):
         # with take, the blocks go to the sink as normals, each in its own
         # array; ou_filter finishes them in order, after the draws, into the path
@@ -158,8 +157,8 @@ class TestLinearFilterKernel:
     @pytest.mark.parametrize(
         "length",
         [
-            1, 2, 1000, _FILTER_BLOCK - 1, _FILTER_BLOCK, _FILTER_BLOCK + 1, 123_457,
-            3 * _FILTER_BLOCK + 7, 10**6,
+            1, 2, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 123_457,
+            3 * _BLOCK_ROWS + 7, 10**6,
         ],
     )
     def test_equals_lfilter_bitwise(self, length, phi, lead):
