@@ -899,10 +899,10 @@ class TestEstimateCommand:
             assert captured.out == ""
             assert "non-finite sample at row 17" in captured.err
 
-    @pytest.mark.parametrize("row", [6, 2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("row", [6, 4 * _BLOCK_ROWS + 3])
     def test_non_finite_row_is_refused_before_output(self, tmp_path, capsys, row):
         # row 6 is one that stride 4 skips; the other sits in the last check block
-        values = np.random.default_rng(5).standard_normal(2 * _BLOCK_ROWS + 5)
+        values = np.random.default_rng(5).standard_normal(4 * _BLOCK_ROWS + 5)
         values[row] = np.inf
         path, out = tmp_path / "bad.bin", tmp_path / "moments.json"
         write_binary(TrajectoryGrid(values, 0.25), path)

@@ -113,12 +113,12 @@ class TestValidateGrid:
             read_binary(path)
 
     @pytest.mark.parametrize(
-        "row", [_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 4]
+        "row", [2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 4]
     )
     def test_nonfinite_row_across_check_blocks(self, tmp_path, row):
         # the finite check runs block by block: rows on either side of a block
         # boundary and rows of the short last block report their own index
-        data = np.ones((2 * _BLOCK_ROWS + 5, 2))
+        data = np.ones((4 * _BLOCK_ROWS + 5, 2))
         data[row, 1] = np.nan
         data[row + 1 :, 0] = np.inf
         path = tmp_path / "t.bin"

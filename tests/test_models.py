@@ -116,7 +116,7 @@ class TestOU:
         )
         assert peak <= 8 * 10**6 + 2 * 2**20
 
-    @pytest.mark.parametrize("length", [1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("length", [1, 2 * _BLOCK_ROWS, 6 * _BLOCK_ROWS + 7])
     def test_blocks_to_a_sink_are_the_path(self, length):
         # the blocks passed to a sink, each a view of one reused buffer, are
         # the rows of the path the grid holds, in order
@@ -128,7 +128,7 @@ class TestOU:
         want = simulate_ou(params, length, 0.01, stream).samples[:, 0]
         assert np.concatenate(blocks).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("length", [1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("length", [1, 2 * _BLOCK_ROWS, 6 * _BLOCK_ROWS + 7])
     def test_drawn_blocks_finished_later_are_the_path(self, length):
         # with take, the blocks go to the sink as normals, each in its own
         # array; ou_filter finishes them in order, after the draws, into the path
@@ -157,8 +157,8 @@ class TestLinearFilterKernel:
     @pytest.mark.parametrize(
         "length",
         [
-            1, 2, 1000, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 123_457,
-            3 * _BLOCK_ROWS + 7, 10**6,
+            1, 2, 1000, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 123_457,
+            6 * _BLOCK_ROWS + 7, 10**6,
         ],
     )
     def test_equals_lfilter_bitwise(self, length, phi, lead):
