@@ -83,7 +83,7 @@ class PathView:
     """
 
     def __init__(self, path: BlockPath, point, offset: int, scale=None, weights=None, last=False):
-        self.shape = (point.scheme.n_obs + max(point.kappas), 1)
+        self.shape = (point.coarse_rows, 1)
         self._path, self._stride, self._offset = path, point.scheme.stride, offset
         self._scale, self._weights, self._last = scale, weights, last
 

@@ -178,19 +178,31 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CoarsePoint:
-    """A scheme pinned to a fine grid step, with its lags on the coarse grid.
+    """One planned level: a scheme pinned to a fine grid step, with its lags on the coarse grid.
 
-    It reads ``rows`` fine rows: ``offset`` warm-up rows, then ``n_obs``
-    coarse samples plus the ``max(kappas)`` more that the longest lag needs.
+    ``label`` is the level's place on its sweep axis (eps, or N for the
+    ``from_n`` family) and ``rho`` the proxy level that chose the scheme.
+    It reads ``rows`` fine rows: ``offset`` warm-up rows, then
+    ``coarse_rows`` coarse samples, ``n_obs`` plus the ``max(kappas)`` more
+    that the longest lag needs.
     """
 
     scheme: SubsamplingScheme  # resolved
     step: float  # fine grid step
-    offset: int
+    offset: int  # a smoothing sweep's window warm-up, a heston_rv level's RV window
     lags: tuple  # as requested
     kappas: tuple
     lags_used: tuple
-    rows: int
+    label: float = 0.0
+    rho: float = 0.0
+
+    @property
+    def coarse_rows(self) -> int:
+        return self.scheme.n_obs + max(self.kappas)
+
+    @property
+    def rows(self) -> int:
+        return self.offset + self.coarse_rows * self.scheme.stride
 
     def require_positive(self, i: int) -> None:
         """Refuse lag ``i`` when it rounds to zero on the coarse step."""
@@ -206,7 +218,9 @@ class CoarsePoint:
             check_lag_window(self.scheme.n_obs, kappa)
 
 
-def plan_point(scheme: SubsamplingScheme, step: float, lags, offset: int = 0) -> CoarsePoint:
+def plan_point(
+    scheme: SubsamplingScheme, step: float, lags, offset: int = 0, label: float = 0.0, rho: float = 0.0
+) -> CoarsePoint:
     """Pin ``scheme`` to the fine ``step`` and round every lag on the resolved step.
 
     Every coarse sequence is sized here: the sweep's, the end-to-end and
@@ -214,44 +228,29 @@ def plan_point(scheme: SubsamplingScheme, step: float, lags, offset: int = 0) ->
     """
     resolved = resolve_stride(scheme, step)
     kappas = tuple(lag_index(u, resolved.big_delta) for u in lags)
-    return CoarsePoint(
-        scheme=resolved,
-        step=step,
-        offset=offset,
-        lags=tuple(lags),
-        kappas=kappas,
-        lags_used=tuple(k * resolved.big_delta for k in kappas),
-        rows=offset + (resolved.n_obs + max(kappas)) * resolved.stride,
-    )
+    lags_used = tuple(k * resolved.big_delta for k in kappas)
+    return CoarsePoint(resolved, step, offset, tuple(lags), kappas, lags_used, label, rho)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    label: float
-    rho: float
-    eps: float
-    point: CoarsePoint  # its offset is the smoothing window's warm-up
-
-
-def _plan_sweep(config: ExperimentConfig) -> list[SweepPoint]:
+def _plan_sweep(config: ExperimentConfig) -> list[CoarsePoint]:
     if config.scheme_family == "from_n":
-        raw = [(float(n), 0.0, 0.0, scheme_from_n(int(n), config.c_delta)) for n in config.n_grid]
+        raw = [(float(n), 0.0, scheme_from_n(int(n), config.c_delta)) for n in config.n_grid]
     elif config.scheme_family == "from_rho":
         rhos = [(float(eps), config.rho_of(eps)) for eps in config.epsilon_grid]
-        raw = [(eps, rho, eps, scheme_from_rho(rho, config.c_n, config.c_delta)) for eps, rho in rhos]
+        raw = [(eps, rho, scheme_from_rho(rho, config.c_n, config.c_delta)) for eps, rho in rhos]
     else:
         raw = [
-            (float(eps), config.rho_of(eps), float(eps), scheme)
+            (float(eps), config.rho_of(eps), scheme)
             for eps, scheme in zip(config.epsilon_grid, config.custom_schemes)
         ]
     points = []
-    for label, rho, eps, scheme in raw:
+    for label, rho, scheme in raw:
         step = scheme.big_delta / config.stride_resolution
-        smoothing = config.observable == "smoothing"
-        offset = whole_steps(eps, step, "smoothing window") if smoothing else 0
-        point = plan_point(scheme, step, config.lags, offset)
+        smoothing = config.observable == "smoothing"  # refused for from_n: the label is eps
+        offset = whole_steps(label, step, "smoothing window") if smoothing else 0
+        point = plan_point(scheme, step, config.lags, offset, label, rho)
         point.require_long_window()
-        points.append(SweepPoint(label, rho, eps, point))
+        points.append(point)
     return points
 
 
@@ -287,7 +286,7 @@ def _check_memory(rows: float, paths: int = 1, values: int = 0) -> None:
 class Ensemble:
     """Raw per-replication estimates of one sweep, beside the plan it ran."""
 
-    points: list[SweepPoint]  # (G,)
+    points: list[CoarsePoint]  # (G,)
     khat_y: np.ndarray  # (G, M, L)
     khat_x: np.ndarray  # (G, M, L)
     mean_y: np.ndarray  # (G, M)
@@ -298,19 +297,18 @@ class Ensemble:
         return self.khat_x.shape[1]
 
 
-def _views(path: BlockPath, sweep: SweepPoint, observable: str, hidden: bool) -> list:
+def _views(path: BlockPath, point: CoarsePoint, observable: str, hidden: bool) -> list:
     """The sequences a replication's kernel calls read, hidden first, the observable last.
 
     For the identity observable the two are one view; without ``hidden``
     only the observable is read.
     """
-    point = sweep.point
     if observable == "identity":
         return [PathView(path, point, 0, last=True)]
     if observable == "multiplicative":
-        y = PathView(path, point, 0, scale=1.0 + sweep.rho, last=True)
-    else:
-        y = PathView(path, point, 0, weights=smoothing_weights(sweep.eps, point.step), last=True)
+        y = PathView(path, point, 0, scale=1.0 + point.rho, last=True)
+    else:  # smoothing: the label is the window eps
+        y = PathView(path, point, 0, weights=smoothing_weights(point.label, point.step), last=True)
     return [PathView(path, point, point.offset), y] if hidden else [y]
 
 
@@ -341,7 +339,7 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
     """
     size = _BLOCK_ROWS
     free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(-(-max(p.point.rows for p in points) // size) + _SPARE_BLOCKS):
+    for _ in range(-(-max(p.rows for p in points) // size) + _SPARE_BLOCKS):
         free.put(np.empty(size))
     failed = []  # the reduction's error
 
@@ -353,11 +351,10 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
 
     def reduce_all() -> None:
         try:
-            for gi, sweep in enumerate(points):
-                point = sweep.point
+            for gi, point in enumerate(points):
                 for rep in range(replications):
                     path = BlockPath(drawn, free, size, ou_filter(model, point.step))
-                    views = _views(path, sweep, observable, hidden)
+                    views = _views(path, point, observable, hidden)
                     results = [lagged_covariances(view, point.scheme.n_obs, point.kappas) for view in views]
                     reduce(gi, rep, results[-1], results[0])
                     path.release()
@@ -368,8 +365,7 @@ def _replicate(points, model, observable, seed, replications: int, reduce, hidde
     reducer = threading.Thread(target=reduce_all, daemon=True)
     reducer.start()
     try:
-        for sweep in points:
-            point = sweep.point
+        for point in points:
             for rep in range(replications):
                 stream = RandomStreamSpec(seed, rep, StreamRole.PROCESS_NOISE)
                 simulate_ou(model, point.rows, point.step, stream, drawn.put, take)
@@ -390,7 +386,7 @@ def run_replications(config: ExperimentConfig) -> Ensemble:
     """
     points = _plan_sweep(config)
     n_points, n_reps, n_lags = len(points), config.replications, len(config.lags)
-    _check_memory(max(p.point.rows for p in points), values=2 * n_points * n_reps * (n_lags + 1))
+    _check_memory(max(p.rows for p in points), values=2 * n_points * n_reps * (n_lags + 1))
     ens = Ensemble(
         points=points,
         khat_y=np.empty((n_points, n_reps, n_lags)),
@@ -560,7 +556,7 @@ def build_report(
     """
     model = config.model
     points = ensemble.points
-    schemes = [p.point.scheme for p in points]
+    schemes = [p.scheme for p in points]
     lags = np.array(config.lags, dtype=float)
     oracle = np.array([ou_true_covariance(model, u) for u in lags])
     err_x = empirical_lp_error(ensemble.khat_x, oracle, 2.0)
@@ -581,7 +577,7 @@ def build_report(
                     "big_delta": scheme.big_delta,
                     "span": scheme.span,
                     "lag": float(u),
-                    "lag_used": p.point.lags_used[li],
+                    "lag_used": p.lags_used[li],
                     "err_x_l2": float(err_x[gi, li]),
                     "err_y_l2": float(err_y[gi, li]),
                     "gap_l2": float(gap[gi, li]),
@@ -724,7 +720,8 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
     the coarse grid, so grid rounding does not bias the reversion estimate.
     """
     planned = scheme_from_rho(config.rho, config.c_n, config.c_delta)
-    point = plan_point(planned, planned.big_delta, (0.0, config.u1))  # coarse = fine
+    # coarse = fine
+    point = plan_point(planned, planned.big_delta, (0.0, config.u1), label=config.rho, rho=config.rho)
     point.require_positive(1)
     point.require_long_window()
     truth = np.array([config.model.mean, config.model.reversion, config.model.noise])
@@ -736,8 +733,7 @@ def run_endtoend_ou(config: EndToEndConfig) -> EndToEndReport:
         cov, mean = y
         moments[rep] = mean[0], cov[0, 0, 0], cov[1, 0, 0]
 
-    sweeps = [SweepPoint(config.rho, config.rho, 0.0, point)]
-    _replicate(sweeps, config.model, "multiplicative", seed, reps, keep, hidden=False)
+    _replicate([point], config.model, "multiplicative", seed, reps, keep, hidden=False)
     rel = np.empty((reps, 3))
     for rep, psi in enumerate(moments):  # on this thread: perfbench traces invert_ou here
         rel[rep] = np.abs(invert_ou(psi, point.lags_used[1]).theta - truth) / np.abs(truth)
@@ -795,29 +791,20 @@ class HestonRVConfig:
             check_positive(getattr(self, name), name)
 
 
-@dataclass(frozen=True)
-class _RVPlan:
-    eps_stride: int  # fine steps per eps
-    point: CoarsePoint  # step eps, offset by the RV window
-    rho_hat: float
-
-    @property
-    def coarse_rows(self) -> int:
-        return self.point.scheme.n_obs + max(self.point.kappas)
-
-    def summary(self) -> dict:
-        scheme = self.point.scheme
-        lag1, lag2 = self.point.lags_used
-        return {
-            "eps": self.point.step,
-            "window": self.point.offset,
-            "rho_hat": self.rho_hat,
-            "n_obs": scheme.n_obs,
-            "big_delta": scheme.big_delta,
-            "span": scheme.span,
-            "lag1": lag1,
-            "lag2": lag2,
-        }
+def _level_summary(point: CoarsePoint) -> dict:
+    """A ``heston_rv`` level as the report lists it: its step is eps, its offset the RV window."""
+    scheme = point.scheme
+    lag1, lag2 = point.lags_used
+    return {
+        "eps": point.step,
+        "window": point.offset,
+        "rho_hat": point.rho,
+        "n_obs": scheme.n_obs,
+        "big_delta": scheme.big_delta,
+        "span": scheme.span,
+        "lag1": lag1,
+        "lag2": lag2,
+    }
 
 
 @dataclass
@@ -838,11 +825,11 @@ class HestonRVReport:
         }
 
 
-def _rv_moments(y_coarse: np.ndarray, plan: _RVPlan):
+def _rv_moments(y_coarse: np.ndarray, point: CoarsePoint):
     """Moment vector [mean, extrapolated variance, cov(lag1)] from RV samples."""
-    cov, mean = lagged_covariances(y_coarse, plan.point.scheme.n_obs, plan.point.kappas)
+    cov, mean = lagged_covariances(y_coarse, point.scheme.n_obs, point.kappas)
     k1, k2 = cov[:, 0, 0]
-    lag1, lag2 = plan.point.lags_used
+    lag1, lag2 = point.lags_used
     var_v = k1 * math.exp(decay_rate(k1, k2, lag1, lag2) * lag1)
     return np.array([mean[0], var_v, k1])
 
@@ -898,8 +885,9 @@ def simulate_heston(
 
 
 def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
-    """The fine step, the smallest eps, and one plan per eps level, sized from the rho a
-    pilot path measures: the fourth-moment distance between RV and the true variance."""
+    """The fine step, the smallest eps, and one ``(fine steps per eps, point)`` pair per eps
+    level, its scheme sized from the rho a pilot path measures: the fourth-moment distance
+    between RV and the true variance."""
     delta_f = min(config.epsilon_grid)
     levels = [
         (eps, whole_steps(eps, delta_f, "eps"), default_rv_window(eps))
@@ -926,18 +914,18 @@ def _plan_heston_rv(config: HestonRVConfig) -> tuple[float, list]:
         rv = realized_volatility_observable(TrajectoryGrid(r_eps, eps), eps, window).samples[:, 0]
         rho_hat = float(np.mean(np.abs(rv - v_eps[window:]) ** 4) ** 0.25)
         scheme = scheme_from_rho(rho_hat, config.c_n, config.c_delta)
-        point = plan_point(scheme, eps, (config.u1, config.u2), window)
+        point = plan_point(scheme, eps, (config.u1, config.u2), window, label=eps, rho=rho_hat)
         point.require_positive(0)
         point.require_long_window()
         if point.kappas[1] <= point.kappas[0]:
             raise ParameterDomain(
                 f"lag pair {point.lags} rounds to one lag on big_delta {point.scheme.big_delta}"
             )
-        plans.append(_RVPlan(s_eps, point, rho_hat))
+        plans.append((s_eps, point))
     return delta_f, plans
 
 
-def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, segments: list, state):
+def _extend_coarse(point: CoarsePoint, s: int, r_chunk: np.ndarray, lo: int, segments: list, state):
     """Append to ``segments`` the RV samples that end in fine rows ``lo, lo + 1, ...``.
 
     A level's coarse samples are stored ``_COARSE_SEGMENT`` rows at a time,
@@ -945,12 +933,11 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, segments: list, 
     they fill.  ``state`` is ``(carry, seen, filled)``: the realized-variance
     carry, the eps-grid prices seen and the coarse rows filled so far; the
     new state is returned.  Fine row ``j`` is on the eps grid when ``(j + 1)
-    % eps_stride == 0``, and coarse row ``q`` is the RV at eps point ``window
-    - 1 + (q + 1) * stride``, as ``subsample_sequence`` picks it; the RV
-    window is the point's offset and eps its step.
+    % s == 0``, ``s`` fine steps per eps, and coarse row ``q`` is the RV at
+    eps point ``window - 1 + (q + 1) * stride``, as ``subsample_sequence``
+    picks it; the RV window is the point's offset and eps its step.
     """
     carry, seen, filled = state
-    s, point = plan.eps_stride, plan.point
     prices = r_chunk[(seen + 1) * s - 1 - lo : max(point.rows * s - lo, 0) : s]
     if len(prices) == 0:
         return state
@@ -961,7 +948,7 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, segments: list, 
     while q < end:
         i, at = divmod(q, _COARSE_SEGMENT)
         if i == len(segments):  # the segment's first row
-            rows = min(_COARSE_SEGMENT, plan.coarse_rows - q)
+            rows = min(_COARSE_SEGMENT, point.coarse_rows - q)
             segments.append(np.empty((rows, picked.shape[1])))
         n = min(end - q, _COARSE_SEGMENT - at)
         segments[i][at : at + n] = picked[q - filled : q - filled + n]
@@ -969,7 +956,7 @@ def _extend_coarse(plan: _RVPlan, r_chunk: np.ndarray, lo: int, segments: list, 
     return carry, seen + len(prices), end
 
 
-def _score_level(plan: _RVPlan, segments: list, truth: np.ndarray) -> tuple[int, dict]:
+def _score_level(point: CoarsePoint, segments: list, truth: np.ndarray) -> tuple[int, dict]:
     """``(failures, rms_rel)`` of one level, inverting each replication's coarse samples.
 
     Each replication's column is gathered from ``segments`` into one
@@ -982,12 +969,12 @@ def _score_level(plan: _RVPlan, segments: list, truth: np.ndarray) -> tuple[int,
     for col in range(width):
         samples = np.concatenate([segment[:, col] for segment in segments])
         try:
-            est = invert_cir(_rv_moments(samples, plan), plan.point.lags_used[0])
+            est = invert_cir(_rv_moments(samples, point), point.lags_used[0])
         except MomentsOutsideModelRange:
             continue
         sq_rel.append(((est.theta - truth) / truth) ** 2)
     if not sq_rel:
-        raise MomentsOutsideModelRange(f"every replication failed at eps {plan.point.step}")
+        raise MomentsOutsideModelRange(f"every replication failed at eps {point.step}")
     rms = np.sqrt(np.mean(sq_rel, axis=0))
     return width - len(sq_rel), {name: float(v) for name, v in zip(CIR_PARAMETER_NAMES, rms)}
 
@@ -1007,29 +994,29 @@ def run_heston_rv(config: HestonRVConfig) -> HestonRVReport:
     """
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
-    length = max(plan.point.rows * plan.eps_stride for plan in plans)
+    length = max(point.rows * s for s, point in plans)
     width = config.replications
-    _check_memory(sum(plan.coarse_rows for plan in plans), width)
+    _check_memory(sum(point.coarse_rows for _, point in plans), width)
 
     truth = {name: getattr(p, name) for name in CIR_PARAMETER_NAMES}
     true_vec = np.array(list(truth.values()))
     coarse = [[] for _ in plans]  # None once the level is scored
     states = [(None, 0, 0)] * len(plans)
-    rms_rel = dict.fromkeys(plan.point.step for plan in plans)  # epsilon_grid order
+    rms_rel = dict.fromkeys(point.step for _, point in plans)  # epsilon_grid order
     failures = dict.fromkeys(rms_rel)
     for lo, r_chunk, _ in _heston_chunks(p, config.master_seed, range(width), length, delta_f):
-        for i, plan in enumerate(plans):
+        for i, (s, point) in enumerate(plans):
             if coarse[i] is None:
                 continue
-            states[i] = _extend_coarse(plan, r_chunk, lo, coarse[i], states[i])
-            if states[i][2] == plan.coarse_rows:
-                eps = plan.point.step
-                failures[eps], rms_rel[eps] = _score_level(plan, coarse[i], true_vec)
+            states[i] = _extend_coarse(point, s, r_chunk, lo, coarse[i], states[i])
+            if states[i][2] == point.coarse_rows:
+                eps = point.step
+                failures[eps], rms_rel[eps] = _score_level(point, coarse[i], true_vec)
                 coarse[i] = None
 
     return HestonRVReport(
         truth=truth,
-        plans=[plan.summary() for plan in plans],
+        plans=[_level_summary(point) for _, point in plans],
         rms_rel=rms_rel,
         failures=failures,
         config_hash=config_hash(config),

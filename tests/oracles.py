@@ -189,16 +189,15 @@ def reference_ensemble(config):
     shape = (len(points), config.replications)
     khat_y, khat_x = np.empty((*shape, len(config.lags))), np.empty((*shape, len(config.lags)))
     mean_y, mean_x = np.empty(shape), np.empty(shape)
-    for gi, sweep in enumerate(points):
-        point = sweep.point
+    for gi, point in enumerate(points):
         n_obs, kappas, n_extra = point.scheme.n_obs, point.kappas, max(point.kappas)
         for rep in range(config.replications):
             stream = RandomStreamSpec(config.master_seed, rep, StreamRole.PROCESS_NOISE)
             x = simulate_ou(config.model, point.rows, point.step, stream)
             y = {
                 "identity": lambda: x,
-                "multiplicative": lambda: multiplicative_perturbation_observable(x, sweep.rho),
-                "smoothing": lambda: smoothing_observable(x, sweep.eps),
+                "multiplicative": lambda: multiplicative_perturbation_observable(x, point.rho),
+                "smoothing": lambda: smoothing_observable(x, point.label),
             }[config.observable]()
             y_seq = subsample_sequence(y, point.scheme, n_extra=n_extra)
             x_seq = subsample_sequence(x, point.scheme, n_extra=n_extra, offset=point.offset)

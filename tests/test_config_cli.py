@@ -66,6 +66,7 @@ from submoments.lab import (
     EndToEndConfig,
     ExperimentConfig,
     HestonRVConfig,
+    _plan_heston_rv,
     _plan_sweep,
 )
 from submoments.models import HestonParams, OUParams, ou_bound_inputs, simulate_ou
@@ -2013,16 +2014,21 @@ class TestBenchmarkTrace:
         estimate = ["estimate", "--input", str(path), "--lags", "0,1.0", "--model", "ou"]
         assert "estimators.covariance" in self.trace(tmp_path, estimate)
 
-    def test_heston_runs_as_the_benchmark_runs_them(self, tmp_path):
-        # heston_rv's setup probe stops at lab.heston_initial_variance, and
-        # models.heston_steps counts lab._heston_core calls: both see the
-        # Heston loop only while it draws and steps in lab
+    @staticmethod
+    def small_heston_rv(tmp_path) -> Path:
+        """The heston_rv preset at 30 replications and a 50-unit pilot."""
         sections = load_config(_preset_path("heston_rv")).sections
         small = {
             "run": {**sections["run"], "replications": 30},
             "heston": {**sections["heston"], "pilot_span": 50},
         }
-        cfg = preset_variant(tmp_path, small, "heston_rv")
+        return preset_variant(tmp_path, small, "heston_rv")
+
+    def test_heston_runs_as_the_benchmark_runs_them(self, tmp_path):
+        # heston_rv's setup probe stops at lab.heston_initial_variance, and
+        # models.heston_steps counts lab._heston_core calls: both see the
+        # Heston loop only while it draws and steps in lab
+        cfg = self.small_heston_rv(tmp_path)
         lab = ["lab", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]
         assert "first_simulation" in json.loads(self.child(["setup", *lab]))
         spans = tmp_path / "spans.json"
@@ -2054,8 +2060,21 @@ class TestBenchmarkTrace:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert module.nesting_errors(trace["spans"]) == []
-        planned = sum(p.point.rows for p in _plan_sweep(build_experiment(load_config(cfg))))
+        planned = sum(p.rows for p in _plan_sweep(build_experiment(load_config(cfg))))
         assert trace["counts"]["grids.normals_count"] == planned * 30
+
+    def test_heston_rv_draws_what_its_plan_says(self, tmp_path):
+        # the pilot steps P fine rows and each of R replications the longest
+        # level's L: two normals a step, and one gamma draw for each path's V(0)
+        cfg = self.small_heston_rv(tmp_path)
+        self.trace(tmp_path, ["lab", "--config", str(cfg), "--output-dir", str(tmp_path / "run")])
+        counts = json.loads((tmp_path / "spans.json").read_text())["counts"]
+        config = build_heston_rv(load_config(cfg))
+        delta_f, plans = _plan_heston_rv(config)
+        pilot, reps = math.ceil(config.pilot_span / delta_f), config.replications
+        length = max(point.rows * s for s, point in plans)
+        assert counts["grids.normals_count"] == 2 * pilot + 1 + reps * (2 * length + 1)
+        assert counts["models.heston_steps"] == pilot + reps * length
 
 
 class TestClosedStdout:

@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submoments import config as config_module, estimators, lab, models
 from submoments.cli import _preset_path, available_presets, main
@@ -43,10 +45,10 @@ from submoments.lab import (
     EndToEndReport,
     Ensemble,
     ExperimentConfig,
-    SweepPoint,
     HestonRVConfig,
     HestonRVReport,
     _HESTON_CHUNK,
+    _level_summary,
     _plan_heston_rv,
     _rv_moments,
     build_report,
@@ -201,7 +203,7 @@ ENGINE_RUNS = [
 class TestSweepEngine:
     def test_bookkeeping_and_determinism(self):
         ens = run_replications(small_config())
-        plans = [p.point for p in ens.points]
+        plans = ens.points
         assert build_report(small_config(), ens).meta["grid_kind"] == "epsilon"
         assert [p.label for p in ens.points] == [0.3, 0.25, 0.2]
         assert [p.scheme.n_obs for p in plans] == [38, 64, 125]
@@ -242,7 +244,7 @@ class TestSweepEngine:
             planned = scheme_from_rho(eps, config.c_n, config.c_delta)
             fine = planned.big_delta / 4
             scheme = resolve_stride(planned, fine)
-            offset, kappas = round(eps / fine), ens.points[gi].point.kappas
+            offset, kappas = round(eps / fine), ens.points[gi].kappas
             rows = offset + (scheme.n_obs + max(kappas)) * scheme.stride
             for rep in range(config.replications):
                 stream = RandomStreamSpec(11, rep, StreamRole.PROCESS_NOISE)
@@ -364,6 +366,28 @@ def _within(seconds: float, fn):
     return raised[0]
 
 
+class TestCoarsePoint:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_obs=st.integers(1, 300),
+        ratio=st.floats(0.1, 12.0),
+        step=st.floats(1e-3, 10.0),
+        lags=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+        offset=st.integers(0, 60),
+    )
+    def test_rows_are_what_subsampling_needs(self, n_obs, ratio, step, lags, offset):
+        # a level's planned fine rows give exactly its coarse rows, and one row fewer is too short
+        point = plan_point(SubsamplingScheme(n_obs, ratio * step), step, [u * step for u in lags], offset)
+
+        def coarse(rows: int) -> np.ndarray:
+            grid = TrajectoryGrid(np.zeros(rows), step)
+            return subsample_sequence(grid, point.scheme, n_extra=max(point.kappas), offset=point.offset)
+
+        assert len(coarse(point.rows)) == point.coarse_rows
+        with pytest.raises(InsufficientData):
+            coarse(point.rows - 1)
+
+
 class TestBlockEngine:
     """The calling thread draws each path into pooled blocks, queued in row order, and the one
     reducer thread reduces it, bit for bit as the whole-path serial loops of tests/oracles.py."""
@@ -450,7 +474,7 @@ class TestBlockEngine:
         # and the ensemble; a first small sweep loads the filter kernel
         # outside the trace
         config = small_config(scheme_family="from_n", n_grid=(200_000,), epsilon_grid=(), lags=(0.0, 1.0))
-        rows = max(p.point.rows for p in lab._plan_sweep(config))
+        rows = max(p.rows for p in lab._plan_sweep(config))
         pool = (-(-rows // _BLOCK_ROWS) + 1) * _BLOCK_ROWS * 8
         run_replications(small_config())
         _, peak = traced_memory(lambda: run_replications(config))
@@ -596,10 +620,10 @@ def reference_heston_rv(config: HestonRVConfig):
     """
     p = config.params
     delta_f, plans = _plan_heston_rv(config)
-    length = max(plan.point.rows * plan.eps_stride for plan in plans)
+    length = max(point.rows * s for s, point in plans)
     true_vec = np.array([p.reversion, p.level, p.vol_of_vol])
-    sq_rel = {plan.point.step: [] for plan in plans}
-    failures = {plan.point.step: 0 for plan in plans}
+    sq_rel = {point.step: [] for _, point in plans}
+    failures = {point.step: 0 for _, point in plans}
     for start in range(0, config.replications, 24):
         reps = range(start, min(start + 24, config.replications))
         width = len(reps)
@@ -615,26 +639,26 @@ def reference_heston_rv(config: HestonRVConfig):
             z_price[:, col] = rng_price.standard_normal(length)
         r_paths, _, _ = heston_core_reference(p, length, delta_f, z_var, z_price, v0)
         for col in range(width):
-            for plan in plans:
-                fine_rows = plan.point.rows * plan.eps_stride
-                r_eps = r_paths[plan.eps_stride - 1 : fine_rows : plan.eps_stride, col]
+            for s, point in plans:
+                fine_rows = point.rows * s
+                r_eps = r_paths[s - 1 : fine_rows : s, col]
                 rv = realized_volatility_observable(
-                    TrajectoryGrid(r_eps, plan.point.step), plan.point.step, plan.point.offset
+                    TrajectoryGrid(r_eps, point.step), point.step, point.offset
                 )
-                coarse = subsample_sequence(rv, plan.point.scheme, n_extra=plan.point.kappas[1])
+                coarse = subsample_sequence(rv, point.scheme, n_extra=point.kappas[1])
                 try:
-                    est = invert_cir(_rv_moments(coarse, plan), plan.point.lags_used[0])
+                    est = invert_cir(_rv_moments(coarse, point), point.lags_used[0])
                 except MomentsOutsideModelRange:
-                    failures[plan.point.step] += 1
+                    failures[point.step] += 1
                     continue
-                sq_rel[plan.point.step].append(((est.theta - true_vec) / true_vec) ** 2)
+                sq_rel[point.step].append(((est.theta - true_vec) / true_vec) ** 2)
     rms_rel = {
         eps: dict(
             zip(("reversion", "level", "vol_of_vol"), map(float, np.sqrt(np.mean(block, axis=0))))
         )
         for eps, block in sq_rel.items()
     }
-    return [plan.summary() for plan in plans], rms_rel, failures
+    return [_level_summary(point) for _, point in plans], rms_rel, failures
 
 
 class TestHestonRVPipeline:
@@ -653,7 +677,7 @@ class TestHestonRVPipeline:
     @pytest.fixture(scope="class")
     def length(self):
         _, plans = _plan_heston_rv(self.CFG)
-        length = max(plan.point.rows * plan.eps_stride for plan in plans)
+        length = max(point.rows * s for s, point in plans)
         # the last normals chunk is partial
         assert length > _HESTON_CHUNK and length % _HESTON_CHUNK != 0
         return length
@@ -714,7 +738,7 @@ class TestHestonRVPipeline:
         monkeypatch.setattr(lab, "_HESTON_CHUNK", 64)
         config = dataclasses.replace(self.CFG, epsilon_grid=(0.02, 0.005))
         _, plans = _plan_heston_rv(config)
-        coarse_bytes = 8 * config.replications * sum(plan.coarse_rows for plan in plans)
+        coarse_bytes = 8 * config.replications * sum(point.coarse_rows for _, point in plans)
         assert coarse_footprint(plans, config.replications) < 0.8 * coarse_bytes
         tracemalloc.start()
         try:
@@ -737,16 +761,16 @@ def coarse_footprint(plans, width: int) -> int:
     def ceil_to(n, unit):
         return -(-n // unit) * unit
 
-    def held(plan, fine):  # coarse rows allocated once fine rows 0 .. fine-1 are stepped
-        filled = (fine // plan.eps_stride - plan.point.offset) // plan.point.scheme.stride
-        filled = min(max(filled, 0), plan.coarse_rows)
-        return min(ceil_to(filled, lab._COARSE_SEGMENT), plan.coarse_rows)
+    def held(s, point, fine):  # coarse rows allocated once fine rows 0 .. fine-1 are stepped
+        filled = (fine // s - point.offset) // point.scheme.stride
+        filled = min(max(filled, 0), point.coarse_rows)
+        return min(ceil_to(filled, lab._COARSE_SEGMENT), point.coarse_rows)
 
-    ends = [plan.point.rows * plan.eps_stride for plan in plans]
+    ends = [point.rows * s for s, point in plans]
     most = 0
     for end in ends:
         fine = min(ceil_to(end, lab._HESTON_CHUNK), max(ends))
-        most = max(most, sum(held(p, fine) for p, e in zip(plans, ends) if e >= end))
+        most = max(most, sum(held(*p, fine) for p, e in zip(plans, ends) if e >= end))
     return 8 * width * most
 
 
@@ -978,9 +1002,9 @@ def _heston_report(coarse_level):
 def _gap_ensemble(cov_gap, mean_gap):
     """One grid point at rho = 0.1 whose proxy estimates sit a fixed gap away."""
     reps = 4
-    point = plan_point(SubsamplingScheme(100, 0.1), 0.1, (0.0,))
+    point = plan_point(SubsamplingScheme(100, 0.1), 0.1, (0.0,), label=0.1, rho=0.1)
     return Ensemble(
-        points=[SweepPoint(label=0.1, rho=0.1, eps=0.1, point=point)],
+        points=[point],
         khat_y=np.full((1, reps, 1), cov_gap),
         khat_x=np.zeros((1, reps, 1)),
         mean_y=np.full((1, reps), mean_gap),
